@@ -15,13 +15,12 @@ and locality searches feasible in pure Python.
 
 from __future__ import annotations
 
+from .gf4 import INV
 from .mat4 import Mat4
 
 Vec = tuple[int, int]
 
 ZERO: Vec = (0, 0)
-
-_INV = (0, 1, 3, 2)
 
 
 def scalar_mul(lam: int, v: Vec) -> Vec:
@@ -33,10 +32,6 @@ def scalar_mul(lam: int, v: Vec) -> Vec:
     if lam == 3:
         return lo, hi ^ lo
     return 0, 0
-
-
-def vadd(a: Vec, b: Vec) -> Vec:
-    return a[0] ^ b[0], a[1] ^ b[1]
 
 
 def coeff_at(v: Vec, pos: int) -> int:
@@ -106,7 +101,7 @@ class Eliminator:
         pos = lead(v)
         e = coeff_at(v, pos)
         if e != 1:
-            v = scalar_mul(_INV[e], v)  # lead coefficient 1 so mults[e] cancels
+            v = scalar_mul(INV[e], v)  # lead coefficient 1 so mults[e] cancels
         entry = (pos, multiples(v))
         basis = self._basis
         at = len(basis)

@@ -13,11 +13,10 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from itertools import combinations, product
+from itertools import combinations
 
 import numpy as np
 
-from . import gf4
 from .code import mds_weight_distribution
 from .constructions import catalog
 from .lrc import group_count_range, singleton_like_bound
@@ -98,14 +97,7 @@ class EvidenceReport:
 
 def _subspace_weights(basis: Mat4) -> list[int]:
     """Weights of the 15 nonzero vectors in a 2-dim subspace of GF(4)^5."""
-    a = basis.array
-    out = []
-    for s0, s1 in product(gf4.ELEMENTS, repeat=2):
-        if s0 == 0 and s1 == 0:
-            continue
-        vec = gf4.MUL_NP[s0, a[0]] ^ gf4.MUL_NP[s1, a[1]]
-        out.append(int(np.count_nonzero(vec)))
-    return out
+    return np.count_nonzero(basis.span_words()[1:], axis=1).tolist()
 
 
 def no_weight5_in_d4_planes() -> tuple[int, int]:

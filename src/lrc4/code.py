@@ -25,13 +25,11 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from itertools import product
 from math import comb
 from typing import Iterable
 
 import numpy as np
 
-from . import gf4
 from ._gf4vec import Eliminator, pack_columns
 from .errors import (
     EmptyCodeError,
@@ -118,10 +116,10 @@ class LinearCode:
         return LinearCode(gen=self.gen, pchk=self.gen.right_kernel())
 
     def generator(self) -> Mat4:
-        return self.complete().gen
+        return self.gen if self.gen is not None else self.complete().gen
 
     def parity_check(self) -> Mat4:
-        return self.complete().pchk
+        return self.pchk if self.pchk is not None else self.complete().pchk
 
     def dual(self) -> "LinearCode":
         c = self.complete()
@@ -144,19 +142,10 @@ class LinearCode:
         if self.k > _MAX_ENUM_K:
             raise ResourceError(f"4^{self.k} codewords exceed the enumeration guard (k <= {_MAX_ENUM_K})")
         g = self.generator().array
-        k, n = self.k, self.n
-        lo = max(0, k - _ENUM_CHUNK_K)
-        table = np.zeros((1, n), dtype=np.uint8)
-        for row in g[lo:]:
-            mults = gf4.MUL_NP[:, row]
-            table = (table[:, None, :] ^ mults[None, :, :]).reshape(-1, n)
-        if lo == 0:
-            yield table
-            return
-        for scalars in product(gf4.ELEMENTS, repeat=lo):
-            base = np.zeros(n, dtype=np.uint8)
-            for lam, row in zip(scalars, g[:lo]):
-                base ^= gf4.MUL_NP[lam, row]
+        lo = max(0, self.k - _ENUM_CHUNK_K)
+        table = Mat4(g[lo:]).span_words()
+        yield table  # high word 0 is zero: the low table itself, no copy
+        for base in Mat4(g[:lo]).span_words()[1:]:
             yield table ^ base
 
     def codewords(self) -> np.ndarray:

@@ -20,7 +20,6 @@ parameter cases ruled out by weight-distribution or incidence arguments.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import product
 from typing import Callable, Iterator
 
 from . import gf4
@@ -606,35 +605,12 @@ class BuiltCode:
 
 
 def _finish_parity(construction, params, variant, h, layout, r, delta, expect_nkd):
-    n, k, d = expect_nkd
-    if h.cols != n:
-        raise StructureError(f"{construction}: built {h.cols} columns, expected {n}")
     code = LinearCode.from_parity_check(h).complete()
-    if code.k != k:
-        raise StructureError(f"{construction}: rank gives k = {code.k}, expected {k}")
-    profile = extract_profile(h, layout, r=r, delta=delta)
-    fam = _FAMILY_BY_CONSTRUCTION[construction]
-    return BuiltCode(
-        construction=construction,
-        family=fam,
-        params=params,
-        variant=variant,
-        code=code,
-        expected=CodeParams(n, k, d),
-        r=r,
-        delta=delta,
-        profile=profile,
-        layout=layout,
-    )
+    return _bundle(construction, params, variant, code, h, layout, r, delta, expect_nkd)
 
 
 def _finish_generator(construction, params, g, r, delta, expect_nkd):
-    n, k, d = expect_nkd
-    if g.cols != n:
-        raise StructureError(f"{construction}: built {g.cols} columns, expected {n}")
     base = LinearCode.from_generator(g)
-    if base.k != k:
-        raise StructureError(f"{construction}: generator rank {base.k}, expected {k}")
     found = verify_locality(base, r, delta)
     if not found.ok:
         raise StructureError(
@@ -642,18 +618,24 @@ def _finish_generator(construction, params, g, r, delta, expect_nkd):
         )
     h, layout, partitioned = structured_parity_check(base, r, delta)
     code = LinearCode(gen=g, pchk=h if partitioned else h.row_basis())
-    profile = extract_profile(h, layout, r=r, delta=delta, partitioned=partitioned)
-    fam = _FAMILY_BY_CONSTRUCTION[construction]
+    return _bundle(construction, params, None, code, h, layout, r, delta, expect_nkd, partitioned)
+
+
+def _bundle(construction, params, variant, code, h, layout, r, delta, expect_nkd, partitioned=True):
+    """Check the built code against its expected [n, k] and profile it."""
+    n, k, _ = expect_nkd
+    if (code.n, code.k) != (n, k):
+        raise StructureError(f"{construction}: built [{code.n},{code.k}], expected [{n},{k}]")
     return BuiltCode(
         construction=construction,
-        family=fam,
+        family=_FAMILY_BY_CONSTRUCTION[construction],
         params=params,
-        variant=None,
+        variant=variant,
         code=code,
-        expected=CodeParams(n, k, d),
+        expected=CodeParams(*expect_nkd),
         r=r,
         delta=delta,
-        profile=profile,
+        profile=extract_profile(h, layout, r=r, delta=delta, partitioned=partitioned),
         layout=layout,
     )
 
@@ -1151,16 +1133,9 @@ def blockwise_min_distance(bc: BuiltCode) -> int:
     for grp in profile.groups:
         cols0 = sorted(c - 1 for c in grp.support)
         local = Mat4(h.array[[i - 1 for i in grp.rows], :][:, cols0])
-        kernel = local.right_kernel()
-        words = []
-        for scalars in product(gf4.ELEMENTS, repeat=kernel.rows):
-            vec = np.zeros(len(cols0), dtype=np.uint8)
-            for lam, krow in zip(scalars, kernel.array):
-                vec ^= gf4.MUL_NP[lam, krow]
-            words.append(vec)
         new_any = np.full(size, INF, dtype=np.int64)
         new_pos = np.full(size, INF, dtype=np.int64)
-        for word in words:
+        for word in local.right_kernel().span_words():
             wt = int(np.count_nonzero(word))
             shift = indices ^ syndrome_index(cols0, word)
             np.minimum(new_any, dp_any[shift] + wt, out=new_any)

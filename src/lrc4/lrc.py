@@ -18,13 +18,12 @@ plus a global group, with 1-based row and column indexing throughout.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import combinations, product
+from itertools import combinations
 from math import ceil, floor
 from typing import Sequence
 
 import numpy as np
 
-from . import gf4
 from ._gf4vec import Eliminator, pack_columns, pack_rows
 from .code import LinearCode
 from .errors import RankError, ResourceError, ScanBudgetExceeded, StructureError
@@ -112,19 +111,9 @@ class LocalityFailure:
 def _punctured_distance_at_least(gen: Mat4, cols0: Sequence[int], delta: int) -> bool:
     """Exact check that the code punctured to these columns has d >= delta."""
     basis = gen.take_columns(cols0).row_basis()
-    kk = basis.rows
-    if kk == 0:
+    if basis.rows == 0:
         return False
-    arr = basis.array
-    for scalars in product(gf4.ELEMENTS, repeat=kk):
-        if not any(scalars):
-            continue
-        vec = np.zeros(len(cols0), dtype=np.uint8)
-        for lam, row in zip(scalars, arr):
-            vec ^= gf4.MUL_NP[lam, row]
-        if int(np.count_nonzero(vec)) < delta:
-            return False
-    return True
+    return int(np.count_nonzero(basis.span_words()[1:], axis=1).min()) >= delta
 
 
 def _locality_search(
@@ -224,13 +213,14 @@ def _minimal_cover(supports: list[frozenset[int]], n: int) -> list[frozenset[int
     """Drop supports that are redundant for covering {1..n}, newest first."""
     kept = list(supports)
     for i in range(len(kept) - 1, -1, -1):
-        rest: set[int] = set()
-        for j, s in enumerate(kept):
-            if j != i:
-                rest.update(s)
-        if len(rest) == n:
+        if _others_cover(kept, i, n):
             kept.pop(i)
     return kept
+
+
+def _others_cover(sets: Sequence[frozenset[int]], i: int, n: int) -> bool:
+    """Do the sets other than ``sets[i]`` still cover {1..n}?"""
+    return len(set().union(*sets[:i], *sets[i + 1:])) == n
 
 
 def is_r_optimal(c: LinearCode, r: int, delta: int) -> bool:
@@ -292,14 +282,10 @@ def extract_profile(
             raise StructureError(
                 f"group {g.rows} has support size {len(g.support)} > r+delta-1 = {r + delta - 1}"
             )
-    if len(groups) > 1:
-        for i, g in enumerate(groups):
-            rest: set[int] = set()
-            for j, h in enumerate(groups):
-                if j != i:
-                    rest |= h.support
-            if len(rest) == n:
-                raise StructureError(f"dropping group {i + 1} still covers all coordinates")
+    supports = [g.support for g in groups]
+    for i in range(len(groups)):
+        if _others_cover(supports, i, n):
+            raise StructureError(f"dropping group {i + 1} still covers all coordinates")
     return LocalityProfile(
         r=r,
         delta=delta,
@@ -331,58 +317,24 @@ def _select_cover(
     def rec(start: int, covered: frozenset[int]) -> bool:
         if len(covered) == n:
             return True
-        rest: set[int] = set()
-        for i in range(start, len(candidates)):
-            rest |= candidates[i][0]
-        if not covered | rest >= set(range(1, n + 1)):
+        if len(covered.union(*(s for s, _ in candidates[start:]))) < n:
             return False
         for i in range(start, len(candidates)):
             s = candidates[i][0]
             if s <= covered:
                 continue
-            rows = packed[i]
             pushed = 0
-            ok = True
-            for v in rows:
-                if not elim.push(v):
-                    ok = False
-                    pushed += 1
-                    break
+            for v in packed[i]:
                 pushed += 1
-            if ok:
+                if not elim.push(v):
+                    break
+            else:
                 chosen.append(i)
                 if rec(i + 1, covered | s):
                     return True
                 chosen.pop()
             for _ in range(pushed):
                 elim.pop()
-        return False
-
-    if rec(0, frozenset()):
-        return chosen
-    return None
-
-
-def _select_cover_relaxed(n: int, candidates: list[tuple[frozenset[int], Mat4]]) -> list[int] | None:
-    """First covering subfamily in candidate order, ignoring row overlap."""
-    chosen: list[int] = []
-
-    def rec(start: int, covered: frozenset[int]) -> bool:
-        if len(covered) == n:
-            return True
-        rest: set[int] = set()
-        for i in range(start, len(candidates)):
-            rest |= candidates[i][0]
-        if not covered | rest >= set(range(1, n + 1)):
-            return False
-        for i in range(start, len(candidates)):
-            s = candidates[i][0]
-            if s <= covered:
-                continue
-            chosen.append(i)
-            if rec(i + 1, covered | s):
-                return True
-            chosen.pop()
         return False
 
     return chosen if rec(0, frozenset()) else None
@@ -419,20 +371,13 @@ def structured_parity_check(
     chosen = _select_cover(n, candidates)
     partitioned = chosen is not None
     if chosen is None:
-        chosen = _select_cover_relaxed(n, candidates)
+        # with empty row blocks nothing is pushed, so only coverage decides
+        chosen = _select_cover(n, [(s, Mat4.zeros(0, n)) for s, _ in candidates])
     if chosen is None:
         raise StructureError("no family of local groups covers all coordinates")
-    picked = [candidates[i] for i in chosen]
-    # drop groups that became redundant for coverage, newest first
-    for i in range(len(picked) - 1, -1, -1):
-        rest: set[int] = set()
-        for j, (s, _) in enumerate(picked):
-            if j != i:
-                rest |= s
-        if len(rest) == n:
-            picked.pop(i)
-
-    blocks = [b for _, b in picked]
+    # the search never picks a support twice, so supports identify blocks
+    kept = _minimal_cover([candidates[i][0] for i in chosen], n)
+    blocks = [b for s, b in (candidates[i] for i in chosen) if s in kept]
     layout: list[tuple[int, int]] = []
     at = 1
     for b in blocks:

@@ -3,8 +3,8 @@
 A :class:`Mat4` wraps a read-only numpy uint8 array with entries in
 {0,1,2,3} (see :mod:`lrc4.gf4` for the element encoding).  Sizes in this
 problem domain stay around 120 columns, so everything is dense and exact:
-reduced row-echelon form, rank, right kernels, Kronecker products and
-block assembly.
+reduced row-echelon form, rank, right kernels, row-space enumeration,
+Kronecker products and block assembly.
 
 Empty matrices (0 x n or m x 0) are legal and concatenate away cleanly,
 which lets block constructions degenerate at their minimal parameters.
@@ -133,6 +133,20 @@ class Mat4:
 
     def transpose(self) -> "Mat4":
         return Mat4(self._a.T.copy())
+
+    def span_words(self) -> np.ndarray:
+        """Every GF(4)-combination of the rows, as a (4^rows, cols) uint8 array.
+
+        Word j is sum_i s_i * row_i, where the scalars s run over
+        ``gf4.ELEMENTS`` in ``itertools.product`` order: the first row is the
+        most significant base-4 digit and word 0 is zero.  Words repeat
+        when the rows are dependent.
+        """
+        n = self.cols
+        table = np.zeros((1, n), dtype=np.uint8)
+        for row in self._a:
+            table = (table[:, None, :] ^ gf4.MUL_NP[:, row][None, :, :]).reshape(4 * len(table), n)
+        return table
 
     # -- reduction -----------------------------------------------------
 

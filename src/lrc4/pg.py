@@ -155,16 +155,7 @@ def enumerate_subspaces(m: int, i: int) -> Iterator[Mat4]:
 
 def subspace_points(basis: Mat4) -> set[PgPoint]:
     """The projective points contained in the row space of ``basis``."""
-    pts: set[PgPoint] = set()
-    k = basis.rows
-    for scalars in product(gf4.ELEMENTS, repeat=k):
-        if not any(scalars):
-            continue
-        vec = np.zeros(basis.cols, dtype=np.uint8)
-        for lam, row in zip(scalars, basis.array):
-            vec ^= gf4.MUL_NP[lam, row]
-        pts.add(normalize(vec))
-    return pts
+    return {normalize(vec) for vec in basis.span_words()[1:]}
 
 
 def point_in_subspace(p: PgPoint, basis: Mat4) -> bool:

@@ -20,9 +20,14 @@ from typing import Sequence
 import numpy as np
 
 from . import gf4
+from .code import _check_coordinate_set
 from .constructions import BuiltCode
 from .errors import Lrc4Error
 from .mat4 import Mat4
+
+
+#: a received word holds field elements, or None for an erasure
+_RECEIVED_SYMBOLS = frozenset((None, *gf4.ELEMENTS))
 
 
 class RepairConsistencyError(Lrc4Error):
@@ -40,6 +45,7 @@ class ErasurePattern:
         return cls(frozenset(int(i) for i in coords))
 
     def apply(self, codeword: Sequence[int]) -> list[int | None]:
+        _check_coordinate_set(self.erased, len(codeword))
         return [None if (i + 1) in self.erased else int(x) for i, x in enumerate(codeword)]
 
 
@@ -69,11 +75,7 @@ def encode(bc, message: Sequence[int]) -> list[int]:
     msg = [int(x) for x in message]
     if len(msg) != code.k:
         raise ValueError(f"message length {len(msg)} != k = {code.k}")
-    g = code.generator().array
-    out = np.zeros(code.n, dtype=np.uint8)
-    for lam, row in zip(msg, g):
-        out ^= gf4.MUL_NP[lam, row]
-    return [int(x) for x in out]
+    return list((Mat4([msg]) @ code.generator()).row(0))
 
 
 def random_message(bc, rng: random.Random) -> list[int]:
@@ -126,6 +128,9 @@ def local_repair(bc: BuiltCode, received: Sequence[int | None]) -> RepairOutcome
     if len(received) != n:
         raise ValueError(f"received word has length {len(received)}, want {n}")
     word: list = [None if x is None else int(x) for x in received]
+    if not _RECEIVED_SYMBOLS.issuperset(word):
+        bad = sorted(set(word) - _RECEIVED_SYMBOLS)
+        raise ValueError(f"received symbols {bad} are not GF(4) elements 0..3")
     h = bc.profile.matrix if bc.profile.matrix is not None else bc.code.parity_check()
     delta = bc.delta
     groups = bc.profile.groups

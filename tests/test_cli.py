@@ -151,6 +151,14 @@ def test_repair_random_trials(capsys):
     assert "0 unexpected failure(s)" in out
 
 
+def test_repair_erasure_out_of_range_exits_2(capsys):
+    code, out, err = run(capsys, "repair", "--family", "C4", "--l", "2", "--r", "1",
+                         "--erase", "0")
+    assert code == 2
+    assert "recovered" not in out
+    assert "out of range" in err
+
+
 def test_pg_subcommand(capsys):
     code, out, _ = run(capsys, "pg", "--m", "3")
     assert code == 0 and out.strip() == "21"

@@ -252,6 +252,15 @@ def test_enumeration_guards():
         mid.codewords()
 
 
+def test_held_matrix_is_returned_without_a_kernel(monkeypatch):
+    def no_kernel(self):
+        raise AssertionError("right_kernel computed for a matrix the code holds")
+
+    monkeypatch.setattr(Mat4, "right_kernel", no_kernel)
+    assert LinearCode(gen=HEXACODE_GEN).generator() is HEXACODE_GEN
+    assert LinearCode(pchk=LOCAL_5).parity_check() is LOCAL_5
+
+
 def test_codeword_chunks_cover_everything():
     c = build("C2", l=2).code  # [7,3,3]
     words = set()

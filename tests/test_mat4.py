@@ -1,6 +1,7 @@
 import random
 from itertools import product
 
+import numpy as np
 import pytest
 
 from lrc4 import gf4
@@ -142,6 +143,36 @@ def test_matmul_against_scalar_definition():
                 for t in range(a.cols):
                     acc ^= gf4.mul(int(a[i, t]), int(b[t, j]))
                 assert int(c[i, j]) == acc
+
+
+def span_by_product(m):
+    """Reference: each combination of the rows, scalar by scalar, in product order."""
+    words = []
+    for scalars in product(gf4.ELEMENTS, repeat=m.rows):
+        vec = [0] * m.cols
+        for lam, row in zip(scalars, m.array):
+            vec = [v ^ gf4.mul(lam, int(x)) for v, x in zip(vec, row)]
+        words.append(vec)
+    return words
+
+
+def test_span_words_against_product_loop():
+    rng = random.Random(6)
+    r = random_matrix(rng, 1, 5)
+    s = random_matrix(rng, 1, 5)
+    cases = [
+        Mat4.zeros(0, 5),  # one word, the zero word
+        Mat4.zeros(0, 0),
+        Mat4.zeros(3, 0),  # 64 empty words
+        vstack([r, kron(Mat4([[gf4.W]]), r), r + s, s]),  # dependent rows
+    ]
+    for _ in range(60):
+        rows, cols = rng.randrange(0, 5), rng.randrange(0, 7)
+        cases.append(Mat4.zeros(0, cols) if rows == 0 else random_matrix(rng, rows, cols))
+    for m in cases:
+        words = m.span_words()
+        assert words.dtype == np.uint8 and words.shape == (4 ** m.rows, m.cols)
+        assert words.tolist() == span_by_product(m)
 
 
 def test_packed_eliminator_matches_dense_rank():

@@ -121,6 +121,24 @@ def test_repair_is_deterministic():
     assert out1.ok and out1.codeword == out2.codeword and out1.trace == out2.trace
 
 
+def test_erased_coordinates_range_checked():
+    bc = build("C4", l=2, r=1)
+    word = encode(bc, [1] * bc.code.k)
+    for coords in ([0], [bc.code.n + 1], [1, -2]):
+        with pytest.raises(ValueError, match="out of range"):
+            ErasurePattern.of(coords).apply(word)
+
+
+def test_received_symbols_checked():
+    bc = build("C1", l=2, variant="a")
+    word = encode(bc, [1] * bc.code.k)
+    for bad in (7, -1):
+        received = [None] + word[1:]
+        received[3] = bad
+        with pytest.raises(ValueError, match="not GF"):
+            local_repair(bc, received)
+
+
 def test_received_length_checked():
     bc = build("C4", l=2, r=3)
     with pytest.raises(ValueError):
