@@ -152,16 +152,23 @@ def _built_comments(bc, kind: str) -> list[str]:
 # subcommands
 
 
+def _add_construction_options(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--family", required=True, help="construction id (C1..C19, CLS*, C17G)")
+    p.add_argument("--l", type=int)
+    p.add_argument("--delta", type=int)
+    p.add_argument("--k", type=int)
+    p.add_argument("--r", type=int)
+    p.add_argument("--d", type=int, help="distance selector for the chain families C16..C19")
+    p.add_argument("--variant", choices=["a", "b"])
+
+
+def _build_from_args(args):
+    return build(args.family, l=args.l, k=args.k, delta=args.delta, r=args.r, d=args.d,
+                 variant=args.variant)
+
+
 def _cmd_build(args) -> int:
-    bc = build(
-        args.family,
-        l=args.l,
-        k=args.k,
-        delta=args.delta,
-        r=args.r,
-        d=args.d,
-        variant=args.variant,
-    )
+    bc = _build_from_args(args)
     native = "generator" if bc.construction in ("C16", "C17", "C18", "C19") else "parity"
     kind = args.as_ or native
     if kind == "parity":
@@ -295,8 +302,7 @@ def _cmd_classify(args) -> int:
 
 
 def _cmd_repair(args) -> int:
-    bc = build(args.family, l=args.l, k=args.k, delta=args.delta, r=args.r,
-               d=args.d, variant=args.variant)
+    bc = _build_from_args(args)
     rng = random.Random(args.seed)
     erase = None
     if args.erase:
@@ -348,13 +354,7 @@ def make_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="command", required=True)
 
     b = sub.add_parser("build", help="instantiate a catalogued construction")
-    b.add_argument("--family", required=True, help="construction id (C1..C19, CLS*, C17G)")
-    b.add_argument("--l", type=int)
-    b.add_argument("--delta", type=int)
-    b.add_argument("--k", type=int)
-    b.add_argument("--r", type=int)
-    b.add_argument("--d", type=int, help="distance selector for the chain families C16..C19")
-    b.add_argument("--variant", choices=["a", "b"])
+    _add_construction_options(b)
     b.add_argument("--out")
     b.add_argument("--as", dest="as_", choices=["generator", "parity"])
     b.set_defaults(fn=_cmd_build)
@@ -382,13 +382,7 @@ def make_parser() -> argparse.ArgumentParser:
     c.set_defaults(fn=_cmd_classify)
 
     rp = sub.add_parser("repair", help="simulate local erasure repair")
-    rp.add_argument("--family", required=True)
-    rp.add_argument("--l", type=int)
-    rp.add_argument("--delta", type=int)
-    rp.add_argument("--k", type=int)
-    rp.add_argument("--r", type=int)
-    rp.add_argument("--d", type=int)
-    rp.add_argument("--variant", choices=["a", "b"])
+    _add_construction_options(rp)
     rp.add_argument("--erase", help="comma-separated 1-based coordinates")
     rp.add_argument("--seed", type=int, default=0)
     rp.add_argument("--trials", type=int, default=1)

@@ -20,6 +20,7 @@ parameter cases ruled out by weight-distribution or incidence arguments.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import count
 from typing import Callable, Iterator
 
 from . import gf4
@@ -31,7 +32,6 @@ from .lrc import (
     check_structure,
     extract_profile,
     structured_parity_check,
-    verify_locality,
 )
 from .mat4 import Mat4, assemble_blocks, hstack, vstack
 
@@ -80,20 +80,33 @@ def _ones_kron(l: int, block: Mat4) -> Mat4:
     return ones.kron(block)
 
 
-def _variant_pair(variant: str) -> tuple[int, int]:
-    if variant == "a":
-        return gf4.ZERO, gf4.ZERO
-    if variant == "b":
-        return gf4.ONE, gf4.W2
-    raise RangeError(f"variant must be 'a' or 'b', got {variant!r}")
+_VARIANT_ENTRIES = {"a": (gf4.ZERO, gf4.ZERO, gf4.ZERO), "b": (gf4.ONE, gf4.W2, gf4.W)}
 
 
-def _variant_triple(variant: str) -> tuple[int, int, int]:
-    if variant == "a":
-        return gf4.ZERO, gf4.ZERO, gf4.ZERO
-    if variant == "b":
-        return gf4.ONE, gf4.W2, gf4.W
-    raise RangeError(f"variant must be 'a' or 'b', got {variant!r}")
+def _variant_entries(variant: str, size: int) -> tuple[int, ...]:
+    """The first ``size`` entries of the printed variant column."""
+    if variant not in _VARIANT_ENTRIES:
+        raise RangeError(f"variant must be 'a' or 'b', got {variant!r}")
+    return _VARIANT_ENTRIES[variant][:size]
+
+
+def _head_then_blocks(head: Mat4, l: int, block: Mat4) -> Mat4:
+    """diag(head, I_{l-2} (x) block): a head holding the first two local
+    groups, then l - 2 copies of the local block."""
+    return assemble_blocks([
+        [head, Mat4.zeros(head.rows, block.cols * (l - 2))],
+        [Mat4.zeros(block.rows * (l - 2), head.cols), Mat4.identity(l - 2).kron(block)],
+    ])
+
+
+def _group_tails(vectors, width: int) -> Mat4:
+    """Global rows giving group b (width - len(vectors[b])) zero columns
+    followed by the vectors of ``vectors[b]`` as columns."""
+    dim = len(vectors[0][0])
+    cols = []
+    for vecs in vectors:
+        cols += [(0,) * dim] * (width - len(vecs)) + [tuple(v) for v in vecs]
+    return Mat4(cols).transpose()
 
 
 # ---------------------------------------------------------------------------
@@ -351,7 +364,9 @@ class FamilySpec:
     valid_range: str
     note: str = ""
     variants: tuple[str, ...] = ()
-    _instances: Callable[[int], Iterator[dict]] | None = field(default=None, repr=False)
+    #: defining parameters -> (n, k, d, r, delta); builders are checked against it
+    _shape: Callable[..., tuple[int, int, int, int, int]] | None = field(default=None, repr=False)
+    _instances: Callable[[Callable, int], Iterator[dict]] | None = field(default=None, repr=False)
 
     def instances(self, n_max: int) -> Iterator[dict]:
         """Evaluated parameter tuples with n <= n_max, increasing n.
@@ -362,10 +377,11 @@ class FamilySpec:
         """
         if self._instances is None:
             return iter(())
-        return self._instances(n_max)
+        return self._instances(self._shape, n_max)
 
 
-def _mk(fid, status, construction, formulas, valid_range, note="", variants=(), gen=None):
+def _mk(fid, status, construction, formulas, valid_range, note="", variants=(),
+        shape=None, grid=None):
     return FamilySpec(
         id=fid,
         status=status,
@@ -374,69 +390,42 @@ def _mk(fid, status, construction, formulas, valid_range, note="", variants=(), 
         valid_range=valid_range,
         note=note,
         variants=variants,
-        _instances=gen,
+        _shape=shape,
+        _instances=grid,
     )
 
 
-def _linear_family(nf, kf, d, r, delta, lmin, lmax=None, status=None):
-    def gen(n_max: int) -> Iterator[dict]:
-        l = lmin
-        while nf(l) <= n_max and (lmax is None or l <= lmax):
-            inst_status = status(l) if status else "constructed"
-            yield {
-                "n": nf(l), "k": kf(l), "d": d, "r": r, "delta": delta,
-                "params": {"l": l}, "status": inst_status,
-            }
-            l += 1
-    return gen
+def _grid(status=None, **ranges):
+    """Instance walker over the parameter ranges (lo, hi), hi None for
+    unbounded, with instances sorted by (n, k, d, r, delta).
 
+    Every family's n grows with each parameter, so a range ends once n
+    exceeds n_max with the later parameters at their minimum.
+    """
+    names = list(ranges)
 
-def _r_family(d, delta, lmin=2):
-    # n = l(r + delta - 1), k = rl for r in 1..3 (families with r | k)
-    def gen(n_max: int) -> Iterator[dict]:
+    def gen(shape, n_max: int) -> Iterator[dict]:
         out = []
-        for r in (1, 2, 3):
-            l = lmin
-            while True:
-                n = l * (r + delta - 1)
-                if n > n_max:
+
+        def walk(params: dict) -> None:
+            if len(params) == len(names):
+                n, k, d, r, delta = shape(**params)
+                out.append({
+                    "n": n, "k": k, "d": d, "r": r, "delta": delta, "params": params,
+                    "status": status(**params) if status else "constructed",
+                })
+                return
+            name = names[len(params)]
+            lo, hi = ranges[name]
+            rest = {m: ranges[m][0] for m in names[len(params) + 1:]}
+            for v in count(lo) if hi is None else range(lo, hi + 1):
+                if shape(**params, **{name: v}, **rest)[0] > n_max:
                     break
-                out.append({
-                    "n": n, "k": r * l, "d": d, "r": r, "delta": delta,
-                    "params": {"l": l, "r": r}, "status": "constructed",
-                })
-                l += 1
-        out.sort(key=lambda t: (t["n"], t["r"]))
+                walk({**params, name: v})
+
+        walk({})
+        out.sort(key=lambda t: (t["n"], t["k"], t["d"], t["r"], t["delta"]))
         return iter(out)
-    return gen
-
-
-def _kdelta_family(nf, df, kmin, kmax, dmin):
-    def gen(n_max: int) -> Iterator[dict]:
-        out = []
-        for k in range(kmin, (kmax or n_max) + 1):
-            delta = dmin
-            while nf(k, delta) <= n_max:
-                out.append({
-                    "n": nf(k, delta), "k": k, "d": df(delta), "r": 1, "delta": delta,
-                    "params": {"k": k, "delta": delta}, "status": "constructed",
-                })
-                delta += 1
-            if nf(k, dmin) > n_max:
-                break
-        out.sort(key=lambda t: (t["n"], t["k"], t["delta"]))
-        return iter(out)
-    return gen
-
-
-def _d_family(nf, k, r, delta, dmin, dmax):
-    def gen(n_max: int) -> Iterator[dict]:
-        for d in range(dmin, dmax + 1):
-            if nf(d) <= n_max:
-                yield {
-                    "n": nf(d), "k": k, "d": d, "r": r, "delta": delta,
-                    "params": {"d": d}, "status": "constructed",
-                }
     return gen
 
 
@@ -444,92 +433,96 @@ _FAMILIES: list[FamilySpec] = [
     _mk("1", "constructed", "C1",
         {"n": "5l-1", "k": "3l-1", "d": "3", "r": "3", "delta": "3"}, "l >= 2",
         variants=("a", "b"),
-        gen=_linear_family(lambda l: 5 * l - 1, lambda l: 3 * l - 1, 3, 3, 3, 2)),
+        shape=lambda l: (5 * l - 1, 3 * l - 1, 3, 3, 3), grid=_grid(l=(2, None))),
     _mk("2", "constructed", "C2",
         {"n": "4l-1", "k": "2l-1", "d": "3", "r": "2", "delta": "3"}, "l >= 2",
         variants=("a", "b"),
-        gen=_linear_family(lambda l: 4 * l - 1, lambda l: 2 * l - 1, 3, 2, 3, 2)),
+        shape=lambda l: (4 * l - 1, 2 * l - 1, 3, 2, 3), grid=_grid(l=(2, None))),
     _mk("3", "constructed", "C3",
         {"n": "5l-2", "k": "3l-2", "d": "3", "r": "3", "delta": "3"}, "l >= 2",
         variants=("a", "b"),
-        gen=_linear_family(lambda l: 5 * l - 2, lambda l: 3 * l - 2, 3, 3, 3, 2)),
+        shape=lambda l: (5 * l - 2, 3 * l - 2, 3, 3, 3), grid=_grid(l=(2, None))),
     _mk("4", "constructed", "C4",
         {"n": "l(r+2)", "k": "rl", "d": "3", "r": "1..3", "delta": "3"}, "l >= 2, 1 <= r <= 3",
-        gen=_r_family(3, 3)),
+        shape=lambda l, r: (l * (r + 2), r * l, 3, r, 3), grid=_grid(l=(2, None), r=(1, 3))),
     _mk("5", "constructed", "C5",
         {"n": "6l-1", "k": "3l-1", "d": "4", "r": "3", "delta": "4"}, "l >= 2",
         variants=("a", "b"),
-        gen=_linear_family(lambda l: 6 * l - 1, lambda l: 3 * l - 1, 4, 3, 4, 2)),
+        shape=lambda l: (6 * l - 1, 3 * l - 1, 4, 3, 4), grid=_grid(l=(2, None))),
     _mk("6", "constructed", "C6",
         {"n": "5l", "k": "3l-1", "d": "4", "r": "3", "delta": "3"}, "l >= 2",
-        gen=_linear_family(lambda l: 5 * l, lambda l: 3 * l - 1, 4, 3, 3, 2)),
+        shape=lambda l: (5 * l, 3 * l - 1, 4, 3, 3), grid=_grid(l=(2, None))),
     _mk("7", "constructed", "C7",
         {"n": "4l", "k": "2l-1", "d": "4", "r": "2", "delta": "3"}, "l >= 2",
-        gen=_linear_family(lambda l: 4 * l, lambda l: 2 * l - 1, 4, 2, 3, 2)),
+        shape=lambda l: (4 * l, 2 * l - 1, 4, 2, 3), grid=_grid(l=(2, None))),
     _mk("8", "constructed", "C8",
         {"n": "5l-1", "k": "2l-1", "d": "4", "r": "2", "delta": "4"}, "l >= 2",
         variants=("a", "b"),
-        gen=_linear_family(lambda l: 5 * l - 1, lambda l: 2 * l - 1, 4, 2, 4, 2)),
+        shape=lambda l: (5 * l - 1, 2 * l - 1, 4, 2, 4), grid=_grid(l=(2, None))),
     _mk("9", "constructed", "C9",
         {"n": "5l-1", "k": "3l-2", "d": "4", "r": "3", "delta": "3"}, "l >= 2",
         variants=("a", "b"),
-        gen=_linear_family(lambda l: 5 * l - 1, lambda l: 3 * l - 2, 4, 3, 3, 2)),
+        shape=lambda l: (5 * l - 1, 3 * l - 2, 4, 3, 3), grid=_grid(l=(2, None))),
     _mk("10", "constructed", "C10",
         {"n": "6l-2", "k": "3l-2", "d": "4", "r": "3", "delta": "4"}, "l >= 2",
         variants=("a", "b"),
-        gen=_linear_family(lambda l: 6 * l - 2, lambda l: 3 * l - 2, 4, 3, 4, 2)),
+        shape=lambda l: (6 * l - 2, 3 * l - 2, 4, 3, 4), grid=_grid(l=(2, None))),
     _mk("11", "constructed", "C11",
         {"n": "l(r+3)", "k": "rl", "d": "4", "r": "1..3", "delta": "4"}, "l >= 2, 1 <= r <= 3",
-        gen=_r_family(4, 4)),
+        shape=lambda l, r: (l * (r + 3), r * l, 4, r, 4), grid=_grid(l=(2, None), r=(1, 3))),
     _mk("12", "constructed", "C12",
         {"n": "k*delta", "k": "k", "d": "delta", "r": "1", "delta": ">= 5"}, "k >= 2, delta >= 5",
-        gen=_kdelta_family(lambda k, dl: k * dl, lambda dl: dl, 2, None, 5)),
+        shape=lambda k, delta: (k * delta, k, delta, 1, delta),
+        grid=_grid(k=(2, None), delta=(5, None))),
     _mk("13", "constructed", "C13",
         {"n": "(k+1)delta", "k": "k", "d": "2delta", "r": "1", "delta": "> 2"}, "k >= 2, delta >= 3",
-        gen=_kdelta_family(lambda k, dl: (k + 1) * dl, lambda dl: 2 * dl, 2, None, 3)),
+        shape=lambda k, delta: ((k + 1) * delta, k, 2 * delta, 1, delta),
+        grid=_grid(k=(2, None), delta=(3, None))),
     _mk("14", "constructed", "C14",
         {"n": "(k+2)delta", "k": "k", "d": "3delta", "r": "1", "delta": "> 2"}, "k in {2,3}, delta >= 3",
-        gen=_kdelta_family(lambda k, dl: (k + 2) * dl, lambda dl: 3 * dl, 2, 3, 3)),
+        shape=lambda k, delta: ((k + 2) * delta, k, 3 * delta, 1, delta),
+        grid=_grid(k=(2, 3), delta=(3, None))),
     _mk("15", "constructed", "C15",
         {"n": "(k+3)delta", "k": "k", "d": "4delta", "r": "1", "delta": "> 2"}, "k in {2,3}, delta >= 3",
-        gen=_kdelta_family(lambda k, dl: (k + 3) * dl, lambda dl: 4 * dl, 2, 3, 3)),
+        shape=lambda k, delta: ((k + 3) * delta, k, 4 * delta, 1, delta),
+        grid=_grid(k=(2, 3), delta=(3, None))),
     _mk("16", "constructed", "C16",
         {"n": "d+4", "k": "3", "d": "5..12", "r": "2", "delta": "3"}, "5 <= d <= 12",
-        gen=_d_family(lambda d: d + 4, 3, 2, 3, 5, 12)),
+        shape=lambda d: (d + 4, 3, d, 2, 3), grid=_grid(d=(5, 12))),
     _mk("l-s=2_1", "constructed", "CLS2_1",
         {"n": "4l", "k": "2l-3", "d": "8", "r": "2", "delta": "3"}, "l in {4, 5}",
         note="printed dimension k=3 is inconsistent; k is derived as n - rank(H)",
-        gen=_linear_family(lambda l: 4 * l, lambda l: 2 * l - 3, 8, 2, 3, 4, lmax=5)),
+        shape=lambda l: (4 * l, 2 * l - 3, 8, 2, 3), grid=_grid(l=(4, 5))),
     _mk("l-s=3_1", "constructed", "CLS3_1",
         {"n": "20", "k": "5", "d": "12", "r": "2", "delta": "3"}, "l = 5",
         note="printed dimension k=3 is inconsistent; k is derived as n - rank(H)",
-        gen=_linear_family(lambda l: 4 * l, lambda l: 2 * l - 5, 12, 2, 3, 5, lmax=5)),
+        shape=lambda l: (4 * l, 2 * l - 5, 12, 2, 3), grid=_grid(l=(5, 5))),
     _mk("17", "constructed", "C17",
         {"n": "d+5", "k": "3", "d": "7..16", "r": "2", "delta": "4"}, "7 <= d <= 16",
-        gen=_d_family(lambda d: d + 5, 3, 2, 4, 7, 16)),
+        shape=lambda d: (d + 5, 3, d, 2, 4), grid=_grid(d=(7, 16))),
     _mk("18", "constructed", "C18",
         {"n": "d+5", "k": "4", "d": "5..12", "r": "3", "delta": "3"}, "5 <= d <= 12",
-        gen=_d_family(lambda d: d + 5, 4, 3, 3, 5, 12)),
+        shape=lambda d: (d + 5, 4, d, 3, 3), grid=_grid(d=(5, 12))),
     _mk("l-s=1_3", "constructed", "CLS1_3",
         {"n": "5l", "k": "3l-2", "d": "5", "r": "3", "delta": "3"}, "l >= 3",
-        gen=_linear_family(lambda l: 5 * l, lambda l: 3 * l - 2, 5, 3, 3, 3)),
+        shape=lambda l: (5 * l, 3 * l - 2, 5, 3, 3), grid=_grid(l=(3, None))),
     _mk("33d=10", "open", None,
         {"n": "5l", "k": "3l-5", "d": "10", "r": "3", "delta": "3"}, "4 <= l <= 9",
         note="only the length range is known; existence and structure are open",
-        gen=_linear_family(lambda l: 5 * l, lambda l: 3 * l - 5, 10, 3, 3, 4,
-                           lmax=9, status=lambda l: "open")),
+        shape=lambda l: (5 * l, 3 * l - 5, 10, 3, 3),
+        grid=_grid(l=(4, 9), status=lambda l: "open")),
     _mk("19", "constructed", "C19",
         {"n": "d+6", "k": "4", "d": "6..12", "r": "3", "delta": "4"}, "6 <= d <= 12",
         note="d >= 13 is impossible: no quaternary [6+d, 4, d] code exists",
-        gen=_d_family(lambda d: d + 6, 4, 3, 4, 6, 12)),
+        shape=lambda d: (d + 6, 4, d, 3, 4), grid=_grid(d=(6, 12))),
     _mk("l-s=1_4", "constructed", "CLS1_4",
         {"n": "6l", "k": "3l-2", "d": "6", "r": "3", "delta": "4"}, "l >= 3",
-        gen=_linear_family(lambda l: 6 * l, lambda l: 3 * l - 2, 6, 3, 4, 3)),
+        shape=lambda l: (6 * l, 3 * l - 2, 6, 3, 4), grid=_grid(l=(3, None))),
     _mk("34l=4", "constructed", "C17G",
         {"n": "6l", "k": "3l-5", "d": "12", "r": "3", "delta": "4"}, "4 <= l <= 20",
         note="explicit for 4 <= l <= 17; existence believed but open for 18 <= l <= 20",
-        gen=_linear_family(lambda l: 6 * l, lambda l: 3 * l - 5, 12, 3, 4, 4,
-                           lmax=20, status=lambda l: "constructed" if l <= 17 else "open")),
+        shape=lambda l: (6 * l, 3 * l - 5, 12, 3, 4),
+        grid=_grid(l=(4, 20), status=lambda l: "constructed" if l <= 17 else "open")),
     # parameter cases proven impossible
     _mk("d3-t3", "nonexistent", None, {"d": "3"}, "k = 3 (mod r)",
         note="the removed groups force [5,2,4] local codes with r = 3, contradicting t <= r-1"),
@@ -561,7 +554,6 @@ _FAMILIES: list[FamilySpec] = [
 
 _FAMILY_BY_ID = {f.id: f for f in _FAMILIES}
 _FAMILY_BY_CONSTRUCTION = {f.construction: f for f in _FAMILIES if f.construction}
-_CONSTRUCTION_IDS = frozenset(_FAMILY_BY_CONSTRUCTION)
 
 
 def catalog() -> list[FamilySpec]:
@@ -604,26 +596,32 @@ class BuiltCode:
         return report
 
 
-def _finish_parity(construction, params, variant, h, layout, r, delta, expect_nkd):
+def _shape(construction, params) -> tuple[int, int, int, int, int]:
+    """(n, k, d, r, delta) of the construction's catalogue entry at params."""
+    return _FAMILY_BY_CONSTRUCTION[construction]._shape(**params)
+
+
+def _finish_parity(construction, params, variant, h, groups):
+    """Bundle a parity check whose first ``groups`` blocks of delta - 1
+    rows are the local groups and whose remaining rows are global."""
+    rows = _shape(construction, params)[4] - 1
+    layout = [(1 + i * rows, (i + 1) * rows) for i in range(groups)]
     code = LinearCode.from_parity_check(h).complete()
-    return _bundle(construction, params, variant, code, h, layout, r, delta, expect_nkd)
+    return _bundle(construction, params, variant, code, h, layout)
 
 
-def _finish_generator(construction, params, g, r, delta, expect_nkd):
-    base = LinearCode.from_generator(g)
-    found = verify_locality(base, r, delta)
-    if not found.ok:
-        raise StructureError(
-            f"{construction}: locality ({r},{delta}) fails at {found.bad_coordinates}"
-        )
-    h, layout, partitioned = structured_parity_check(base, r, delta)
+def _finish_generator(construction, params, g):
+    _, _, _, r, delta = _shape(construction, params)
+    # the cover search raises StructureError when some coordinate has no
+    # qualifying support, so it also certifies the locality
+    h, layout, partitioned = structured_parity_check(LinearCode.from_generator(g), r, delta)
     code = LinearCode(gen=g, pchk=h if partitioned else h.row_basis())
-    return _bundle(construction, params, None, code, h, layout, r, delta, expect_nkd, partitioned)
+    return _bundle(construction, params, None, code, h, layout, partitioned)
 
 
-def _bundle(construction, params, variant, code, h, layout, r, delta, expect_nkd, partitioned=True):
-    """Check the built code against its expected [n, k] and profile it."""
-    n, k, _ = expect_nkd
+def _bundle(construction, params, variant, code, h, layout, partitioned=True):
+    """Check the built code against the catalogue's [n, k] and profile it."""
+    n, k, d, r, delta = _shape(construction, params)
     if (code.n, code.k) != (n, k):
         raise StructureError(f"{construction}: built [{code.n},{code.k}], expected [{n},{k}]")
     return BuiltCode(
@@ -632,7 +630,7 @@ def _bundle(construction, params, variant, code, h, layout, r, delta, expect_nkd
         params=params,
         variant=variant,
         code=code,
-        expected=CodeParams(*expect_nkd),
+        expected=CodeParams(n, k, d),
         r=r,
         delta=delta,
         profile=extract_profile(h, layout, r=r, delta=delta, partitioned=partitioned),
@@ -640,77 +638,67 @@ def _bundle(construction, params, variant, code, h, layout, r, delta, expect_nkd
     )
 
 
-def _uniform_layout(l: int, rows_per_group: int) -> list[tuple[int, int]]:
-    return [(1 + i * rows_per_group, (i + 1) * rows_per_group) for i in range(l)]
-
-
 # -- d = 3 -------------------------------------------------------------------
 
 
 def _build_c1_h(l: int, variant: str) -> Mat4:
-    a, b = _variant_pair(variant)
+    a, b = _variant_entries(variant, 2)
     head = Mat4([
         [1, 0, 1, 1, a, 0, 0, 0, 0],
         [0, 1, 1, gf4.W, b, 0, 0, 0, 0],
         [0, 0, 0, 0, 1, 0, 1, 1, 1],
         [0, 0, 0, 0, 0, 1, 1, gf4.W, gf4.W2],
     ])
-    tail = Mat4.identity(l - 2).kron(LOCAL_5)
-    return assemble_blocks([
-        [head, Mat4.zeros(4, 5 * (l - 2))],
-        [Mat4.zeros(2 * (l - 2), 9), tail],
-    ])
+    return _head_then_blocks(head, l, LOCAL_5)
 
 
 def _build_c1(l: int, variant: str) -> BuiltCode:
     _need_l(l, 2)
-    h = _build_c1_h(l, variant)
-    return _finish_parity("C1", {"l": l}, variant, h, _uniform_layout(l, 2), 3, 3,
-                          (5 * l - 1, 3 * l - 1, 3))
+    return _finish_parity("C1", {"l": l}, variant, _build_c1_h(l, variant), l)
 
 
 def _build_c2(l: int, variant: str) -> BuiltCode:
     _need_l(l, 2)
-    a, b = _variant_pair(variant)
+    a, b = _variant_entries(variant, 2)
     head = Mat4([
         [1, 0, 1, a, 0, 0, 0],
         [0, 1, 1, b, 0, 0, 0],
         [0, 0, 0, 1, 0, 1, 1],
         [0, 0, 0, 0, 1, 1, gf4.W2],
     ])
-    tail = Mat4.identity(l - 2).kron(LOCAL_4A)
-    h = assemble_blocks([
-        [head, Mat4.zeros(4, 4 * (l - 2))],
-        [Mat4.zeros(2 * (l - 2), 7), tail],
-    ])
-    return _finish_parity("C2", {"l": l}, variant, h, _uniform_layout(l, 2), 2, 3,
-                          (4 * l - 1, 2 * l - 1, 3))
+    return _finish_parity("C2", {"l": l}, variant, _head_then_blocks(head, l, LOCAL_4A), l)
 
 
 def _build_c3(l: int, variant: str) -> BuiltCode:
     _need_l(l, 2)
     h = _build_c1_h(l, variant).delete_columns([0])
-    return _finish_parity("C3", {"l": l}, variant, h, _uniform_layout(l, 2), 3, 3,
-                          (5 * l - 2, 3 * l - 2, 3))
+    return _finish_parity("C3", {"l": l}, variant, h, l)
 
 
-_C4_BLOCKS = {3: LOCAL_5, 2: LOCAL_4B, 1: LOCAL_3}
-
-
-def _build_c4(l: int, r: int) -> BuiltCode:
+def _build_local_r(construction: str, blocks: dict[int, Mat4], l: int, r, k) -> BuiltCode:
+    """l disjoint copies of the local block for r (given, or k / l, else 3)."""
     _need_l(l, 2)
-    if r not in (1, 2, 3):
-        raise RangeError(f"C4 needs r in 1..3, got {r}")
-    h = Mat4.identity(l).kron(_C4_BLOCKS[r])
-    return _finish_parity("C4", {"l": l, "r": r}, None, h, _uniform_layout(l, 2), r, 3,
-                          (l * (r + 2), r * l, 3))
+    if r is None and k is not None:
+        if k % l:
+            raise RangeError(f"{construction}: k = {k} is not a multiple of l = {l}")
+        r = k // l
+    if r is None:
+        r = 3
+    if r not in blocks:
+        raise RangeError(f"{construction} needs r in 1..3, got {r}")
+    h = Mat4.identity(l).kron(blocks[r])
+    return _finish_parity(construction, {"l": l, "r": r}, None, h, l)
+
+
+def _build_c4(l: int, r=None, k=None) -> BuiltCode:
+    return _build_local_r("C4", {3: LOCAL_5, 2: LOCAL_4B, 1: LOCAL_3}, l, r, k)
 
 
 # -- d = 4 -------------------------------------------------------------------
 
 
 def _build_c5_h(l: int, variant: str) -> Mat4:
-    a, b, c = _variant_triple(variant)
+    a, b, c = _variant_entries(variant, 3)
     head = Mat4([
         [1, 0, 0, 1, 1, a, 0, 0, 0, 0, 0],
         [0, 1, 0, 1, gf4.W, b, 0, 0, 0, 0, 0],
@@ -719,18 +707,12 @@ def _build_c5_h(l: int, variant: str) -> Mat4:
         [0, 0, 0, 0, 0, 0, 1, 0, 1, gf4.W, gf4.W2],
         [0, 0, 0, 0, 0, 0, 0, 1, 1, gf4.W2, gf4.W],
     ])
-    tail = Mat4.identity(l - 2).kron(LOCAL_6)
-    return assemble_blocks([
-        [head, Mat4.zeros(6, 6 * (l - 2))],
-        [Mat4.zeros(3 * (l - 2), 11), tail],
-    ])
+    return _head_then_blocks(head, l, LOCAL_6)
 
 
 def _build_c5(l: int, variant: str) -> BuiltCode:
     _need_l(l, 2)
-    h = _build_c5_h(l, variant)
-    return _finish_parity("C5", {"l": l}, variant, h, _uniform_layout(l, 3), 3, 4,
-                          (6 * l - 1, 3 * l - 1, 4))
+    return _finish_parity("C5", {"l": l}, variant, _build_c5_h(l, variant), l)
 
 
 def _build_c6(l: int) -> BuiltCode:
@@ -739,8 +721,7 @@ def _build_c6(l: int) -> BuiltCode:
         Mat4.identity(l).kron(LOCAL_5),
         _ones_kron(l, Mat4.from_string("0 0 1 W w")),
     ])
-    return _finish_parity("C6", {"l": l}, None, h, _uniform_layout(l, 2), 3, 3,
-                          (5 * l, 3 * l - 1, 4))
+    return _finish_parity("C6", {"l": l}, None, h, l)
 
 
 def _build_c7(l: int) -> BuiltCode:
@@ -749,13 +730,12 @@ def _build_c7(l: int) -> BuiltCode:
         Mat4.identity(l).kron(LOCAL_4B),
         _ones_kron(l, Mat4.from_string("0 0 1 W")),
     ])
-    return _finish_parity("C7", {"l": l}, None, h, _uniform_layout(l, 2), 2, 3,
-                          (4 * l, 2 * l - 1, 4))
+    return _finish_parity("C7", {"l": l}, None, h, l)
 
 
 def _build_c8(l: int, variant: str) -> BuiltCode:
     _need_l(l, 2)
-    a, b, c = _variant_triple(variant)
+    a, b, c = _variant_entries(variant, 3)
     head = Mat4([
         [1, 0, 0, 1, a, 0, 0, 0, 0],
         [0, 1, 0, 1, b, 0, 0, 0, 0],
@@ -764,56 +744,29 @@ def _build_c8(l: int, variant: str) -> BuiltCode:
         [0, 0, 0, 0, 0, 1, 0, 1, gf4.W2],
         [0, 0, 0, 0, 0, 0, 1, 1, gf4.W],
     ])
-    tail = Mat4.identity(l - 2).kron(LOCAL_5C)
-    h = assemble_blocks([
-        [head, Mat4.zeros(6, 5 * (l - 2))],
-        [Mat4.zeros(3 * (l - 2), 9), tail],
-    ])
-    return _finish_parity("C8", {"l": l}, variant, h, _uniform_layout(l, 3), 2, 4,
-                          (5 * l - 1, 2 * l - 1, 4))
+    return _finish_parity("C8", {"l": l}, variant, _head_then_blocks(head, l, LOCAL_5C), l)
 
 
 def _build_c9(l: int, variant: str) -> BuiltCode:
     _need_l(l, 2)
-    a, b = _variant_pair(variant)
-    head = Mat4([
-        [1, 0, 1, 1, a, 0, 0, 0, 0],
-        [0, 1, 1, gf4.W, b, 0, 0, 0, 0],
-        [0, 0, 0, 0, 1, 0, 1, 1, 1],
-        [0, 0, 0, 0, 0, 1, 1, gf4.W, gf4.W2],
-    ])
-    tail = Mat4.identity(l - 2).kron(LOCAL_5)
-    # the printed global block is 1_{l-2} x (0 0 1 W w) past the 9 head columns
+    # C1's matrix over the printed global block 1_{l-2} x (0 0 1 W w)
+    # past the 9 head columns
     glob = hstack([
         Mat4.from_string("0 0 1 W 0 0 1 W w"),
         _ones_kron(l - 2, Mat4.from_string("0 0 1 W w")),
     ])
-    h = assemble_blocks([
-        [head, Mat4.zeros(4, 5 * (l - 2))],
-        [Mat4.zeros(2 * (l - 2), 9), tail],
-        [glob],
-    ])
-    return _finish_parity("C9", {"l": l}, variant, h, _uniform_layout(l, 2), 3, 3,
-                          (5 * l - 1, 3 * l - 2, 4))
+    h = vstack([_build_c1_h(l, variant), glob])
+    return _finish_parity("C9", {"l": l}, variant, h, l)
 
 
 def _build_c10(l: int, variant: str) -> BuiltCode:
     _need_l(l, 2)
     h = _build_c5_h(l, variant).delete_columns([0])
-    return _finish_parity("C10", {"l": l}, variant, h, _uniform_layout(l, 3), 3, 4,
-                          (6 * l - 2, 3 * l - 2, 4))
+    return _finish_parity("C10", {"l": l}, variant, h, l)
 
 
-_C11_BLOCKS = {3: LOCAL_6, 2: LOCAL_5C, 1: LOCAL_4C}
-
-
-def _build_c11(l: int, r: int) -> BuiltCode:
-    _need_l(l, 2)
-    if r not in (1, 2, 3):
-        raise RangeError(f"C11 needs r in 1..3, got {r}")
-    h = Mat4.identity(l).kron(_C11_BLOCKS[r])
-    return _finish_parity("C11", {"l": l, "r": r}, None, h, _uniform_layout(l, 3), r, 4,
-                          (l * (r + 3), r * l, 4))
+def _build_c11(l: int, r=None, k=None) -> BuiltCode:
+    return _build_local_r("C11", {3: LOCAL_6, 2: LOCAL_5C, 1: LOCAL_4C}, l, r, k)
 
 
 # -- d >= 5, r = 1 -----------------------------------------------------------
@@ -825,8 +778,7 @@ def _build_c12(k: int, delta: int) -> BuiltCode:
     if delta < 5:
         raise RangeError(f"C12 needs delta >= 5, got {delta}")
     h = Mat4.identity(k).kron(single_parity_generator(delta))
-    return _finish_parity("C12", {"k": k, "delta": delta}, None, h,
-                          _uniform_layout(k, delta - 1), 1, delta, (k * delta, k, delta))
+    return _finish_parity("C12", {"k": k, "delta": delta}, None, h, k)
 
 
 def _build_c13(k: int, delta: int) -> BuiltCode:
@@ -839,9 +791,7 @@ def _build_c13(k: int, delta: int) -> BuiltCode:
         Mat4.identity(k + 1).kron(single_parity_generator(delta)),
         _ones_kron(k + 1, tick),
     ])
-    return _finish_parity("C13", {"k": k, "delta": delta}, None, h,
-                          _uniform_layout(k + 1, delta - 1), 1, delta,
-                          ((k + 1) * delta, k, 2 * delta))
+    return _finish_parity("C13", {"k": k, "delta": delta}, None, h, k + 1)
 
 
 _C14_TAGS = [(1, 0), (0, 1), (1, 1), (1, gf4.W), (1, gf4.W2)]
@@ -849,14 +799,6 @@ _C15_TAGS = [
     (1, 0, 0), (0, 1, 0), (0, 0, 1),
     (1, 1, 1), (1, gf4.W, gf4.W2), (1, gf4.W2, gf4.W),
 ]
-
-
-def _tag_rows(tags: list[tuple[int, ...]], delta: int) -> Mat4:
-    blocks = []
-    for tag in tags:
-        block = [[0] * (delta - 1) + [t] for t in tag]
-        blocks.append(Mat4(block))
-    return hstack(blocks)
 
 
 def _build_c14(k: int, delta: int) -> BuiltCode:
@@ -867,11 +809,9 @@ def _build_c14(k: int, delta: int) -> BuiltCode:
     groups = k + 2
     h = vstack([
         Mat4.identity(groups).kron(single_parity_generator(delta)),
-        _tag_rows(_C14_TAGS[:groups], delta),
+        _group_tails([[tag] for tag in _C14_TAGS[:groups]], delta),
     ])
-    return _finish_parity("C14", {"k": k, "delta": delta}, None, h,
-                          _uniform_layout(groups, delta - 1), 1, delta,
-                          (groups * delta, k, 3 * delta))
+    return _finish_parity("C14", {"k": k, "delta": delta}, None, h, groups)
 
 
 def _build_c15(k: int, delta: int) -> BuiltCode:
@@ -882,24 +822,16 @@ def _build_c15(k: int, delta: int) -> BuiltCode:
     groups = k + 3
     h = vstack([
         Mat4.identity(groups).kron(single_parity_generator(delta)),
-        _tag_rows(_C15_TAGS[:groups], delta),
+        _group_tails([[tag] for tag in _C15_TAGS[:groups]], delta),
     ])
-    return _finish_parity("C15", {"k": k, "delta": delta}, None, h,
-                          _uniform_layout(groups, delta - 1), 1, delta,
-                          (groups * delta, k, 4 * delta))
+    return _finish_parity("C15", {"k": k, "delta": delta}, None, h, groups)
 
 
 # -- d >= 5, r >= 2 ----------------------------------------------------------
 
 
-def _uv_global_rows(uv: list[tuple[str, str]], dim: int, group_cols: int) -> Mat4:
-    blocks = []
-    for u_text, v_text in uv:
-        u = _parse_vec(u_text)
-        v = _parse_vec(v_text)
-        cols = [[0] * dim for _ in range(group_cols - 2)] + [list(u), list(v)]
-        blocks.append(Mat4(cols).transpose())
-    return hstack(blocks)
+def _uv_vectors(uv: list[tuple[str, str]]) -> list[tuple[tuple[int, ...], ...]]:
+    return [(_parse_vec(u), _parse_vec(v)) for u, v in uv]
 
 
 def _build_cls2_1(l: int) -> BuiltCode:
@@ -907,21 +839,19 @@ def _build_cls2_1(l: int) -> BuiltCode:
         raise RangeError(f"CLS2_1 exists for l in {{4, 5}}, got {l}")
     h = vstack([
         Mat4.identity(l).kron(LOCAL_4B),
-        _uv_global_rows(CLS2_1_UV[:l], 3, 4),
+        _group_tails(_uv_vectors(CLS2_1_UV[:l]), 4),
     ])
-    return _finish_parity("CLS2_1", {"l": l}, None, h, _uniform_layout(l, 2), 2, 3,
-                          (4 * l, 2 * l - 3, 8))
+    return _finish_parity("CLS2_1", {"l": l}, None, h, l)
 
 
-def _build_cls3_1(l: int = 5) -> BuiltCode:
+def _build_cls3_1(l: int) -> BuiltCode:
     if l != 5:
         raise RangeError(f"CLS3_1 exists only for l = 5, got {l}")
     h = vstack([
         Mat4.identity(5).kron(LOCAL_4B),
-        _uv_global_rows(CLS3_1_UV, 5, 4),
+        _group_tails(_uv_vectors(CLS3_1_UV), 4),
     ])
-    return _finish_parity("CLS3_1", {"l": 5}, None, h, _uniform_layout(5, 2), 2, 3,
-                          (20, 5, 12))
+    return _finish_parity("CLS3_1", {"l": 5}, None, h, 5)
 
 
 def _build_cls1_3(l: int) -> BuiltCode:
@@ -930,8 +860,7 @@ def _build_cls1_3(l: int) -> BuiltCode:
         Mat4.identity(l).kron(LOCAL_5),
         _ones_kron(l, Mat4.from_string("0 0 1 0 W / 0 0 0 1 W")),
     ])
-    return _finish_parity("CLS1_3", {"l": l}, None, h, _uniform_layout(l, 2), 3, 3,
-                          (5 * l, 3 * l - 2, 5))
+    return _finish_parity("CLS1_3", {"l": l}, None, h, l)
 
 
 def _build_cls1_4(l: int) -> BuiltCode:
@@ -940,19 +869,12 @@ def _build_cls1_4(l: int) -> BuiltCode:
         Mat4.identity(l).kron(LOCAL_6),
         _ones_kron(l, Mat4.from_string("0 0 0 1 0 W / 0 0 0 0 1 W")),
     ])
-    return _finish_parity("CLS1_4", {"l": l}, None, h, _uniform_layout(l, 3), 3, 4,
-                          (6 * l, 3 * l - 2, 6))
+    return _finish_parity("CLS1_4", {"l": l}, None, h, l)
 
 
 def _build_c17g(l: int) -> BuiltCode:
-    triples = c17g_triples(l)
-    blocks = []
-    for u, v, z in triples:
-        cols = [[0] * 5, [0] * 5, [0] * 5, list(u), list(v), list(z)]
-        blocks.append(Mat4(cols).transpose())
-    h = vstack([Mat4.identity(l).kron(LOCAL_6), hstack(blocks)])
-    return _finish_parity("C17G", {"l": l}, None, h, _uniform_layout(l, 3), 3, 4,
-                          (6 * l, 3 * l - 5, 12))
+    h = vstack([Mat4.identity(l).kron(LOCAL_6), _group_tails(c17g_triples(l), 6)])
+    return _finish_parity("C17G", {"l": l}, None, h, l)
 
 
 # -- printed generator matrices and their puncture chains ---------------------
@@ -970,21 +892,19 @@ def _build_c16(d: int) -> BuiltCode:
         g = _chain_generator(G16, C16_PUNCTURES[d])
     else:
         raise RangeError(f"C16 covers 5 <= d <= 12, got d={d}")
-    return _finish_generator("C16", {"d": d}, g, 2, 3, (d + 4, 3, d))
+    return _finish_generator("C16", {"d": d}, g)
 
 
 def _build_c17(d: int) -> BuiltCode:
     if d not in C17_PUNCTURES:
         raise RangeError(f"C17 covers 7 <= d <= 16, got d={d}")
-    g = _chain_generator(G17, C17_PUNCTURES[d])
-    return _finish_generator("C17", {"d": d}, g, 2, 4, (d + 5, 3, d))
+    return _finish_generator("C17", {"d": d}, _chain_generator(G17, C17_PUNCTURES[d]))
 
 
 def _build_c18(d: int) -> BuiltCode:
     if d not in C18_PUNCTURES:
         raise RangeError(f"C18 covers 5 <= d <= 12, got d={d}")
-    g = _chain_generator(G18, C18_PUNCTURES[d])
-    return _finish_generator("C18", {"d": d}, g, 3, 3, (d + 5, 4, d))
+    return _finish_generator("C18", {"d": d}, _chain_generator(G18, C18_PUNCTURES[d]))
 
 
 def _build_c19(d: int) -> BuiltCode:
@@ -994,7 +914,7 @@ def _build_c19(d: int) -> BuiltCode:
         g = _chain_generator(G19, C19_PUNCTURES[d])
     else:
         raise RangeError(f"C19 covers 6 <= d <= 12, got d={d}")
-    return _finish_generator("C19", {"d": d}, g, 3, 4, (d + 6, 4, d))
+    return _finish_generator("C19", {"d": d}, g)
 
 
 def _need_l(l: int, lmin: int) -> None:
@@ -1004,6 +924,38 @@ def _need_l(l: int, lmin: int) -> None:
 
 # ---------------------------------------------------------------------------
 # the public builder
+
+#: marks a builder parameter that has no default
+_REQUIRED = object()
+
+#: construction id -> (builder, {parameter: default}); families with
+#: variants also get ``variant``
+_BUILDERS: dict[str, tuple[Callable[..., BuiltCode], dict]] = {
+    "C1": (_build_c1, {"l": _REQUIRED}),
+    "C2": (_build_c2, {"l": _REQUIRED}),
+    "C3": (_build_c3, {"l": _REQUIRED}),
+    "C4": (_build_c4, {"l": _REQUIRED, "r": None, "k": None}),
+    "C5": (_build_c5, {"l": _REQUIRED}),
+    "C6": (_build_c6, {"l": _REQUIRED}),
+    "C7": (_build_c7, {"l": _REQUIRED}),
+    "C8": (_build_c8, {"l": _REQUIRED}),
+    "C9": (_build_c9, {"l": _REQUIRED}),
+    "C10": (_build_c10, {"l": _REQUIRED}),
+    "C11": (_build_c11, {"l": _REQUIRED, "r": None, "k": None}),
+    "C12": (_build_c12, {"k": _REQUIRED, "delta": _REQUIRED}),
+    "C13": (_build_c13, {"k": _REQUIRED, "delta": _REQUIRED}),
+    "C14": (_build_c14, {"k": _REQUIRED, "delta": _REQUIRED}),
+    "C15": (_build_c15, {"k": _REQUIRED, "delta": _REQUIRED}),
+    "C16": (_build_c16, {"d": 12}),
+    "C17": (_build_c17, {"d": 16}),
+    "C18": (_build_c18, {"d": 12}),
+    "C19": (_build_c19, {"d": 12}),
+    "C17G": (_build_c17g, {"l": _REQUIRED}),
+    "CLS2_1": (_build_cls2_1, {"l": 5}),
+    "CLS3_1": (_build_cls3_1, {"l": 5}),
+    "CLS1_3": (_build_cls1_3, {"l": _REQUIRED}),
+    "CLS1_4": (_build_cls1_4, {"l": _REQUIRED}),
+}
 
 
 def build(
@@ -1025,65 +977,26 @@ def build(
     construction names raise CatalogError.
     """
     cid = construction.upper()
-    if cid not in _CONSTRUCTION_IDS:
+    if cid not in _BUILDERS:
         # accept a family id and resolve it to its construction
         fam = _FAMILY_BY_ID.get(construction)
         if fam is not None and fam.construction:
             cid = fam.construction
-    var = variant or "a"
-    if cid in ("C1", "C2", "C3", "C5", "C8", "C9", "C10"):
-        fn = {"C1": _build_c1, "C2": _build_c2, "C3": _build_c3, "C5": _build_c5,
-              "C8": _build_c8, "C9": _build_c9, "C10": _build_c10}[cid]
-        return fn(_require(cid, "l", l), var)
-    if variant is not None and cid not in ("C1", "C2", "C3", "C5", "C8", "C9", "C10"):
+    if cid not in _BUILDERS:
+        raise CatalogError(f"unknown construction {construction!r}")
+    fn, defaults = _BUILDERS[cid]
+    offers_variants = bool(_FAMILY_BY_CONSTRUCTION[cid].variants)
+    if variant is not None and not offers_variants:
         raise RangeError(f"{cid} does not offer variants")
-    if cid in ("C4", "C11"):
-        ll = _require(cid, "l", l)
-        rr = r
-        if rr is None and k is not None:
-            if k % ll:
-                raise RangeError(f"{cid}: k = {k} is not a multiple of l = {ll}")
-            rr = k // ll
-        if rr is None:
-            rr = 3
-        return (_build_c4 if cid == "C4" else _build_c11)(ll, rr)
-    if cid == "C6":
-        return _build_c6(_require(cid, "l", l))
-    if cid == "C7":
-        return _build_c7(_require(cid, "l", l))
-    if cid == "C12":
-        return _build_c12(_require(cid, "k", k), _require(cid, "delta", delta))
-    if cid == "C13":
-        return _build_c13(_require(cid, "k", k), _require(cid, "delta", delta))
-    if cid == "C14":
-        return _build_c14(_require(cid, "k", k), _require(cid, "delta", delta))
-    if cid == "C15":
-        return _build_c15(_require(cid, "k", k), _require(cid, "delta", delta))
-    if cid == "C16":
-        return _build_c16(12 if d is None else d)
-    if cid == "C17":
-        return _build_c17(16 if d is None else d)
-    if cid == "C18":
-        return _build_c18(12 if d is None else d)
-    if cid == "C19":
-        return _build_c19(12 if d is None else d)
-    if cid == "C17G":
-        return _build_c17g(_require(cid, "l", l))
-    if cid == "CLS2_1":
-        return _build_cls2_1(5 if l is None else l)
-    if cid == "CLS3_1":
-        return _build_cls3_1(5 if l is None else l)
-    if cid == "CLS1_3":
-        return _build_cls1_3(_require(cid, "l", l))
-    if cid == "CLS1_4":
-        return _build_cls1_4(_require(cid, "l", l))
-    raise CatalogError(f"unknown construction {construction!r}")
-
-
-def _require(cid: str, name: str, value):
-    if value is None:
-        raise RangeError(f"{cid} needs parameter {name}")
-    return value
+    given = {"l": l, "k": k, "delta": delta, "r": r, "d": d}
+    kwargs = {}
+    for name, default in defaults.items():
+        kwargs[name] = default if given[name] is None else given[name]
+        if kwargs[name] is _REQUIRED:
+            raise RangeError(f"{cid} needs parameter {name}")
+    if offers_variants:
+        kwargs["variant"] = variant or "a"
+    return fn(**kwargs)
 
 
 def blockwise_min_distance(bc: BuiltCode) -> int:
@@ -1153,7 +1066,7 @@ def acceptance_sweep() -> list[tuple[str, dict]]:
     """(construction, build kwargs) at the two smallest parameter points
     of every constructed family, with both variants where offered."""
     out: list[tuple[str, dict]] = []
-    for cid in ("C1", "C2", "C3", "C5", "C8", "C9", "C10"):
+    for cid in [f.construction for f in _FAMILIES if f.variants]:
         for l in (2, 3):
             for v in ("a", "b"):
                 out.append((cid, {"l": l, "variant": v}))

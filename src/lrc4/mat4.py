@@ -33,7 +33,10 @@ class Mat4:
     __slots__ = ("_a",)
 
     def __init__(self, entries: Sequence[Sequence[int]] | np.ndarray, cols: int | None = None):
-        a = np.array(entries, dtype=np.uint8)
+        try:
+            a = np.array(entries, dtype=np.uint8)
+        except OverflowError:
+            raise ValueError("entries must be GF(4) elements 0..3") from None
         if a.ndim == 1:
             # Allow an empty row list only when the column count is given.
             a = a.reshape(0, cols if cols is not None else 0)

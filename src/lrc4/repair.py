@@ -85,11 +85,13 @@ def random_message(bc, rng: random.Random) -> list[int]:
 
 def _solve_group(
     h: Mat4, rows: tuple[int, ...], support: frozenset[int], word: list, unknowns: list[int]
-) -> dict[int, int] | None:
+) -> dict[int, int] | str:
     """Solve the group's parity equations for the erased coordinates.
 
-    Returns coordinate -> value, or None when the system is not uniquely
-    solvable (cannot happen for an intact MDS group within tolerance).
+    Returns coordinate -> value, or why the system has no unique
+    solution: "inconsistent" when the surviving group symbols belong to
+    no codeword, "underdetermined" when several values fit (cannot
+    happen for an intact MDS group within tolerance).
     """
     known = sorted(support - set(unknowns))
     m = len(rows)
@@ -107,9 +109,9 @@ def _solve_group(
     reduced, pivots = aug.rref()
     e = len(unknowns)
     if e in pivots:
-        return None  # inconsistent; unerased symbols were not a codeword
+        return "inconsistent"
     if len(pivots) != e:
-        return None  # underdetermined
+        return "underdetermined"
     values: dict[int, int] = {}
     for ri, p in enumerate(pivots):
         values[unknowns[p]] = int(reduced.array[ri, e])
@@ -136,7 +138,7 @@ def local_repair(bc: BuiltCode, received: Sequence[int | None]) -> RepairOutcome
     groups = bc.profile.groups
     trace: list[RepairStep] = []
 
-    undetermined: dict[int, list[int]] = {}
+    unsolved: dict[int, dict[str, list[int]]] = {}  # coordinate -> why -> groups
     progress = True
     while progress:
         progress = False
@@ -153,8 +155,8 @@ def local_repair(bc: BuiltCode, received: Sequence[int | None]) -> RepairOutcome
                 if len(unknowns) > delta - 1:
                     continue
                 solved = _solve_group(h, grp.rows, grp.support, word, unknowns)
-                if solved is None:
-                    undetermined.setdefault(i, []).append(gi + 1)
+                if isinstance(solved, str):
+                    unsolved.setdefault(i, {}).setdefault(solved, []).append(gi + 1)
                     continue
                 for coord, val in solved.items():
                     word[coord - 1] = val
@@ -166,10 +168,10 @@ def local_repair(bc: BuiltCode, received: Sequence[int | None]) -> RepairOutcome
     failures = []
     for i in range(1, n + 1):
         if word[i - 1] is None:
-            if i in undetermined:
-                failures.append(
-                    (i, f"local solve underdetermined in groups {undetermined[i]}")
-                )
+            if i in unsolved:
+                failures.append((i, "; ".join(
+                    f"local solve {why} in groups {gs}" for why, gs in unsolved[i].items()
+                )))
             else:
                 eligible = [gi + 1 for gi, g in enumerate(groups) if i in g.support]
                 failures.append(

@@ -66,6 +66,8 @@ def test_build_parameter_validation():
         build("C1", l=2, variant="c")
     with pytest.raises(CatalogError):
         build("C99", l=2)
+    with pytest.raises(CatalogError):
+        build("C99", l=2, variant="a")
 
 
 def test_build_examples_from_the_classification():
@@ -92,6 +94,28 @@ def test_c4_c11_accept_k_for_r():
     assert build("C11", l=3, k=3).r == 1
     with pytest.raises(RangeError):
         build("C4", l=2, k=5)
+    with pytest.raises(RangeError):
+        build("C4", l=0, k=4)
+
+
+def test_every_constructed_instance_up_to_64_matches_its_catalogue_tuple():
+    builds = 0
+    for fam in catalog():
+        if fam.construction is None:
+            continue
+        for inst in fam.instances(64):
+            if inst["status"] != "constructed":
+                continue
+            want = (inst["n"], inst["k"], inst["d"], inst["r"], inst["delta"])
+            for v in fam.variants or (None,):
+                bc = build(fam.construction, **inst["params"], variant=v)
+                builds += 1
+                key = (fam.construction, inst["params"], v)
+                assert (bc.code.n, bc.code.k, bc.expected.d, bc.r, bc.delta) == want, key
+                assert (bc.expected.n, bc.expected.k) == (bc.code.n, bc.code.k), key
+                if bc.profile.partitioned:
+                    assert all(b - a + 1 == bc.delta - 1 for a, b in bc.layout), key
+    assert builds == 553
 
 
 def test_expected_parameters_match_ranks():

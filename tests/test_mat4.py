@@ -203,7 +203,8 @@ def test_eliminator_push_pop_round_trip():
 
 
 def test_entry_validation():
-    with pytest.raises(ValueError):
-        Mat4([[0, 4]])
+    for bad in ([[0, 4]], [[-1]], [[256]]):
+        with pytest.raises(ValueError, match="GF\\(4\\) elements"):
+            Mat4(bad)
     with pytest.raises(ShapeError):
         Mat4.from_string("1 0 / 1")

@@ -49,6 +49,13 @@ def test_encode_length_mismatch():
         encode(bc, [0] * (bc.code.k + 1))
 
 
+def test_encode_rejects_non_field_symbols():
+    bc = build("C4", l=2, r=3)
+    for bad in (4, -1, 256):
+        with pytest.raises(ValueError, match="GF\\(4\\) elements"):
+            encode(bc, [bad] + [0] * (bc.code.k - 1))
+
+
 def test_zero_erasures_is_identity():
     bc = build("C4", l=2, r=3)
     word = encode(bc, [1, 2, 3, 0, 1, 2])
@@ -83,6 +90,15 @@ def test_over_tolerance_reports_local_failure():
     assert {c for c, _ in out.failures} == {1, 2, 3}
     for _, reason in out.failures:
         assert "exceed" in reason
+
+
+def test_corrupted_symbol_in_repaired_group_is_inconsistent():
+    bc = build("C4", l=2, r=3)
+    received = ErasurePattern.of([1]).apply(encode(bc, [1, 0, 2, 3, 1, 1]))
+    received[1] ^= 1  # coordinate 2 shares group 1 with the erasure
+    out = local_repair(bc, received)
+    assert not out.ok
+    assert out.failures == [(1, "local solve inconsistent in groups [1]")]
 
 
 def test_peeling_across_overlapping_groups():
