@@ -85,8 +85,6 @@ _VARIANT_ENTRIES = {"a": (gf4.ZERO, gf4.ZERO, gf4.ZERO), "b": (gf4.ONE, gf4.W2, 
 
 def _variant_entries(variant: str, size: int) -> tuple[int, ...]:
     """The first ``size`` entries of the printed variant column."""
-    if variant not in _VARIANT_ENTRIES:
-        raise RangeError(f"variant must be 'a' or 'b', got {variant!r}")
     return _VARIANT_ENTRIES[variant][:size]
 
 
@@ -366,22 +364,52 @@ class FamilySpec:
     variants: tuple[str, ...] = ()
     #: defining parameters -> (n, k, d, r, delta); builders are checked against it
     _shape: Callable[..., tuple[int, int, int, int, int]] | None = field(default=None, repr=False)
-    _instances: Callable[[Callable, int], Iterator[dict]] | None = field(default=None, repr=False)
+    #: defining parameter -> (lo, hi), hi None for unbounded; build() accepts
+    #: exactly these parameters within these ranges
+    _ranges: dict[str, tuple[int, int | None]] | None = field(default=None, repr=False)
+    #: defining parameters -> instance status, where it varies within the family
+    _instance_status: Callable[..., str] | None = field(default=None, repr=False)
+
+    def _status_at(self, params: dict) -> str:
+        return self._instance_status(**params) if self._instance_status else self.status
 
     def instances(self, n_max: int) -> Iterator[dict]:
         """Evaluated parameter tuples with n <= n_max, increasing n.
 
         Each item carries n, k, d, r, delta, the defining parameters, and
         the instance status (only the n = 6l, d = 12 family mixes
-        constructed and open instances).
+        constructed and open instances).  Every family's n grows with
+        each parameter, so a range ends once n exceeds n_max with the
+        later parameters at their minimum.
         """
-        if self._instances is None:
+        if not self._ranges:
             return iter(())
-        return self._instances(self._shape, n_max)
+        names = list(self._ranges)
+        out = []
+
+        def walk(params: dict) -> None:
+            if len(params) == len(names):
+                n, k, d, r, delta = self._shape(**params)
+                out.append({
+                    "n": n, "k": k, "d": d, "r": r, "delta": delta, "params": params,
+                    "status": self._status_at(params),
+                })
+                return
+            name = names[len(params)]
+            lo, hi = self._ranges[name]
+            rest = {m: self._ranges[m][0] for m in names[len(params) + 1:]}
+            for v in count(lo) if hi is None else range(lo, hi + 1):
+                if self._shape(**params, **{name: v}, **rest)[0] > n_max:
+                    break
+                walk({**params, name: v})
+
+        walk({})
+        out.sort(key=lambda t: (t["n"], t["k"], t["d"], t["r"], t["delta"]))
+        return iter(out)
 
 
 def _mk(fid, status, construction, formulas, valid_range, note="", variants=(),
-        shape=None, grid=None):
+        shape=None, ranges=None, instance_status=None):
     return FamilySpec(
         id=fid,
         status=status,
@@ -391,138 +419,106 @@ def _mk(fid, status, construction, formulas, valid_range, note="", variants=(),
         note=note,
         variants=variants,
         _shape=shape,
-        _instances=grid,
+        _ranges=ranges,
+        _instance_status=instance_status,
     )
-
-
-def _grid(status=None, **ranges):
-    """Instance walker over the parameter ranges (lo, hi), hi None for
-    unbounded, with instances sorted by (n, k, d, r, delta).
-
-    Every family's n grows with each parameter, so a range ends once n
-    exceeds n_max with the later parameters at their minimum.
-    """
-    names = list(ranges)
-
-    def gen(shape, n_max: int) -> Iterator[dict]:
-        out = []
-
-        def walk(params: dict) -> None:
-            if len(params) == len(names):
-                n, k, d, r, delta = shape(**params)
-                out.append({
-                    "n": n, "k": k, "d": d, "r": r, "delta": delta, "params": params,
-                    "status": status(**params) if status else "constructed",
-                })
-                return
-            name = names[len(params)]
-            lo, hi = ranges[name]
-            rest = {m: ranges[m][0] for m in names[len(params) + 1:]}
-            for v in count(lo) if hi is None else range(lo, hi + 1):
-                if shape(**params, **{name: v}, **rest)[0] > n_max:
-                    break
-                walk({**params, name: v})
-
-        walk({})
-        out.sort(key=lambda t: (t["n"], t["k"], t["d"], t["r"], t["delta"]))
-        return iter(out)
-    return gen
 
 
 _FAMILIES: list[FamilySpec] = [
     _mk("1", "constructed", "C1",
         {"n": "5l-1", "k": "3l-1", "d": "3", "r": "3", "delta": "3"}, "l >= 2",
         variants=("a", "b"),
-        shape=lambda l: (5 * l - 1, 3 * l - 1, 3, 3, 3), grid=_grid(l=(2, None))),
+        shape=lambda l: (5 * l - 1, 3 * l - 1, 3, 3, 3), ranges={"l": (2, None)}),
     _mk("2", "constructed", "C2",
         {"n": "4l-1", "k": "2l-1", "d": "3", "r": "2", "delta": "3"}, "l >= 2",
         variants=("a", "b"),
-        shape=lambda l: (4 * l - 1, 2 * l - 1, 3, 2, 3), grid=_grid(l=(2, None))),
+        shape=lambda l: (4 * l - 1, 2 * l - 1, 3, 2, 3), ranges={"l": (2, None)}),
     _mk("3", "constructed", "C3",
         {"n": "5l-2", "k": "3l-2", "d": "3", "r": "3", "delta": "3"}, "l >= 2",
         variants=("a", "b"),
-        shape=lambda l: (5 * l - 2, 3 * l - 2, 3, 3, 3), grid=_grid(l=(2, None))),
+        shape=lambda l: (5 * l - 2, 3 * l - 2, 3, 3, 3), ranges={"l": (2, None)}),
     _mk("4", "constructed", "C4",
         {"n": "l(r+2)", "k": "rl", "d": "3", "r": "1..3", "delta": "3"}, "l >= 2, 1 <= r <= 3",
-        shape=lambda l, r: (l * (r + 2), r * l, 3, r, 3), grid=_grid(l=(2, None), r=(1, 3))),
+        shape=lambda l, r: (l * (r + 2), r * l, 3, r, 3), ranges={"l": (2, None), "r": (1, 3)}),
     _mk("5", "constructed", "C5",
         {"n": "6l-1", "k": "3l-1", "d": "4", "r": "3", "delta": "4"}, "l >= 2",
         variants=("a", "b"),
-        shape=lambda l: (6 * l - 1, 3 * l - 1, 4, 3, 4), grid=_grid(l=(2, None))),
+        shape=lambda l: (6 * l - 1, 3 * l - 1, 4, 3, 4), ranges={"l": (2, None)}),
     _mk("6", "constructed", "C6",
         {"n": "5l", "k": "3l-1", "d": "4", "r": "3", "delta": "3"}, "l >= 2",
-        shape=lambda l: (5 * l, 3 * l - 1, 4, 3, 3), grid=_grid(l=(2, None))),
+        shape=lambda l: (5 * l, 3 * l - 1, 4, 3, 3), ranges={"l": (2, None)}),
     _mk("7", "constructed", "C7",
         {"n": "4l", "k": "2l-1", "d": "4", "r": "2", "delta": "3"}, "l >= 2",
-        shape=lambda l: (4 * l, 2 * l - 1, 4, 2, 3), grid=_grid(l=(2, None))),
+        shape=lambda l: (4 * l, 2 * l - 1, 4, 2, 3), ranges={"l": (2, None)}),
     _mk("8", "constructed", "C8",
         {"n": "5l-1", "k": "2l-1", "d": "4", "r": "2", "delta": "4"}, "l >= 2",
         variants=("a", "b"),
-        shape=lambda l: (5 * l - 1, 2 * l - 1, 4, 2, 4), grid=_grid(l=(2, None))),
+        shape=lambda l: (5 * l - 1, 2 * l - 1, 4, 2, 4), ranges={"l": (2, None)}),
     _mk("9", "constructed", "C9",
         {"n": "5l-1", "k": "3l-2", "d": "4", "r": "3", "delta": "3"}, "l >= 2",
         variants=("a", "b"),
-        shape=lambda l: (5 * l - 1, 3 * l - 2, 4, 3, 3), grid=_grid(l=(2, None))),
+        shape=lambda l: (5 * l - 1, 3 * l - 2, 4, 3, 3), ranges={"l": (2, None)}),
     _mk("10", "constructed", "C10",
         {"n": "6l-2", "k": "3l-2", "d": "4", "r": "3", "delta": "4"}, "l >= 2",
         variants=("a", "b"),
-        shape=lambda l: (6 * l - 2, 3 * l - 2, 4, 3, 4), grid=_grid(l=(2, None))),
+        shape=lambda l: (6 * l - 2, 3 * l - 2, 4, 3, 4), ranges={"l": (2, None)}),
     _mk("11", "constructed", "C11",
         {"n": "l(r+3)", "k": "rl", "d": "4", "r": "1..3", "delta": "4"}, "l >= 2, 1 <= r <= 3",
-        shape=lambda l, r: (l * (r + 3), r * l, 4, r, 4), grid=_grid(l=(2, None), r=(1, 3))),
+        shape=lambda l, r: (l * (r + 3), r * l, 4, r, 4), ranges={"l": (2, None), "r": (1, 3)}),
     _mk("12", "constructed", "C12",
         {"n": "k*delta", "k": "k", "d": "delta", "r": "1", "delta": ">= 5"}, "k >= 2, delta >= 5",
         shape=lambda k, delta: (k * delta, k, delta, 1, delta),
-        grid=_grid(k=(2, None), delta=(5, None))),
+        ranges={"k": (2, None), "delta": (5, None)}),
     _mk("13", "constructed", "C13",
         {"n": "(k+1)delta", "k": "k", "d": "2delta", "r": "1", "delta": "> 2"}, "k >= 2, delta >= 3",
         shape=lambda k, delta: ((k + 1) * delta, k, 2 * delta, 1, delta),
-        grid=_grid(k=(2, None), delta=(3, None))),
+        ranges={"k": (2, None), "delta": (3, None)}),
     _mk("14", "constructed", "C14",
         {"n": "(k+2)delta", "k": "k", "d": "3delta", "r": "1", "delta": "> 2"}, "k in {2,3}, delta >= 3",
         shape=lambda k, delta: ((k + 2) * delta, k, 3 * delta, 1, delta),
-        grid=_grid(k=(2, 3), delta=(3, None))),
+        ranges={"k": (2, 3), "delta": (3, None)}),
     _mk("15", "constructed", "C15",
         {"n": "(k+3)delta", "k": "k", "d": "4delta", "r": "1", "delta": "> 2"}, "k in {2,3}, delta >= 3",
         shape=lambda k, delta: ((k + 3) * delta, k, 4 * delta, 1, delta),
-        grid=_grid(k=(2, 3), delta=(3, None))),
+        ranges={"k": (2, 3), "delta": (3, None)}),
     _mk("16", "constructed", "C16",
         {"n": "d+4", "k": "3", "d": "5..12", "r": "2", "delta": "3"}, "5 <= d <= 12",
-        shape=lambda d: (d + 4, 3, d, 2, 3), grid=_grid(d=(5, 12))),
+        shape=lambda d: (d + 4, 3, d, 2, 3), ranges={"d": (5, 12)}),
     _mk("l-s=2_1", "constructed", "CLS2_1",
         {"n": "4l", "k": "2l-3", "d": "8", "r": "2", "delta": "3"}, "l in {4, 5}",
         note="printed dimension k=3 is inconsistent; k is derived as n - rank(H)",
-        shape=lambda l: (4 * l, 2 * l - 3, 8, 2, 3), grid=_grid(l=(4, 5))),
+        shape=lambda l: (4 * l, 2 * l - 3, 8, 2, 3), ranges={"l": (4, 5)}),
     _mk("l-s=3_1", "constructed", "CLS3_1",
         {"n": "20", "k": "5", "d": "12", "r": "2", "delta": "3"}, "l = 5",
         note="printed dimension k=3 is inconsistent; k is derived as n - rank(H)",
-        shape=lambda l: (4 * l, 2 * l - 5, 12, 2, 3), grid=_grid(l=(5, 5))),
+        shape=lambda l: (4 * l, 2 * l - 5, 12, 2, 3), ranges={"l": (5, 5)}),
     _mk("17", "constructed", "C17",
         {"n": "d+5", "k": "3", "d": "7..16", "r": "2", "delta": "4"}, "7 <= d <= 16",
-        shape=lambda d: (d + 5, 3, d, 2, 4), grid=_grid(d=(7, 16))),
+        shape=lambda d: (d + 5, 3, d, 2, 4), ranges={"d": (7, 16)}),
     _mk("18", "constructed", "C18",
         {"n": "d+5", "k": "4", "d": "5..12", "r": "3", "delta": "3"}, "5 <= d <= 12",
-        shape=lambda d: (d + 5, 4, d, 3, 3), grid=_grid(d=(5, 12))),
+        shape=lambda d: (d + 5, 4, d, 3, 3), ranges={"d": (5, 12)}),
     _mk("l-s=1_3", "constructed", "CLS1_3",
         {"n": "5l", "k": "3l-2", "d": "5", "r": "3", "delta": "3"}, "l >= 3",
-        shape=lambda l: (5 * l, 3 * l - 2, 5, 3, 3), grid=_grid(l=(3, None))),
+        shape=lambda l: (5 * l, 3 * l - 2, 5, 3, 3), ranges={"l": (3, None)}),
     _mk("33d=10", "open", None,
         {"n": "5l", "k": "3l-5", "d": "10", "r": "3", "delta": "3"}, "4 <= l <= 9",
         note="only the length range is known; existence and structure are open",
         shape=lambda l: (5 * l, 3 * l - 5, 10, 3, 3),
-        grid=_grid(l=(4, 9), status=lambda l: "open")),
+        ranges={"l": (4, 9)}),
     _mk("19", "constructed", "C19",
         {"n": "d+6", "k": "4", "d": "6..12", "r": "3", "delta": "4"}, "6 <= d <= 12",
         note="d >= 13 is impossible: no quaternary [6+d, 4, d] code exists",
-        shape=lambda d: (d + 6, 4, d, 3, 4), grid=_grid(d=(6, 12))),
+        shape=lambda d: (d + 6, 4, d, 3, 4), ranges={"d": (6, 12)}),
     _mk("l-s=1_4", "constructed", "CLS1_4",
         {"n": "6l", "k": "3l-2", "d": "6", "r": "3", "delta": "4"}, "l >= 3",
-        shape=lambda l: (6 * l, 3 * l - 2, 6, 3, 4), grid=_grid(l=(3, None))),
+        shape=lambda l: (6 * l, 3 * l - 2, 6, 3, 4), ranges={"l": (3, None)}),
     _mk("34l=4", "constructed", "C17G",
         {"n": "6l", "k": "3l-5", "d": "12", "r": "3", "delta": "4"}, "4 <= l <= 20",
         note="explicit for 4 <= l <= 17; existence believed but open for 18 <= l <= 20",
         shape=lambda l: (6 * l, 3 * l - 5, 12, 3, 4),
-        grid=_grid(l=(4, 20), status=lambda l: "constructed" if l <= 17 else "open")),
+        ranges={"l": (4, 20)},
+        instance_status=lambda l: "constructed" if l <= 17 else "open"),
     # parameter cases proven impossible
     _mk("d3-t3", "nonexistent", None, {"d": "3"}, "k = 3 (mod r)",
         note="the removed groups force [5,2,4] local codes with r = 3, contradicting t <= r-1"),
@@ -653,12 +649,10 @@ def _build_c1_h(l: int, variant: str) -> Mat4:
 
 
 def _build_c1(l: int, variant: str) -> BuiltCode:
-    _need_l(l, 2)
     return _finish_parity("C1", {"l": l}, variant, _build_c1_h(l, variant), l)
 
 
 def _build_c2(l: int, variant: str) -> BuiltCode:
-    _need_l(l, 2)
     a, b = _variant_entries(variant, 2)
     head = Mat4([
         [1, 0, 1, a, 0, 0, 0],
@@ -670,28 +664,18 @@ def _build_c2(l: int, variant: str) -> BuiltCode:
 
 
 def _build_c3(l: int, variant: str) -> BuiltCode:
-    _need_l(l, 2)
     h = _build_c1_h(l, variant).delete_columns([0])
     return _finish_parity("C3", {"l": l}, variant, h, l)
 
 
-def _build_local_r(construction: str, blocks: dict[int, Mat4], l: int, r, k) -> BuiltCode:
-    """l disjoint copies of the local block for r (given, or k / l, else 3)."""
-    _need_l(l, 2)
-    if r is None and k is not None:
-        if k % l:
-            raise RangeError(f"{construction}: k = {k} is not a multiple of l = {l}")
-        r = k // l
-    if r is None:
-        r = 3
-    if r not in blocks:
-        raise RangeError(f"{construction} needs r in 1..3, got {r}")
+def _build_local_r(construction: str, blocks: dict[int, Mat4], l: int, r: int) -> BuiltCode:
+    """l disjoint copies of the local block for r."""
     h = Mat4.identity(l).kron(blocks[r])
     return _finish_parity(construction, {"l": l, "r": r}, None, h, l)
 
 
-def _build_c4(l: int, r=None, k=None) -> BuiltCode:
-    return _build_local_r("C4", {3: LOCAL_5, 2: LOCAL_4B, 1: LOCAL_3}, l, r, k)
+def _build_c4(l: int, r: int) -> BuiltCode:
+    return _build_local_r("C4", {3: LOCAL_5, 2: LOCAL_4B, 1: LOCAL_3}, l, r)
 
 
 # -- d = 4 -------------------------------------------------------------------
@@ -711,12 +695,10 @@ def _build_c5_h(l: int, variant: str) -> Mat4:
 
 
 def _build_c5(l: int, variant: str) -> BuiltCode:
-    _need_l(l, 2)
     return _finish_parity("C5", {"l": l}, variant, _build_c5_h(l, variant), l)
 
 
 def _build_c6(l: int) -> BuiltCode:
-    _need_l(l, 2)
     h = vstack([
         Mat4.identity(l).kron(LOCAL_5),
         _ones_kron(l, Mat4.from_string("0 0 1 W w")),
@@ -725,7 +707,6 @@ def _build_c6(l: int) -> BuiltCode:
 
 
 def _build_c7(l: int) -> BuiltCode:
-    _need_l(l, 2)
     h = vstack([
         Mat4.identity(l).kron(LOCAL_4B),
         _ones_kron(l, Mat4.from_string("0 0 1 W")),
@@ -734,7 +715,6 @@ def _build_c7(l: int) -> BuiltCode:
 
 
 def _build_c8(l: int, variant: str) -> BuiltCode:
-    _need_l(l, 2)
     a, b, c = _variant_entries(variant, 3)
     head = Mat4([
         [1, 0, 0, 1, a, 0, 0, 0, 0],
@@ -748,7 +728,6 @@ def _build_c8(l: int, variant: str) -> BuiltCode:
 
 
 def _build_c9(l: int, variant: str) -> BuiltCode:
-    _need_l(l, 2)
     # C1's matrix over the printed global block 1_{l-2} x (0 0 1 W w)
     # past the 9 head columns
     glob = hstack([
@@ -760,32 +739,23 @@ def _build_c9(l: int, variant: str) -> BuiltCode:
 
 
 def _build_c10(l: int, variant: str) -> BuiltCode:
-    _need_l(l, 2)
     h = _build_c5_h(l, variant).delete_columns([0])
     return _finish_parity("C10", {"l": l}, variant, h, l)
 
 
-def _build_c11(l: int, r=None, k=None) -> BuiltCode:
-    return _build_local_r("C11", {3: LOCAL_6, 2: LOCAL_5C, 1: LOCAL_4C}, l, r, k)
+def _build_c11(l: int, r: int) -> BuiltCode:
+    return _build_local_r("C11", {3: LOCAL_6, 2: LOCAL_5C, 1: LOCAL_4C}, l, r)
 
 
 # -- d >= 5, r = 1 -----------------------------------------------------------
 
 
 def _build_c12(k: int, delta: int) -> BuiltCode:
-    if k < 2:
-        raise RangeError(f"C12 needs k >= 2, got {k}")
-    if delta < 5:
-        raise RangeError(f"C12 needs delta >= 5, got {delta}")
     h = Mat4.identity(k).kron(single_parity_generator(delta))
     return _finish_parity("C12", {"k": k, "delta": delta}, None, h, k)
 
 
 def _build_c13(k: int, delta: int) -> BuiltCode:
-    if k < 2:
-        raise RangeError(f"C13 needs k >= 2, got {k}")
-    if delta < 3:
-        raise RangeError(f"C13 needs delta >= 3, got {delta}")
     tick = Mat4([[0] * (delta - 1) + [1]])
     h = vstack([
         Mat4.identity(k + 1).kron(single_parity_generator(delta)),
@@ -802,10 +772,6 @@ _C15_TAGS = [
 
 
 def _build_c14(k: int, delta: int) -> BuiltCode:
-    if k not in (2, 3):
-        raise RangeError(f"C14 needs k in {{2,3}}, got {k}")
-    if delta < 3:
-        raise RangeError(f"C14 needs delta >= 3, got {delta}")
     groups = k + 2
     h = vstack([
         Mat4.identity(groups).kron(single_parity_generator(delta)),
@@ -815,10 +781,6 @@ def _build_c14(k: int, delta: int) -> BuiltCode:
 
 
 def _build_c15(k: int, delta: int) -> BuiltCode:
-    if k not in (2, 3):
-        raise RangeError(f"C15 needs k in {{2,3}}, got {k}")
-    if delta < 3:
-        raise RangeError(f"C15 needs delta >= 3, got {delta}")
     groups = k + 3
     h = vstack([
         Mat4.identity(groups).kron(single_parity_generator(delta)),
@@ -835,8 +797,6 @@ def _uv_vectors(uv: list[tuple[str, str]]) -> list[tuple[tuple[int, ...], ...]]:
 
 
 def _build_cls2_1(l: int) -> BuiltCode:
-    if l not in (4, 5):
-        raise RangeError(f"CLS2_1 exists for l in {{4, 5}}, got {l}")
     h = vstack([
         Mat4.identity(l).kron(LOCAL_4B),
         _group_tails(_uv_vectors(CLS2_1_UV[:l]), 4),
@@ -845,17 +805,14 @@ def _build_cls2_1(l: int) -> BuiltCode:
 
 
 def _build_cls3_1(l: int) -> BuiltCode:
-    if l != 5:
-        raise RangeError(f"CLS3_1 exists only for l = 5, got {l}")
     h = vstack([
-        Mat4.identity(5).kron(LOCAL_4B),
+        Mat4.identity(l).kron(LOCAL_4B),
         _group_tails(_uv_vectors(CLS3_1_UV), 4),
     ])
-    return _finish_parity("CLS3_1", {"l": 5}, None, h, 5)
+    return _finish_parity("CLS3_1", {"l": l}, None, h, l)
 
 
 def _build_cls1_3(l: int) -> BuiltCode:
-    _need_l(l, 3)
     h = vstack([
         Mat4.identity(l).kron(LOCAL_5),
         _ones_kron(l, Mat4.from_string("0 0 1 0 W / 0 0 0 1 W")),
@@ -864,7 +821,6 @@ def _build_cls1_3(l: int) -> BuiltCode:
 
 
 def _build_cls1_4(l: int) -> BuiltCode:
-    _need_l(l, 3)
     h = vstack([
         Mat4.identity(l).kron(LOCAL_6),
         _ones_kron(l, Mat4.from_string("0 0 0 1 0 W / 0 0 0 0 1 W")),
@@ -888,38 +844,22 @@ def _build_c16(d: int) -> BuiltCode:
     if d in C16_SELECTIONS:
         ext = hstack([Mat4([[0], [1], [0]]), G16])
         g = ext.take_columns([c for c in C16_SELECTIONS[d]])  # 0 maps to column a
-    elif d in C16_PUNCTURES:
-        g = _chain_generator(G16, C16_PUNCTURES[d])
     else:
-        raise RangeError(f"C16 covers 5 <= d <= 12, got d={d}")
+        g = _chain_generator(G16, C16_PUNCTURES[d])
     return _finish_generator("C16", {"d": d}, g)
 
 
 def _build_c17(d: int) -> BuiltCode:
-    if d not in C17_PUNCTURES:
-        raise RangeError(f"C17 covers 7 <= d <= 16, got d={d}")
     return _finish_generator("C17", {"d": d}, _chain_generator(G17, C17_PUNCTURES[d]))
 
 
 def _build_c18(d: int) -> BuiltCode:
-    if d not in C18_PUNCTURES:
-        raise RangeError(f"C18 covers 5 <= d <= 12, got d={d}")
     return _finish_generator("C18", {"d": d}, _chain_generator(G18, C18_PUNCTURES[d]))
 
 
 def _build_c19(d: int) -> BuiltCode:
-    if d == 7:
-        g = G19_D7
-    elif d in C19_PUNCTURES:
-        g = _chain_generator(G19, C19_PUNCTURES[d])
-    else:
-        raise RangeError(f"C19 covers 6 <= d <= 12, got d={d}")
+    g = G19_D7 if d == 7 else _chain_generator(G19, C19_PUNCTURES[d])
     return _finish_generator("C19", {"d": d}, g)
-
-
-def _need_l(l: int, lmin: int) -> None:
-    if l is None or l < lmin:
-        raise RangeError(f"this family needs l >= {lmin}, got {l}")
 
 
 # ---------------------------------------------------------------------------
@@ -934,14 +874,14 @@ _BUILDERS: dict[str, tuple[Callable[..., BuiltCode], dict]] = {
     "C1": (_build_c1, {"l": _REQUIRED}),
     "C2": (_build_c2, {"l": _REQUIRED}),
     "C3": (_build_c3, {"l": _REQUIRED}),
-    "C4": (_build_c4, {"l": _REQUIRED, "r": None, "k": None}),
+    "C4": (_build_c4, {"l": _REQUIRED, "r": 3}),
     "C5": (_build_c5, {"l": _REQUIRED}),
     "C6": (_build_c6, {"l": _REQUIRED}),
     "C7": (_build_c7, {"l": _REQUIRED}),
     "C8": (_build_c8, {"l": _REQUIRED}),
     "C9": (_build_c9, {"l": _REQUIRED}),
     "C10": (_build_c10, {"l": _REQUIRED}),
-    "C11": (_build_c11, {"l": _REQUIRED, "r": None, "k": None}),
+    "C11": (_build_c11, {"l": _REQUIRED, "r": 3}),
     "C12": (_build_c12, {"k": _REQUIRED, "delta": _REQUIRED}),
     "C13": (_build_c13, {"k": _REQUIRED, "delta": _REQUIRED}),
     "C14": (_build_c14, {"k": _REQUIRED, "delta": _REQUIRED}),
@@ -973,8 +913,10 @@ def build(
     Parameters are family-specific: l for the block families, (k, delta)
     for the r = 1 families, d for the puncture chains C16..C19, r (or
     k = r*l) for C4/C11, and variant 'a'/'b' where both parity choices
-    are printed.  Out-of-range parameters raise RangeError; unknown
-    construction names raise CatalogError.
+    are printed.  The family's catalogue entry states which parameters
+    it takes and their ranges: a parameter it does not take, one outside
+    its range, or an instance the catalogue lists as open raises
+    RangeError.  Unknown construction names raise CatalogError.
     """
     cid = construction.upper()
     if cid not in _BUILDERS:
@@ -985,16 +927,33 @@ def build(
     if cid not in _BUILDERS:
         raise CatalogError(f"unknown construction {construction!r}")
     fn, defaults = _BUILDERS[cid]
-    offers_variants = bool(_FAMILY_BY_CONSTRUCTION[cid].variants)
-    if variant is not None and not offers_variants:
-        raise RangeError(f"{cid} does not offer variants")
+    fam = _FAMILY_BY_CONSTRUCTION[cid]
+    if k is not None and "r" in defaults:  # C4/C11 also take k = r*l for r
+        if not l or k % l or r not in (None, k // l):
+            with_r = "" if r is None else f", r={r}"
+            raise RangeError(f"{cid} needs k = r*l, got k={k}, l={l}{with_r}")
+        k, r = None, k // l
     given = {"l": l, "k": k, "delta": delta, "r": r, "d": d}
+    for name, value in given.items():
+        if value is not None and name not in defaults:
+            raise RangeError(f"{cid} takes no parameter {name}")
+    if variant is not None and variant not in fam.variants:
+        raise RangeError(f"{cid} has no variant {variant!r}")
     kwargs = {}
     for name, default in defaults.items():
-        kwargs[name] = default if given[name] is None else given[name]
-        if kwargs[name] is _REQUIRED:
+        value = default if given[name] is None else given[name]
+        if value is _REQUIRED:
             raise RangeError(f"{cid} needs parameter {name}")
-    if offers_variants:
+        lo, hi = fam._ranges[name]
+        if value < lo or (hi is not None and value > hi):
+            needs = f"{name} >= {lo}" if hi is None else f"{lo} <= {name} <= {hi}"
+            raise RangeError(f"{cid} needs {needs}, got {name}={value}")
+        kwargs[name] = value
+    status = fam._status_at(kwargs)
+    if status != "constructed":
+        at = ", ".join(f"{name}={value}" for name, value in kwargs.items())
+        raise RangeError(f"{cid} {at} is {status}: {fam.note}")
+    if fam.variants:
         kwargs["variant"] = variant or "a"
     return fn(**kwargs)
 

@@ -22,16 +22,11 @@ import numpy as np
 from . import gf4
 from .code import _check_coordinate_set
 from .constructions import BuiltCode
-from .errors import Lrc4Error
 from .mat4 import Mat4
 
 
 #: a received word holds field elements, or None for an erasure
 _RECEIVED_SYMBOLS = frozenset((None, *gf4.ELEMENTS))
-
-
-class RepairConsistencyError(Lrc4Error):
-    """Recovered word failed the final parity check (internal error)."""
 
 
 @dataclass(frozen=True)
@@ -124,7 +119,9 @@ def local_repair(bc: BuiltCode, received: Sequence[int | None]) -> RepairOutcome
     For each erased coordinate the lowest-index group containing it with
     at most delta - 1 erasures is solved; all of that group's erasures
     resolve at once, reading only surviving coordinates inside its
-    support.  Unresolvable coordinates are reported per coordinate.
+    support.  Unresolvable coordinates are reported per coordinate.  A
+    repaired word that fails a parity check raises ValueError: the
+    surviving symbols were not those of a codeword.
     """
     n = bc.code.n
     if len(received) != n:
@@ -183,7 +180,7 @@ def local_repair(bc: BuiltCode, received: Sequence[int | None]) -> RepairOutcome
     final = np.array(word, dtype=np.uint8)
     synd = np.bitwise_xor.reduce(gf4.MUL_NP[h.array, final[None, :]], axis=1)
     if synd.any():
-        raise RepairConsistencyError("repaired word violates the parity checks")
+        raise ValueError("received word is not a codeword: the repaired word fails a parity check")
     return RepairOutcome(ok=True, codeword=[int(x) for x in word], trace=trace)
 
 

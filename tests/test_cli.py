@@ -180,6 +180,9 @@ def test_build_range_error_exits_2(capsys):
     code, _, err = run(capsys, "build", "--family", "C1", "--l", "1")
     assert code == 2
     assert "l >= 2" in err
+    code, out, err = run(capsys, "build", "--family", "C16", "--l", "3")
+    assert code == 2 and out == ""
+    assert "C16 takes no parameter l" in err
 
 
 def test_format_error_exits_2(tmp_path, capsys):

@@ -1,3 +1,6 @@
+import hashlib
+import re
+
 import pytest
 
 from lrc4.code import LinearCode
@@ -50,24 +53,50 @@ def test_catalog_covers_all_statuses():
 
 
 def test_build_parameter_validation():
-    with pytest.raises(RangeError):
-        build("C1", l=1)
-    with pytest.raises(RangeError):
-        build("C12", k=2, delta=4)
-    with pytest.raises(RangeError):
-        build("C14", k=4, delta=3)
-    with pytest.raises(RangeError):
-        build("C16", d=4)
-    with pytest.raises(RangeError):
-        build("C17G", l=18)
-    with pytest.raises(RangeError):
-        build("C6", l=2, variant="b")
-    with pytest.raises(RangeError):
-        build("C1", l=2, variant="c")
+    cases = [
+        ("C1", {"l": 1}, "C1 needs l >= 2, got l=1"),
+        ("C12", {"k": 2, "delta": 4}, "C12 needs delta >= 5, got delta=4"),
+        ("C14", {"k": 4, "delta": 3}, "C14 needs 2 <= k <= 3, got k=4"),
+        ("C16", {"d": 4}, "C16 needs 5 <= d <= 12, got d=4"),
+        ("C16", {"d": 13}, "C16 needs 5 <= d <= 12, got d=13"),
+        ("C17G", {"l": 3}, "C17G needs 4 <= l <= 20, got l=3"),
+        ("C17G", {"l": 21}, "C17G needs 4 <= l <= 20, got l=21"),
+        ("C17G", {"l": 18}, "C17G l=18 is open: "),
+        ("C4", {"l": 2, "r": 4}, "C4 needs 1 <= r <= 3, got r=4"),
+        ("C4", {"l": 2, "k": 8}, "C4 needs 1 <= r <= 3, got r=4"),
+        ("C6", {"l": 2, "variant": "b"}, "C6 has no variant 'b'"),
+        ("C1", {"l": 2, "variant": "c"}, "C1 has no variant 'c'"),
+        ("C12", {"k": 2, "delta": 5, "l": 7}, "C12 takes no parameter l"),
+        ("C16", {"l": 3}, "C16 takes no parameter l"),
+    ]
+    for cid, kw, message in cases:
+        with pytest.raises(RangeError, match=re.escape(message)):
+            build(cid, **kw)
     with pytest.raises(CatalogError):
         build("C99", l=2)
     with pytest.raises(CatalogError):
         build("C99", l=2, variant="a")
+
+
+def test_build_accepts_exactly_the_catalogue_ranges():
+    for fam in catalog():
+        if fam.status != "constructed":
+            continue
+        lows = {name: lo for name, (lo, _) in fam._ranges.items()}
+        for name, (lo, hi) in fam._ranges.items():
+            assert build(fam.construction, **{**lows, name: lo}).params == {**lows, name: lo}
+            with pytest.raises(RangeError, match=f"got {name}={lo - 1}"):
+                build(fam.construction, **{**lows, name: lo - 1})
+            if hi is None:
+                continue
+            top = hi
+            while fam._status_at({**lows, name: top}) != "constructed":
+                with pytest.raises(RangeError, match="is open"):
+                    build(fam.construction, **{**lows, name: top})
+                top -= 1
+            assert build(fam.construction, **{**lows, name: top}).params == {**lows, name: top}
+            with pytest.raises(RangeError, match=f"got {name}={hi + 1}"):
+                build(fam.construction, **{**lows, name: hi + 1})
 
 
 def test_build_examples_from_the_classification():
@@ -96,10 +125,20 @@ def test_c4_c11_accept_k_for_r():
         build("C4", l=2, k=5)
     with pytest.raises(RangeError):
         build("C4", l=0, k=4)
+    assert build("C4", l=2, r=2, k=4).r == 2
+    with pytest.raises(RangeError, match="C4 needs k = r\\*l, got k=6, l=2, r=2"):
+        build("C4", l=2, r=2, k=6)
+
+
+#: SHA-256 over the generator, parity check, profile matrix and layout of
+#: every build below, in catalogue order; a change to any built matrix or
+#: layout changes it
+BUILDS_UP_TO_64_SHA256 = "403cee608aa3bb2e67b42097f87c3ed04773a5c49057219e03a696efffd5623d"
 
 
 def test_every_constructed_instance_up_to_64_matches_its_catalogue_tuple():
     builds = 0
+    digest = hashlib.sha256()
     for fam in catalog():
         if fam.construction is None:
             continue
@@ -115,7 +154,11 @@ def test_every_constructed_instance_up_to_64_matches_its_catalogue_tuple():
                 assert (bc.expected.n, bc.expected.k) == (bc.code.n, bc.code.k), key
                 if bc.profile.partitioned:
                     assert all(b - a + 1 == bc.delta - 1 for a, b in bc.layout), key
+                for m in (bc.code.generator(), bc.code.parity_check(), bc.profile.matrix):
+                    digest.update(repr(m.array.shape).encode() + m.array.tobytes())
+                digest.update(repr(bc.layout).encode())
     assert builds == 553
+    assert digest.hexdigest() == BUILDS_UP_TO_64_SHA256
 
 
 def test_expected_parameters_match_ranks():

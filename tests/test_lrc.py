@@ -162,6 +162,20 @@ def test_check_structure_corruption_is_detected():
         assert all(c.witness for c in failed)
 
 
+def test_check_structure_reports_rank_deficient_h_prime():
+    # the global row repeats group 2's first row on group 2, so removing
+    # group 1 leaves three rows of rank 2
+    h = Mat4.from_string(
+        "1 0 1 1 1 0 0 0 0 0 / 0 1 1 w W 0 0 0 0 0 / 0 0 0 0 0 1 0 1 1 1"
+        " / 0 0 0 0 0 0 1 1 w W / 0 0 1 W w 1 0 1 1 1"
+    )
+    profile = extract_profile(h, [(1, 2), (3, 4)], r=3, delta=3)
+    report = check_structure(LinearCode(pchk=h), profile, r_optimality=False)
+    check = report.checks["h_prime_mds"]
+    assert check.passed is False
+    assert check.witness == "H' not full rank after removing groups 1"
+
+
 def test_delta2_agrees_with_dual_word_locality():
     rng = random.Random(11)
     checked = 0

@@ -101,6 +101,14 @@ def test_corrupted_symbol_in_repaired_group_is_inconsistent():
     assert out.failures == [(1, "local solve inconsistent in groups [1]")]
 
 
+def test_corrupted_symbol_outside_repaired_groups_is_not_a_codeword():
+    bc = build("C4", l=2, r=3)
+    received = ErasurePattern.of([1]).apply(encode(bc, [1, 0, 2, 3, 1, 1]))
+    received[5] ^= 1  # coordinate 6 lies in group 2, which needs no repair
+    with pytest.raises(ValueError, match="not a codeword"):
+        local_repair(bc, received)
+
+
 def test_peeling_across_overlapping_groups():
     bc = build("C1", l=2, variant="b")  # supports {1..5} and {5..9}
     word = encode(bc, [1, 2, 3, 0, 2])
