@@ -7,40 +7,19 @@ words; scalar multiplication permutes the two bit planes:
     w  * (hi, lo) = (hi ^ lo, hi)
     w2 * (hi, lo) = (lo, hi ^ lo)
 
-Column-subset rank scans spend all their time in ``reduce``; keeping the
-vectors as two machine ints makes each elimination step O(1) regardless
-of L (up to word growth), which is what makes exhaustive d-1 column scans
-and locality searches feasible in pure Python.
+Column-subset rank scans spend nearly all their time in
+``Eliminator.push``.  It keeps each basis vector with its lead bit and
+its three nonzero multiples, so one elimination step is a bit test and
+two XORs on machine ints regardless of L (up to word growth), which is
+what makes exhaustive d-1 column scans and locality searches feasible
+in pure Python.
 """
 
 from __future__ import annotations
 
-from .gf4 import INV
 from .mat4 import Mat4
 
 Vec = tuple[int, int]
-
-ZERO: Vec = (0, 0)
-
-
-def scalar_mul(lam: int, v: Vec) -> Vec:
-    hi, lo = v
-    if lam == 1:
-        return v
-    if lam == 2:
-        return hi ^ lo, hi
-    if lam == 3:
-        return lo, hi ^ lo
-    return 0, 0
-
-
-def coeff_at(v: Vec, pos: int) -> int:
-    return (((v[0] >> pos) & 1) << 1) | ((v[1] >> pos) & 1)
-
-
-def lead(v: Vec) -> int:
-    """Position of the top nonzero coordinate (-1 for the zero vector)."""
-    return (v[0] | v[1]).bit_length() - 1
 
 
 def pack_columns(m: Mat4) -> list[Vec]:
@@ -62,59 +41,56 @@ def pack_rows(m: Mat4) -> list[Vec]:
     return pack_columns(m.transpose())
 
 
-def multiples(v: Vec) -> tuple[Vec, Vec, Vec, Vec]:
-    """(0, v, w*v, w2*v) indexed by the scalar."""
-    hi, lo = v
-    return (0, 0), v, (hi ^ lo, hi), (lo, hi ^ lo)
-
-
 class Eliminator:
     """Incremental echelon basis with pushes undoable in LIFO order.
 
-    Basis vectors keep distinct leading positions, sorted descending, so
-    reducing a vector is one top-down elimination pass.  ``push`` returns
-    True when the vector extended the rank (and records how to undo it),
-    which is exactly the dependency signal the subset scans need.
+    Basis vectors are kept in push order.  Each was reduced by all
+    earlier ones before it was appended, so it is zero at their leading
+    positions, and reducing a vector in push order clears every leading
+    position in turn.  A vector's lead is its lowest nonzero coordinate,
+    scaled to 1, and its entry is ``(bit, h1, l1, h2, l2, h3, l3)``: the
+    one-hot mask of the lead and the multiples 1, w, w2 of the vector,
+    so the coefficient read at ``bit`` picks the multiple that cancels
+    it.  ``push`` returns True when the vector extended the rank, which
+    is exactly the dependency signal the subset scans need.
     """
 
     def __init__(self) -> None:
-        self._basis: list[tuple[int, tuple[Vec, Vec, Vec, Vec]]] = []
-        self._trail: list[int] = []
+        self._basis: list[tuple[int, int, int, int, int, int, int]] = []
+        self._trail: list[bool] = []
 
     @property
     def rank(self) -> int:
         return len(self._basis)
 
-    def reduce(self, v: Vec) -> Vec:
-        for pos, mults in self._basis:
-            e = coeff_at(v, pos)
-            if e:
-                m = mults[e]
-                v = (v[0] ^ m[0], v[1] ^ m[1])
-        return v
-
     def push(self, v: Vec) -> bool:
-        v = self.reduce(v)
-        if v == (0, 0):
-            self._trail.append(-1)
+        hi, lo = v
+        for bit, h1, l1, h2, l2, h3, l3 in self._basis:
+            if hi & bit:
+                if lo & bit:
+                    hi ^= h3
+                    lo ^= l3
+                else:
+                    hi ^= h2
+                    lo ^= l2
+            elif lo & bit:
+                hi ^= h1
+                lo ^= l1
+        x = hi | lo
+        if not x:
+            self._trail.append(False)
             return False
-        pos = lead(v)
-        e = coeff_at(v, pos)
-        if e != 1:
-            v = scalar_mul(INV[e], v)  # lead coefficient 1 so mults[e] cancels
-        entry = (pos, multiples(v))
-        basis = self._basis
-        at = len(basis)
-        while at > 0 and basis[at - 1][0] < pos:
-            at -= 1
-        basis.insert(at, entry)
-        self._trail.append(at)
+        bit = x & -x
+        if hi & bit:  # lead coefficient w or w2: multiply by its inverse
+            hi, lo = (hi ^ lo, hi) if lo & bit else (lo, hi ^ lo)
+        m = hi ^ lo
+        self._basis.append((bit, hi, lo, m, hi, lo, m))
+        self._trail.append(True)
         return True
 
     def pop(self) -> None:
-        at = self._trail.pop()
-        if at >= 0:
-            del self._basis[at]
+        if self._trail.pop():
+            self._basis.pop()
 
 
 def rank_of(vectors: list[Vec]) -> int:

@@ -19,6 +19,7 @@ parameter cases ruled out by weight-distribution or incidence arguments.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 from itertools import count
 from typing import Callable, Iterator
@@ -898,6 +899,10 @@ _BUILDERS: dict[str, tuple[Callable[..., BuiltCode], dict]] = {
 }
 
 
+def _is_integer(value: object) -> bool:
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
 def build(
     construction: str,
     *,
@@ -914,9 +919,10 @@ def build(
     for the r = 1 families, d for the puncture chains C16..C19, r (or
     k = r*l) for C4/C11, and variant 'a'/'b' where both parity choices
     are printed.  The family's catalogue entry states which parameters
-    it takes and their ranges: a parameter it does not take, one outside
-    its range, or an instance the catalogue lists as open raises
-    RangeError.  Unknown construction names raise CatalogError.
+    it takes and their ranges: a parameter it does not take, one that is
+    not an integer or lies outside its range, or an instance the
+    catalogue lists as open raises RangeError.  Unknown construction
+    names raise CatalogError.
     """
     cid = construction.upper()
     if cid not in _BUILDERS:
@@ -929,9 +935,9 @@ def build(
     fn, defaults = _BUILDERS[cid]
     fam = _FAMILY_BY_CONSTRUCTION[cid]
     if k is not None and "r" in defaults:  # C4/C11 also take k = r*l for r
-        if not l or k % l or r not in (None, k // l):
-            with_r = "" if r is None else f", r={r}"
-            raise RangeError(f"{cid} needs k = r*l, got k={k}, l={l}{with_r}")
+        if not (_is_integer(k) and _is_integer(l)) or not l or k % l or r not in (None, k // l):
+            with_r = "" if r is None else f", r={r!r}"
+            raise RangeError(f"{cid} needs k = r*l, got k={k!r}, l={l!r}{with_r}")
         k, r = None, k // l
     given = {"l": l, "k": k, "delta": delta, "r": r, "d": d}
     for name, value in given.items():
@@ -944,6 +950,8 @@ def build(
         value = default if given[name] is None else given[name]
         if value is _REQUIRED:
             raise RangeError(f"{cid} needs parameter {name}")
+        if not _is_integer(value):
+            raise RangeError(f"{cid} needs an integer {name}, got {name}={value!r}")
         lo, hi = fam._ranges[name]
         if value < lo or (hi is not None and value > hi):
             needs = f"{name} >= {lo}" if hi is None else f"{lo} <= {name} <= {hi}"

@@ -241,6 +241,15 @@ def test_has_dependent_columns_matches_brute_force():
             assert has_dependent_columns(m, t) == brute
 
 
+@pytest.mark.parametrize(("cid", "params"), [("C1", {"l": 3}), ("C16", {"d": 12}), ("CLS2_1", {"l": 5})])
+def test_column_scan_finds_dependence_exactly_from_d(cid, params):
+    bc = build(cid, **params)
+    h = bc.code.parity_check()
+    d = bc.expected.d
+    for t in range(1, d + 1):
+        assert has_dependent_columns(h, t) == (t >= d), t
+
+
 def test_enumeration_guards():
     from lrc4.errors import ResourceError
 

@@ -68,6 +68,14 @@ def test_build_parameter_validation():
         ("C1", {"l": 2, "variant": "c"}, "C1 has no variant 'c'"),
         ("C12", {"k": 2, "delta": 5, "l": 7}, "C12 takes no parameter l"),
         ("C16", {"l": 3}, "C16 takes no parameter l"),
+        ("C1", {"l": 2.5}, "C1 needs an integer l, got l=2.5"),
+        ("C1", {"l": 3.0}, "C1 needs an integer l, got l=3.0"),
+        ("C1", {"l": "3"}, "C1 needs an integer l, got l='3'"),
+        ("C1", {"l": True}, "C1 needs an integer l, got l=True"),
+        ("C16", {"d": 12.0}, "C16 needs an integer d, got d=12.0"),
+        ("C4", {"l": 2, "r": 2.0}, "C4 needs an integer r, got r=2.0"),
+        ("C4", {"l": 2, "k": "6"}, "C4 needs k = r*l, got k='6', l=2"),
+        ("C4", {"l": 2, "k": 6.0}, "C4 needs k = r*l, got k=6.0, l=2"),
     ]
     for cid, kw, message in cases:
         with pytest.raises(RangeError, match=re.escape(message)):

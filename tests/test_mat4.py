@@ -3,9 +3,11 @@ from itertools import product
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from lrc4 import gf4
-from lrc4._gf4vec import Eliminator, pack_columns, rank_of
+from lrc4._gf4vec import Eliminator, pack_columns, pack_rows, rank_of
 from lrc4.code import HEXACODE_GEN
 from lrc4.constructions import LOCAL_5, build
 from lrc4.mat4 import Mat4, ShapeError, assemble_blocks, hstack, kron, vstack
@@ -200,6 +202,43 @@ def test_eliminator_push_pop_round_trip():
     e2.pop()
     e2.pop()
     assert e2.rank == 0
+
+
+@given(st.data())
+def test_eliminator_matches_dense_rank_under_push_pop(data):
+    length = data.draw(st.integers(1, 12), label="length")
+    # a vector is drawn as its base-4 digits; clearing the low digits gives
+    # high leads, below which later vectors start
+    digits = st.integers(0, 4**length - 1)
+    vector = st.one_of(
+        digits,
+        st.builds(lambda x, j: x >> 2 * j << 2 * j, digits, st.integers(0, length - 1)),
+        st.just(0),
+    ).map(lambda x: [x >> 2 * i & 3 for i in range(length)])
+    pushed: list[list[int]] = []
+    stack: list[list[int]] = []
+    ranks = [0]  # ranks[i]: Mat4.rank of the first i vectors of the stack
+    e = Eliminator()
+    for _ in range(data.draw(st.integers(1, 40), label="steps")):
+        step = data.draw(st.sampled_from(("push", "repeat", "multiple", "pop")))
+        if step == "pop" and stack:
+            stack.pop()
+            ranks.pop()
+            e.pop()
+            assert e.rank == ranks[-1]
+            continue
+        if step == "repeat" and pushed:
+            v = data.draw(st.sampled_from(pushed))
+        elif step == "multiple" and stack:
+            lam = data.draw(st.sampled_from(gf4.NONZERO))
+            v = [gf4.mul(lam, x) for x in data.draw(st.sampled_from(stack))]
+        else:
+            v = data.draw(vector)
+        stack.append(v)
+        pushed.append(v)
+        ranks.append(Mat4(stack).rank())
+        assert e.push(pack_rows(Mat4([v]))[0]) == (ranks[-1] > ranks[-2])
+        assert e.rank == ranks[-1]
 
 
 def test_entry_validation():
