@@ -34,9 +34,10 @@ from .constructions import build
 from .classify import all_claim_reports, enumerate_optimal_params
 from .errors import Lrc4Error, ResourceError
 from .lrc import (
+    LOCALITY_SEARCH_MAX_N,
     check_structure,
     extract_profile,
-    structured_parity_check,
+    restructure,
     verify_locality,
 )
 from .mat4 import Mat4
@@ -210,31 +211,22 @@ def _cmd_verify(args) -> int:
         return 2
     r, delta = int(r), int(delta)
 
-    max_n = code.n if args.full else 30
+    layout = meta.get("group_rows") if kind == "parity" else None
+    max_n = code.n if args.full else LOCALITY_SEARCH_MAX_N
     budget = 10**18 if args.full else None
 
+    notes: list[str] = []
     try:
         found = verify_locality(code, r, delta, max_n=max_n)
     except ResourceError as e:
         # past the desk-scale guard: fall back to the file's layout if it
         # has one, reporting locality as unverified
-        if not (kind == "parity" and meta.get("group_rows")):
+        if not layout:
             print(f"lrc4: {e} (use --full to override)", file=sys.stderr)
             return 2
-        profile = extract_profile(code.parity_check(), meta["group_rows"], r=r, delta=delta)
-        report = check_structure(code, profile, r_optimality=args.full, scan_budget=budget)
-        report.family = meta.get("family")
-        report.status = meta.get("status")
-        report.notes.append(f"locality not re-verified by search: {e}")
-        if args.json:
-            print(json.dumps(report.to_json_dict()))
-        else:
-            print(f"[{report.n},{report.k},{report.d}] bound_d={report.bound_d} "
-                  f"(locality search skipped: n > {max_n})")
-            for note in report.notes:
-                print(f"  note: {note}")
-        return 0 if report.all_passed else 1
-    if not found.ok:
+        found = None
+        notes.append(f"locality not re-verified by search: {e}")
+    if found is not None and not found.ok:
         payload = {
             "params": {"n": code.n, "k": code.k, "d": None},
             "locality": {"r": r, "delta": delta, "l": 0, "groups": []},
@@ -252,17 +244,14 @@ def _cmd_verify(args) -> int:
             print(f"locality ({r},{delta}) FAILS at coordinates {sorted(found.bad_coordinates)}")
         return 1
 
-    if kind == "parity" and meta.get("group_rows"):
-        profile = extract_profile(code.parity_check(), meta["group_rows"], r=r, delta=delta)
-        target = code
+    if layout:
+        target, profile = code, extract_profile(code.parity_check(), layout, r=r, delta=delta)
     else:
-        h, layout, partitioned = structured_parity_check(code, r, delta)
-        target = LinearCode(gen=code.generator(), pchk=h if partitioned else h.row_basis())
-        profile = extract_profile(h, layout, r=r, delta=delta, partitioned=partitioned)
-
-    report = check_structure(target, profile, scan_budget=budget)
+        target, profile = restructure(code, found)
+    report = check_structure(target, profile, search=found, scan_budget=budget)
     report.family = meta.get("family")
     report.status = meta.get("status")
+    report.notes.extend(notes)
     if args.json:
         print(json.dumps(report.to_json_dict()))
     else:

@@ -32,7 +32,8 @@ from .lrc import (
     OptimalityReport,
     check_structure,
     extract_profile,
-    structured_parity_check,
+    restructure,
+    verify_locality,
 )
 from .mat4 import Mat4, assemble_blocks, hstack, vstack
 
@@ -584,10 +585,8 @@ class BuiltCode:
     profile: LocalityProfile
     layout: list[tuple[int, int]]
 
-    def verify(self, *, r_optimality: bool = True, scan_budget: int | None = None) -> OptimalityReport:
-        report = check_structure(
-            self.code, self.profile, r_optimality=r_optimality, scan_budget=scan_budget
-        )
+    def verify(self, *, scan_budget: int | None = None) -> OptimalityReport:
+        report = check_structure(self.code, self.profile, scan_budget=scan_budget)
         report.family = self.family.id
         report.status = self.family.status
         return report
@@ -601,23 +600,24 @@ def _shape(construction, params) -> tuple[int, int, int, int, int]:
 def _finish_parity(construction, params, variant, h, groups):
     """Bundle a parity check whose first ``groups`` blocks of delta - 1
     rows are the local groups and whose remaining rows are global."""
-    rows = _shape(construction, params)[4] - 1
+    _, _, _, r, delta = _shape(construction, params)
+    rows = delta - 1
     layout = [(1 + i * rows, (i + 1) * rows) for i in range(groups)]
     code = LinearCode.from_parity_check(h).complete()
-    return _bundle(construction, params, variant, code, h, layout)
+    profile = extract_profile(h, layout, r=r, delta=delta)
+    return _bundle(construction, params, variant, code, profile)
 
 
 def _finish_generator(construction, params, g):
     _, _, _, r, delta = _shape(construction, params)
-    # the cover search raises StructureError when some coordinate has no
-    # qualifying support, so it also certifies the locality
-    h, layout, partitioned = structured_parity_check(LinearCode.from_generator(g), r, delta)
-    code = LinearCode(gen=g, pchk=h if partitioned else h.row_basis())
-    return _bundle(construction, params, None, code, h, layout, partitioned)
+    # restructure raises StructureError when some coordinate has no
+    # qualifying support, so this also certifies the locality
+    code = LinearCode.from_generator(g)
+    return _bundle(construction, params, None, *restructure(code, verify_locality(code, r, delta)))
 
 
-def _bundle(construction, params, variant, code, h, layout, partitioned=True):
-    """Check the built code against the catalogue's [n, k] and profile it."""
+def _bundle(construction, params, variant, code, profile):
+    """Check the built code against the catalogue's [n, k] and bundle it."""
     n, k, d, r, delta = _shape(construction, params)
     if (code.n, code.k) != (n, k):
         raise StructureError(f"{construction}: built [{code.n},{code.k}], expected [{n},{k}]")
@@ -630,8 +630,8 @@ def _bundle(construction, params, variant, code, h, layout, partitioned=True):
         expected=CodeParams(n, k, d),
         r=r,
         delta=delta,
-        profile=extract_profile(h, layout, r=r, delta=delta, partitioned=partitioned),
-        layout=layout,
+        profile=profile,
+        layout=[(g.rows[0], g.rows[-1]) for g in profile.groups],
     )
 
 

@@ -4,12 +4,15 @@ The locality verifier works straight from the definition: coordinate i
 has locality (r, delta) when some support set R_i containing i, of size
 at most r + delta - 1, induces a punctured code of minimum distance at
 least delta.  The search enumerates candidate supports in increasing
-size and lexicographic order (so results are deterministic and the same
-routine doubles as the r-optimality oracle), with one structural prune:
-a qualifying support must carry delta - 1 independent parity words, i.e.
-its generator columns must be rank-deficient by delta - 1, and the
-deficiency grows by at most one per added column.  That cuts the search
-to all subsets of size <= r plus near-dependent extensions.
+size and lexicographic order (so results are deterministic, and the
+(r-1, delta) search is a strict prefix of the (r, delta) one), with one
+structural prune: a qualifying support must carry delta - 1 independent
+parity words, i.e. its generator columns must be rank-deficient by
+delta - 1, and the deficiency grows by at most one per added column.
+That cuts the search to all subsets of size <= r plus near-dependent
+extensions.  One search feeds a whole verification: its qualifying
+supports rebuild the block layout, and r-optimality is read from it
+(some coordinate's smallest qualifying support has size r+delta-1).
 
 Profiles describe the partition of parity-check rows into local groups
 plus a global group, with 1-based row and column indexing throughout.
@@ -80,8 +83,10 @@ class LocalityProfile:
     global_rows: tuple[int, ...] = ()
     matrix: Mat4 | None = field(default=None, repr=False)
     partitioned: bool = True
-    #: per-coordinate qualifying support when built by the search
+    #: per-coordinate first qualifying support when built by the search
     coordinate_supports: dict[int, frozenset[int]] | None = field(default=None, repr=False)
+    #: every qualifying support in (size, lex) order when built by the search
+    qualifying: tuple[frozenset[int], ...] = field(default=(), repr=False)
 
     @property
     def l(self) -> int:
@@ -117,26 +122,23 @@ def _punctured_distance_at_least(gen: Mat4, cols0: Sequence[int], delta: int) ->
 
 
 def _locality_search(
-    gen: Mat4, r: int, delta: int, collect_all: bool = False
+    gen: Mat4, r: int, delta: int
 ) -> tuple[dict[int, frozenset[int]], list[frozenset[int]]]:
     """Scan supports in (size, lex) order for d(C|_R) >= delta.
 
-    Returns per-coordinate first qualifying supports and, when
-    ``collect_all`` is set, every qualifying support found.  A support
-    must carry delta - 1 independent parity words, so its generator
-    columns are rank-deficient by delta - 1; the deficiency grows by at
-    most one per added column, which prunes the tree sharply.
+    Returns each coordinate's first qualifying support and every
+    qualifying support found.  A support must carry delta - 1
+    independent parity words, so its generator columns are
+    rank-deficient by delta - 1; the deficiency grows by at most one per
+    added column, which prunes the tree sharply.
     """
     n = gen.cols
     cols = pack_columns(gen)
-    smax = r + delta - 1
     need_def = delta - 1
     assigned: dict[int, frozenset[int]] = {}
     found: list[frozenset[int]] = []
 
-    for size in range(delta, smax + 1):
-        if len(assigned) == n and not collect_all:
-            break
+    for size in range(delta, r + delta):
         elim = Eliminator()
         chosen: list[int] = []
 
@@ -147,8 +149,7 @@ def _locality_search(
                     s = frozenset(c + 1 for c in chosen)
                     for c in chosen:
                         assigned.setdefault(c + 1, s)
-                    if collect_all:
-                        found.append(s)
+                    found.append(s)
                 return
             # deficiency rises at most 1 per column: prune hopeless branches
             slack = size - depth
@@ -165,17 +166,6 @@ def _locality_search(
     return assigned, found
 
 
-def qualifying_supports(
-    c: LinearCode, r: int, delta: int, max_n: int = LOCALITY_SEARCH_MAX_N
-) -> list[frozenset[int]]:
-    """Every support R with |R| <= r+delta-1 and d(C|_R) >= delta, in
-    (size, lex) order."""
-    if c.n > max_n:
-        raise ResourceError(f"locality search guarded at n <= {max_n}, got n = {c.n}")
-    _, found = _locality_search(c.complete().gen, r, delta, collect_all=True)
-    return found
-
-
 def verify_locality(
     c: LinearCode, r: int, delta: int, max_n: int = LOCALITY_SEARCH_MAX_N
 ) -> LocalityProfile | LocalityFailure:
@@ -183,8 +173,8 @@ def verify_locality(
 
     On success the profile's groups are the deduplicated qualifying
     supports, pruned to a minimal cover (row indices are not filled in;
-    see :func:`extract_profile` for layout-derived profiles).  On failure
-    the uncovered coordinates are listed.
+    see :func:`restructure`), and it keeps the search's supports.  On
+    failure the uncovered coordinates are listed.
     """
     if r < 1 or delta < 2:
         raise ValueError(f"need r >= 1 and delta >= 2, got r={r}, delta={delta}")
@@ -192,20 +182,14 @@ def verify_locality(
         raise ValueError("locality of the zero code is undefined")
     if c.n > max_n:
         raise ResourceError(f"locality search guarded at n <= {max_n}, got n = {c.n}")
-    cc = c.complete()
-    assigned, _ = _locality_search(cc.gen, r, delta)
+    assigned, found = _locality_search(c.complete().gen, r, delta)
     bad = tuple(i for i in range(1, c.n + 1) if i not in assigned)
     if bad:
         return LocalityFailure(r=r, delta=delta, bad_coordinates=bad)
-    supports: list[frozenset[int]] = []
-    for i in range(1, c.n + 1):
-        s = assigned[i]
-        if s not in supports:
-            supports.append(s)
-    supports = _minimal_cover(supports, c.n)
+    supports = _minimal_cover(list(dict.fromkeys(assigned[i] for i in range(1, c.n + 1))), c.n)
     groups = tuple(LocalGroup(rows=(), support=s) for s in supports)
     return LocalityProfile(
-        r=r, delta=delta, groups=groups, coordinate_supports=dict(assigned)
+        r=r, delta=delta, groups=groups, coordinate_supports=assigned, qualifying=tuple(found)
     )
 
 
@@ -341,17 +325,14 @@ def _select_cover(
 
 
 def structured_parity_check(
-    c: LinearCode,
-    r: int,
-    delta: int,
-    supports: Sequence[frozenset[int]] | None = None,
+    c: LinearCode, supports: Sequence[frozenset[int]]
 ) -> tuple[Mat4, list[tuple[int, int]], bool]:
     """Rebuild a constraint matrix in local/global block form.
 
-    Local groups are qualifying supports (given, or searched in (size,
-    lex) order) selected so that they cover every coordinate and their
-    per-support dual bases stay mutually independent; the global rows
-    extend the stack to a full dual basis.  Returns the matrix, the
+    Local groups are qualifying ``supports`` (in (size, lex) order)
+    selected so that they cover every coordinate and their per-support
+    dual bases stay mutually independent; the global rows extend the
+    stack to a full dual basis.  Returns the matrix, the
     1-based group row ranges, and whether the rows form a genuine
     partition of a full-rank parity check.
 
@@ -362,11 +343,7 @@ def structured_parity_check(
     cc = c.complete()
     h0 = cc.pchk
     n = cc.n
-    if supports is None:
-        pool = qualifying_supports(cc, r, delta)
-    else:
-        pool = list(supports)
-    candidates = [(s, _local_dual_basis(h0, s)) for s in pool]
+    candidates = [(s, _local_dual_basis(h0, s)) for s in supports]
     candidates = [(s, b) for s, b in candidates if b.rows > 0]
     chosen = _select_cover(n, candidates)
     partitioned = chosen is not None
@@ -398,6 +375,19 @@ def structured_parity_check(
     if partitioned and h.rows != h0.rows:
         raise StructureError("partitioned stack has redundant rows")
     return h, layout, partitioned
+
+
+def restructure(
+    c: LinearCode, found: LocalityProfile | LocalityFailure
+) -> tuple[LinearCode, LocalityProfile]:
+    """The code with its parity check in local/global block form, built
+    from a :func:`verify_locality` result, and the profile of that layout."""
+    if not found.ok:
+        raise StructureError(f"coordinates {list(found.bad_coordinates)} have no "
+                             f"({found.r},{found.delta}) repair support")
+    h, layout, partitioned = structured_parity_check(c, found.qualifying)
+    code = LinearCode(gen=c.generator(), pchk=h if partitioned else h.row_basis())
+    return code, extract_profile(h, layout, r=found.r, delta=found.delta, partitioned=partitioned)
 
 
 # ---------------------------------------------------------------------------
@@ -472,20 +462,26 @@ def check_structure(
     c: LinearCode,
     profile: LocalityProfile,
     *,
-    r_optimality: bool = True,
+    search: LocalityProfile | None = None,
     scan_budget: int | None = None,
 ) -> OptimalityReport:
     """Run the optimality predicates and the five structural theorem checks.
 
-    The profile must refer to rows of ``c``'s parity-check matrix.  When
-    the minimum-distance scan exceeds its budget, or the code is beyond
-    the locality-search guard, the affected verdicts are reported as None
-    with an explanatory note rather than failing.
+    The profile must refer to rows of ``c``'s parity-check matrix.
+    r-optimality is read from ``search``, a successful (r, delta)
+    :func:`verify_locality` result, if given, else from :func:`is_r_optimal`.
+    When the minimum-distance scan exceeds its budget, or the code is
+    beyond the locality-search guard, the affected verdicts are reported
+    as None with an explanatory note rather than failing.
     """
     cc = c.complete()
     n, k = cc.n, cc.k
     r, delta = profile.r, profile.delta
     notes: list[str] = []
+    if search is not None and not (search.ok and search.coordinate_supports
+                                   and (search.r, search.delta) == (r, delta)):
+        raise StructureError(f"search at ({search.r},{search.delta}) does not certify "
+                             f"({r},{delta})-locality")
 
     h = profile.matrix if profile.matrix is not None else cc.pchk
     if h.cols != n or h.row_basis() != cc.pchk.row_basis():
@@ -507,7 +503,11 @@ def check_structure(
     d_optimal = None if d is None else (d == bound)
 
     r_optimal: bool | None = None
-    if r_optimality:
+    if search is not None:
+        # the (r-1, delta) search is its prefix of sizes < r+delta-1, so it
+        # fails exactly when some coordinate's first support has that size
+        r_optimal = any(len(s) == r + delta - 1 for s in search.coordinate_supports.values())
+    else:
         try:
             r_optimal = is_r_optimal(cc, r, delta)
         except ResourceError as e:

@@ -3,8 +3,9 @@ import json
 
 import pytest
 
-from lrc4.cli import FormatError, main, read_matrix, write_matrix
+from lrc4.cli import FormatError, _built_comments, main, read_matrix, write_matrix
 from lrc4.code import HEXACODE_GEN
+from lrc4.constructions import build, catalog
 
 
 def run(capsys, *argv):
@@ -98,6 +99,45 @@ def test_verify_generator_input(tmp_path, capsys):
     assert code == 0
     payload = json.loads(js)
     assert payload["params"] == {"n": 16, "k": 3, "d": 12}
+
+
+def test_verify_generator_restructuring_matches_built_profile(tmp_path, capsys):
+    # a generator file carries no layout, so verify rebuilds the block
+    # form from its own search and must land on the builder's report
+    path = tmp_path / "g.txt"
+    checked = 0
+    for fam in catalog():
+        if fam.construction not in ("C16", "C17", "C18", "C19"):
+            continue
+        for inst in fam.instances(64):
+            bc = build(fam.construction, **inst["params"])
+            with open(path, "w") as fh:
+                write_matrix(fh, bc.code.generator(), _built_comments(bc, "generator"))
+            code, js, err = run(capsys, "verify", "--generator", str(path), "--json")
+            assert (code, err) == (0, ""), inst["params"]
+            assert js == json.dumps(bc.verify().to_json_dict()) + "\n", inst["params"]
+            checked += 1
+    assert checked == 33
+
+
+def test_verify_full_lifts_every_search_guard(tmp_path, capsys):
+    # C1 l = 8 is [39,23,3], past the n <= 30 locality-search guard
+    for kind in ("generator", "parity"):
+        path = tmp_path / f"{kind}.txt"
+        run(capsys, "build", "--family", "C1", "--l", "8", "--as", kind, "--out", str(path))
+        code, out, err = run(capsys, "verify", f"--{kind}", str(path), "--full")
+        assert (code, err) == (0, ""), kind
+        assert "r_optimal=True" in out
+        assert "skipped" not in out
+    # without --full a layout file falls back to its own groups, and a
+    # generator file has none to fall back to
+    code, out, _ = run(capsys, "verify", "--parity", str(tmp_path / "parity.txt"))
+    assert code == 0
+    assert "r_optimal=None" in out
+    assert out.count("note: r-optimality skipped") == 1
+    assert "note: locality not re-verified by search" in out
+    code, _, err = run(capsys, "verify", "--generator", str(tmp_path / "generator.txt"))
+    assert code == 2 and "use --full" in err
 
 
 def test_verify_locality_failure_exits_1(tmp_path, capsys):

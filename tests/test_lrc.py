@@ -4,6 +4,7 @@ from itertools import product
 import pytest
 
 import numpy as np
+from hypothesis import assume, given, strategies as st
 
 from lrc4 import gf4
 from lrc4.code import LinearCode, hexacode
@@ -15,7 +16,6 @@ from lrc4.lrc import (
     extract_profile,
     group_count_range,
     is_r_optimal,
-    qualifying_supports,
     singleton_like_bound,
     structured_parity_check,
     verify_locality,
@@ -170,7 +170,7 @@ def test_check_structure_reports_rank_deficient_h_prime():
         " / 0 0 0 0 0 0 1 1 w W / 0 0 1 W w 1 0 1 1 1"
     )
     profile = extract_profile(h, [(1, 2), (3, 4)], r=3, delta=3)
-    report = check_structure(LinearCode(pchk=h), profile, r_optimality=False)
+    report = check_structure(LinearCode(pchk=h), profile)
     check = report.checks["h_prime_mds"]
     assert check.passed is False
     assert check.witness == "H' not full rank after removing groups 1"
@@ -213,13 +213,13 @@ def test_delta2_agrees_with_dual_word_locality():
 
 
 def test_qualifying_supports_hexacode():
-    sup = qualifying_supports(hexacode(), 3, 4)
-    assert sup == [frozenset(range(1, 7))]
+    sup = verify_locality(hexacode(), 3, 4).qualifying
+    assert list(sup) == [frozenset(range(1, 7))]
 
 
 def test_structured_parity_check_rebuilds_layout():
     base = build("C16", d=12).code
-    h, layout, partitioned = structured_parity_check(base, 2, 3)
+    h, layout, partitioned = structured_parity_check(base, verify_locality(base, 2, 3).qualifying)
     assert partitioned
     assert h.rank() == h.rows == base.n - base.k
     assert all(b - a + 1 == 2 for a, b in layout)  # delta - 1 rows per group
@@ -273,6 +273,49 @@ def test_locality_search_matches_brute_force_oracle():
                 covered |= g.support
             assert covered == set(range(1, code.n + 1))
         checked += 1
+
+
+@st.composite
+def small_locality_cases(draw):
+    # columns are scalar multiples of m random columns, so repeated
+    # columns give small repair supports and r-optimality goes both ways
+    n = draw(st.integers(5, 8))
+    m = draw(st.integers(1, n))
+    base = draw(st.lists(
+        st.lists(st.integers(0, 3), min_size=m, max_size=m), min_size=1, max_size=4
+    ))
+    picks = draw(st.lists(st.tuples(st.integers(0, m - 1), st.integers(1, 3)),
+                          min_size=n, max_size=n))
+    rows = [[gf4.mul(a, row[j]) for j, a in picks] for row in base]
+    basis = Mat4(rows).row_basis()
+    assume(basis.rows > 0)
+    code = LinearCode(gen=basis)
+    return code, draw(st.integers(1, code.k)), draw(st.integers(2, 3))
+
+
+@given(small_locality_cases())
+def test_locality_search_matches_oracles_on_random_codes(case):
+    code, r, delta = case
+    res = verify_locality(code, r, delta)
+    expected_bad = brute_force_locality(code, r, delta)
+    if expected_bad:
+        assert not res.ok and list(res.bad_coordinates) == expected_bad
+        return
+    assert res.ok
+    assert set().union(*(g.support for g in res.groups)) == set(range(1, code.n + 1))
+    # r-optimality read from the (r, delta) search against the direct
+    # (r-1, delta) search
+    assert check_structure(code, res, search=res).r_optimal == is_r_optimal(code, r, delta)
+
+
+def test_check_structure_rejects_a_search_at_other_parameters():
+    bc = build("C1", l=2)
+    with pytest.raises(StructureError):
+        check_structure(bc.code, bc.profile, search=verify_locality(bc.code, 4, 3))
+    with pytest.raises(StructureError):
+        check_structure(bc.code, bc.profile, search=verify_locality(bc.code, 1, 3))
+    with pytest.raises(StructureError):  # a layout profile is no search result
+        check_structure(bc.code, bc.profile, search=bc.profile)
 
 
 @pytest.mark.parametrize(
