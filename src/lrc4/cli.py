@@ -17,7 +17,8 @@ the classification's [n] = {1..n} convention.
 
 Exit codes: 0 success, 1 verification/repair failure, 2 usage or format
 errors.  The environment variable ``LRC4_MAX_SCAN`` overrides the
-10^8-subset budget of the minimum-distance column scan.
+10^8-subset budget of the minimum-distance column scan; a scan over
+budget falls back to codeword enumeration when k <= 14.
 """
 
 from __future__ import annotations

@@ -470,9 +470,9 @@ def check_structure(
     The profile must refer to rows of ``c``'s parity-check matrix.
     r-optimality is read from ``search``, a successful (r, delta)
     :func:`verify_locality` result, if given, else from :func:`is_r_optimal`.
-    When the minimum-distance scan exceeds its budget, or the code is
-    beyond the locality-search guard, the affected verdicts are reported
-    as None with an explanatory note rather than failing.
+    When the minimum-distance scan exceeds its budget with k > 14, or the
+    code is beyond the locality-search guard, the affected verdicts are
+    reported as None with an explanatory note rather than failing.
     """
     cc = c.complete()
     n, k = cc.n, cc.k

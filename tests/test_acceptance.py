@@ -158,7 +158,7 @@ def test_criterion_6_c17g():
     t0 = time.time()
     props17 = verify_c17g_properties(17)
     bc = build("C17G", l=4)
-    d_enum = bc.code.min_distance()
+    d_enum = bc.code._min_distance_enumerate()  # the route itself, not the router
     h = bc.code.parity_check()
     scan_clean = not has_dependent_columns(h, 11)
     elapsed = time.time() - t0

@@ -2,6 +2,7 @@ import random
 from itertools import product
 
 import pytest
+from hypothesis import assume, given, strategies as st
 
 from lrc4 import gf4
 from lrc4.code import (
@@ -96,6 +97,17 @@ def test_min_distance_dual_route_cross_check():
         d_enum = c._min_distance_enumerate()
         d_scan = c._min_distance_scan()
         assert d_enum == d_scan == c.min_distance()
+
+
+@given(st.integers(2, 10).flatmap(lambda n: st.lists(
+    st.lists(st.integers(0, 3), min_size=n, max_size=n), min_size=1, max_size=n - 1)))
+def test_min_distance_routes_agree_on_random_codes(rows):
+    # the router's safety net: both routes, and whatever min_distance
+    # picks, agree on the code held by its generator or its parity check
+    g = Mat4(rows).row_basis()
+    assume(g.rows > 0)
+    for c in (LinearCode(gen=g), LinearCode(pchk=g.right_kernel())):
+        assert c._min_distance_enumerate() == c._min_distance_scan() == c.min_distance()
 
 
 def test_weight_distribution_paper_values():
@@ -204,10 +216,15 @@ def test_mds_feasible_q4():
 
 
 def test_scan_budget_exceeded():
-    c = build("C1", l=2).code  # k = 5 > min(n-k, 12) = 4: scan route
+    # past the enumeration guard (k = 17 > 14) the budget is final: level
+    # t = 1 alone (29 subsets) exceeds it, so only d >= 1 is proven
+    c = build("C1", l=6).code
+    assert (c.n, c.k) == (29, 17)
     with pytest.raises(ScanBudgetExceeded) as exc:
         c.min_distance(budget=5)
-    assert exc.value.lower_bound >= 1
+    assert exc.value.lower_bound == 1
+    # within the guard a scan over budget hands over to enumeration
+    assert build("C1", l=2).code.min_distance(budget=5) == 3
 
 
 def test_scan_budget_env_override(monkeypatch):
