@@ -11,8 +11,11 @@ Column-subset rank scans spend nearly all their time in
 ``Eliminator.push``.  It keeps each basis vector with its lead bit and
 its three nonzero multiples, so one elimination step is a bit test and
 two XORs on machine ints regardless of L (up to word growth), which is
-what makes exhaustive d-1 column scans and locality searches feasible
-in pure Python.
+what makes exhaustive d-1 column scans feasible in pure Python.  The
+locality search instead keeps a node's later columns reduced modulo the
+columns it picked: ``reduce_by`` adds one pivot to such a list with the
+same bit test and two XORs per vector, so a column's rank test is a
+zero test.
 """
 
 from __future__ import annotations
@@ -91,6 +94,38 @@ class Eliminator:
     def pop(self) -> None:
         if self._trail.pop():
             self._basis.pop()
+
+
+def reduce_by(v: Vec, tagged: list[tuple[int, int, int]]) -> list[tuple[int, int, int]]:
+    """Clear the lead coordinate of the nonzero vector v from tagged vectors.
+
+    Each item is ``(tag, hi, lo)``; the result keeps tags and order.  v
+    is scaled so its lead (lowest nonzero coordinate) is 1, and each
+    vector gets the multiple of v that cancels its coefficient there, as
+    in ``Eliminator.push``.  When v was itself reduced by earlier pivots
+    and the vectors were reduced by the same pivots, a vector reduces to
+    zero exactly when it lies in the span of the pivots and v.
+    """
+    hi, lo = v
+    x = hi | lo
+    bit = x & -x
+    if hi & bit:
+        hi, lo = (hi ^ lo, hi) if lo & bit else (lo, hi ^ lo)
+    m = hi ^ lo
+    out = []
+    for t, h, l in tagged:
+        if h & bit:
+            if l & bit:  # coefficient w2
+                h ^= lo
+                l ^= m
+            else:  # coefficient w
+                h ^= m
+                l ^= hi
+        elif l & bit:
+            h ^= hi
+            l ^= lo
+        out.append((t, h, l))
+    return out
 
 
 def rank_of(vectors: list[Vec]) -> int:

@@ -3,16 +3,19 @@
 The locality verifier works straight from the definition: coordinate i
 has locality (r, delta) when some support set R_i containing i, of size
 at most r + delta - 1, induces a punctured code of minimum distance at
-least delta.  The search enumerates candidate supports in increasing
-size and lexicographic order (so results are deterministic, and the
-(r-1, delta) search is a strict prefix of the (r, delta) one), with one
-structural prune: a qualifying support must carry delta - 1 independent
-parity words, i.e. its generator columns must be rank-deficient by
-delta - 1, and the deficiency grows by at most one per added column.
-That cuts the search to all subsets of size <= r plus near-dependent
-extensions.  One search feeds a whole verification: its qualifying
-supports rebuild the block layout, and r-optimality is read from it
-(some coordinate's smallest qualifying support has size r+delta-1).
+least delta.  The search is one depth-first pass over column subsets
+of every size up to r + delta - 1.  Each node keeps the generator
+columns after its last pick reduced modulo the span of its picks, so
+whether a child raises the rank is a zero test.  A qualifying support
+must carry delta - 1 independent parity words, i.e. its generator
+columns must be rank-deficient by delta - 1, so a node of rank above r
+is pruned, and so is one whose remaining columns cannot make up the
+deficiency (each adds at most one).  The supports found are sorted in
+increasing size and lexicographic order, so results are deterministic
+and the (r-1, delta) result is a strict prefix of the (r, delta) one.
+One search feeds a whole verification: its qualifying supports rebuild
+the block layout, and r-optimality is read from it (some coordinate's
+smallest qualifying support has size r+delta-1).
 
 Profiles describe the partition of parity-check rows into local groups
 plus a global group, with 1-based row and column indexing throughout.
@@ -27,7 +30,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ._gf4vec import Eliminator, pack_columns, pack_rows
+from ._gf4vec import Eliminator, pack_columns, pack_rows, reduce_by
 from .code import LinearCode
 from .errors import RankError, ResourceError, ScanBudgetExceeded, StructureError
 from .mat4 import Mat4, vstack
@@ -124,45 +127,51 @@ def _punctured_distance_at_least(gen: Mat4, cols0: Sequence[int], delta: int) ->
 def _locality_search(
     gen: Mat4, r: int, delta: int
 ) -> tuple[dict[int, frozenset[int]], list[frozenset[int]]]:
-    """Scan supports in (size, lex) order for d(C|_R) >= delta.
+    """Find every support R, |R| <= r+delta-1, with d(C|_R) >= delta.
 
     Returns each coordinate's first qualifying support and every
-    qualifying support found.  A support must carry delta - 1
-    independent parity words, so its generator columns are
-    rank-deficient by delta - 1; the deficiency grows by at most one per
-    added column, which prunes the tree sharply.
+    qualifying support, both in (size, lex) order.  One depth-first pass
+    over column subsets covers every size.  A node keeps the columns
+    after its last pick reduced modulo the span of its picks, so a child
+    raises the rank exactly when its column's residual is nonzero.  A
+    support must carry delta - 1 independent parity words, so its
+    columns are rank-deficient by delta - 1.  The rank never falls, so a
+    node of rank above r has no qualifying descendant; nor has one whose
+    deficiency plus its number of later columns falls short.  Subsets of
+    size >= delta with that deficiency get the exact distance check.
     """
-    n = gen.cols
-    cols = pack_columns(gen)
     need_def = delta - 1
+    max_size = r + delta - 1
+    hits: list[tuple[int, ...]] = []
+    chosen: list[int] = []
+
+    def rec(later: list[tuple[int, int, int]], rank: int) -> None:
+        depth = len(chosen) + 1
+        for p, (i, hi, lo) in enumerate(later):
+            grows = bool(hi | lo)
+            if grows and rank == r:
+                continue
+            chosen.append(i)
+            deficiency = depth - rank - grows
+            if depth >= delta and deficiency >= need_def and _punctured_distance_at_least(
+                gen, chosen, delta
+            ):
+                hits.append(tuple(chosen))
+            # each later column adds at most one to the deficiency
+            if depth < max_size and deficiency + len(later) - p - 1 >= need_def:
+                rest = later[p + 1:]
+                rec(reduce_by((hi, lo), rest) if grows else rest, rank + grows)
+            chosen.pop()
+
+    rec([(i, hi, lo) for i, (hi, lo) in enumerate(pack_columns(gen))], 0)
+    hits.sort(key=lambda s: (len(s), s))
     assigned: dict[int, frozenset[int]] = {}
     found: list[frozenset[int]] = []
-
-    for size in range(delta, r + delta):
-        elim = Eliminator()
-        chosen: list[int] = []
-
-        def rec(start: int, deficiency: int) -> None:
-            depth = len(chosen)
-            if depth == size:
-                if deficiency >= need_def and _punctured_distance_at_least(gen, chosen, delta):
-                    s = frozenset(c + 1 for c in chosen)
-                    for c in chosen:
-                        assigned.setdefault(c + 1, s)
-                    found.append(s)
-                return
-            # deficiency rises at most 1 per column: prune hopeless branches
-            slack = size - depth
-            if deficiency + slack < need_def:
-                return
-            for i in range(start, n - (size - depth) + 1):
-                grew = elim.push(cols[i])
-                chosen.append(i)
-                rec(i + 1, deficiency + (0 if grew else 1))
-                chosen.pop()
-                elim.pop()
-
-        rec(0, 0)
+    for t in hits:
+        s = frozenset(c + 1 for c in t)
+        for c in t:
+            assigned.setdefault(c + 1, s)
+        found.append(s)
     return assigned, found
 
 

@@ -147,8 +147,10 @@ class Mat4:
         """
         n = self.cols
         table = np.zeros((1, n), dtype=np.uint8)
-        for row in self._a:
-            table = (table[:, None, :] ^ gf4.MUL_NP[:, row][None, :, :]).reshape(4 * len(table), n)
+        # last row first, each new row's scalar as the leading axis: the
+        # big table is then copied in four contiguous blocks per row
+        for row in self._a[::-1]:
+            table = (gf4.MUL_NP[:, row][:, None] ^ table).reshape(4 * len(table), n)
         return table
 
     # -- reduction -----------------------------------------------------

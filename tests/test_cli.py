@@ -2,10 +2,12 @@ import io
 import json
 
 import pytest
+from hypothesis import example, given, strategies as st
 
 from lrc4.cli import FormatError, _built_comments, main, read_matrix, write_matrix
 from lrc4.code import HEXACODE_GEN
 from lrc4.constructions import build, catalog
+from lrc4.mat4 import Mat4
 
 
 def run(capsys, *argv):
@@ -25,6 +27,26 @@ def test_matrix_round_trip(tmp_path):
         back, meta = read_matrix(fh)
     assert back == m
     assert meta["family"] == "hexacode"
+
+
+@st.composite
+def matrices(draw):
+    # a 0-column matrix has no symbols to write, so its rows cannot be
+    # read back
+    cols = draw(st.integers(1, 40))
+    entries = st.lists(st.integers(0, 3), min_size=cols, max_size=cols)
+    return Mat4(draw(st.lists(entries, max_size=6)), cols=cols)
+
+
+@given(matrices())
+@example(Mat4([[2]]))
+@example(Mat4.zeros(0, 1))
+@example(Mat4([[1, 0, 3] * 13]))
+def test_matrix_round_trip_random(m):
+    fh = io.StringIO()
+    write_matrix(fh, m)
+    back, meta = read_matrix(io.StringIO(fh.getvalue()))
+    assert back == m and meta == {}
 
 
 def test_matrix_format_errors():

@@ -1,5 +1,5 @@
 import random
-from itertools import product
+from itertools import combinations, product
 
 import pytest
 
@@ -306,6 +306,37 @@ def test_locality_search_matches_oracles_on_random_codes(case):
     # r-optimality read from the (r, delta) search against the direct
     # (r-1, delta) search
     assert check_structure(code, res, search=res).r_optimal == is_r_optimal(code, r, delta)
+
+
+def ordered_supports_oracle(code, r, delta):
+    """Definition-direct: every support of size delta..r+delta-1 with
+    d(C|_R) >= delta in (size, lex) order, and each coordinate's first."""
+    everything = set(range(1, code.n + 1))
+    found = []
+    for size in range(delta, r + delta):
+        for support in combinations(range(1, code.n + 1), size):
+            sub = code.puncture(everything - set(support))
+            if sub.k >= 1 and sub.min_distance() >= delta:
+                found.append(frozenset(support))
+    first = {}
+    for s in found:
+        for i in sorted(s):
+            first.setdefault(i, s)
+    return first, found
+
+
+@given(small_locality_cases())
+def test_locality_search_order_matches_definition(case):
+    # restructure(), the built layouts and the golden digests read the
+    # supports in this order, so the search must reproduce it exactly
+    code, r, delta = case
+    first, found = ordered_supports_oracle(code, r, delta)
+    res = verify_locality(code, r, delta)
+    if res.ok:
+        assert list(res.qualifying) == found
+        assert res.coordinate_supports == first
+    else:
+        assert set(res.bad_coordinates) == set(range(1, code.n + 1)) - set(first)
 
 
 def test_check_structure_rejects_a_search_at_other_parameters():

@@ -7,7 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from lrc4 import gf4
-from lrc4._gf4vec import Eliminator, pack_columns, pack_rows, rank_of
+from lrc4._gf4vec import Eliminator, pack_columns, pack_rows, rank_of, reduce_by
 from lrc4.code import HEXACODE_GEN
 from lrc4.constructions import LOCAL_5, build
 from lrc4.mat4 import Mat4, ShapeError, assemble_blocks, hstack, kron, vstack
@@ -171,6 +171,8 @@ def test_span_words_against_product_loop():
     for _ in range(60):
         rows, cols = rng.randrange(0, 5), rng.randrange(0, 7)
         cases.append(Mat4.zeros(0, cols) if rows == 0 else random_matrix(rng, rows, cols))
+    # tables large enough that the row order of the build matters
+    cases += [random_matrix(rng, rows, rng.randrange(1, 7)) for rows in (5, 6, 7)]
     for m in cases:
         words = m.span_words()
         assert words.dtype == np.uint8 and words.shape == (4 ** m.rows, m.cols)
@@ -247,3 +249,29 @@ def test_entry_validation():
             Mat4(bad)
     with pytest.raises(ShapeError):
         Mat4.from_string("1 0 / 1")
+
+
+@given(st.data())
+def test_reduce_by_leaves_zero_exactly_on_dependent_vectors(data):
+    length = data.draw(st.integers(1, 8), label="length")
+    row = st.lists(st.integers(0, 3), min_size=length, max_size=length)
+    base = data.draw(st.lists(row, min_size=1, max_size=4), label="base")
+    # each vector is a combination of a few base vectors, so the list has
+    # dependencies of every kind: zero, repeated, scaled and summed
+    coeffs = st.lists(st.integers(0, 3), min_size=len(base), max_size=len(base))
+    combos = data.draw(st.lists(coeffs, min_size=1, max_size=10), label="coeffs")
+    packed = pack_rows(Mat4(combos) @ Mat4(base))
+    # pick each vector in turn as the next pivot, as the locality search does
+    later = [(t, hi, lo) for t, (hi, lo) in enumerate(packed)]
+    e = Eliminator()
+    while later:
+        for t, hi, lo in later:
+            assert e.push(packed[t]) == bool(hi | lo)
+            e.pop()
+        t, hi, lo = later[0]
+        rest = later[1:]
+        if e.push(packed[t]):
+            reduced = reduce_by((hi, lo), rest)
+            assert [x[0] for x in reduced] == [x[0] for x in rest]
+            rest = reduced
+        later = rest
