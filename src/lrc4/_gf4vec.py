@@ -15,33 +15,111 @@ what makes exhaustive d-1 column scans feasible in pure Python.  The
 locality search instead keeps a node's later columns reduced modulo the
 columns it picked: ``reduce_by`` adds one pivot to such a list with the
 same bit test and two XORs per vector, so a column's rank test is a
-zero test.
+zero test.  The third user of that step is ``echelon``, the exact
+reduced row-echelon kernel behind ``Mat4.rref``, ``rank``,
+``row_basis`` and ``right_kernel`` and the local repair solve; ``pack``
+and ``unpack`` move whole arrays in and out of the packed form with
+C-level byte translation, never a loop over entries.
 """
 
 from __future__ import annotations
 
-from .mat4 import Mat4
+import numpy as np
 
 Vec = tuple[int, int]
 
-
-def pack_columns(m: Mat4) -> list[Vec]:
-    """Each column as a packed vector over the row index."""
-    out = []
-    a = m.array
-    for c in range(m.cols):
-        hi = lo = 0
-        col = a[:, c]
-        for r in range(m.rows):
-            e = int(col[r])
-            hi |= (e >> 1) << r
-            lo |= (e & 1) << r
-        out.append((hi, lo))
-    return out
+# entry byte -> ASCII digit of its high / low bit, for int(..., 2)
+_HI_DIGIT = bytes.maketrans(bytes(range(4)), b"0011")
+_LO_DIGIT = bytes.maketrans(bytes(range(4)), b"0101")
+# ASCII bit digit -> its value as a high bit, for ``unpack``
+_BIT_BYTE = bytes.maketrans(b"01", b"\x00\x02")
 
 
-def pack_rows(m: Mat4) -> list[Vec]:
-    return pack_columns(m.transpose())
+def pack(a: np.ndarray) -> list[Vec]:
+    """Each row of a 2-d uint8 array with entries 0..3 as a packed vector.
+
+    The array's bytes are reversed, so every row reads last entry first,
+    and translated to one ASCII bit string per plane: ``int(..., 2)`` of
+    a row's slice puts entry i at bit i.  No Python loop touches an
+    entry.
+    """
+    m, n = a.shape
+    if not n:
+        return [(0, 0)] * m
+    raw = a.tobytes()[::-1]
+    hi = raw.translate(_HI_DIGIT)
+    lo = raw.translate(_LO_DIGIT)
+    return [(int(hi[i : i + n], 2), int(lo[i : i + n], 2)) for i in range(m * n - n, -1, -n)]
+
+
+def unpack(vectors: list[Vec], n: int) -> np.ndarray:
+    """The inverse of ``pack``: a read-only (len(vectors), n) uint8 array.
+
+    The high planes, then the low planes, are written as ASCII bits,
+    most significant first, and translated to bytes 0/2; as little-endian
+    ints, halving the low part turns its 2s into 1s and an OR merges the
+    planes.  Written out big-endian, the vectors come out in reverse
+    order, so they are taken in reverse.
+    """
+    k = len(vectors)
+    kn = k * n
+    if not kn:
+        return np.zeros((k, n), dtype=np.uint8)
+    fmt = f"0{n}b"
+    rev = vectors[::-1]
+    raw = "".join([format(h, fmt) for h, _ in rev] + [format(l, fmt) for _, l in rev])
+    raw = raw.encode().translate(_BIT_BYTE)
+    x = int.from_bytes(raw[:kn], "little") | int.from_bytes(raw[kn:], "little") >> 1
+    return np.ndarray((k, n), np.uint8, x.to_bytes(kn, "big"))
+
+
+def pack_columns(m) -> list[Vec]:
+    """Each column of a Mat4 as a packed vector over the row index."""
+    return pack(m.array.T)
+
+
+def pack_rows(m) -> list[Vec]:
+    return pack(m.array)
+
+
+def echelon(rows: list[Vec]) -> list[int]:
+    """Reduce packed rows in place to reduced row-echelon form.
+
+    Returns the pivot columns, strictly increasing; rows ``0..rank-1``
+    then hold the pivot rows, each 1 at its pivot and 0 at the others,
+    and the rest are zero.  The pivot rule is the dense one: the
+    leftmost column that is nonzero in a row not yet used, and the first
+    such row.  Each row op is the bit test and two XORs of
+    ``Eliminator.push``.
+    """
+    pivots = []
+    m = len(rows)
+    for p in range(m):
+        x = 0
+        for h, l in rows[p:]:
+            x |= h | l
+        if not x:
+            break
+        bit = x & -x
+        i = p
+        while not (rows[i][0] | rows[i][1]) & bit:
+            i += 1
+        hi, lo = rows[i]
+        rows[i] = rows[p]
+        if hi & bit:  # lead w or w2: scale by its inverse
+            hi, lo = (hi ^ lo, hi) if lo & bit else (lo, hi ^ lo)
+        rows[p] = (hi, lo)
+        mix = hi ^ lo
+        for j in range(m):
+            h, l = rows[j]
+            if j == p or not (h | l) & bit:
+                continue
+            if h & bit:
+                rows[j] = (h ^ lo, l ^ mix) if l & bit else (h ^ mix, l ^ hi)
+            else:
+                rows[j] = (h ^ hi, l ^ lo)
+        pivots.append(bit.bit_length() - 1)
+    return pivots
 
 
 class Eliminator:
@@ -126,10 +204,3 @@ def reduce_by(v: Vec, tagged: list[tuple[int, int, int]]) -> list[tuple[int, int
             l ^= lo
         out.append((t, h, l))
     return out
-
-
-def rank_of(vectors: list[Vec]) -> int:
-    e = Eliminator()
-    for v in vectors:
-        e.push(v)
-    return e.rank

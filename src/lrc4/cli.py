@@ -93,7 +93,9 @@ def read_matrix(fh: IO[str]) -> tuple[Mat4, dict]:
     if header is None:
         raise FormatError("missing '<rows> <cols>' header")
     r, c = header
-    if len(rows) != r or any(len(row) != c for row in rows):
+    # rows of no symbols are written as empty lines, which are skipped
+    want = r if c else 0
+    if min(r, c) < 0 or len(rows) != want or any(len(row) != c for row in rows):
         raise FormatError(f"expected {r} rows of {c} symbols")
     m = Mat4(rows, cols=c) if rows else Mat4.zeros(r, c)
     return m, meta

@@ -1,10 +1,12 @@
-"""Dense linear algebra over GF(4).
+"""Exact linear algebra over GF(4).
 
 A :class:`Mat4` wraps a read-only numpy uint8 array with entries in
 {0,1,2,3} (see :mod:`lrc4.gf4` for the element encoding).  Sizes in this
-problem domain stay around 120 columns, so everything is dense and exact:
-reduced row-echelon form, rank, right kernels, row-space enumeration,
-Kronecker products and block assembly.
+problem domain stay around 120 columns.  Products, row-space enumeration,
+Kronecker products and block assembly work on the array; the reductions
+(reduced row-echelon form, rank, row basis, right kernel) pack the rows
+into bit planes and run the one elimination kernel,
+:func:`lrc4._gf4vec.echelon`, unpacking only the rows they return.
 
 Empty matrices (0 x n or m x 0) are legal and concatenate away cleanly,
 which lets block constructions degenerate at their minimal parameters.
@@ -17,14 +19,11 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from . import gf4
+from ._gf4vec import echelon, pack, unpack
 
 
 class ShapeError(ValueError):
     """Raised when block shapes or operand shapes are inconsistent."""
-
-
-def _scalar_row(lam: int, row: np.ndarray) -> np.ndarray:
-    return gf4.MUL_NP[lam, row]
 
 
 class Mat4:
@@ -46,6 +45,14 @@ class Mat4:
             raise ValueError("entries must be GF(4) elements 0..3")
         a.setflags(write=False)
         self._a = a
+
+    @classmethod
+    def _wrap(cls, a: np.ndarray) -> "Mat4":
+        """A Mat4 over a 2-d uint8 array of entries 0..3, neither copied nor checked."""
+        m = cls.__new__(cls)
+        a.setflags(write=False)
+        m._a = a
+        return m
 
     # -- constructors -------------------------------------------------
 
@@ -162,53 +169,43 @@ class Mat4:
         arithmetic needs no pivoting strategy and this keeps the output
         deterministic.
         """
-        a = self._a.copy()
-        m, n = a.shape
-        pivots: list[int] = []
-        prow = 0
-        for col in range(n):
-            if prow >= m:
-                break
-            nz = np.nonzero(a[prow:, col])[0]
-            if nz.size == 0:
-                continue
-            pick = prow + int(nz[0])
-            if pick != prow:
-                a[[prow, pick]] = a[[pick, prow]]
-            p = int(a[prow, col])
-            if p != 1:
-                a[prow] = _scalar_row(gf4.inv(p), a[prow])
-            for r in range(m):
-                if r != prow and a[r, col]:
-                    a[r] ^= _scalar_row(int(a[r, col]), a[prow])
-            pivots.append(col)
-            prow += 1
-        return Mat4(a), tuple(pivots)
+        rows = pack(self._a)
+        pivots = echelon(rows)
+        return Mat4._wrap(unpack(rows, self.cols)), tuple(pivots)
 
     def rank(self) -> int:
-        return len(self.rref()[1])
+        return len(echelon(pack(self._a)))
 
     def row_basis(self) -> "Mat4":
         """Nonzero rows of the rref: a canonical basis of the row space."""
-        r, pivots = self.rref()
-        return Mat4(r._a[: len(pivots)].copy(), cols=self.cols)
+        rows = pack(self._a)
+        rank = len(echelon(rows))
+        return Mat4._wrap(unpack(rows[:rank], self.cols))
 
     def right_kernel(self) -> "Mat4":
         """Basis of {x : self @ x^T = 0}, one kernel vector per row.
 
         Returns a (cols - rank) x cols matrix; empty when the matrix has
-        full column rank.
+        full column rank.  The vector for free column f is 1 at f and,
+        at each pivot, that pivot row's entry at f (char 2: no negation).
         """
-        r, pivots = self.rref()
+        rows = pack(self._a)
+        pivots = echelon(rows)
         n = self.cols
-        free = [c for c in range(n) if c not in set(pivots)]
-        basis = np.zeros((len(free), n), dtype=np.uint8)
-        for bi, f in enumerate(free):
-            basis[bi, f] = 1
-            for ri, p in enumerate(pivots):
-                # char 2: the negation of r[ri, f] is itself
-                basis[bi, p] = r._a[ri, f]
-        return Mat4(basis, cols=n)
+        taken = set(pivots)
+        basis = []
+        for f in range(n):
+            if f in taken:
+                continue
+            bit = 1 << f
+            hi, lo = 0, bit
+            for p, (h, l) in zip(pivots, rows):
+                if h & bit:
+                    hi |= 1 << p
+                if l & bit:
+                    lo |= 1 << p
+            basis.append((hi, lo))
+        return Mat4._wrap(unpack(basis, n))
 
     # -- structure -----------------------------------------------------
 

@@ -20,6 +20,7 @@ from typing import Sequence
 import numpy as np
 
 from . import gf4
+from ._gf4vec import echelon
 from .code import _check_coordinate_set
 from .constructions import BuiltCode
 from .mat4 import Mat4
@@ -88,29 +89,28 @@ def _solve_group(
     no codeword, "underdetermined" when several values fit (cannot
     happen for an intact MDS group within tolerance).
     """
+    e = len(unknowns)
     known = sorted(support - set(unknowns))
-    m = len(rows)
-    a = np.zeros((m, len(unknowns)), dtype=np.uint8)
-    b = np.zeros(m, dtype=np.uint8)
-    for ri, row_idx in enumerate(rows):
-        row = h.array[row_idx - 1]
-        for ci, coord in enumerate(unknowns):
-            a[ri, ci] = row[coord - 1]
+    # one packed equation per row: unknown j's coefficient at bit j, the
+    # syndrome of the known symbols at bit e
+    eqs = []
+    for row_idx in rows:
+        row = h.array[row_idx - 1].tolist()
         acc = 0
         for coord in known:
-            acc ^= gf4.mul(int(row[coord - 1]), word[coord - 1])
-        b[ri] = acc
-    aug = Mat4(np.hstack([a, b.reshape(m, 1)]))
-    reduced, pivots = aug.rref()
-    e = len(unknowns)
+            acc ^= gf4.MUL[row[coord - 1]][word[coord - 1]]
+        hi, lo = (acc >> 1) << e, (acc & 1) << e
+        for j, coord in enumerate(unknowns):
+            x = row[coord - 1]
+            hi |= (x >> 1) << j
+            lo |= (x & 1) << j
+        eqs.append((hi, lo))
+    pivots = echelon(eqs)
     if e in pivots:
         return "inconsistent"
     if len(pivots) != e:
         return "underdetermined"
-    values: dict[int, int] = {}
-    for ri, p in enumerate(pivots):
-        values[unknowns[p]] = int(reduced.array[ri, e])
-    return values
+    return {unknowns[p]: (hi >> e & 1) << 1 | lo >> e & 1 for p, (hi, lo) in zip(pivots, eqs)}
 
 
 def local_repair(bc: BuiltCode, received: Sequence[int | None]) -> RepairOutcome:

@@ -3,11 +3,18 @@ from itertools import product
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from lrc4 import gf4
-from lrc4._gf4vec import Eliminator, pack_columns, pack_rows, rank_of, reduce_by
+from lrc4._gf4vec import (
+    Eliminator,
+    echelon,
+    pack_columns,
+    pack_rows,
+    reduce_by,
+    unpack,
+)
 from lrc4.code import HEXACODE_GEN
 from lrc4.constructions import LOCAL_5, build
 from lrc4.mat4 import Mat4, ShapeError, assemble_blocks, hstack, kron, vstack
@@ -183,7 +190,10 @@ def test_packed_eliminator_matches_dense_rank():
     rng = random.Random(5)
     for _ in range(200):
         m = random_matrix(rng, rng.randrange(1, 9), rng.randrange(1, 9))
-        assert rank_of(pack_columns(m)) == m.rank()
+        e = Eliminator()
+        for v in pack_columns(m):
+            e.push(v)
+        assert e.rank == m.rank()
 
 
 def test_eliminator_push_pop_round_trip():
@@ -275,3 +285,86 @@ def test_reduce_by_leaves_zero_exactly_on_dependent_vectors(data):
             assert [x[0] for x in reduced] == [x[0] for x in rest]
             rest = reduced
         later = rest
+
+
+def rref_reference(a):
+    """Definition-direct RREF: for each column left to right, the first
+    nonzero row at or below the next pivot row is swapped up, scaled to 1
+    and used to clear the column in every other row."""
+    a = a.copy()
+    m, n = a.shape
+    pivots = []
+    prow = 0
+    for col in range(n):
+        if prow >= m:
+            break
+        nz = np.nonzero(a[prow:, col])[0]
+        if nz.size == 0:
+            continue
+        pick = prow + int(nz[0])
+        a[[prow, pick]] = a[[pick, prow]]
+        a[prow] = gf4.MUL_NP[gf4.inv(int(a[prow, col])), a[prow]]
+        for r in range(m):
+            if r != prow and a[r, col]:
+                a[r] ^= gf4.MUL_NP[int(a[r, col]), a[prow]]
+        pivots.append(col)
+        prow += 1
+    return a, tuple(pivots)
+
+
+def bit_planes(vector):
+    """(hi, lo): bit i holds the high / low bit of entry i."""
+    hi = sum((int(x) >> 1) << i for i, x in enumerate(vector))
+    lo = sum((int(x) & 1) << i for i, x in enumerate(vector))
+    return hi, lo
+
+
+@st.composite
+def echelon_cases(draw):
+    """Matrices up to 14 x 130 (rows cross the 64-bit word), with planted
+    dependent rows, zero columns and sparse entries."""
+    rows = draw(st.integers(0, 14), label="rows")
+    cols = draw(st.integers(0, 130), label="cols")
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1), label="seed"))
+    a = rng.integers(0, 4, (rows, cols), dtype=np.uint8)
+    a[rng.random((rows, cols)) < draw(st.sampled_from((0.0, 0.5, 0.9)))] = 0
+    for r in draw(st.lists(st.integers(0, max(rows - 1, 0)), max_size=4)):
+        if r:  # row r becomes a combination of the rows above it
+            lam = rng.integers(0, 4, r, dtype=np.uint8)
+            a[r] = np.bitwise_xor.reduce(gf4.MUL_NP[lam[:, None], a[:r]], axis=0)
+    for c in draw(st.lists(st.integers(0, max(cols - 1, 0)), max_size=6)):
+        if cols:
+            a[:, c] = 0
+    return Mat4(a, cols=cols)
+
+
+@given(echelon_cases())
+@example(Mat4.zeros(0, 0))
+@example(Mat4.zeros(0, 70))
+@example(Mat4.zeros(3, 0))
+@example(Mat4.zeros(2, 66))
+@example(Mat4([[0, 0, 2, 3]] * 2))
+def test_packed_echelon_matches_reference_rref(m):
+    ref, pivots = rref_reference(m.array)
+    rank = len(pivots)
+    rows = pack_rows(m)
+    assert rows == [bit_planes(row) for row in m.array]
+    assert pack_columns(m) == [bit_planes(col) for col in m.array.T]
+    assert np.array_equal(unpack(rows, m.cols), m.array)
+    assert echelon(rows) == list(pivots)
+    assert np.array_equal(unpack(rows, m.cols), ref)
+
+    r, piv = m.rref()
+    assert piv == pivots and r == Mat4(ref, cols=m.cols)
+    assert m.rank() == rank
+    assert m.row_basis() == Mat4(ref[:rank], cols=m.cols)
+    free = [c for c in range(m.cols) if c not in pivots]
+    kernel = np.zeros((len(free), m.cols), dtype=np.uint8)
+    for i, f in enumerate(free):
+        kernel[i, f] = 1
+        kernel[i, list(pivots)] = ref[:rank, f]
+    k = m.right_kernel()
+    assert k == Mat4(kernel, cols=m.cols)
+    assert (m @ k.transpose()).is_zero()
+    for out in (r, m.row_basis(), k):
+        assert out.array.dtype == np.uint8 and not out.array.flags.writeable

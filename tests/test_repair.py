@@ -1,12 +1,15 @@
 import random
-from itertools import combinations
+from itertools import combinations, product
 
+import numpy as np
 import pytest
 
+from lrc4 import gf4
 from lrc4.code import hexacode
-from lrc4.constructions import build
+from lrc4.constructions import acceptance_sweep, build
 from lrc4.repair import (
     ErasurePattern,
+    _solve_group,
     encode,
     erasure_tolerance_ok,
     local_repair,
@@ -167,3 +170,63 @@ def test_received_length_checked():
     bc = build("C4", l=2, r=3)
     with pytest.raises(ValueError):
         local_repair(bc, [0] * (bc.code.n + 1))
+
+
+def small_sweep_codes():
+    """Acceptance-sweep codes with k <= 6: all 4^k codewords enumerate fast."""
+    codes = (build(cid, **kw) for cid, kw in acceptance_sweep())
+    return [bc for bc in codes if bc.code.k <= 6]
+
+
+def test_local_repair_matches_exhaustive_decoding():
+    rng = random.Random(7)
+    for bc in small_sweep_codes():
+        words = bc.code.generator().span_words()
+        for _ in range(5):
+            word = words[rng.randrange(len(words))].tolist()
+            pattern = random_tolerable_pattern(bc, rng)
+            out = local_repair(bc, pattern.apply(word))
+            kept = [i for i in range(bc.code.n) if i + 1 not in pattern.erased]
+            agree = (words[:, kept] == np.array(word)[kept]).all(axis=1)
+            # the unerased symbols pin down exactly one codeword
+            assert out.ok and words[agree].tolist() == [out.codeword]
+
+
+def group_syndrome(h, row, support, word):
+    acc = 0
+    for c in support:
+        acc ^= gf4.mul(int(h[row - 1, c - 1]), word[c - 1])
+    return acc
+
+
+def test_solve_group_inconsistent_exactly_without_a_completion():
+    rng = random.Random(8)
+    verdicts = set()
+    for bc in small_sweep_codes():
+        h = bc.profile.matrix if bc.profile.matrix is not None else bc.code.parity_check()
+        words = bc.code.generator().span_words()
+        for _ in range(4):
+            grp = rng.choice(bc.profile.groups)
+            support = sorted(grp.support)
+            unknowns = sorted(rng.sample(support, rng.randrange(1, bc.delta)))
+            word = words[rng.randrange(len(words))].tolist()
+            bad = rng.choice([c for c in support if c not in unknowns])
+            word[bad - 1] ^= rng.randrange(1, 4)  # one corrupted symbol in the group
+            for c in unknowns:
+                word[c - 1] = None
+            fits = []
+            for values in product(gf4.ELEMENTS, repeat=len(unknowns)):
+                full = list(word)
+                for c, x in zip(unknowns, values):
+                    full[c - 1] = x
+                if not any(group_syndrome(h, r, support, full) for r in grp.rows):
+                    fits.append(dict(zip(unknowns, values)))
+            solved = _solve_group(h, grp.rows, grp.support, word, unknowns)
+            verdicts.add(solved if isinstance(solved, str) else "solved")
+            if not fits:
+                assert solved == "inconsistent"
+            elif len(fits) == 1:
+                assert solved == fits[0]
+            else:
+                assert solved == "underdetermined"
+    assert verdicts == {"inconsistent", "solved"}
