@@ -22,11 +22,11 @@ from .constructions import catalog
 from .lrc import group_count_range, singleton_like_bound
 from .mat4 import Mat4
 from .pg import (
-    all_lines,
     count_subspaces,
     enumerate_points,
     enumerate_subspaces,
     intersect_subspaces,
+    subspace_points,
 )
 
 MAX_ENUMERATION_N = 128
@@ -120,16 +120,17 @@ def no_weight5_in_d4_planes() -> tuple[int, int]:
     return d4, weight5
 
 
-def verify_claim1() -> EvidenceReport:
+def verify_claim1(planes: tuple[int, int] | None = None) -> EvidenceReport:
     """No optimal (2,4)-LRC with parameters [10,3,5] or [11,3,6].
 
     Pillar (i): every [5,2,4] subspace of GF(4)^5 has A_5 = 0, checked
     exhaustively, so a [5,1,5] repetition code embeds in no such dual and
     the forced two-group structure of a [10,3,5] code cannot exist.
     Pillar (ii): for [11,3,6] two size-5 supports cover at most 10 < 11
-    coordinates.
+    coordinates.  ``planes`` is the result of
+    :func:`no_weight5_in_d4_planes`, scanned here when not given.
     """
-    d4, weight5 = no_weight5_in_d4_planes()
+    d4, weight5 = no_weight5_in_d4_planes() if planes is None else planes
     l_range_10 = group_count_range(10, 3, 2, 4)
     l_range_11 = group_count_range(11, 3, 2, 4)
     facts = {
@@ -156,14 +157,15 @@ def verify_claim1() -> EvidenceReport:
     )
 
 
-def verify_claim2() -> EvidenceReport:
+def verify_claim2(planes: tuple[int, int] | None = None) -> EvidenceReport:
     """No optimal (3,4)-LRC with parameters [11,4,5].
 
     The group count is forced to l = 2 and the two size-6 supports must
     share exactly one coordinate; deleting one group then asks a [5,1,5]
     code to sit inside a [5,2,4] dual, impossible by claim 1's pillar.
+    ``planes`` is as for :func:`verify_claim1`.
     """
-    d4, weight5 = no_weight5_in_d4_planes()
+    d4, weight5 = no_weight5_in_d4_planes() if planes is None else planes
     l_range = group_count_range(11, 4, 3, 4)
     overlap = 6 + 6 - 11
     facts = {
@@ -188,7 +190,7 @@ def verify_geometric_nonexistence(samples: int = 500, seed: int = 0) -> Evidence
     (b) sampled line / 4-dim-subspace pairs in PG(4,F4) always intersect,
     as rank counting forces (dim 2 + dim 4 - dim 5 >= 1).
     """
-    lines = all_lines(3)
+    lines = [frozenset(subspace_points(b)) for b in enumerate_subspaces(3, 2)]
     pair_counts = {len(a & b) for a, b in combinations(lines, 2)}
     line_sizes = {len(line) for line in lines}
 
@@ -293,9 +295,10 @@ def verify_counting_bounds() -> EvidenceReport:
 
 
 def all_claim_reports() -> dict[str, EvidenceReport]:
+    planes = no_weight5_in_d4_planes()
     return {
-        "claim1": verify_claim1(),
-        "claim2": verify_claim2(),
+        "claim1": verify_claim1(planes),
+        "claim2": verify_claim2(planes),
         "geometric_nonexistence": verify_geometric_nonexistence(),
         "counting_bounds": verify_counting_bounds(),
     }

@@ -334,7 +334,7 @@ def _cmd_pg(args) -> int:
         i, j = args.count_containing
         print(count_subspaces_containing(args.m, i, j))
     else:
-        print(len(enumerate_points(args.m)))
+        print(count_subspaces(args.m, 1))
     return 0
 
 

@@ -68,18 +68,7 @@ def single_parity_generator(delta: int) -> Mat4:
     Its kernel is the [delta, 1, delta] repetition code, which is what
     makes it the local block for the r = 1 families.
     """
-    rows = []
-    for i in range(delta - 1):
-        row = [0] * delta
-        row[i] = 1
-        row[delta - 1] = 1
-        rows.append(row)
-    return Mat4(rows)
-
-
-def _ones_kron(l: int, block: Mat4) -> Mat4:
-    ones = Mat4([[1] * l]) if l else Mat4.zeros(1, 0)
-    return ones.kron(block)
+    return hstack([Mat4.identity(delta - 1), Mat4([[1]] * (delta - 1))])
 
 
 _VARIANT_ENTRIES = {"a": (gf4.ZERO, gf4.ZERO, gf4.ZERO), "b": (gf4.ONE, gf4.W2, gf4.W)}
@@ -99,12 +88,12 @@ def _head_then_blocks(head: Mat4, l: int, block: Mat4) -> Mat4:
     ])
 
 
-def _group_tails(vectors, width: int) -> Mat4:
-    """Global rows giving group b (width - len(vectors[b])) zero columns
-    followed by the vectors of ``vectors[b]`` as columns."""
-    dim = len(vectors[0][0])
+def _group_tails(tails, width: int) -> Mat4:
+    """Global rows giving group b (width - len(tails[b])) zero columns
+    followed by the vectors of ``tails[b]`` as columns."""
+    dim = len(tails[0][0])
     cols = []
-    for vecs in vectors:
+    for vecs in tails:
         cols += [(0,) * dim] * (width - len(vecs)) + [tuple(v) for v in vecs]
     return Mat4(cols).transpose()
 
@@ -292,15 +281,16 @@ C17G_TRIPLES = [
 ]
 
 
-def _parse_vec(text: str) -> tuple[int, ...]:
-    return tuple(gf4.from_symbol(s) for s in text.split())
+def _parse_vecs(texts) -> tuple[tuple[int, ...], ...]:
+    """Printed vectors such as ("0 0 1", "0 1 W") as tuples of GF(4) entries."""
+    return tuple(tuple(gf4.from_symbol(s) for s in text.split()) for text in texts)
 
 
 def c17g_triples(l: int) -> list[tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]]:
     """The first l (u, v, z) triples of the degree-17 table."""
     if not 4 <= l <= 17:
         raise RangeError(f"the triple table covers 4 <= l <= 17, got l={l}")
-    return [tuple(_parse_vec(t) for t in row) for row in C17G_TRIPLES[:l]]
+    return [_parse_vecs(row) for row in C17G_TRIPLES[:l]]
 
 
 # combinations a*u + b*v + c*z that must avoid every other subspace:
@@ -332,19 +322,12 @@ def verify_c17g_properties(l: int, triples=None) -> bool:
             return False
         bases.append(m.rref()[0])
     for i, (u, v, z) in enumerate(triples):
-        vecs = []
-        for a, b, c in _FORBIDDEN_COMBOS:
-            vec = tuple(
-                gf4.mul(a, ux) ^ gf4.mul(b, vx) ^ gf4.mul(c, zx)
-                for ux, vx, zx in zip(u, v, z)
-            )
-            vecs.append(vec)
+        combos = Mat4(_FORBIDDEN_COMBOS) @ Mat4([u, v, z])
         for j, basis in enumerate(bases):
             if j == i:
                 continue
-            for vec in vecs:
-                stacked = vstack([basis, Mat4([vec])])
-                if stacked.rank() == 3:
+            for t in range(combos.rows):
+                if vstack([basis, combos.take_rows([t])]).rank() == 3:
                     return False
     return True
 
@@ -635,6 +618,16 @@ def _bundle(construction, params, variant, code, profile):
     )
 
 
+def _disjoint(construction, params, local, tails):
+    """g = len(tails) disjoint copies of ``local`` over global rows in which
+    group b carries the vectors ``tails[b]`` in its last columns; no global
+    rows when every group's tail is empty."""
+    h = Mat4.identity(len(tails)).kron(local)
+    if any(tails):
+        h = vstack([h, _group_tails(tails, local.cols)])
+    return _finish_parity(construction, params, None, h, len(tails))
+
+
 # -- d = 3 -------------------------------------------------------------------
 
 
@@ -669,14 +662,8 @@ def _build_c3(l: int, variant: str) -> BuiltCode:
     return _finish_parity("C3", {"l": l}, variant, h, l)
 
 
-def _build_local_r(construction: str, blocks: dict[int, Mat4], l: int, r: int) -> BuiltCode:
-    """l disjoint copies of the local block for r."""
-    h = Mat4.identity(l).kron(blocks[r])
-    return _finish_parity(construction, {"l": l, "r": r}, None, h, l)
-
-
 def _build_c4(l: int, r: int) -> BuiltCode:
-    return _build_local_r("C4", {3: LOCAL_5, 2: LOCAL_4B, 1: LOCAL_3}, l, r)
+    return _disjoint("C4", {"l": l, "r": r}, {3: LOCAL_5, 2: LOCAL_4B, 1: LOCAL_3}[r], [()] * l)
 
 
 # -- d = 4 -------------------------------------------------------------------
@@ -700,19 +687,13 @@ def _build_c5(l: int, variant: str) -> BuiltCode:
 
 
 def _build_c6(l: int) -> BuiltCode:
-    h = vstack([
-        Mat4.identity(l).kron(LOCAL_5),
-        _ones_kron(l, Mat4.from_string("0 0 1 W w")),
-    ])
-    return _finish_parity("C6", {"l": l}, None, h, l)
+    # global row 1_l (x) (0 0 1 W w)
+    return _disjoint("C6", {"l": l}, LOCAL_5, [_parse_vecs(("1", "W", "w"))] * l)
 
 
 def _build_c7(l: int) -> BuiltCode:
-    h = vstack([
-        Mat4.identity(l).kron(LOCAL_4B),
-        _ones_kron(l, Mat4.from_string("0 0 1 W")),
-    ])
-    return _finish_parity("C7", {"l": l}, None, h, l)
+    # global row 1_l (x) (0 0 1 W)
+    return _disjoint("C7", {"l": l}, LOCAL_4B, [_parse_vecs(("1", "W"))] * l)
 
 
 def _build_c8(l: int, variant: str) -> BuiltCode:
@@ -731,10 +712,9 @@ def _build_c8(l: int, variant: str) -> BuiltCode:
 def _build_c9(l: int, variant: str) -> BuiltCode:
     # C1's matrix over the printed global block 1_{l-2} x (0 0 1 W w)
     # past the 9 head columns
-    glob = hstack([
-        Mat4.from_string("0 0 1 W 0 0 1 W w"),
-        _ones_kron(l - 2, Mat4.from_string("0 0 1 W w")),
-    ])
+    glob = hstack(
+        [Mat4.from_string("0 0 1 W 0 0 1 W w")] + [Mat4.from_string("0 0 1 W w")] * (l - 2)
+    )
     h = vstack([_build_c1_h(l, variant), glob])
     return _finish_parity("C9", {"l": l}, variant, h, l)
 
@@ -745,24 +725,20 @@ def _build_c10(l: int, variant: str) -> BuiltCode:
 
 
 def _build_c11(l: int, r: int) -> BuiltCode:
-    return _build_local_r("C11", {3: LOCAL_6, 2: LOCAL_5C, 1: LOCAL_4C}, l, r)
+    return _disjoint("C11", {"l": l, "r": r}, {3: LOCAL_6, 2: LOCAL_5C, 1: LOCAL_4C}[r], [()] * l)
 
 
 # -- d >= 5, r = 1 -----------------------------------------------------------
 
 
 def _build_c12(k: int, delta: int) -> BuiltCode:
-    h = Mat4.identity(k).kron(single_parity_generator(delta))
-    return _finish_parity("C12", {"k": k, "delta": delta}, None, h, k)
+    return _disjoint("C12", {"k": k, "delta": delta}, single_parity_generator(delta), [()] * k)
 
 
 def _build_c13(k: int, delta: int) -> BuiltCode:
-    tick = Mat4([[0] * (delta - 1) + [1]])
-    h = vstack([
-        Mat4.identity(k + 1).kron(single_parity_generator(delta)),
-        _ones_kron(k + 1, tick),
-    ])
-    return _finish_parity("C13", {"k": k, "delta": delta}, None, h, k + 1)
+    # global row 1_{k+1} (x) (0 ... 0 1)
+    return _disjoint("C13", {"k": k, "delta": delta}, single_parity_generator(delta),
+                     [((1,),)] * (k + 1))
 
 
 _C14_TAGS = [(1, 0), (0, 1), (1, 1), (1, gf4.W), (1, gf4.W2)]
@@ -773,65 +749,38 @@ _C15_TAGS = [
 
 
 def _build_c14(k: int, delta: int) -> BuiltCode:
-    groups = k + 2
-    h = vstack([
-        Mat4.identity(groups).kron(single_parity_generator(delta)),
-        _group_tails([[tag] for tag in _C14_TAGS[:groups]], delta),
-    ])
-    return _finish_parity("C14", {"k": k, "delta": delta}, None, h, groups)
+    return _disjoint("C14", {"k": k, "delta": delta}, single_parity_generator(delta),
+                     [[tag] for tag in _C14_TAGS[:k + 2]])
 
 
 def _build_c15(k: int, delta: int) -> BuiltCode:
-    groups = k + 3
-    h = vstack([
-        Mat4.identity(groups).kron(single_parity_generator(delta)),
-        _group_tails([[tag] for tag in _C15_TAGS[:groups]], delta),
-    ])
-    return _finish_parity("C15", {"k": k, "delta": delta}, None, h, groups)
+    return _disjoint("C15", {"k": k, "delta": delta}, single_parity_generator(delta),
+                     [[tag] for tag in _C15_TAGS[:k + 3]])
 
 
 # -- d >= 5, r >= 2 ----------------------------------------------------------
 
 
-def _uv_vectors(uv: list[tuple[str, str]]) -> list[tuple[tuple[int, ...], ...]]:
-    return [(_parse_vec(u), _parse_vec(v)) for u, v in uv]
-
-
 def _build_cls2_1(l: int) -> BuiltCode:
-    h = vstack([
-        Mat4.identity(l).kron(LOCAL_4B),
-        _group_tails(_uv_vectors(CLS2_1_UV[:l]), 4),
-    ])
-    return _finish_parity("CLS2_1", {"l": l}, None, h, l)
+    return _disjoint("CLS2_1", {"l": l}, LOCAL_4B, [_parse_vecs(uv) for uv in CLS2_1_UV[:l]])
 
 
 def _build_cls3_1(l: int) -> BuiltCode:
-    h = vstack([
-        Mat4.identity(l).kron(LOCAL_4B),
-        _group_tails(_uv_vectors(CLS3_1_UV), 4),
-    ])
-    return _finish_parity("CLS3_1", {"l": l}, None, h, l)
+    return _disjoint("CLS3_1", {"l": l}, LOCAL_4B, [_parse_vecs(uv) for uv in CLS3_1_UV[:l]])
 
 
 def _build_cls1_3(l: int) -> BuiltCode:
-    h = vstack([
-        Mat4.identity(l).kron(LOCAL_5),
-        _ones_kron(l, Mat4.from_string("0 0 1 0 W / 0 0 0 1 W")),
-    ])
-    return _finish_parity("CLS1_3", {"l": l}, None, h, l)
+    # global rows 1_l (x) (0 0 1 0 W / 0 0 0 1 W)
+    return _disjoint("CLS1_3", {"l": l}, LOCAL_5, [_parse_vecs(("1 0", "0 1", "W W"))] * l)
 
 
 def _build_cls1_4(l: int) -> BuiltCode:
-    h = vstack([
-        Mat4.identity(l).kron(LOCAL_6),
-        _ones_kron(l, Mat4.from_string("0 0 0 1 0 W / 0 0 0 0 1 W")),
-    ])
-    return _finish_parity("CLS1_4", {"l": l}, None, h, l)
+    # global rows 1_l (x) (0 0 0 1 0 W / 0 0 0 0 1 W)
+    return _disjoint("CLS1_4", {"l": l}, LOCAL_6, [_parse_vecs(("1 0", "0 1", "W W"))] * l)
 
 
 def _build_c17g(l: int) -> BuiltCode:
-    h = vstack([Mat4.identity(l).kron(LOCAL_6), _group_tails(c17g_triples(l), 6)])
-    return _finish_parity("C17G", {"l": l}, None, h, l)
+    return _disjoint("C17G", {"l": l}, LOCAL_6, c17g_triples(l))
 
 
 # -- printed generator matrices and their puncture chains ---------------------
@@ -991,20 +940,12 @@ def blockwise_min_distance(bc: BuiltCode) -> int:
     if len(seen) != n:
         raise ValueError("group supports must cover every coordinate")
 
-    g_rows = [h.array[i - 1] for i in profile.global_rows]
-    g = len(g_rows)
+    glob = h.take_rows([i - 1 for i in profile.global_rows])
+    g = glob.rows
     size = 1 << (2 * g)
+    # packs an F4^g syndrome as an integer, 2 bits per entry
+    place = 1 << (2 * np.arange(g, dtype=np.int64))
     INF = 10 ** 9
-
-    def syndrome_index(word_cols, word):
-        # pack the F4^g syndrome as an integer, 2 bits per entry
-        idx = 0
-        for gi, row in enumerate(g_rows):
-            acc = 0
-            for c, x in zip(word_cols, word):
-                acc ^= gf4.MUL[int(row[c])][int(x)]
-            idx |= acc << (2 * gi)
-        return idx
 
     dp_any = np.full(size, INF, dtype=np.int64)  # min weight, zero splice allowed
     dp_pos = np.full(size, INF, dtype=np.int64)  # min weight with some nonzero block
@@ -1013,11 +954,13 @@ def blockwise_min_distance(bc: BuiltCode) -> int:
     for grp in profile.groups:
         cols0 = sorted(c - 1 for c in grp.support)
         local = Mat4(h.array[[i - 1 for i in grp.rows], :][:, cols0])
+        words = local.right_kernel().span_words()
+        syndromes = (Mat4(words) @ glob.take_columns(cols0).transpose()).array
         new_any = np.full(size, INF, dtype=np.int64)
         new_pos = np.full(size, INF, dtype=np.int64)
-        for word in local.right_kernel().span_words():
-            wt = int(np.count_nonzero(word))
-            shift = indices ^ syndrome_index(cols0, word)
+        for wt, idx in zip(np.count_nonzero(words, axis=1).tolist(),
+                           (syndromes.astype(np.int64) @ place).tolist()):
+            shift = indices ^ idx
             np.minimum(new_any, dp_any[shift] + wt, out=new_any)
             np.minimum(new_pos, dp_pos[shift] + wt, out=new_pos)
             if wt:

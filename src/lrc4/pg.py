@@ -65,33 +65,6 @@ def enumerate_points(m: int) -> list[PgPoint]:
     return pts
 
 
-def _add_scaled(p: tuple[int, ...], q: tuple[int, ...], lam: int) -> tuple[int, ...]:
-    return tuple(a ^ gf4.mul(lam, b) for a, b in zip(p, q))
-
-
-def line_points(p: PgPoint, q: PgPoint) -> list[PgPoint]:
-    """The 5 points {p, q, p+q, p+wq, p+w2q} of the line through p and q."""
-    if p.m != q.m:
-        raise ValueError("points live in different spaces")
-    if p == q:
-        raise ValueError(f"degenerate line: {p} = {q}")
-    pts = {p, q}
-    for lam in gf4.NONZERO:
-        pts.add(normalize(_add_scaled(p.coords, q.coords, lam)))
-    assert len(pts) == 5
-    return sorted(pts)
-
-
-def all_lines(m: int) -> list[frozenset[PgPoint]]:
-    """Every line of PG(m-1, GF(4)) as a 5-point set."""
-    pts = enumerate_points(m)
-    seen: set[frozenset[PgPoint]] = set()
-    for p, q in combinations(pts, 2):
-        line = frozenset(line_points(p, q))
-        seen.add(line)
-    return sorted(seen, key=sorted)
-
-
 def span_dim(points: Iterable[PgPoint]) -> int:
     """Vector-space dimension of the span of the points' coordinate vectors."""
     rows = [p.coords for p in points]

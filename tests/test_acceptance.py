@@ -30,7 +30,7 @@ from lrc4.constructions import (
 )
 from lrc4.lrc import singleton_like_bound, verify_locality
 from lrc4.mat4 import Mat4, hstack
-from lrc4.pg import all_lines, enumerate_points
+from lrc4.pg import enumerate_points, enumerate_subspaces, subspace_points
 from lrc4.repair import ErasurePattern, encode, erasure_tolerance_ok, local_repair
 
 
@@ -126,7 +126,7 @@ def test_criterion_4_claim_machine_check():
 def test_criterion_5_geometry():
     """PG(2,F4) incidence, exhaustively, plus the three counting bounds."""
     points = enumerate_points(3)
-    lines = all_lines(3)
+    lines = [frozenset(subspace_points(b)) for b in enumerate_subspaces(3, 2)]
     pair_sizes = {len(a & b) for a, b in combinations(lines, 2)}
     geo = verify_geometric_nonexistence()
     bounds = verify_counting_bounds()

@@ -1,4 +1,5 @@
 from lrc4.classify import (
+    all_claim_reports,
     enumerate_optimal_params,
     no_weight5_in_d4_planes,
     verify_claim1,
@@ -120,6 +121,17 @@ def test_claim2():
     assert rep.passed
     assert rep.facts["l_range_[11,4,5]"] == (2, 2)
     assert rep.facts["support_overlap"] == 1
+
+
+def test_all_claim_reports_match_the_standalone_claims():
+    # all_claim_reports scans the planes once and hands the result to both
+    # claims; each claim called alone scans for itself
+    assert all_claim_reports() == {
+        "claim1": verify_claim1(),
+        "claim2": verify_claim2(),
+        "geometric_nonexistence": verify_geometric_nonexistence(),
+        "counting_bounds": verify_counting_bounds(),
+    }
 
 
 def test_geometric_nonexistence():

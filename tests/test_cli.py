@@ -231,6 +231,18 @@ def test_pg_subcommand(capsys):
     assert code == 0 and len(out.splitlines()) == 5
 
 
+def test_pg_point_count_needs_no_enumeration(capsys, monkeypatch):
+    def refuse(m):
+        raise AssertionError("pg --m M must not walk the 4^M vectors")
+
+    monkeypatch.setattr("lrc4.cli.enumerate_points", refuse)
+    code, out, _ = run(capsys, "pg", "--m", "20")
+    assert code == 0 and out.strip() == "366503875925"
+    for m in ("0", "-1"):
+        code, out, _ = run(capsys, "pg", "--m", m)
+        assert code == 2 and out == ""
+
+
 def test_usage_error_exits_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["build"])

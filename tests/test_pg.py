@@ -7,13 +7,11 @@ from lrc4.constructions import c17g_triples
 from lrc4.mat4 import Mat4
 from lrc4.pg import (
     PgPoint,
-    all_lines,
     count_subspaces,
     count_subspaces_containing,
     enumerate_points,
     enumerate_subspaces,
     intersect_subspaces,
-    line_points,
     normalize,
     point_in_subspace,
     span_dim,
@@ -47,22 +45,22 @@ def test_normalize():
         PgPoint((gf4.W, 0, 0))  # not normalized
 
 
+def lines_of_the_plane() -> list[frozenset[PgPoint]]:
+    """The lines of PG(2,F4): point sets of the 2-dim subspaces of GF(4)^3."""
+    return [frozenset(subspace_points(b)) for b in enumerate_subspaces(3, 2)]
+
+
 def test_line_points_coordinate_line():
-    p = PgPoint((1, 0, 0))
-    q = PgPoint((0, 1, 0))
-    pts = line_points(p, q)
-    assert len(pts) == 5
-    assert set(pts) == {
+    pts = subspace_points(Mat4([(1, 0, 0), (0, 1, 0)]))
+    assert pts == {
         PgPoint((1, 0, 0)), PgPoint((0, 1, 0)), PgPoint((1, 1, 0)),
         PgPoint((1, gf4.W, 0)), PgPoint((1, gf4.W2, 0)),
     }
-    with pytest.raises(ValueError):
-        line_points(p, p)
 
 
 def test_every_line_pair_meets_once():
-    lines = all_lines(3)
-    assert len(lines) == 21
+    lines = lines_of_the_plane()
+    assert len(set(lines)) == 21
     assert all(len(line) == 5 for line in lines)
     for a, b in combinations(lines, 2):
         assert len(a & b) == 1
@@ -71,7 +69,7 @@ def test_every_line_pair_meets_once():
 def test_pencil_through_a_point_covers_the_plane():
     pts = enumerate_points(3)
     a = pts[0]
-    through = [line for line in all_lines(3) if a in line]
+    through = [line for line in lines_of_the_plane() if a in line]
     assert len(through) == 5
     covered = set()
     for line in through:
