@@ -31,7 +31,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from math import comb, inf
-from typing import Iterable
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -64,6 +64,20 @@ def scan_budget() -> int:
         except ValueError:
             raise ValueError(f"LRC4_MAX_SCAN must be an integer, got {raw!r}") from None
     return DEFAULT_SCAN_BUDGET
+
+
+def span_chunks(basis: Mat4) -> Iterator[np.ndarray]:
+    """Every combination of the rows of ``basis``, in tables of at most
+    4^10 rows; the first table starts with the zero word."""
+    if basis.rows <= _ENUM_CHUNK_K:  # one table, without re-wrapping the rows
+        yield basis.span_words()
+        return
+    g = basis.array
+    lo = basis.rows - _ENUM_CHUNK_K
+    table = Mat4(g[lo:]).span_words()
+    yield table  # high word 0 is zero: the low table itself, no copy
+    for base in Mat4(g[:lo]).span_words()[1:]:
+        yield table ^ base
 
 
 @dataclass(frozen=True)
@@ -158,12 +172,7 @@ class LinearCode:
         """Yield all 4^k codewords as uint8 arrays of at most 4^10 rows."""
         if self.k > _MAX_ENUM_K:
             raise ResourceError(f"4^{self.k} codewords exceed the enumeration guard (k <= {_MAX_ENUM_K})")
-        g = self.generator().array
-        lo = max(0, self.k - _ENUM_CHUNK_K)
-        table = Mat4(g[lo:]).span_words()
-        yield table  # high word 0 is zero: the low table itself, no copy
-        for base in Mat4(g[:lo]).span_words()[1:]:
-            yield table ^ base
+        return span_chunks(self.generator())
 
     def codewords(self) -> np.ndarray:
         """All codewords as one array (k <= 10)."""

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 from itertools import count
 from typing import Callable, Iterator
 
-from . import gf4
+from . import gf4, lrc
 from .code import HEXACODE_GEN, CodeParams, LinearCode
 from .errors import CatalogError, RangeError, StructureError
 from .lrc import (
@@ -916,60 +916,9 @@ def build(
 
 
 def blockwise_min_distance(bc: BuiltCode) -> int:
-    """Exact minimum distance via the local/global block structure.
-
-    For disjoint-support profiles, a codeword is a splice of local-kernel
-    words, one per group, whose global-row syndromes cancel.  Dynamic
-    programming over the 4^g global syndromes (g = number of global rows)
-    finds the minimum positive splice weight exactly, far beyond the
-    generic enumeration and column-scan guards: the full 17-group code
-    ([102,46]) takes about a million table operations.
-
-    Requires pairwise disjoint group supports covering every coordinate.
-    """
-    import numpy as np
-
-    profile = bc.profile
-    h = profile.matrix if profile.matrix is not None else bc.code.parity_check()
-    n = bc.code.n
-    seen: set[int] = set()
-    for grp in profile.groups:
-        if seen & grp.support:
-            raise ValueError("blockwise distance needs disjoint group supports")
-        seen |= grp.support
-    if len(seen) != n:
-        raise ValueError("group supports must cover every coordinate")
-
-    glob = h.take_rows([i - 1 for i in profile.global_rows])
-    g = glob.rows
-    size = 1 << (2 * g)
-    # packs an F4^g syndrome as an integer, 2 bits per entry
-    place = 1 << (2 * np.arange(g, dtype=np.int64))
-    INF = 10 ** 9
-
-    dp_any = np.full(size, INF, dtype=np.int64)  # min weight, zero splice allowed
-    dp_pos = np.full(size, INF, dtype=np.int64)  # min weight with some nonzero block
-    dp_any[0] = 0
-    indices = np.arange(size)
-    for grp in profile.groups:
-        cols0 = sorted(c - 1 for c in grp.support)
-        local = Mat4(h.array[[i - 1 for i in grp.rows], :][:, cols0])
-        words = local.right_kernel().span_words()
-        syndromes = (Mat4(words) @ glob.take_columns(cols0).transpose()).array
-        new_any = np.full(size, INF, dtype=np.int64)
-        new_pos = np.full(size, INF, dtype=np.int64)
-        for wt, idx in zip(np.count_nonzero(words, axis=1).tolist(),
-                           (syndromes.astype(np.int64) @ place).tolist()):
-            shift = indices ^ idx
-            np.minimum(new_any, dp_any[shift] + wt, out=new_any)
-            np.minimum(new_pos, dp_pos[shift] + wt, out=new_pos)
-            if wt:
-                np.minimum(new_pos, dp_any[shift] + wt, out=new_pos)
-        dp_any, dp_pos = new_any, new_pos
-    d = int(dp_pos[0])
-    if d >= INF:
-        raise ValueError("no nonzero splice cancels the global syndrome")
-    return d
+    """Exact d of a built disjoint-group code: :func:`lrc.blockwise_min_distance`
+    on its profile.  Raises ValueError on overlapping groups."""
+    return lrc.blockwise_min_distance(bc.profile.matrix, bc.profile)
 
 
 def acceptance_sweep() -> list[tuple[str, dict]]:

@@ -128,7 +128,7 @@ def enumerate_subspaces(m: int, i: int) -> Iterator[Mat4]:
 
 def subspace_points(basis: Mat4) -> set[PgPoint]:
     """The projective points contained in the row space of ``basis``."""
-    return {normalize(vec) for vec in basis.span_words()[1:]}
+    return {normalize(vec) for vec in basis.row_basis().span_words()[1:]}
 
 
 def point_in_subspace(p: PgPoint, basis: Mat4) -> bool:

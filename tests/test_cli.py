@@ -141,7 +141,7 @@ def test_verify_generator_restructuring_matches_built_profile(tmp_path, capsys):
     assert checked == 33
 
 
-def test_verify_full_lifts_every_search_guard(tmp_path, capsys):
+def test_verify_full_lifts_every_search_guard(tmp_path, capsys, monkeypatch):
     # C1 l = 8 is [39,23,3], past the n <= 30 locality-search guard
     for kind in ("generator", "parity"):
         path = tmp_path / f"{kind}.txt"
@@ -151,10 +151,24 @@ def test_verify_full_lifts_every_search_guard(tmp_path, capsys):
         assert "r_optimal=True" in out
         assert "skipped" not in out
     # without --full a layout file falls back to its own groups, and a
-    # generator file has none to fall back to
+    # generator file has none to fall back to; the exact d = 3 is above
+    # the (r-1, delta) bound, which proves r-optimality without a search
     code, out, _ = run(capsys, "verify", "--parity", str(tmp_path / "parity.txt"))
     assert code == 0
+    assert "[39,23,3]" in out and "r_optimal=True" in out
+    assert "skipped" not in out
+    assert "note: locality not re-verified by search" in out
+    # variant b's groups overlap, so its router settles d; with d unsettled
+    # (a scan budget below C(39,3), k > 14) the bound cannot fire and
+    # r-optimality needs the guarded search
+    path = tmp_path / "parity_b.txt"
+    run(capsys, "build", "--family", "C1", "--l", "8", "--variant", "b", "--as", "parity",
+        "--out", str(path))
+    monkeypatch.setenv("LRC4_MAX_SCAN", "1000")
+    code, out, _ = run(capsys, "verify", "--parity", str(path))
+    assert code == 0
     assert "r_optimal=None" in out
+    assert "note: min distance not settled" in out
     assert out.count("note: r-optimality skipped") == 1
     assert "note: locality not re-verified by search" in out
     code, _, err = run(capsys, "verify", "--generator", str(tmp_path / "generator.txt"))

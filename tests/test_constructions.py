@@ -458,14 +458,28 @@ def test_blockwise_distance_rejects_overlapping_groups():
         blockwise_min_distance(bc)
 
 
-def test_desk_scale_guard_degrades_gracefully():
-    # l = 17: n = 102, k = 46; the distance scan and the r-optimality
-    # search are both beyond the guards, so the report marks them
-    # indeterminate with notes while the structural checks still run
+def test_desk_scale_distance_settled_by_blockwise_route():
+    # l = 17: n = 102, k = 46, past the scan budget and the locality-search
+    # guard; the disjoint groups give the exact d by the blockwise DP, and
+    # d above the (r-1, delta) bound proves r-optimality without a search
     bc = build("C17G", l=17)
     assert (bc.code.n, bc.code.k) == (102, 46)
-    # a tight scan budget stands in for the default 10^8 so the test is quick
     report = bc.verify(scan_budget=10 ** 5)
+    assert report.d == 12 and report.d_optimal is True
+    assert report.r_optimal is True
+    assert all(c.passed is True for c in report.checks.values())
+    assert report.notes == []
+
+
+def test_desk_scale_guard_degrades_gracefully():
+    # C5 l = 8 variant b is [47,23,4] with overlapping groups, so the
+    # router settles d; past its budget (k > 14) and the locality-search
+    # guard the report marks d and r-optimality indeterminate with notes
+    # while the structural checks still run
+    bc = build("C5", l=8, variant="b")
+    assert (bc.code.n, bc.code.k) == (47, 23)
+    # a tight scan budget stands in for the default 10^8 so the test is quick
+    report = bc.verify(scan_budget=10 ** 4)
     assert report.d is None and report.d_optimal is None
     assert report.r_optimal is None
     assert report.checks["h_prime_mds"].passed is True
@@ -473,7 +487,8 @@ def test_desk_scale_guard_degrades_gracefully():
     assert report.checks["punctured_mds"].passed is True
     assert report.checks["disjointness"].passed is True
     assert report.checks["distance_cap"].passed is None  # needs d
-    assert len(report.notes) >= 2
+    assert any(note.startswith("min distance not settled") for note in report.notes)
+    assert any(note.startswith("r-optimality skipped") for note in report.notes)
     assert report.all_passed  # nothing failed; several verdicts deferred
 
 

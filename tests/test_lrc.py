@@ -9,9 +9,13 @@ from hypothesis import assume, given, strategies as st
 from lrc4 import gf4
 from lrc4.code import LinearCode, hexacode
 from lrc4.constructions import build
-from lrc4.errors import ResourceError, StructureError
+from lrc4 import lrc
+from lrc4.errors import ResourceError, StructureError, UndefinedDistanceError
 from lrc4.lrc import (
+    LocalGroup,
     LocalityFailure,
+    LocalityProfile,
+    blockwise_min_distance,
     check_structure,
     extract_profile,
     group_count_range,
@@ -375,3 +379,82 @@ def test_partitioned_profiles_everywhere_else():
     for cid, d in [("C17", 10), ("C17", 12), ("C17", 13), ("C17", 16),
                    ("C19", 8), ("C19", 10), ("C19", 12)]:
         assert build(cid, d=d).profile.partitioned, (cid, d)
+
+
+@st.composite
+def disjoint_block_codes(draw):
+    """A parity check [blockdiag(local rows) ; global rows] over randomly
+    permuted columns, with its profile; rows may be zero or dependent."""
+    sizes = draw(st.lists(st.integers(1, 4), min_size=1, max_size=3))
+    n = sum(sizes)
+    perm = draw(st.permutations(range(n)))
+    entries = st.integers(0, 3)
+    rows, groups, at = [], [], 0
+    for size in sizes:
+        cols = perm[at:at + size]
+        at += size
+        first = len(rows) + 1
+        for _ in range(draw(st.integers(1, size))):
+            row = [0] * n
+            for c in cols:
+                row[c] = draw(entries)
+            rows.append(row)
+        groups.append(LocalGroup(rows=tuple(range(first, len(rows) + 1)),
+                                 support=frozenset(c + 1 for c in cols)))
+    first = len(rows) + 1
+    rows += draw(st.lists(st.lists(entries, min_size=n, max_size=n), max_size=3))
+    h = Mat4(rows)
+    profile = LocalityProfile(r=1, delta=2, groups=tuple(groups),
+                              global_rows=tuple(range(first, len(rows) + 1)), matrix=h)
+    return h, profile
+
+
+@given(disjoint_block_codes())
+def test_blockwise_distance_matches_enumeration(case):
+    h, profile = case
+    kernel = h.right_kernel()
+    assume(kernel.rows <= 8)
+    if kernel.rows == 0:
+        with pytest.raises(UndefinedDistanceError):
+            blockwise_min_distance(h, profile)
+        return
+    words = kernel.span_words()[1:]
+    assert blockwise_min_distance(h, profile) == int(np.count_nonzero(words, axis=1).min())
+
+
+def _leaky(bc):
+    """The profile of ``bc`` over a matrix whose first local row has a
+    global row added: the same code, but that row leaks outside its group."""
+    h = bc.profile.matrix.array.copy()
+    h[0] ^= h[bc.profile.global_rows[0] - 1]
+    leaky = Mat4(h)
+    assert not {c + 1 for c in leaky.column_support([0])} <= bc.profile.groups[0].support
+    return LocalityProfile(r=bc.r, delta=bc.delta, groups=bc.profile.groups,
+                           global_rows=bc.profile.global_rows, matrix=leaky)
+
+
+def test_leaky_local_row_takes_the_router(monkeypatch):
+    bc = build("C6", l=3)  # disjoint groups, [15,8,4]
+    profile = _leaky(bc)
+    with pytest.raises(ValueError, match="outside"):
+        blockwise_min_distance(profile.matrix, profile)
+
+    def refuse(*args):
+        raise AssertionError("the blockwise DP ran on an unfit profile")
+
+    monkeypatch.setattr(lrc, "_blockwise_dp", refuse)
+    report = check_structure(bc.code, profile)
+    assert report.d == bc.code.min_distance() == 4
+
+
+def test_blockwise_route_needs_a_partition_and_the_work_budget(monkeypatch):
+    bc = build("C6", l=3)
+    h = bc.profile.matrix
+    assert lrc._blockwise_route(h, bc.profile) is not None
+    unpartitioned = LocalityProfile(r=bc.r, delta=bc.delta, groups=bc.profile.groups,
+                                    global_rows=bc.profile.global_rows, matrix=h,
+                                    partitioned=False)
+    assert lrc._blockwise_route(h, unpartitioned) is None
+    monkeypatch.setattr(lrc, "BLOCKWISE_MAX_WORK", 0)
+    assert lrc._blockwise_route(h, bc.profile) is None
+    assert bc.verify().d == 4  # by the router

@@ -1,6 +1,7 @@
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
+from hypothesis import given, strategies as st
 
 from lrc4 import gf4
 from lrc4.constructions import c17g_triples
@@ -123,6 +124,26 @@ def test_subspace_points_and_membership():
     assert len(pts) == 5
     assert all(point_in_subspace(p, basis) for p in pts)
     assert not point_in_subspace(PgPoint((0, 0, 1)), basis)
+
+
+def test_subspace_points_of_dependent_rows():
+    assert subspace_points(Mat4([(1, 0, 0), (gf4.W, 0, 0)])) == {PgPoint((1, 0, 0))}
+
+
+@given(st.integers(1, 4).flatmap(lambda m: st.tuples(st.just(m), st.lists(
+    st.lists(st.integers(0, 3), min_size=m, max_size=m), max_size=4))))
+def test_subspace_points_match_the_definition(case):
+    # rows may be zero or dependent; a point lies in the row space when
+    # some scalar combination of the rows equals it
+    m, rows = case
+    spanned = set()
+    for coeffs in product(gf4.ELEMENTS, repeat=len(rows)):
+        v = [0] * m
+        for a, row in zip(coeffs, rows):
+            v = [gf4.add(x, gf4.mul(a, y)) for x, y in zip(v, row)]
+        if any(v):
+            spanned.add(normalize(v))
+    assert subspace_points(Mat4(rows) if rows else Mat4.zeros(0, m)) == spanned
 
 
 def test_intersect_subspaces():
