@@ -16,9 +16,10 @@ Coordinates, group rows and supports are 1-based everywhere, matching
 the classification's [n] = {1..n} convention.
 
 Exit codes: 0 success, 1 verification/repair failure, 2 usage or format
-errors.  The environment variable ``LRC4_MAX_SCAN`` overrides the
-10^8-subset budget of the minimum-distance column scan; a scan over
-budget falls back to codeword enumeration when k <= 14.
+errors.  The minimum-distance column scan is budgeted at 10^8 subset
+checks; a scan over budget falls back to codeword enumeration when
+k <= 14.  ``verify --full`` lifts that budget together with the n <= 30
+guard of the locality search.
 """
 
 from __future__ import annotations
@@ -173,8 +174,7 @@ def _build_from_args(args):
 
 def _cmd_build(args) -> int:
     bc = _build_from_args(args)
-    native = "generator" if bc.construction in ("C16", "C17", "C18", "C19") else "parity"
-    kind = args.as_ or native
+    kind = args.as_ or ("generator" if bc.family.generator else "parity")
     if kind == "parity":
         m = bc.code.parity_check()
         comments = _built_comments(bc, "parity-check")

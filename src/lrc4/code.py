@@ -16,9 +16,9 @@ Minimum distance is computed by two exact routes, chosen by cost:
 
 The scan runs level by level while the next level is estimated cheaper
 than enumerating every codeword, then hands over to enumeration.  The
-scan is budgeted (default 10^8 subset checks, override with the
-``LRC4_MAX_SCAN`` environment variable).  A level that would exceed the
-budget also hands over to enumeration when k <= 14; past that guard it
+scan is budgeted (``DEFAULT_SCAN_BUDGET`` = 10^8 subset checks unless a
+caller passes its own budget).  A level that would exceed the budget
+also hands over to enumeration when k <= 14; past that guard it
 raises :class:`~lrc4.errors.ScanBudgetExceeded` carrying the proven lower
 bound instead of silently degrading.
 
@@ -28,7 +28,6 @@ the literature); internal numpy indexing is 0-based.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from math import comb, inf
 from typing import Iterable, Iterator
@@ -53,17 +52,6 @@ _MAX_ENUM_K = 14
 # one enumerated codeword (about 47 ns per word at n = 30).
 _PUSH_S = 1e-6
 _ENUM_SYMBOL_S = 1.6e-9
-
-
-def scan_budget() -> int:
-    """Active column-scan budget (LRC4_MAX_SCAN overrides the default)."""
-    raw = os.environ.get("LRC4_MAX_SCAN")
-    if raw:
-        try:
-            return int(raw)
-        except ValueError:
-            raise ValueError(f"LRC4_MAX_SCAN must be an integer, got {raw!r}") from None
-    return DEFAULT_SCAN_BUDGET
 
 
 def span_chunks(basis: Mat4) -> Iterator[np.ndarray]:
@@ -123,14 +111,6 @@ class LinearCode:
         self.n = n
         self.k = gen.rows if gen is not None else n - pchk.rows
         self._complete: LinearCode | None = None
-
-    @classmethod
-    def from_generator(cls, m: Mat4) -> "LinearCode":
-        return cls(gen=m)
-
-    @classmethod
-    def from_parity_check(cls, m: Mat4) -> "LinearCode":
-        return cls(pchk=m)
 
     def complete(self) -> "LinearCode":
         """Return an equivalent code with both matrices present.
@@ -213,7 +193,7 @@ class LinearCode:
         before a level t estimated at ``enum_s`` seconds or more or, when
         ``enum_s`` is finite, that would exceed the budget."""
         if budget is None:
-            budget = scan_budget()
+            budget = DEFAULT_SCAN_BUDGET
         h = cols = None  # built at the first scanned level
         spent = 0
         for t in range(1, self.n - self.k + 2):

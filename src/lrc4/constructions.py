@@ -8,9 +8,11 @@ generator matrix for the projective-geometry codes) with block structure
     [ local group l ]
     [ global rows   ]
 
-instantiated at the requested parameters.  Builders return a
-:class:`BuiltCode` bundling the code, its expected [n,k,d], the locality
-pair, the group layout, and the family record.
+instantiated at the requested parameters.  Builders return only that
+matrix; :func:`build` finishes every family in one place from its
+catalogue entry into a :class:`BuiltCode` bundling the code, its
+expected [n,k,d], the locality pair, the group layout, and the family
+record.
 
 Family records (:class:`FamilySpec`) cover the whole classification:
 constructed families, the two parameter ranges that remain open, and the
@@ -22,6 +24,7 @@ from __future__ import annotations
 import numbers
 from dataclasses import dataclass, field
 from itertools import count
+from math import ceil
 from typing import Callable, Iterator
 
 from . import gf4, lrc
@@ -347,11 +350,15 @@ class FamilySpec:
     valid_range: str
     note: str = ""
     variants: tuple[str, ...] = ()
-    #: defining parameters -> (n, k, d, r, delta); builders are checked against it
+    #: the builder returns the printed generator matrix, not a parity check
+    generator: bool = False
+    #: defining parameters -> (n, k, d, r, delta); build() finishes every code from it
     _shape: Callable[..., tuple[int, int, int, int, int]] | None = field(default=None, repr=False)
     #: defining parameter -> (lo, hi), hi None for unbounded; build() accepts
     #: exactly these parameters within these ranges
     _ranges: dict[str, tuple[int, int | None]] | None = field(default=None, repr=False)
+    #: defining parameter -> value build() uses when it is not given
+    _defaults: dict[str, int] = field(default_factory=dict, repr=False)
     #: defining parameters -> instance status, where it varies within the family
     _instance_status: Callable[..., str] | None = field(default=None, repr=False)
 
@@ -394,7 +401,7 @@ class FamilySpec:
 
 
 def _mk(fid, status, construction, formulas, valid_range, note="", variants=(),
-        shape=None, ranges=None, instance_status=None):
+        generator=False, shape=None, ranges=None, defaults=None, instance_status=None):
     return FamilySpec(
         id=fid,
         status=status,
@@ -403,8 +410,10 @@ def _mk(fid, status, construction, formulas, valid_range, note="", variants=(),
         valid_range=valid_range,
         note=note,
         variants=variants,
+        generator=generator,
         _shape=shape,
         _ranges=ranges,
+        _defaults=defaults or {},
         _instance_status=instance_status,
     )
 
@@ -424,7 +433,8 @@ _FAMILIES: list[FamilySpec] = [
         shape=lambda l: (5 * l - 2, 3 * l - 2, 3, 3, 3), ranges={"l": (2, None)}),
     _mk("4", "constructed", "C4",
         {"n": "l(r+2)", "k": "rl", "d": "3", "r": "1..3", "delta": "3"}, "l >= 2, 1 <= r <= 3",
-        shape=lambda l, r: (l * (r + 2), r * l, 3, r, 3), ranges={"l": (2, None), "r": (1, 3)}),
+        shape=lambda l, r: (l * (r + 2), r * l, 3, r, 3), ranges={"l": (2, None), "r": (1, 3)},
+        defaults={"r": 3}),
     _mk("5", "constructed", "C5",
         {"n": "6l-1", "k": "3l-1", "d": "4", "r": "3", "delta": "4"}, "l >= 2",
         variants=("a", "b"),
@@ -449,7 +459,8 @@ _FAMILIES: list[FamilySpec] = [
         shape=lambda l: (6 * l - 2, 3 * l - 2, 4, 3, 4), ranges={"l": (2, None)}),
     _mk("11", "constructed", "C11",
         {"n": "l(r+3)", "k": "rl", "d": "4", "r": "1..3", "delta": "4"}, "l >= 2, 1 <= r <= 3",
-        shape=lambda l, r: (l * (r + 3), r * l, 4, r, 4), ranges={"l": (2, None), "r": (1, 3)}),
+        shape=lambda l, r: (l * (r + 3), r * l, 4, r, 4), ranges={"l": (2, None), "r": (1, 3)},
+        defaults={"r": 3}),
     _mk("12", "constructed", "C12",
         {"n": "k*delta", "k": "k", "d": "delta", "r": "1", "delta": ">= 5"}, "k >= 2, delta >= 5",
         shape=lambda k, delta: (k * delta, k, delta, 1, delta),
@@ -468,21 +479,24 @@ _FAMILIES: list[FamilySpec] = [
         ranges={"k": (2, 3), "delta": (3, None)}),
     _mk("16", "constructed", "C16",
         {"n": "d+4", "k": "3", "d": "5..12", "r": "2", "delta": "3"}, "5 <= d <= 12",
-        shape=lambda d: (d + 4, 3, d, 2, 3), ranges={"d": (5, 12)}),
+        generator=True, shape=lambda d: (d + 4, 3, d, 2, 3), ranges={"d": (5, 12)},
+        defaults={"d": 12}),
     _mk("l-s=2_1", "constructed", "CLS2_1",
         {"n": "4l", "k": "2l-3", "d": "8", "r": "2", "delta": "3"}, "l in {4, 5}",
         note="printed dimension k=3 is inconsistent; k is derived as n - rank(H)",
-        shape=lambda l: (4 * l, 2 * l - 3, 8, 2, 3), ranges={"l": (4, 5)}),
+        shape=lambda l: (4 * l, 2 * l - 3, 8, 2, 3), ranges={"l": (4, 5)}, defaults={"l": 5}),
     _mk("l-s=3_1", "constructed", "CLS3_1",
         {"n": "20", "k": "5", "d": "12", "r": "2", "delta": "3"}, "l = 5",
         note="printed dimension k=3 is inconsistent; k is derived as n - rank(H)",
-        shape=lambda l: (4 * l, 2 * l - 5, 12, 2, 3), ranges={"l": (5, 5)}),
+        shape=lambda l: (4 * l, 2 * l - 5, 12, 2, 3), ranges={"l": (5, 5)}, defaults={"l": 5}),
     _mk("17", "constructed", "C17",
         {"n": "d+5", "k": "3", "d": "7..16", "r": "2", "delta": "4"}, "7 <= d <= 16",
-        shape=lambda d: (d + 5, 3, d, 2, 4), ranges={"d": (7, 16)}),
+        generator=True, shape=lambda d: (d + 5, 3, d, 2, 4), ranges={"d": (7, 16)},
+        defaults={"d": 16}),
     _mk("18", "constructed", "C18",
         {"n": "d+5", "k": "4", "d": "5..12", "r": "3", "delta": "3"}, "5 <= d <= 12",
-        shape=lambda d: (d + 5, 4, d, 3, 3), ranges={"d": (5, 12)}),
+        generator=True, shape=lambda d: (d + 5, 4, d, 3, 3), ranges={"d": (5, 12)},
+        defaults={"d": 12}),
     _mk("l-s=1_3", "constructed", "CLS1_3",
         {"n": "5l", "k": "3l-2", "d": "5", "r": "3", "delta": "3"}, "l >= 3",
         shape=lambda l: (5 * l, 3 * l - 2, 5, 3, 3), ranges={"l": (3, None)}),
@@ -494,7 +508,8 @@ _FAMILIES: list[FamilySpec] = [
     _mk("19", "constructed", "C19",
         {"n": "d+6", "k": "4", "d": "6..12", "r": "3", "delta": "4"}, "6 <= d <= 12",
         note="d >= 13 is impossible: no quaternary [6+d, 4, d] code exists",
-        shape=lambda d: (d + 6, 4, d, 3, 4), ranges={"d": (6, 12)}),
+        generator=True, shape=lambda d: (d + 6, 4, d, 3, 4), ranges={"d": (6, 12)},
+        defaults={"d": 12}),
     _mk("l-s=1_4", "constructed", "CLS1_4",
         {"n": "6l", "k": "3l-2", "d": "6", "r": "3", "delta": "4"}, "l >= 3",
         shape=lambda l: (6 * l, 3 * l - 2, 6, 3, 4), ranges={"l": (3, None)}),
@@ -568,70 +583,27 @@ class BuiltCode:
     profile: LocalityProfile
     layout: list[tuple[int, int]]
 
-    def verify(self, *, scan_budget: int | None = None) -> OptimalityReport:
-        report = check_structure(self.code, self.profile, scan_budget=scan_budget)
+    def verify(self) -> OptimalityReport:
+        report = check_structure(self.code, self.profile)
         report.family = self.family.id
         report.status = self.family.status
         return report
 
 
-def _shape(construction, params) -> tuple[int, int, int, int, int]:
-    """(n, k, d, r, delta) of the construction's catalogue entry at params."""
-    return _FAMILY_BY_CONSTRUCTION[construction]._shape(**params)
-
-
-def _finish_parity(construction, params, variant, h, groups):
-    """Bundle a parity check whose first ``groups`` blocks of delta - 1
-    rows are the local groups and whose remaining rows are global."""
-    _, _, _, r, delta = _shape(construction, params)
-    rows = delta - 1
-    layout = [(1 + i * rows, (i + 1) * rows) for i in range(groups)]
-    code = LinearCode.from_parity_check(h).complete()
-    profile = extract_profile(h, layout, r=r, delta=delta)
-    return _bundle(construction, params, variant, code, profile)
-
-
-def _finish_generator(construction, params, g):
-    _, _, _, r, delta = _shape(construction, params)
-    # restructure raises StructureError when some coordinate has no
-    # qualifying support, so this also certifies the locality
-    code = LinearCode.from_generator(g)
-    return _bundle(construction, params, None, *restructure(code, verify_locality(code, r, delta)))
-
-
-def _bundle(construction, params, variant, code, profile):
-    """Check the built code against the catalogue's [n, k] and bundle it."""
-    n, k, d, r, delta = _shape(construction, params)
-    if (code.n, code.k) != (n, k):
-        raise StructureError(f"{construction}: built [{code.n},{code.k}], expected [{n},{k}]")
-    return BuiltCode(
-        construction=construction,
-        family=_FAMILY_BY_CONSTRUCTION[construction],
-        params=params,
-        variant=variant,
-        code=code,
-        expected=CodeParams(n, k, d),
-        r=r,
-        delta=delta,
-        profile=profile,
-        layout=[(g.rows[0], g.rows[-1]) for g in profile.groups],
-    )
-
-
-def _disjoint(construction, params, local, tails):
+def _disjoint(local: Mat4, tails) -> Mat4:
     """g = len(tails) disjoint copies of ``local`` over global rows in which
     group b carries the vectors ``tails[b]`` in its last columns; no global
     rows when every group's tail is empty."""
     h = Mat4.identity(len(tails)).kron(local)
     if any(tails):
         h = vstack([h, _group_tails(tails, local.cols)])
-    return _finish_parity(construction, params, None, h, len(tails))
+    return h
 
 
 # -- d = 3 -------------------------------------------------------------------
 
 
-def _build_c1_h(l: int, variant: str) -> Mat4:
+def _build_c1(l: int, variant: str) -> Mat4:
     a, b = _variant_entries(variant, 2)
     head = Mat4([
         [1, 0, 1, 1, a, 0, 0, 0, 0],
@@ -642,11 +614,7 @@ def _build_c1_h(l: int, variant: str) -> Mat4:
     return _head_then_blocks(head, l, LOCAL_5)
 
 
-def _build_c1(l: int, variant: str) -> BuiltCode:
-    return _finish_parity("C1", {"l": l}, variant, _build_c1_h(l, variant), l)
-
-
-def _build_c2(l: int, variant: str) -> BuiltCode:
+def _build_c2(l: int, variant: str) -> Mat4:
     a, b = _variant_entries(variant, 2)
     head = Mat4([
         [1, 0, 1, a, 0, 0, 0],
@@ -654,22 +622,21 @@ def _build_c2(l: int, variant: str) -> BuiltCode:
         [0, 0, 0, 1, 0, 1, 1],
         [0, 0, 0, 0, 1, 1, gf4.W2],
     ])
-    return _finish_parity("C2", {"l": l}, variant, _head_then_blocks(head, l, LOCAL_4A), l)
+    return _head_then_blocks(head, l, LOCAL_4A)
 
 
-def _build_c3(l: int, variant: str) -> BuiltCode:
-    h = _build_c1_h(l, variant).delete_columns([0])
-    return _finish_parity("C3", {"l": l}, variant, h, l)
+def _build_c3(l: int, variant: str) -> Mat4:
+    return _build_c1(l, variant).delete_columns([0])
 
 
-def _build_c4(l: int, r: int) -> BuiltCode:
-    return _disjoint("C4", {"l": l, "r": r}, {3: LOCAL_5, 2: LOCAL_4B, 1: LOCAL_3}[r], [()] * l)
+def _build_c4(l: int, r: int) -> Mat4:
+    return _disjoint({3: LOCAL_5, 2: LOCAL_4B, 1: LOCAL_3}[r], [()] * l)
 
 
 # -- d = 4 -------------------------------------------------------------------
 
 
-def _build_c5_h(l: int, variant: str) -> Mat4:
+def _build_c5(l: int, variant: str) -> Mat4:
     a, b, c = _variant_entries(variant, 3)
     head = Mat4([
         [1, 0, 0, 1, 1, a, 0, 0, 0, 0, 0],
@@ -682,21 +649,17 @@ def _build_c5_h(l: int, variant: str) -> Mat4:
     return _head_then_blocks(head, l, LOCAL_6)
 
 
-def _build_c5(l: int, variant: str) -> BuiltCode:
-    return _finish_parity("C5", {"l": l}, variant, _build_c5_h(l, variant), l)
-
-
-def _build_c6(l: int) -> BuiltCode:
+def _build_c6(l: int) -> Mat4:
     # global row 1_l (x) (0 0 1 W w)
-    return _disjoint("C6", {"l": l}, LOCAL_5, [_parse_vecs(("1", "W", "w"))] * l)
+    return _disjoint(LOCAL_5, [_parse_vecs(("1", "W", "w"))] * l)
 
 
-def _build_c7(l: int) -> BuiltCode:
+def _build_c7(l: int) -> Mat4:
     # global row 1_l (x) (0 0 1 W)
-    return _disjoint("C7", {"l": l}, LOCAL_4B, [_parse_vecs(("1", "W"))] * l)
+    return _disjoint(LOCAL_4B, [_parse_vecs(("1", "W"))] * l)
 
 
-def _build_c8(l: int, variant: str) -> BuiltCode:
+def _build_c8(l: int, variant: str) -> Mat4:
     a, b, c = _variant_entries(variant, 3)
     head = Mat4([
         [1, 0, 0, 1, a, 0, 0, 0, 0],
@@ -706,39 +669,36 @@ def _build_c8(l: int, variant: str) -> BuiltCode:
         [0, 0, 0, 0, 0, 1, 0, 1, gf4.W2],
         [0, 0, 0, 0, 0, 0, 1, 1, gf4.W],
     ])
-    return _finish_parity("C8", {"l": l}, variant, _head_then_blocks(head, l, LOCAL_5C), l)
+    return _head_then_blocks(head, l, LOCAL_5C)
 
 
-def _build_c9(l: int, variant: str) -> BuiltCode:
+def _build_c9(l: int, variant: str) -> Mat4:
     # C1's matrix over the printed global block 1_{l-2} x (0 0 1 W w)
     # past the 9 head columns
     glob = hstack(
         [Mat4.from_string("0 0 1 W 0 0 1 W w")] + [Mat4.from_string("0 0 1 W w")] * (l - 2)
     )
-    h = vstack([_build_c1_h(l, variant), glob])
-    return _finish_parity("C9", {"l": l}, variant, h, l)
+    return vstack([_build_c1(l, variant), glob])
 
 
-def _build_c10(l: int, variant: str) -> BuiltCode:
-    h = _build_c5_h(l, variant).delete_columns([0])
-    return _finish_parity("C10", {"l": l}, variant, h, l)
+def _build_c10(l: int, variant: str) -> Mat4:
+    return _build_c5(l, variant).delete_columns([0])
 
 
-def _build_c11(l: int, r: int) -> BuiltCode:
-    return _disjoint("C11", {"l": l, "r": r}, {3: LOCAL_6, 2: LOCAL_5C, 1: LOCAL_4C}[r], [()] * l)
+def _build_c11(l: int, r: int) -> Mat4:
+    return _disjoint({3: LOCAL_6, 2: LOCAL_5C, 1: LOCAL_4C}[r], [()] * l)
 
 
 # -- d >= 5, r = 1 -----------------------------------------------------------
 
 
-def _build_c12(k: int, delta: int) -> BuiltCode:
-    return _disjoint("C12", {"k": k, "delta": delta}, single_parity_generator(delta), [()] * k)
+def _build_c12(k: int, delta: int) -> Mat4:
+    return _disjoint(single_parity_generator(delta), [()] * k)
 
 
-def _build_c13(k: int, delta: int) -> BuiltCode:
+def _build_c13(k: int, delta: int) -> Mat4:
     # global row 1_{k+1} (x) (0 ... 0 1)
-    return _disjoint("C13", {"k": k, "delta": delta}, single_parity_generator(delta),
-                     [((1,),)] * (k + 1))
+    return _disjoint(single_parity_generator(delta), [((1,),)] * (k + 1))
 
 
 _C14_TAGS = [(1, 0), (0, 1), (1, 1), (1, gf4.W), (1, gf4.W2)]
@@ -748,39 +708,37 @@ _C15_TAGS = [
 ]
 
 
-def _build_c14(k: int, delta: int) -> BuiltCode:
-    return _disjoint("C14", {"k": k, "delta": delta}, single_parity_generator(delta),
-                     [[tag] for tag in _C14_TAGS[:k + 2]])
+def _build_c14(k: int, delta: int) -> Mat4:
+    return _disjoint(single_parity_generator(delta), [[tag] for tag in _C14_TAGS[:k + 2]])
 
 
-def _build_c15(k: int, delta: int) -> BuiltCode:
-    return _disjoint("C15", {"k": k, "delta": delta}, single_parity_generator(delta),
-                     [[tag] for tag in _C15_TAGS[:k + 3]])
+def _build_c15(k: int, delta: int) -> Mat4:
+    return _disjoint(single_parity_generator(delta), [[tag] for tag in _C15_TAGS[:k + 3]])
 
 
 # -- d >= 5, r >= 2 ----------------------------------------------------------
 
 
-def _build_cls2_1(l: int) -> BuiltCode:
-    return _disjoint("CLS2_1", {"l": l}, LOCAL_4B, [_parse_vecs(uv) for uv in CLS2_1_UV[:l]])
+def _build_cls2_1(l: int) -> Mat4:
+    return _disjoint(LOCAL_4B, [_parse_vecs(uv) for uv in CLS2_1_UV[:l]])
 
 
-def _build_cls3_1(l: int) -> BuiltCode:
-    return _disjoint("CLS3_1", {"l": l}, LOCAL_4B, [_parse_vecs(uv) for uv in CLS3_1_UV[:l]])
+def _build_cls3_1(l: int) -> Mat4:
+    return _disjoint(LOCAL_4B, [_parse_vecs(uv) for uv in CLS3_1_UV[:l]])
 
 
-def _build_cls1_3(l: int) -> BuiltCode:
+def _build_cls1_3(l: int) -> Mat4:
     # global rows 1_l (x) (0 0 1 0 W / 0 0 0 1 W)
-    return _disjoint("CLS1_3", {"l": l}, LOCAL_5, [_parse_vecs(("1 0", "0 1", "W W"))] * l)
+    return _disjoint(LOCAL_5, [_parse_vecs(("1 0", "0 1", "W W"))] * l)
 
 
-def _build_cls1_4(l: int) -> BuiltCode:
+def _build_cls1_4(l: int) -> Mat4:
     # global rows 1_l (x) (0 0 0 1 0 W / 0 0 0 0 1 W)
-    return _disjoint("CLS1_4", {"l": l}, LOCAL_6, [_parse_vecs(("1 0", "0 1", "W W"))] * l)
+    return _disjoint(LOCAL_6, [_parse_vecs(("1 0", "0 1", "W W"))] * l)
 
 
-def _build_c17g(l: int) -> BuiltCode:
-    return _disjoint("C17G", {"l": l}, LOCAL_6, c17g_triples(l))
+def _build_c17g(l: int) -> Mat4:
+    return _disjoint(LOCAL_6, c17g_triples(l))
 
 
 # -- printed generator matrices and their puncture chains ---------------------
@@ -790,61 +748,57 @@ def _chain_generator(base: Mat4, punctures: tuple[int, ...]) -> Mat4:
     return base.delete_columns(i - 1 for i in punctures)
 
 
-def _build_c16(d: int) -> BuiltCode:
+def _build_c16(d: int) -> Mat4:
     if d in C16_SELECTIONS:
         ext = hstack([Mat4([[0], [1], [0]]), G16])
-        g = ext.take_columns([c for c in C16_SELECTIONS[d]])  # 0 maps to column a
-    else:
-        g = _chain_generator(G16, C16_PUNCTURES[d])
-    return _finish_generator("C16", {"d": d}, g)
+        return ext.take_columns([c for c in C16_SELECTIONS[d]])  # 0 maps to column a
+    return _chain_generator(G16, C16_PUNCTURES[d])
 
 
-def _build_c17(d: int) -> BuiltCode:
-    return _finish_generator("C17", {"d": d}, _chain_generator(G17, C17_PUNCTURES[d]))
+def _build_c17(d: int) -> Mat4:
+    return _chain_generator(G17, C17_PUNCTURES[d])
 
 
-def _build_c18(d: int) -> BuiltCode:
-    return _finish_generator("C18", {"d": d}, _chain_generator(G18, C18_PUNCTURES[d]))
+def _build_c18(d: int) -> Mat4:
+    return _chain_generator(G18, C18_PUNCTURES[d])
 
 
-def _build_c19(d: int) -> BuiltCode:
-    g = G19_D7 if d == 7 else _chain_generator(G19, C19_PUNCTURES[d])
-    return _finish_generator("C19", {"d": d}, g)
+def _build_c19(d: int) -> Mat4:
+    return G19_D7 if d == 7 else _chain_generator(G19, C19_PUNCTURES[d])
 
 
 # ---------------------------------------------------------------------------
 # the public builder
 
-#: marks a builder parameter that has no default
-_REQUIRED = object()
-
-#: construction id -> (builder, {parameter: default}); families with
-#: variants also get ``variant``
-_BUILDERS: dict[str, tuple[Callable[..., BuiltCode], dict]] = {
-    "C1": (_build_c1, {"l": _REQUIRED}),
-    "C2": (_build_c2, {"l": _REQUIRED}),
-    "C3": (_build_c3, {"l": _REQUIRED}),
-    "C4": (_build_c4, {"l": _REQUIRED, "r": 3}),
-    "C5": (_build_c5, {"l": _REQUIRED}),
-    "C6": (_build_c6, {"l": _REQUIRED}),
-    "C7": (_build_c7, {"l": _REQUIRED}),
-    "C8": (_build_c8, {"l": _REQUIRED}),
-    "C9": (_build_c9, {"l": _REQUIRED}),
-    "C10": (_build_c10, {"l": _REQUIRED}),
-    "C11": (_build_c11, {"l": _REQUIRED, "r": 3}),
-    "C12": (_build_c12, {"k": _REQUIRED, "delta": _REQUIRED}),
-    "C13": (_build_c13, {"k": _REQUIRED, "delta": _REQUIRED}),
-    "C14": (_build_c14, {"k": _REQUIRED, "delta": _REQUIRED}),
-    "C15": (_build_c15, {"k": _REQUIRED, "delta": _REQUIRED}),
-    "C16": (_build_c16, {"d": 12}),
-    "C17": (_build_c17, {"d": 16}),
-    "C18": (_build_c18, {"d": 12}),
-    "C19": (_build_c19, {"d": 12}),
-    "C17G": (_build_c17g, {"l": _REQUIRED}),
-    "CLS2_1": (_build_cls2_1, {"l": 5}),
-    "CLS3_1": (_build_cls3_1, {"l": 5}),
-    "CLS1_3": (_build_cls1_3, {"l": _REQUIRED}),
-    "CLS1_4": (_build_cls1_4, {"l": _REQUIRED}),
+#: construction id -> builder.  A builder takes its family's parameters
+#: (and ``variant`` where the family has variants) and returns the
+#: family's matrix: the printed generator if the family is marked
+#: ``generator``, its parity check otherwise.
+_BUILDERS: dict[str, Callable[..., Mat4]] = {
+    "C1": _build_c1,
+    "C2": _build_c2,
+    "C3": _build_c3,
+    "C4": _build_c4,
+    "C5": _build_c5,
+    "C6": _build_c6,
+    "C7": _build_c7,
+    "C8": _build_c8,
+    "C9": _build_c9,
+    "C10": _build_c10,
+    "C11": _build_c11,
+    "C12": _build_c12,
+    "C13": _build_c13,
+    "C14": _build_c14,
+    "C15": _build_c15,
+    "C16": _build_c16,
+    "C17": _build_c17,
+    "C18": _build_c18,
+    "C19": _build_c19,
+    "C17G": _build_c17g,
+    "CLS2_1": _build_cls2_1,
+    "CLS3_1": _build_cls3_1,
+    "CLS1_3": _build_cls1_3,
+    "CLS1_4": _build_cls1_4,
 }
 
 
@@ -868,10 +822,16 @@ def build(
     for the r = 1 families, d for the puncture chains C16..C19, r (or
     k = r*l) for C4/C11, and variant 'a'/'b' where both parity choices
     are printed.  The family's catalogue entry states which parameters
-    it takes and their ranges: a parameter it does not take, one that is
-    not an integer or lies outside its range, or an instance the
-    catalogue lists as open raises RangeError.  Unknown construction
+    it takes, their ranges and defaults: a parameter it does not take,
+    one that is not an integer or lies outside its range, or an instance
+    the catalogue lists as open raises RangeError.  Unknown construction
     names raise CatalogError.
+
+    Every family is finished here from its catalogue entry: [n, k, d], r
+    and delta come from the entry; a parity check's first
+    ceil(n / (r + delta - 1)) blocks of delta - 1 rows are its local
+    groups and the remaining rows global; a generator's groups come
+    from the locality search.
     """
     cid = construction.upper()
     if cid not in _BUILDERS:
@@ -881,38 +841,64 @@ def build(
             cid = fam.construction
     if cid not in _BUILDERS:
         raise CatalogError(f"unknown construction {construction!r}")
-    fn, defaults = _BUILDERS[cid]
     fam = _FAMILY_BY_CONSTRUCTION[cid]
-    if k is not None and "r" in defaults:  # C4/C11 also take k = r*l for r
+    if k is not None and "r" in fam._ranges:  # C4/C11 also take k = r*l for r
         if not (_is_integer(k) and _is_integer(l)) or not l or k % l or r not in (None, k // l):
             with_r = "" if r is None else f", r={r!r}"
             raise RangeError(f"{cid} needs k = r*l, got k={k!r}, l={l!r}{with_r}")
         k, r = None, k // l
     given = {"l": l, "k": k, "delta": delta, "r": r, "d": d}
     for name, value in given.items():
-        if value is not None and name not in defaults:
+        if value is not None and name not in fam._ranges:
             raise RangeError(f"{cid} takes no parameter {name}")
     if variant is not None and variant not in fam.variants:
         raise RangeError(f"{cid} has no variant {variant!r}")
-    kwargs = {}
-    for name, default in defaults.items():
-        value = default if given[name] is None else given[name]
-        if value is _REQUIRED:
+    params = {}
+    for name, (lo, hi) in fam._ranges.items():
+        value = fam._defaults.get(name) if given[name] is None else given[name]
+        if value is None:
             raise RangeError(f"{cid} needs parameter {name}")
         if not _is_integer(value):
             raise RangeError(f"{cid} needs an integer {name}, got {name}={value!r}")
-        lo, hi = fam._ranges[name]
         if value < lo or (hi is not None and value > hi):
             needs = f"{name} >= {lo}" if hi is None else f"{lo} <= {name} <= {hi}"
             raise RangeError(f"{cid} needs {needs}, got {name}={value}")
-        kwargs[name] = value
-    status = fam._status_at(kwargs)
+        params[name] = value
+    status = fam._status_at(params)
     if status != "constructed":
-        at = ", ".join(f"{name}={value}" for name, value in kwargs.items())
+        at = ", ".join(f"{name}={value}" for name, value in params.items())
         raise RangeError(f"{cid} {at} is {status}: {fam.note}")
+
     if fam.variants:
-        kwargs["variant"] = variant or "a"
-    return fn(**kwargs)
+        variant = variant or "a"
+        m = _BUILDERS[cid](**params, variant=variant)
+    else:
+        m = _BUILDERS[cid](**params)
+    n, dim, dist, r, delta = fam._shape(**params)
+    if fam.generator:
+        # restructure raises StructureError when some coordinate has no
+        # qualifying support, so this also certifies the locality
+        code = LinearCode(gen=m)
+        code, profile = restructure(code, verify_locality(code, r, delta))
+    else:
+        rows = delta - 1
+        layout = [(1 + i * rows, (i + 1) * rows) for i in range(ceil(n / (r + rows)))]
+        code = LinearCode(pchk=m).complete()
+        profile = extract_profile(m, layout, r=r, delta=delta)
+    if (code.n, code.k) != (n, dim):
+        raise StructureError(f"{cid}: built [{code.n},{code.k}], expected [{n},{dim}]")
+    return BuiltCode(
+        construction=cid,
+        family=fam,
+        params=params,
+        variant=variant,
+        code=code,
+        expected=CodeParams(n, dim, dist),
+        r=r,
+        delta=delta,
+        profile=profile,
+        layout=[(g.rows[0], g.rows[-1]) for g in profile.groups],
+    )
 
 
 def blockwise_min_distance(bc: BuiltCode) -> int:

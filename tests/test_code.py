@@ -227,15 +227,6 @@ def test_scan_budget_exceeded():
     assert build("C1", l=2).code.min_distance(budget=5) == 3
 
 
-def test_scan_budget_env_override(monkeypatch):
-    from lrc4.code import scan_budget
-
-    monkeypatch.setenv("LRC4_MAX_SCAN", "123")
-    assert scan_budget() == 123
-    monkeypatch.delenv("LRC4_MAX_SCAN")
-    assert scan_budget() == 10 ** 8
-
-
 def test_has_dependent_columns():
     assert not has_dependent_columns(HEXACODE_GEN, 3)  # MDS: any 3 columns independent
     assert has_dependent_columns(HEXACODE_GEN, 4)

@@ -20,6 +20,7 @@ from lrc4.constructions import (
     verify_c17g_properties,
 )
 from lrc4.errors import CatalogError, RangeError
+from lrc4.lrc import check_structure
 from lrc4.pg import enumerate_points, normalize
 
 
@@ -105,6 +106,38 @@ def test_build_accepts_exactly_the_catalogue_ranges():
             assert build(fam.construction, **{**lows, name: top}).params == {**lows, name: top}
             with pytest.raises(RangeError, match=f"got {name}={hi + 1}"):
                 build(fam.construction, **{**lows, name: hi + 1})
+
+
+def _formula_value(text: str, params: dict) -> int | None:
+    """A catalogue formula such as '5l-1', 'l(r+2)' or '(k+1)delta' at the
+    family's defining parameters; None for a range such as '5..12'."""
+    if any(op in text for op in ("..", "<", ">", "=")):
+        return None
+    tokens = re.findall(r"\d+|delta|[a-z]|[()+*-]", text)
+    assert "".join(tokens) == text.replace(" ", ""), text
+    expr = ""
+    for prev, tok in zip([None] + tokens, tokens):
+        # juxtaposition is multiplication: 5l, rl, l(r+2), (k+1)delta
+        if prev is not None and (prev[-1].isalnum() or prev == ")") and (tok[0].isalnum() or tok == "("):
+            expr += "*"
+        expr += tok
+    return eval(expr, {"__builtins__": {}}, dict(params))
+
+
+def test_catalogue_formulas_match_the_shapes():
+    # the printed n/k/d/r/delta formulas and the shape that build() and
+    # classify read are two statements of each family's parameters
+    checked = skipped = 0
+    for fam in catalog():
+        for inst in fam.instances(64):
+            for name, text in fam.formulas.items():
+                value = _formula_value(text, inst["params"])
+                if value is None:
+                    skipped += 1
+                    continue
+                assert value == inst[name], (fam.id, inst["params"], name, text)
+                checked += 1
+    assert (checked, skipped) == (2050, 335)
 
 
 def test_build_examples_from_the_classification():
@@ -464,7 +497,7 @@ def test_desk_scale_distance_settled_by_blockwise_route():
     # d above the (r-1, delta) bound proves r-optimality without a search
     bc = build("C17G", l=17)
     assert (bc.code.n, bc.code.k) == (102, 46)
-    report = bc.verify(scan_budget=10 ** 5)
+    report = check_structure(bc.code, bc.profile, scan_budget=10 ** 5)
     assert report.d == 12 and report.d_optimal is True
     assert report.r_optimal is True
     assert all(c.passed is True for c in report.checks.values())
@@ -479,7 +512,7 @@ def test_desk_scale_guard_degrades_gracefully():
     bc = build("C5", l=8, variant="b")
     assert (bc.code.n, bc.code.k) == (47, 23)
     # a tight scan budget stands in for the default 10^8 so the test is quick
-    report = bc.verify(scan_budget=10 ** 4)
+    report = check_structure(bc.code, bc.profile, scan_budget=10 ** 4)
     assert report.d is None and report.d_optimal is None
     assert report.r_optimal is None
     assert report.checks["h_prime_mds"].passed is True
