@@ -84,19 +84,30 @@ def constructed_instances(n_max):
     return out
 
 
+def test_every_constructed_instance_fully_verifies_up_to_30():
+    # stronger than the acceptance sweep: every family instance with
+    # n <= 30 (both variants) passes the locality search and the entire
+    # verify pipeline
+    insts = constructed_instances(30)
+    assert len(insts) == 223
+    for cid, kw, d in insts:
+        bc = build(cid, **kw)
+        assert verify_locality(bc.code, bc.r, bc.delta).ok, (cid, kw)
+        report = bc.verify()
+        assert report.d == d, (cid, kw)
+        assert report.d_optimal and report.r_optimal, (cid, kw)
+        assert all(c.passed is not False for c in report.checks.values()), (cid, kw)
+
+
 def test_every_constructed_instance_verifies_exactly_up_to_64():
     # past the n <= 30 search guard and the scan budget: the blockwise DP
     # settles d of the disjoint-group codes, the router the others, and
-    # the (r-1, delta) bound proves r-optimality without a search; within
-    # the guard the locality search also certifies every coordinate
+    # the (r-1, delta) bound proves r-optimality without a search (the
+    # locality search within the guard is in the n <= 30 test above)
     insts = constructed_instances(64)
     assert len(insts) == 553
-    searched = 0
     for cid, kw, d in insts:
         bc = build(cid, **kw)
-        if bc.code.n <= 30:
-            assert verify_locality(bc.code, bc.r, bc.delta).ok, (cid, kw)
-            searched += 1
         report = bc.verify()
         assert report.d == d, (cid, kw)
         assert report.d_optimal is True and report.r_optimal is True, (cid, kw)
@@ -106,7 +117,6 @@ def test_every_constructed_instance_verifies_exactly_up_to_64():
             # the chain members that admit no local/global row partition
             indeterminate = name == "h_prime_mds" and not bc.profile.partitioned
             assert res.passed is (None if indeterminate else True), (cid, kw, name)
-    assert searched == 223
 
 
 def test_r_optimality_bound_agrees_with_the_search_up_to_30():
