@@ -62,6 +62,8 @@ def enumerate_optimal_params(n_max: int) -> list[ParamRecord]:
     """
     if n_max > MAX_ENUMERATION_N:
         raise ValueError(f"enumeration capped at n <= {MAX_ENUMERATION_N}")
+    if n_max < 1:
+        raise ValueError(f"enumeration needs n_max >= 1, got {n_max}")
     seen: dict[tuple, ParamRecord] = {}
     for fam in catalog():
         if fam.status == "nonexistent":

@@ -76,7 +76,7 @@ def read_matrix(fh: IO[str]) -> tuple[Mat4, dict]:
         if not line:
             continue
         if line.startswith("#"):
-            _parse_meta(line[1:].strip(), meta)
+            _parse_meta(line, meta)
             continue
         parts = line.split()
         if header is None:
@@ -102,34 +102,38 @@ def read_matrix(fh: IO[str]) -> tuple[Mat4, dict]:
     return m, meta
 
 
-def _parse_meta(text: str, meta: dict) -> None:
-    parts = text.split()
+def _parse_meta(line: str, meta: dict) -> None:
+    """Read one '#' comment line's structured metadata into ``meta``."""
+    parts = line[1:].split()
     if not parts:
         return
     key = parts[0]
-    if key == "lrc4":
-        for tok in parts[1:]:
-            if "=" in tok:
-                k, v = tok.split("=", 1)
-                meta[k] = v
-            else:
-                meta.setdefault("kind", tok)
-    elif key == "params":
-        params = meta.setdefault("params", {})
-        for tok in parts[1:]:
-            if "=" in tok:
-                k, v = tok.split("=", 1)
-                params[k] = v
-    elif key == "locality":
-        for tok in parts[1:]:
-            if "=" in tok:
-                k, v = tok.split("=", 1)
-                meta[k] = int(v)
-    elif key == "group-rows":
-        ranges = meta.setdefault("group_rows", [])
-        for tok in parts[1:]:
-            a, b = tok.split(":")
-            ranges.append((int(a), int(b)))
+    try:
+        if key == "lrc4":
+            for tok in parts[1:]:
+                if "=" in tok:
+                    k, v = tok.split("=", 1)
+                    meta[k] = v
+                else:
+                    meta.setdefault("kind", tok)
+        elif key == "params":
+            params = meta.setdefault("params", {})
+            for tok in parts[1:]:
+                if "=" in tok:
+                    k, v = tok.split("=", 1)
+                    params[k] = v
+        elif key == "locality":
+            for tok in parts[1:]:
+                if "=" in tok:
+                    k, v = tok.split("=", 1)
+                    meta[k] = int(v)
+        elif key == "group-rows":
+            ranges = meta.setdefault("group_rows", [])
+            for tok in parts[1:]:
+                a, b = tok.split(":")
+                ranges.append((int(a), int(b)))
+    except ValueError:
+        raise FormatError(f"malformed metadata comment {line!r}") from None
 
 
 def _built_comments(bc, kind: str) -> list[str]:
@@ -294,6 +298,8 @@ def _cmd_classify(args) -> int:
 
 
 def _cmd_repair(args) -> int:
+    if args.trials < 1:
+        raise ValueError(f"--trials must be >= 1, got {args.trials}")
     bc = _build_from_args(args)
     rng = random.Random(args.seed)
     erase = None

@@ -8,7 +8,10 @@ generator matrix for the projective-geometry codes) with block structure
     [ local group l ]
     [ global rows   ]
 
-instantiated at the requested parameters.  Builders return only that
+instantiated at the requested parameters.  Every parity-check family
+comes from one group template, :func:`_groups`: g copies of a local
+block over per-group global tail rows, in which the variant families
+let groups 1 and 2 share one coordinate.  Builders return only that
 matrix; :func:`build` finishes every family in one place from its
 catalogue entry into a :class:`BuiltCode` bundling the code, its
 expected [n,k,d], the locality pair, the group layout, and the family
@@ -38,7 +41,7 @@ from .lrc import (
     restructure,
     verify_locality,
 )
-from .mat4 import Mat4, assemble_blocks, hstack, vstack
+from .mat4 import Mat4, hstack, vstack
 
 # ---------------------------------------------------------------------------
 # shared blocks
@@ -72,23 +75,6 @@ def single_parity_generator(delta: int) -> Mat4:
     makes it the local block for the r = 1 families.
     """
     return hstack([Mat4.identity(delta - 1), Mat4([[1]] * (delta - 1))])
-
-
-_VARIANT_ENTRIES = {"a": (gf4.ZERO, gf4.ZERO, gf4.ZERO), "b": (gf4.ONE, gf4.W2, gf4.W)}
-
-
-def _variant_entries(variant: str, size: int) -> tuple[int, ...]:
-    """The first ``size`` entries of the printed variant column."""
-    return _VARIANT_ENTRIES[variant][:size]
-
-
-def _head_then_blocks(head: Mat4, l: int, block: Mat4) -> Mat4:
-    """diag(head, I_{l-2} (x) block): a head holding the first two local
-    groups, then l - 2 copies of the local block."""
-    return assemble_blocks([
-        [head, Mat4.zeros(head.rows, block.cols * (l - 2))],
-        [Mat4.zeros(block.rows * (l - 2), head.cols), Mat4.identity(l - 2).kron(block)],
-    ])
 
 
 def _group_tails(tails, width: int) -> Mat4:
@@ -590,39 +576,38 @@ class BuiltCode:
         return report
 
 
-def _disjoint(local: Mat4, tails) -> Mat4:
-    """g = len(tails) disjoint copies of ``local`` over global rows in which
-    group b carries the vectors ``tails[b]`` in its last columns; no global
-    rows when every group's tail is empty."""
+#: variant -> group 1's entries at the coordinate it shares with group 2
+_SHARED_COLUMN = {"a": (gf4.ZERO, gf4.ZERO, gf4.ZERO), "b": (gf4.ONE, gf4.W2, gf4.W)}
+
+
+def _groups(local: Mat4, tails, variant: str | None = None) -> Mat4:
+    """g = len(tails) copies of ``local`` over global rows in which group b
+    carries the vectors ``tails[b]`` in its last columns; no global rows
+    when every group's tail is empty.
+
+    The groups are disjoint unless ``variant`` is given: then group 1
+    loses its last column and holds the variant's shared column at group
+    2's first coordinate instead."""
     h = Mat4.identity(len(tails)).kron(local)
     if any(tails):
         h = vstack([h, _group_tails(tails, local.cols)])
-    return h
+    if variant is None:
+        return h
+    shared = local.cols - 1
+    a = h.delete_columns([shared]).array.copy()
+    a[:local.rows, shared] = _SHARED_COLUMN[variant][:local.rows]
+    return Mat4(a)
 
 
 # -- d = 3 -------------------------------------------------------------------
 
 
 def _build_c1(l: int, variant: str) -> Mat4:
-    a, b = _variant_entries(variant, 2)
-    head = Mat4([
-        [1, 0, 1, 1, a, 0, 0, 0, 0],
-        [0, 1, 1, gf4.W, b, 0, 0, 0, 0],
-        [0, 0, 0, 0, 1, 0, 1, 1, 1],
-        [0, 0, 0, 0, 0, 1, 1, gf4.W, gf4.W2],
-    ])
-    return _head_then_blocks(head, l, LOCAL_5)
+    return _groups(LOCAL_5, [()] * l, variant)
 
 
 def _build_c2(l: int, variant: str) -> Mat4:
-    a, b = _variant_entries(variant, 2)
-    head = Mat4([
-        [1, 0, 1, a, 0, 0, 0],
-        [0, 1, 1, b, 0, 0, 0],
-        [0, 0, 0, 1, 0, 1, 1],
-        [0, 0, 0, 0, 1, 1, gf4.W2],
-    ])
-    return _head_then_blocks(head, l, LOCAL_4A)
+    return _groups(LOCAL_4A, [()] * l, variant)
 
 
 def _build_c3(l: int, variant: str) -> Mat4:
@@ -630,55 +615,33 @@ def _build_c3(l: int, variant: str) -> Mat4:
 
 
 def _build_c4(l: int, r: int) -> Mat4:
-    return _disjoint({3: LOCAL_5, 2: LOCAL_4B, 1: LOCAL_3}[r], [()] * l)
+    return _groups({3: LOCAL_5, 2: LOCAL_4B, 1: LOCAL_3}[r], [()] * l)
 
 
 # -- d = 4 -------------------------------------------------------------------
 
 
 def _build_c5(l: int, variant: str) -> Mat4:
-    a, b, c = _variant_entries(variant, 3)
-    head = Mat4([
-        [1, 0, 0, 1, 1, a, 0, 0, 0, 0, 0],
-        [0, 1, 0, 1, gf4.W, b, 0, 0, 0, 0, 0],
-        [0, 0, 1, 1, gf4.W2, c, 0, 0, 0, 0, 0],
-        [0, 0, 0, 0, 0, 1, 0, 0, 1, 1, 1],
-        [0, 0, 0, 0, 0, 0, 1, 0, 1, gf4.W, gf4.W2],
-        [0, 0, 0, 0, 0, 0, 0, 1, 1, gf4.W2, gf4.W],
-    ])
-    return _head_then_blocks(head, l, LOCAL_6)
+    return _groups(LOCAL_6, [()] * l, variant)
 
 
 def _build_c6(l: int) -> Mat4:
     # global row 1_l (x) (0 0 1 W w)
-    return _disjoint(LOCAL_5, [_parse_vecs(("1", "W", "w"))] * l)
+    return _groups(LOCAL_5, [_parse_vecs(("1", "W", "w"))] * l)
 
 
 def _build_c7(l: int) -> Mat4:
     # global row 1_l (x) (0 0 1 W)
-    return _disjoint(LOCAL_4B, [_parse_vecs(("1", "W"))] * l)
+    return _groups(LOCAL_4B, [_parse_vecs(("1", "W"))] * l)
 
 
 def _build_c8(l: int, variant: str) -> Mat4:
-    a, b, c = _variant_entries(variant, 3)
-    head = Mat4([
-        [1, 0, 0, 1, a, 0, 0, 0, 0],
-        [0, 1, 0, 1, b, 0, 0, 0, 0],
-        [0, 0, 1, 1, c, 0, 0, 0, 0],
-        [0, 0, 0, 0, 1, 0, 0, 1, 1],
-        [0, 0, 0, 0, 0, 1, 0, 1, gf4.W2],
-        [0, 0, 0, 0, 0, 0, 1, 1, gf4.W],
-    ])
-    return _head_then_blocks(head, l, LOCAL_5C)
+    return _groups(LOCAL_5C, [()] * l, variant)
 
 
 def _build_c9(l: int, variant: str) -> Mat4:
-    # C1's matrix over the printed global block 1_{l-2} x (0 0 1 W w)
-    # past the 9 head columns
-    glob = hstack(
-        [Mat4.from_string("0 0 1 W 0 0 1 W w")] + [Mat4.from_string("0 0 1 W w")] * (l - 2)
-    )
-    return vstack([_build_c1(l, variant), glob])
+    # C6's matrix with groups 1 and 2 sharing a coordinate
+    return _groups(LOCAL_5, [_parse_vecs(("1", "W", "w"))] * l, variant)
 
 
 def _build_c10(l: int, variant: str) -> Mat4:
@@ -686,19 +649,19 @@ def _build_c10(l: int, variant: str) -> Mat4:
 
 
 def _build_c11(l: int, r: int) -> Mat4:
-    return _disjoint({3: LOCAL_6, 2: LOCAL_5C, 1: LOCAL_4C}[r], [()] * l)
+    return _groups({3: LOCAL_6, 2: LOCAL_5C, 1: LOCAL_4C}[r], [()] * l)
 
 
 # -- d >= 5, r = 1 -----------------------------------------------------------
 
 
 def _build_c12(k: int, delta: int) -> Mat4:
-    return _disjoint(single_parity_generator(delta), [()] * k)
+    return _groups(single_parity_generator(delta), [()] * k)
 
 
 def _build_c13(k: int, delta: int) -> Mat4:
     # global row 1_{k+1} (x) (0 ... 0 1)
-    return _disjoint(single_parity_generator(delta), [((1,),)] * (k + 1))
+    return _groups(single_parity_generator(delta), [((1,),)] * (k + 1))
 
 
 _C14_TAGS = [(1, 0), (0, 1), (1, 1), (1, gf4.W), (1, gf4.W2)]
@@ -709,36 +672,36 @@ _C15_TAGS = [
 
 
 def _build_c14(k: int, delta: int) -> Mat4:
-    return _disjoint(single_parity_generator(delta), [[tag] for tag in _C14_TAGS[:k + 2]])
+    return _groups(single_parity_generator(delta), [[tag] for tag in _C14_TAGS[:k + 2]])
 
 
 def _build_c15(k: int, delta: int) -> Mat4:
-    return _disjoint(single_parity_generator(delta), [[tag] for tag in _C15_TAGS[:k + 3]])
+    return _groups(single_parity_generator(delta), [[tag] for tag in _C15_TAGS[:k + 3]])
 
 
 # -- d >= 5, r >= 2 ----------------------------------------------------------
 
 
 def _build_cls2_1(l: int) -> Mat4:
-    return _disjoint(LOCAL_4B, [_parse_vecs(uv) for uv in CLS2_1_UV[:l]])
+    return _groups(LOCAL_4B, [_parse_vecs(uv) for uv in CLS2_1_UV[:l]])
 
 
 def _build_cls3_1(l: int) -> Mat4:
-    return _disjoint(LOCAL_4B, [_parse_vecs(uv) for uv in CLS3_1_UV[:l]])
+    return _groups(LOCAL_4B, [_parse_vecs(uv) for uv in CLS3_1_UV[:l]])
 
 
 def _build_cls1_3(l: int) -> Mat4:
     # global rows 1_l (x) (0 0 1 0 W / 0 0 0 1 W)
-    return _disjoint(LOCAL_5, [_parse_vecs(("1 0", "0 1", "W W"))] * l)
+    return _groups(LOCAL_5, [_parse_vecs(("1 0", "0 1", "W W"))] * l)
 
 
 def _build_cls1_4(l: int) -> Mat4:
     # global rows 1_l (x) (0 0 0 1 0 W / 0 0 0 0 1 W)
-    return _disjoint(LOCAL_6, [_parse_vecs(("1 0", "0 1", "W W"))] * l)
+    return _groups(LOCAL_6, [_parse_vecs(("1 0", "0 1", "W W"))] * l)
 
 
 def _build_c17g(l: int) -> Mat4:
-    return _disjoint(LOCAL_6, c17g_triples(l))
+    return _groups(LOCAL_6, c17g_triples(l))
 
 
 # -- printed generator matrices and their puncture chains ---------------------

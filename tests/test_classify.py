@@ -135,6 +135,10 @@ def test_enumeration_cap():
 
     with pytest.raises(ValueError):
         enumerate_optimal_params(129)
+    for n_max in (0, -3):
+        with pytest.raises(ValueError, match="n_max >= 1"):
+            enumerate_optimal_params(n_max)
+    assert enumerate_optimal_params(1) == []
 
 
 def test_weight5_scan():

@@ -57,6 +57,9 @@ def test_matrix_format_errors():
         read_matrix(io.StringIO("1 2\n1 x\n"))
     with pytest.raises(FormatError):
         read_matrix(io.StringIO(""))
+    for comment in ("# group-rows 1:2 3", "# locality r=one delta=3"):
+        with pytest.raises(FormatError, match=f"malformed metadata comment '{comment}'"):
+            read_matrix(io.StringIO(f"{comment}\n1 1\n1\n"))
 
 
 def test_build_writes_parity_with_layout(tmp_path, capsys):
@@ -224,6 +227,11 @@ def test_repair_random_trials(capsys):
                        "--trials", "25", "--seed", "3")
     assert code == 0
     assert "0 unexpected failure(s)" in out
+    for trials in ("0", "-2"):
+        code, out, err = run(capsys, "repair", "--family", "C1", "--l", "2",
+                             "--trials", trials)
+        assert code == 2 and out == ""
+        assert f"--trials must be >= 1, got {trials}" in err
 
 
 def test_repair_erasure_out_of_range_exits_2(capsys):
@@ -277,3 +285,8 @@ def test_format_error_exits_2(tmp_path, capsys):
     bad.write_text("not a matrix\n")
     code, _, err = run(capsys, "verify", "--parity", str(bad), "--r", "2", "--delta", "3")
     assert code == 2
+    for comment in ("# group-rows 1:2 3", "# locality r=one delta=3"):
+        bad.write_text(f"{comment}\n1 1\n1\n")
+        code, out, err = run(capsys, "verify", "--parity", str(bad), "--r", "1", "--delta", "2")
+        assert (code, out) == (2, "")
+        assert err == f"lrc4: malformed metadata comment {comment!r}\n"

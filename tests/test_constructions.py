@@ -364,6 +364,23 @@ def test_c1_template_bit_identity():
     )
     ha = build("C1", l=2, variant="a").code.parity_check()
     assert ha.take_columns([4]).take_rows([0, 1]).is_zero()
+    # the same shared coordinate on the 3-row hexacode block (C5)
+    assert build("C5", l=2, variant="b").code.parity_check() == Mat4.from_string(
+        """
+        1 0 0 1 1 1 0 0 0 0 0
+        0 1 0 1 w W 0 0 0 0 0
+        0 0 1 1 W w 0 0 0 0 0
+        0 0 0 0 0 1 0 0 1 1 1
+        0 0 0 0 0 0 1 0 1 w W
+        0 0 0 0 0 0 0 1 1 W w
+        """
+    )
+    # and under C6's global row 1_l (x) (0 0 1 W w), which loses group 1's
+    # last entry (C9); the local rows are C1's
+    for v in ("a", "b"):
+        h9 = build("C9", l=3, variant=v).code.parity_check()
+        assert h9.take_rows(range(6)) == build("C1", l=3, variant=v).code.parity_check()
+        assert h9.take_rows([6]) == Mat4.from_string("0 0 1 W 0 0 1 W w 0 0 1 W w")
 
 
 def test_c6_template_bit_identity():
