@@ -19,8 +19,8 @@ from .constructions import (
 )
 from .classify import enumerate_optimal_params
 from .lrc import (
-    LocalityFailure,
     LocalityProfile,
+    LocalitySearch,
     OptimalityReport,
     check_structure,
     extract_profile,
@@ -40,8 +40,8 @@ __all__ = [
     "ErasurePattern",
     "FamilySpec",
     "LinearCode",
-    "LocalityFailure",
     "LocalityProfile",
+    "LocalitySearch",
     "Mat4",
     "OptimalityReport",
     "blockwise_min_distance",

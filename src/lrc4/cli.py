@@ -116,12 +116,6 @@ def _parse_meta(line: str, meta: dict) -> None:
                     meta[k] = v
                 else:
                     meta.setdefault("kind", tok)
-        elif key == "params":
-            params = meta.setdefault("params", {})
-            for tok in parts[1:]:
-                if "=" in tok:
-                    k, v = tok.split("=", 1)
-                    params[k] = v
         elif key == "locality":
             for tok in parts[1:]:
                 if "=" in tok:
@@ -303,8 +297,12 @@ def _cmd_repair(args) -> int:
     bc = _build_from_args(args)
     rng = random.Random(args.seed)
     erase = None
-    if args.erase:
-        erase = ErasurePattern.of(int(t) for t in args.erase.split(","))
+    if args.erase is not None:
+        try:
+            erase = ErasurePattern.of(int(t) for t in args.erase.split(","))
+        except ValueError:
+            raise Lrc4Error(f"--erase needs comma-separated coordinates, "
+                            f"got {args.erase!r}") from None
     failures = 0
     for trial in range(args.trials):
         pattern = erase if erase is not None else random_tolerable_pattern(bc, rng)

@@ -307,10 +307,10 @@ def mds_feasible_q4(n: int, k: int) -> bool:
     return (n, k) in {(4, 2), (5, 2), (5, 3), (6, 3)}
 
 
-def mds_weight_distribution(n: int, k: int, q: int = 4) -> list[int]:
-    """Closed-form weight distribution of an [n, k] MDS code over GF(q).
+def mds_weight_distribution(n: int, k: int) -> list[int]:
+    """Closed-form weight distribution of an [n, k] MDS code over GF(4).
 
-    A_w = C(n,w) * sum_{j=0}^{w-d} (-1)^j C(w,j) (q^{w-d+1-j} - 1) for
+    A_w = C(n,w) * sum_{j=0}^{w-d} (-1)^j C(w,j) (4^{w-d+1-j} - 1) for
     w >= d = n-k+1.  Serves as the independent oracle against brute-force
     enumeration.
     """
@@ -321,7 +321,7 @@ def mds_weight_distribution(n: int, k: int, q: int = 4) -> list[int]:
         total = 0
         sign = 1
         for j in range(w - d + 1):
-            total += sign * comb(w, j) * (q ** (w - d + 1 - j) - 1)
+            total += sign * comb(w, j) * (4 ** (w - d + 1 - j) - 1)
             sign = -sign
         dist[w] = comb(n, w) * total
     return dist

@@ -1,6 +1,6 @@
-"""(r, delta)-locality: bound, verification, profiles, structure theorems.
+"""(r, delta)-locality: bound, search, profiles, structure theorems.
 
-The locality verifier works straight from the definition: coordinate i
+:func:`verify_locality` works straight from the definition: coordinate i
 has locality (r, delta) when some support set R_i containing i, of size
 at most r + delta - 1, induces a punctured code of minimum distance at
 least delta.  The search is one depth-first pass over column subsets
@@ -13,15 +13,17 @@ is pruned, and so is one whose remaining columns cannot make up the
 deficiency (each adds at most one).  The supports found are sorted in
 increasing size and lexicographic order, so results are deterministic
 and the (r-1, delta) result is a strict prefix of the (r, delta) one.
-One search feeds a whole verification: its qualifying supports rebuild
-the block layout, and r-optimality is read from it (some coordinate's
-smallest qualifying support has size r+delta-1).
+One :class:`LocalitySearch` feeds a whole verification: its qualifying
+supports rebuild the block layout, and r-optimality is read from it
+(some coordinate's smallest qualifying support has size r+delta-1).
 
-Profiles describe the partition of parity-check rows into local groups
-plus a global group, with 1-based row and column indexing throughout.
-When the groups are disjoint, :func:`blockwise_min_distance` settles the
-minimum distance by dynamic programming over the global syndromes of the
-groups' local-kernel words, and verification takes that route.
+A :class:`LocalityProfile` is a row layout: the partition of a
+constraint matrix's rows into local groups plus a global group, with
+1-based row and column indexing throughout; the structure checks read
+it.  When the groups are disjoint, :func:`blockwise_min_distance`
+settles the minimum distance by dynamic programming over the global
+syndromes of the groups' local-kernel words, and verification takes
+that route.
 """
 
 from __future__ import annotations
@@ -85,49 +87,58 @@ class LocalGroup:
 
 @dataclass
 class LocalityProfile:
-    """Partition of parity-check rows into local groups plus a global group.
+    """Partition of ``matrix``'s rows into local groups plus a global group.
 
-    ``matrix`` is the constraint matrix the row indices refer to (the
-    code's parity check when absent).  ``partitioned`` is False in the
-    exceptional case where the code is a certified LRC but no full-rank
-    parity-check matrix admits a local/global row partition; the matrix
-    is then an augmented (redundant-row) constraint stack.
+    ``partitioned`` is False in the exceptional case where the code is a
+    certified LRC but no full-rank parity-check matrix admits a
+    local/global row partition; ``matrix`` is then an augmented
+    (redundant-row) constraint stack.
     """
 
     r: int
     delta: int
     groups: tuple[LocalGroup, ...]
-    global_rows: tuple[int, ...] = ()
-    matrix: Mat4 | None = field(default=None, repr=False)
+    global_rows: tuple[int, ...]
+    matrix: Mat4 = field(repr=False)
     partitioned: bool = True
-    #: per-coordinate first qualifying support when built by the search
-    coordinate_supports: dict[int, frozenset[int]] | None = field(default=None, repr=False)
-    #: every qualifying support in (size, lex) order when built by the search
-    qualifying: tuple[frozenset[int], ...] = field(default=(), repr=False)
 
     @property
     def l(self) -> int:
         return len(self.groups)
 
-    @property
-    def ok(self) -> bool:
-        return True
-
     def supports(self) -> list[frozenset[int]]:
         return [g.support for g in self.groups]
 
 
-@dataclass
-class LocalityFailure:
-    """Coordinates for which no qualifying repair support exists."""
+@dataclass(frozen=True)
+class LocalitySearch:
+    """The (r, delta) support search of an n-coordinate code: every
+    support R, |R| <= r+delta-1, with d(C|_R) >= delta in (size, lex)
+    order, and each coordinate's first one (coordinates with none are
+    absent)."""
 
+    n: int
     r: int
     delta: int
-    bad_coordinates: tuple[int, ...]
+    coordinate_supports: dict[int, frozenset[int]] = field(repr=False)
+    qualifying: tuple[frozenset[int], ...] = field(repr=False)
 
     @property
     def ok(self) -> bool:
-        return False
+        """Does every coordinate have (r, delta)-locality?"""
+        return len(self.coordinate_supports) == self.n
+
+    @property
+    def bad_coordinates(self) -> tuple[int, ...]:
+        return tuple(i for i in range(1, self.n + 1) if i not in self.coordinate_supports)
+
+    @property
+    def r_optimal(self) -> bool:
+        """Is (r-1, delta)-locality impossible?  Its search is this one's
+        prefix of sizes < r+delta-1, so it fails exactly when some
+        coordinate's first support has size r+delta-1, or none."""
+        full = self.r + self.delta - 1
+        return not self.ok or any(len(s) == full for s in self.coordinate_supports.values())
 
 
 def _punctured_distance_at_least(gen: Mat4, cols0: Sequence[int], delta: int) -> bool:
@@ -191,13 +202,12 @@ def _locality_search(
 
 def verify_locality(
     c: LinearCode, r: int, delta: int, max_n: int = LOCALITY_SEARCH_MAX_N
-) -> LocalityProfile | LocalityFailure:
-    """Certify (r, delta)-locality of every coordinate, by definition.
+) -> LocalitySearch:
+    """Search every coordinate's (r, delta) repair supports, by definition.
 
-    On success the profile's groups are the deduplicated qualifying
-    supports, pruned to a minimal cover (row indices are not filled in;
-    see :func:`restructure`), and it keeps the search's supports.  On
-    failure the uncovered coordinates are listed.
+    The result is ``ok`` when every coordinate has one; otherwise its
+    ``bad_coordinates`` lists those without.  :func:`restructure` turns a
+    successful search into a block layout.
     """
     if r < 1 or delta < 2:
         raise ValueError(f"need r >= 1 and delta >= 2, got r={r}, delta={delta}")
@@ -206,14 +216,8 @@ def verify_locality(
     if c.n > max_n:
         raise ResourceError(f"locality search guarded at n <= {max_n}, got n = {c.n}")
     assigned, found = _locality_search(c.complete().gen, r, delta)
-    bad = tuple(i for i in range(1, c.n + 1) if i not in assigned)
-    if bad:
-        return LocalityFailure(r=r, delta=delta, bad_coordinates=bad)
-    supports = _minimal_cover(list(dict.fromkeys(assigned[i] for i in range(1, c.n + 1))), c.n)
-    groups = tuple(LocalGroup(rows=(), support=s) for s in supports)
-    return LocalityProfile(
-        r=r, delta=delta, groups=groups, coordinate_supports=assigned, qualifying=tuple(found)
-    )
+    return LocalitySearch(n=c.n, r=r, delta=delta, coordinate_supports=assigned,
+                          qualifying=tuple(found))
 
 
 def _minimal_cover(supports: list[frozenset[int]], n: int) -> list[frozenset[int]]:
@@ -240,16 +244,14 @@ def is_r_optimal(c: LinearCode, r: int, delta: int) -> bool:
 def extract_profile(
     pchk: Mat4,
     layout: Sequence[tuple[int, int]],
-    r: int | None = None,
-    delta: int | None = None,
+    r: int,
+    delta: int,
     partitioned: bool = True,
 ) -> LocalityProfile:
     """Build a profile from a parity-check matrix and its group row ranges.
 
     ``layout`` lists 1-based inclusive row ranges, one per local group,
     partitioning a prefix of the rows; the remaining rows are global.
-    delta defaults to rows-per-group + 1 (ranges must then be uniform)
-    and r to the largest support size minus (delta - 1).
     """
     n = pchk.cols
     ranges = [(int(a), int(b)) for a, b in layout]
@@ -262,12 +264,6 @@ def extract_profile(
         raise StructureError("layout references more rows than the matrix has")
     global_rows = tuple(range(expect, pchk.rows + 1))
 
-    sizes = {b - a + 1 for a, b in ranges}
-    if delta is None:
-        if len(sizes) != 1:
-            raise StructureError(f"cannot infer delta from mixed group sizes {sorted(sizes)}")
-        delta = sizes.pop() + 1
-
     groups = []
     covered: set[int] = set()
     for a, b in ranges:
@@ -277,9 +273,6 @@ def extract_profile(
             raise StructureError(f"local group rows {a}..{b} are all zero")
         groups.append(LocalGroup(rows=rows, support=support))
         covered |= support
-
-    if r is None:
-        r = max(len(g.support) for g in groups) - delta + 1
 
     uncovered = sorted(set(range(1, n + 1)) - covered)
     if uncovered:
@@ -400,11 +393,10 @@ def structured_parity_check(
     return h, layout, partitioned
 
 
-def restructure(
-    c: LinearCode, found: LocalityProfile | LocalityFailure
-) -> tuple[LinearCode, LocalityProfile]:
+def restructure(c: LinearCode, found: LocalitySearch) -> tuple[LinearCode, LocalityProfile]:
     """The code with its parity check in local/global block form, built
-    from a :func:`verify_locality` result, and the profile of that layout."""
+    from a successful :func:`verify_locality` search of it, and the
+    profile of that layout.  Raises StructureError when the search failed."""
     if not found.ok:
         raise StructureError(f"coordinates {list(found.bad_coordinates)} have no "
                              f"({found.r},{found.delta}) repair support")
@@ -602,12 +594,12 @@ def check_structure(
     c: LinearCode,
     profile: LocalityProfile,
     *,
-    search: LocalityProfile | None = None,
+    search: LocalitySearch | None = None,
     scan_budget: int | None = None,
 ) -> OptimalityReport:
     """Run the optimality predicates and the five structural theorem checks.
 
-    The profile must refer to rows of ``c``'s parity-check matrix.  d is
+    The profile's matrix must present ``c``.  d is
     settled by :func:`blockwise_min_distance` when the profile is
     partitioned, every group has rows, the supports are pairwise disjoint
     and cover every coordinate, every local row is zero outside its
@@ -626,12 +618,12 @@ def check_structure(
     n, k = cc.n, cc.k
     r, delta = profile.r, profile.delta
     notes: list[str] = []
-    if search is not None and not (search.ok and search.coordinate_supports
-                                   and (search.r, search.delta) == (r, delta)):
-        raise StructureError(f"search at ({search.r},{search.delta}) does not certify "
-                             f"({r},{delta})-locality")
+    if search is not None and not (isinstance(search, LocalitySearch) and search.ok
+                                   and (search.n, search.r, search.delta) == (n, r, delta)):
+        raise StructureError(f"{search!r} does not certify the ({r},{delta})-locality "
+                             f"of this [{n},{k}] code")
 
-    h = profile.matrix if profile.matrix is not None else cc.pchk
+    h = profile.matrix
     if h.cols != n or h.row_basis() != cc.pchk.row_basis():
         raise StructureError("profile matrix does not present the same code")
     if not profile.partitioned:
@@ -656,9 +648,7 @@ def check_structure(
 
     r_optimal: bool | None = None
     if search is not None:
-        # the (r-1, delta) search is its prefix of sizes < r+delta-1, so it
-        # fails exactly when some coordinate's first support has that size
-        r_optimal = any(len(s) == r + delta - 1 for s in search.coordinate_supports.values())
+        r_optimal = search.r_optimal
     elif d is not None and r >= 2 and singleton_like_bound(n, k, r - 1, delta) < d:
         # (r-1, delta)-locality would cap d below its exact value
         r_optimal = True
@@ -700,8 +690,6 @@ def _check_h_prime(
         return CheckResult(
             name, None, "no full-rank local/global row partition exists at these parameters"
         )
-    if not all(g.rows for g in profile.groups):
-        return CheckResult(name, None, "profile carries no row layout")
     s = ceil(c.k / profile.r) - 1
     if s > profile.l:
         return CheckResult(name, False, f"ceil(k/r)-1 = {s} exceeds l = {profile.l}")
@@ -730,8 +718,6 @@ def _check_h_prime(
 
 def _check_rows_per_group(profile: LocalityProfile) -> CheckResult:
     name = "rows_per_group"
-    if not all(g.rows for g in profile.groups):
-        return CheckResult(name, None, "profile carries no row layout")
     want = profile.delta - 1
     for i, g in enumerate(profile.groups):
         if len(g.rows) != want:

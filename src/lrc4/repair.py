@@ -130,7 +130,7 @@ def local_repair(bc: BuiltCode, received: Sequence[int | None]) -> RepairOutcome
     if not _RECEIVED_SYMBOLS.issuperset(word):
         bad = sorted(set(word) - _RECEIVED_SYMBOLS)
         raise ValueError(f"received symbols {bad} are not GF(4) elements 0..3")
-    h = bc.profile.matrix if bc.profile.matrix is not None else bc.code.parity_check()
+    h = bc.profile.matrix
     delta = bc.delta
     groups = bc.profile.groups
     trace: list[RepairStep] = []

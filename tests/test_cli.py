@@ -6,7 +6,7 @@ from hypothesis import example, given, strategies as st
 
 from lrc4.cli import FormatError, _built_comments, main, read_matrix, write_matrix
 from lrc4.code import HEXACODE_GEN
-from lrc4.constructions import build, catalog
+from lrc4.constructions import acceptance_sweep, build, catalog
 from lrc4.mat4 import Mat4
 
 
@@ -144,6 +144,19 @@ def test_verify_generator_restructuring_matches_built_profile(tmp_path, capsys):
     assert checked == 33
 
 
+
+def test_verify_parity_files_of_the_sweep_match_verify(tmp_path, capsys):
+    # a built parity file carries its layout; verify reads r-optimality
+    # from its own locality search, verify() from the bound or
+    # is_r_optimal, and the two reports must agree
+    path = tmp_path / "h.txt"
+    for cid, kw in acceptance_sweep():
+        opts = [f"--{k}={v}" for k, v in kw.items()]
+        run(capsys, "build", "--family", cid, *opts, "--as", "parity", "--out", str(path))
+        code, js, err = run(capsys, "verify", "--parity", str(path), "--json")
+        assert (code, err) == (0, ""), (cid, kw)
+        assert js == json.dumps(build(cid, **kw).verify().to_json_dict()) + "\n", (cid, kw)
+
 def test_verify_full_lifts_every_search_guard(tmp_path, capsys, monkeypatch):
     # C1 l = 8 is [39,23,3], past the n <= 30 locality-search guard
     for kind in ("generator", "parity"):
@@ -241,6 +254,13 @@ def test_repair_erasure_out_of_range_exits_2(capsys):
     assert "recovered" not in out
     assert "out of range" in err
 
+
+
+def test_repair_erase_list_must_parse(capsys):
+    for erase in ("1,x", "1,,2", ""):
+        code, out, err = run(capsys, "repair", "--family", "C1", "--l", "2", "--erase", erase)
+        assert (code, out) == (2, "")
+        assert err == f"lrc4: --erase needs comma-separated coordinates, got {erase!r}\n"
 
 def test_pg_subcommand(capsys):
     code, out, _ = run(capsys, "pg", "--m", "3")

@@ -13,8 +13,8 @@ from lrc4 import lrc
 from lrc4.errors import ResourceError, StructureError, UndefinedDistanceError
 from lrc4.lrc import (
     LocalGroup,
-    LocalityFailure,
     LocalityProfile,
+    LocalitySearch,
     blockwise_min_distance,
     check_structure,
     extract_profile,
@@ -55,7 +55,7 @@ def test_group_count_range():
 def test_verify_locality_hexacode():
     res = verify_locality(hexacode(), 3, 4)
     assert res.ok
-    assert [sorted(g.support) for g in res.groups] == [[1, 2, 3, 4, 5, 6]]
+    assert set(res.coordinate_supports.values()) == {frozenset(range(1, 7))}
 
 
 def test_verify_locality_repetition():
@@ -67,13 +67,13 @@ def test_verify_locality_c4():
     bc = build("C4", l=2, r=3)
     res = verify_locality(bc.code, 3, 3)
     assert res.ok
-    supports = sorted(sorted(g.support) for g in res.groups)
+    supports = sorted(sorted(s) for s in set(res.coordinate_supports.values()))
     assert supports == [[1, 2, 3, 4, 5], [6, 7, 8, 9, 10]]
 
 
 def test_verify_locality_failure_lists_coordinates():
     res = verify_locality(hexacode(), 2, 4)
-    assert isinstance(res, LocalityFailure)
+    assert isinstance(res, LocalitySearch) and not res.ok
     assert res.bad_coordinates == tuple(range(1, 7))
 
 
@@ -272,10 +272,7 @@ def test_locality_search_matches_brute_force_oracle():
             assert not res.ok and list(res.bad_coordinates) == expected_bad
         else:
             assert res.ok
-            covered = set()
-            for g in res.groups:
-                covered |= g.support
-            assert covered == set(range(1, code.n + 1))
+            assert all(i in s for i, s in res.coordinate_supports.items())
         checked += 1
 
 
@@ -306,10 +303,10 @@ def test_locality_search_matches_oracles_on_random_codes(case):
         assert not res.ok and list(res.bad_coordinates) == expected_bad
         return
     assert res.ok
-    assert set().union(*(g.support for g in res.groups)) == set(range(1, code.n + 1))
+    assert all(i in s for i, s in res.coordinate_supports.items())
     # r-optimality read from the (r, delta) search against the direct
     # (r-1, delta) search
-    assert check_structure(code, res, search=res).r_optimal == is_r_optimal(code, r, delta)
+    assert res.r_optimal == is_r_optimal(code, r, delta)
 
 
 def ordered_supports_oracle(code, r, delta):

@@ -203,7 +203,7 @@ def test_solve_group_inconsistent_exactly_without_a_completion():
     rng = random.Random(8)
     verdicts = set()
     for bc in small_sweep_codes():
-        h = bc.profile.matrix if bc.profile.matrix is not None else bc.code.parity_check()
+        h = bc.profile.matrix
         words = bc.code.generator().span_words()
         for _ in range(4):
             grp = rng.choice(bc.profile.groups)
