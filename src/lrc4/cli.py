@@ -142,7 +142,8 @@ def _built_comments(bc, kind: str) -> list[str]:
     ]
     if kind == "parity-check":
         if bc.profile.partitioned:
-            lines.append("group-rows " + " ".join(f"{a}:{b}" for a, b in bc.layout))
+            lines.append("group-rows " + " ".join(f"{g.rows[0]}:{g.rows[-1]}"
+                                                  for g in bc.profile.groups))
         else:
             # the group layout lives on an augmented constraint stack, not
             # on this full-rank matrix; verify re-derives it by search
@@ -246,10 +247,10 @@ def _cmd_verify(args) -> int:
         return 1
 
     if layout:
-        target, profile = code, extract_profile(code.parity_check(), layout, r=r, delta=delta)
+        profile = extract_profile(code.parity_check(), layout, r=r, delta=delta)
     else:
-        target, profile = restructure(code, found)
-    report = check_structure(target, profile, search=found, scan_budget=budget)
+        _, profile = restructure(code, found)
+    report = check_structure(profile, search=found, scan_budget=budget)
     report.family = meta.get("family")
     report.status = meta.get("status")
     report.notes.extend(notes)

@@ -87,7 +87,7 @@ class CodeParams:
 class LinearCode:
     """An [n, k] code over GF(4), held by generator and/or parity-check matrix."""
 
-    __slots__ = ("gen", "pchk", "n", "k", "_complete")
+    __slots__ = ("gen", "pchk", "n", "k")
 
     def __init__(self, gen: Mat4 | None = None, pchk: Mat4 | None = None):
         if gen is None and pchk is None:
@@ -110,21 +110,19 @@ class LinearCode:
         self.pchk = pchk
         self.n = n
         self.k = gen.rows if gen is not None else n - pchk.rows
-        self._complete: LinearCode | None = None
 
     def complete(self) -> "LinearCode":
-        """Return an equivalent code with both matrices present.
+        """Fill in the missing matrix, once, and return this code.
 
-        Computed once: the matrices are immutable, so the result is cached.
+        The missing matrix is the right kernel of the given one, a
+        full-rank basis orthogonal to it by construction, so it skips the
+        constructor's checks.
         """
-        if self.gen is not None and self.pchk is not None:
-            return self
-        if self._complete is None:
-            if self.gen is None:
-                self._complete = LinearCode(gen=self.pchk.right_kernel(), pchk=self.pchk)
-            else:
-                self._complete = LinearCode(gen=self.gen, pchk=self.gen.right_kernel())
-        return self._complete
+        if self.gen is None:
+            self.gen = self.pchk.right_kernel()
+        elif self.pchk is None:
+            self.pchk = self.gen.right_kernel()
+        return self
 
     def generator(self) -> Mat4:
         return self.gen if self.gen is not None else self.complete().gen

@@ -14,8 +14,8 @@ block over per-group global tail rows, in which the variant families
 let groups 1 and 2 share one coordinate.  Builders return only that
 matrix; :func:`build` finishes every family in one place from its
 catalogue entry into a :class:`BuiltCode` bundling the code, its
-expected [n,k,d], the locality pair, the group layout, and the family
-record.
+expected [n,k,d], the locality pair, the locality profile, and the
+family record.
 
 Family records (:class:`FamilySpec`) cover the whole classification:
 constructed families, the two parameter ranges that remain open, and the
@@ -339,17 +339,17 @@ class FamilySpec:
     #: the builder returns the printed generator matrix, not a parity check
     generator: bool = False
     #: defining parameters -> (n, k, d, r, delta); build() finishes every code from it
-    _shape: Callable[..., tuple[int, int, int, int, int]] | None = field(default=None, repr=False)
+    shape: Callable[..., tuple[int, int, int, int, int]] | None = field(default=None, repr=False)
     #: defining parameter -> (lo, hi), hi None for unbounded; build() accepts
     #: exactly these parameters within these ranges
-    _ranges: dict[str, tuple[int, int | None]] | None = field(default=None, repr=False)
+    ranges: dict[str, tuple[int, int | None]] | None = field(default=None, repr=False)
     #: defining parameter -> value build() uses when it is not given
-    _defaults: dict[str, int] = field(default_factory=dict, repr=False)
+    defaults: dict[str, int] = field(default_factory=dict, repr=False)
     #: defining parameters -> instance status, where it varies within the family
-    _instance_status: Callable[..., str] | None = field(default=None, repr=False)
+    instance_status: Callable[..., str] | None = field(default=None, repr=False)
 
     def _status_at(self, params: dict) -> str:
-        return self._instance_status(**params) if self._instance_status else self.status
+        return self.instance_status(**params) if self.instance_status else self.status
 
     def instances(self, n_max: int) -> Iterator[dict]:
         """Evaluated parameter tuples with n <= n_max, increasing n.
@@ -360,24 +360,24 @@ class FamilySpec:
         each parameter, so a range ends once n exceeds n_max with the
         later parameters at their minimum.
         """
-        if not self._ranges:
+        if not self.ranges:
             return iter(())
-        names = list(self._ranges)
+        names = list(self.ranges)
         out = []
 
         def walk(params: dict) -> None:
             if len(params) == len(names):
-                n, k, d, r, delta = self._shape(**params)
+                n, k, d, r, delta = self.shape(**params)
                 out.append({
                     "n": n, "k": k, "d": d, "r": r, "delta": delta, "params": params,
                     "status": self._status_at(params),
                 })
                 return
             name = names[len(params)]
-            lo, hi = self._ranges[name]
-            rest = {m: self._ranges[m][0] for m in names[len(params) + 1:]}
+            lo, hi = self.ranges[name]
+            rest = {m: self.ranges[m][0] for m in names[len(params) + 1:]}
             for v in count(lo) if hi is None else range(lo, hi + 1):
-                if self._shape(**params, **{name: v}, **rest)[0] > n_max:
+                if self.shape(**params, **{name: v}, **rest)[0] > n_max:
                     break
                 walk({**params, name: v})
 
@@ -386,150 +386,132 @@ class FamilySpec:
         return iter(out)
 
 
-def _mk(fid, status, construction, formulas, valid_range, note="", variants=(),
-        generator=False, shape=None, ranges=None, defaults=None, instance_status=None):
-    return FamilySpec(
-        id=fid,
-        status=status,
-        construction=construction,
-        formulas=formulas,
-        valid_range=valid_range,
-        note=note,
-        variants=variants,
-        generator=generator,
-        _shape=shape,
-        _ranges=ranges,
-        _defaults=defaults or {},
-        _instance_status=instance_status,
-    )
-
-
 _FAMILIES: list[FamilySpec] = [
-    _mk("1", "constructed", "C1",
+    FamilySpec("1", "constructed", "C1",
         {"n": "5l-1", "k": "3l-1", "d": "3", "r": "3", "delta": "3"}, "l >= 2",
         variants=("a", "b"),
         shape=lambda l: (5 * l - 1, 3 * l - 1, 3, 3, 3), ranges={"l": (2, None)}),
-    _mk("2", "constructed", "C2",
+    FamilySpec("2", "constructed", "C2",
         {"n": "4l-1", "k": "2l-1", "d": "3", "r": "2", "delta": "3"}, "l >= 2",
         variants=("a", "b"),
         shape=lambda l: (4 * l - 1, 2 * l - 1, 3, 2, 3), ranges={"l": (2, None)}),
-    _mk("3", "constructed", "C3",
+    FamilySpec("3", "constructed", "C3",
         {"n": "5l-2", "k": "3l-2", "d": "3", "r": "3", "delta": "3"}, "l >= 2",
         variants=("a", "b"),
         shape=lambda l: (5 * l - 2, 3 * l - 2, 3, 3, 3), ranges={"l": (2, None)}),
-    _mk("4", "constructed", "C4",
+    FamilySpec("4", "constructed", "C4",
         {"n": "l(r+2)", "k": "rl", "d": "3", "r": "1..3", "delta": "3"}, "l >= 2, 1 <= r <= 3",
         shape=lambda l, r: (l * (r + 2), r * l, 3, r, 3), ranges={"l": (2, None), "r": (1, 3)},
         defaults={"r": 3}),
-    _mk("5", "constructed", "C5",
+    FamilySpec("5", "constructed", "C5",
         {"n": "6l-1", "k": "3l-1", "d": "4", "r": "3", "delta": "4"}, "l >= 2",
         variants=("a", "b"),
         shape=lambda l: (6 * l - 1, 3 * l - 1, 4, 3, 4), ranges={"l": (2, None)}),
-    _mk("6", "constructed", "C6",
+    FamilySpec("6", "constructed", "C6",
         {"n": "5l", "k": "3l-1", "d": "4", "r": "3", "delta": "3"}, "l >= 2",
         shape=lambda l: (5 * l, 3 * l - 1, 4, 3, 3), ranges={"l": (2, None)}),
-    _mk("7", "constructed", "C7",
+    FamilySpec("7", "constructed", "C7",
         {"n": "4l", "k": "2l-1", "d": "4", "r": "2", "delta": "3"}, "l >= 2",
         shape=lambda l: (4 * l, 2 * l - 1, 4, 2, 3), ranges={"l": (2, None)}),
-    _mk("8", "constructed", "C8",
+    FamilySpec("8", "constructed", "C8",
         {"n": "5l-1", "k": "2l-1", "d": "4", "r": "2", "delta": "4"}, "l >= 2",
         variants=("a", "b"),
         shape=lambda l: (5 * l - 1, 2 * l - 1, 4, 2, 4), ranges={"l": (2, None)}),
-    _mk("9", "constructed", "C9",
+    FamilySpec("9", "constructed", "C9",
         {"n": "5l-1", "k": "3l-2", "d": "4", "r": "3", "delta": "3"}, "l >= 2",
         variants=("a", "b"),
         shape=lambda l: (5 * l - 1, 3 * l - 2, 4, 3, 3), ranges={"l": (2, None)}),
-    _mk("10", "constructed", "C10",
+    FamilySpec("10", "constructed", "C10",
         {"n": "6l-2", "k": "3l-2", "d": "4", "r": "3", "delta": "4"}, "l >= 2",
         variants=("a", "b"),
         shape=lambda l: (6 * l - 2, 3 * l - 2, 4, 3, 4), ranges={"l": (2, None)}),
-    _mk("11", "constructed", "C11",
+    FamilySpec("11", "constructed", "C11",
         {"n": "l(r+3)", "k": "rl", "d": "4", "r": "1..3", "delta": "4"}, "l >= 2, 1 <= r <= 3",
         shape=lambda l, r: (l * (r + 3), r * l, 4, r, 4), ranges={"l": (2, None), "r": (1, 3)},
         defaults={"r": 3}),
-    _mk("12", "constructed", "C12",
+    FamilySpec("12", "constructed", "C12",
         {"n": "k*delta", "k": "k", "d": "delta", "r": "1", "delta": ">= 5"}, "k >= 2, delta >= 5",
         shape=lambda k, delta: (k * delta, k, delta, 1, delta),
         ranges={"k": (2, None), "delta": (5, None)}),
-    _mk("13", "constructed", "C13",
+    FamilySpec("13", "constructed", "C13",
         {"n": "(k+1)delta", "k": "k", "d": "2delta", "r": "1", "delta": "> 2"}, "k >= 2, delta >= 3",
         shape=lambda k, delta: ((k + 1) * delta, k, 2 * delta, 1, delta),
         ranges={"k": (2, None), "delta": (3, None)}),
-    _mk("14", "constructed", "C14",
+    FamilySpec("14", "constructed", "C14",
         {"n": "(k+2)delta", "k": "k", "d": "3delta", "r": "1", "delta": "> 2"}, "k in {2,3}, delta >= 3",
         shape=lambda k, delta: ((k + 2) * delta, k, 3 * delta, 1, delta),
         ranges={"k": (2, 3), "delta": (3, None)}),
-    _mk("15", "constructed", "C15",
+    FamilySpec("15", "constructed", "C15",
         {"n": "(k+3)delta", "k": "k", "d": "4delta", "r": "1", "delta": "> 2"}, "k in {2,3}, delta >= 3",
         shape=lambda k, delta: ((k + 3) * delta, k, 4 * delta, 1, delta),
         ranges={"k": (2, 3), "delta": (3, None)}),
-    _mk("16", "constructed", "C16",
+    FamilySpec("16", "constructed", "C16",
         {"n": "d+4", "k": "3", "d": "5..12", "r": "2", "delta": "3"}, "5 <= d <= 12",
         generator=True, shape=lambda d: (d + 4, 3, d, 2, 3), ranges={"d": (5, 12)},
         defaults={"d": 12}),
-    _mk("l-s=2_1", "constructed", "CLS2_1",
+    FamilySpec("l-s=2_1", "constructed", "CLS2_1",
         {"n": "4l", "k": "2l-3", "d": "8", "r": "2", "delta": "3"}, "l in {4, 5}",
         note="printed dimension k=3 is inconsistent; k is derived as n - rank(H)",
         shape=lambda l: (4 * l, 2 * l - 3, 8, 2, 3), ranges={"l": (4, 5)}, defaults={"l": 5}),
-    _mk("l-s=3_1", "constructed", "CLS3_1",
+    FamilySpec("l-s=3_1", "constructed", "CLS3_1",
         {"n": "20", "k": "5", "d": "12", "r": "2", "delta": "3"}, "l = 5",
         note="printed dimension k=3 is inconsistent; k is derived as n - rank(H)",
         shape=lambda l: (4 * l, 2 * l - 5, 12, 2, 3), ranges={"l": (5, 5)}, defaults={"l": 5}),
-    _mk("17", "constructed", "C17",
+    FamilySpec("17", "constructed", "C17",
         {"n": "d+5", "k": "3", "d": "7..16", "r": "2", "delta": "4"}, "7 <= d <= 16",
         generator=True, shape=lambda d: (d + 5, 3, d, 2, 4), ranges={"d": (7, 16)},
         defaults={"d": 16}),
-    _mk("18", "constructed", "C18",
+    FamilySpec("18", "constructed", "C18",
         {"n": "d+5", "k": "4", "d": "5..12", "r": "3", "delta": "3"}, "5 <= d <= 12",
         generator=True, shape=lambda d: (d + 5, 4, d, 3, 3), ranges={"d": (5, 12)},
         defaults={"d": 12}),
-    _mk("l-s=1_3", "constructed", "CLS1_3",
+    FamilySpec("l-s=1_3", "constructed", "CLS1_3",
         {"n": "5l", "k": "3l-2", "d": "5", "r": "3", "delta": "3"}, "l >= 3",
         shape=lambda l: (5 * l, 3 * l - 2, 5, 3, 3), ranges={"l": (3, None)}),
-    _mk("33d=10", "open", None,
+    FamilySpec("33d=10", "open", None,
         {"n": "5l", "k": "3l-5", "d": "10", "r": "3", "delta": "3"}, "4 <= l <= 9",
         note="only the length range is known; existence and structure are open",
         shape=lambda l: (5 * l, 3 * l - 5, 10, 3, 3),
         ranges={"l": (4, 9)}),
-    _mk("19", "constructed", "C19",
+    FamilySpec("19", "constructed", "C19",
         {"n": "d+6", "k": "4", "d": "6..12", "r": "3", "delta": "4"}, "6 <= d <= 12",
         note="d >= 13 is impossible: no quaternary [6+d, 4, d] code exists",
         generator=True, shape=lambda d: (d + 6, 4, d, 3, 4), ranges={"d": (6, 12)},
         defaults={"d": 12}),
-    _mk("l-s=1_4", "constructed", "CLS1_4",
+    FamilySpec("l-s=1_4", "constructed", "CLS1_4",
         {"n": "6l", "k": "3l-2", "d": "6", "r": "3", "delta": "4"}, "l >= 3",
         shape=lambda l: (6 * l, 3 * l - 2, 6, 3, 4), ranges={"l": (3, None)}),
-    _mk("34l=4", "constructed", "C17G",
+    FamilySpec("34l=4", "constructed", "C17G",
         {"n": "6l", "k": "3l-5", "d": "12", "r": "3", "delta": "4"}, "4 <= l <= 20",
         note="explicit for 4 <= l <= 17; existence believed but open for 18 <= l <= 20",
         shape=lambda l: (6 * l, 3 * l - 5, 12, 3, 4),
         ranges={"l": (4, 20)},
         instance_status=lambda l: "constructed" if l <= 17 else "open"),
     # parameter cases proven impossible
-    _mk("d3-t3", "nonexistent", None, {"d": "3"}, "k = 3 (mod r)",
+    FamilySpec("d3-t3", "nonexistent", None, {"d": "3"}, "k = 3 (mod r)",
         note="the removed groups force [5,2,4] local codes with r = 3, contradicting t <= r-1"),
-    _mk("d3-r4", "nonexistent", None, {"d": "3", "r": ">= 4"}, "t = 1, r >= 4",
+    FamilySpec("d3-r4", "nonexistent", None, {"d": "3", "r": ">= 4"}, "t = 1, r >= 4",
         note="a local group would be a [>=6, 2] MDS code, impossible over GF(4)"),
-    _mk("d4-t3", "nonexistent", None, {"d": "4"}, "k = 3 (mod r)",
+    FamilySpec("d4-t3", "nonexistent", None, {"d": "4"}, "k = 3 (mod r)",
         note="the removed groups force [6,3,4] local codes with r = 3, contradicting t <= r-1"),
-    _mk("d4-r4", "nonexistent", None, {"d": "4", "r": ">= 4"}, "t = 1, r >= 4",
+    FamilySpec("d4-r4", "nonexistent", None, {"d": "4", "r": ">= 4"}, "t = 1, r >= 4",
         note="a local group would be a [>=6, 2] or [>=7, 3] MDS code, impossible over GF(4)"),
-    _mk("24d5", "nonexistent", None,
+    FamilySpec("24d5", "nonexistent", None,
         {"n": "10", "k": "3", "d": "5", "r": "2", "delta": "4"}, "single tuple",
         note="no weight-5 word in any [5,2,4] code, so no [5,1,5] dual subcode"),
-    _mk("24d6", "nonexistent", None,
+    FamilySpec("24d6", "nonexistent", None,
         {"n": "11", "k": "3", "d": "6", "r": "2", "delta": "4"}, "single tuple",
         note="two size-5 supports cannot cover 11 coordinates"),
-    _mk("34d5", "nonexistent", None,
+    FamilySpec("34d5", "nonexistent", None,
         {"n": "11", "k": "4", "d": "5", "r": "3", "delta": "4"}, "single tuple",
         note="reduces to a weight-5 word in a [5,2,4] code, which does not exist"),
-    _mk("24d10", "nonexistent", None,
+    FamilySpec("24d10", "nonexistent", None,
         {"n": "5l", "k": "2l-3", "d": "10", "r": "2", "delta": "4"}, "l - s = 2",
         note="lines in PG(2,F4) must intersect"),
-    _mk("24d15", "nonexistent", None,
+    FamilySpec("24d15", "nonexistent", None,
         {"n": "5l", "k": "2l-5", "d": "15", "r": "2", "delta": "4"}, "l - s = 3",
         note="a line and a 4-dim subspace of PG(4,F4) must intersect"),
-    _mk("34d13", "nonexistent", None,
+    FamilySpec("34d13", "nonexistent", None,
         {"n": "6+d", "k": "4", "d": ">= 13", "r": "3", "delta": "4"}, "s = 1, d >= 13",
         note="no quaternary [6+d, 4, d] linear code exists for d >= 13"),
 ]
@@ -567,10 +549,9 @@ class BuiltCode:
     r: int
     delta: int
     profile: LocalityProfile
-    layout: list[tuple[int, int]]
 
     def verify(self) -> OptimalityReport:
-        report = check_structure(self.code, self.profile)
+        report = check_structure(self.profile)
         report.family = self.family.id
         report.status = self.family.status
         return report
@@ -805,20 +786,20 @@ def build(
     if cid not in _BUILDERS:
         raise CatalogError(f"unknown construction {construction!r}")
     fam = _FAMILY_BY_CONSTRUCTION[cid]
-    if k is not None and "r" in fam._ranges:  # C4/C11 also take k = r*l for r
+    if k is not None and "r" in fam.ranges:  # C4/C11 also take k = r*l for r
         if not (_is_integer(k) and _is_integer(l)) or not l or k % l or r not in (None, k // l):
             with_r = "" if r is None else f", r={r!r}"
             raise RangeError(f"{cid} needs k = r*l, got k={k!r}, l={l!r}{with_r}")
         k, r = None, k // l
     given = {"l": l, "k": k, "delta": delta, "r": r, "d": d}
     for name, value in given.items():
-        if value is not None and name not in fam._ranges:
+        if value is not None and name not in fam.ranges:
             raise RangeError(f"{cid} takes no parameter {name}")
     if variant is not None and variant not in fam.variants:
         raise RangeError(f"{cid} has no variant {variant!r}")
     params = {}
-    for name, (lo, hi) in fam._ranges.items():
-        value = fam._defaults.get(name) if given[name] is None else given[name]
+    for name, (lo, hi) in fam.ranges.items():
+        value = fam.defaults.get(name) if given[name] is None else given[name]
         if value is None:
             raise RangeError(f"{cid} needs parameter {name}")
         if not _is_integer(value):
@@ -837,7 +818,7 @@ def build(
         m = _BUILDERS[cid](**params, variant=variant)
     else:
         m = _BUILDERS[cid](**params)
-    n, dim, dist, r, delta = fam._shape(**params)
+    n, dim, dist, r, delta = fam.shape(**params)
     if fam.generator:
         # restructure raises StructureError when some coordinate has no
         # qualifying support, so this also certifies the locality
@@ -860,14 +841,13 @@ def build(
         r=r,
         delta=delta,
         profile=profile,
-        layout=[(g.rows[0], g.rows[-1]) for g in profile.groups],
     )
 
 
 def blockwise_min_distance(bc: BuiltCode) -> int:
     """Exact d of a built disjoint-group code: :func:`lrc.blockwise_min_distance`
     on its profile.  Raises ValueError on overlapping groups."""
-    return lrc.blockwise_min_distance(bc.profile.matrix, bc.profile)
+    return lrc.blockwise_min_distance(bc.profile)
 
 
 def acceptance_sweep() -> list[tuple[str, dict]]:

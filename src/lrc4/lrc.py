@@ -356,9 +356,8 @@ def structured_parity_check(
     cover needs more than n - k group rows); for those the matrix is an
     augmented stack with redundant rows and the flag is False.
     """
-    cc = c.complete()
-    h0 = cc.pchk
-    n = cc.n
+    h0 = c.parity_check()
+    n = c.n
     candidates = [(s, _local_dual_basis(h0, s)) for s in supports]
     candidates = [(s, b) for s, b in candidates if b.rows > 0]
     chosen = _select_cover(n, candidates)
@@ -409,9 +408,10 @@ def restructure(c: LinearCode, found: LocalitySearch) -> tuple[LinearCode, Local
 # blockwise distance
 
 
-def _blockwise_unfit(h: Mat4, profile: LocalityProfile) -> str | None:
-    """Why the blockwise DP cannot measure the code of ``h`` through this
-    profile, or None when it can."""
+def _blockwise_unfit(profile: LocalityProfile) -> str | None:
+    """Why the blockwise DP cannot measure the code of the profile's
+    matrix through its groups, or None when it can."""
+    h = profile.matrix
     n = h.cols
     supports = profile.supports()
     if sum(map(len, supports)) != n or len(frozenset().union(*supports)) != n:
@@ -425,12 +425,13 @@ def _blockwise_unfit(h: Mat4, profile: LocalityProfile) -> str | None:
     return None
 
 
-def _splice_bases(h: Mat4, profile: LocalityProfile) -> list[Mat4]:
+def _splice_bases(profile: LocalityProfile) -> list[Mat4]:
     """Per group, a basis of the words w on its columns that its local
     rows L_b annihilate, each followed by its global syndrome G_b w (G_b:
     the global rows on the group's columns).  Over GF(4), G_b w + s = 0
     means s = G_b w, so these [w | s] are the right kernel of
     [[L_b, 0], [G_b, I]]."""
+    h = profile.matrix
     glob0 = [i - 1 for i in profile.global_rows]
     out = []
     for g in profile.groups:
@@ -488,8 +489,9 @@ def _blockwise_dp(g: int, bases: list[Mat4]) -> int:
     return d
 
 
-def blockwise_min_distance(h: Mat4, profile: LocalityProfile) -> int:
-    """Exact minimum distance of the code of ``h`` via its group structure.
+def blockwise_min_distance(profile: LocalityProfile) -> int:
+    """Exact minimum distance of the code of the profile's matrix via its
+    group structure.
 
     When the group supports are pairwise disjoint and cover every
     coordinate, and each local row is zero outside its group's support,
@@ -502,19 +504,19 @@ def blockwise_min_distance(h: Mat4, profile: LocalityProfile) -> int:
     guards: the full 17-group code ([102,46]) takes about a million
     table operations.  Raises ValueError on any other profile.
     """
-    why = _blockwise_unfit(h, profile)
+    why = _blockwise_unfit(profile)
     if why is not None:
         raise ValueError(f"blockwise distance: {why}")
-    return _blockwise_dp(len(profile.global_rows), _splice_bases(h, profile))
+    return _blockwise_dp(len(profile.global_rows), _splice_bases(profile))
 
 
-def _blockwise_route(h: Mat4, profile: LocalityProfile) -> list[Mat4] | None:
+def _blockwise_route(profile: LocalityProfile) -> list[Mat4] | None:
     """The groups' :func:`_splice_bases` when :func:`check_structure`
     settles d by the blockwise DP: a partitioned profile that the DP
     measures exactly, within :data:`BLOCKWISE_MAX_WORK` table operations."""
-    if not profile.partitioned or _blockwise_unfit(h, profile) is not None:
+    if not profile.partitioned or _blockwise_unfit(profile) is not None:
         return None
-    bases = _splice_bases(h, profile)
+    bases = _splice_bases(profile)
     # each group's 4^k_b kernel words, then one pass over the 4^g global
     # syndromes per distinct syndrome of its words
     size = 4 ** len(profile.global_rows)
@@ -591,15 +593,16 @@ class OptimalityReport:
 
 
 def check_structure(
-    c: LinearCode,
     profile: LocalityProfile,
     *,
     search: LocalitySearch | None = None,
     scan_budget: int | None = None,
 ) -> OptimalityReport:
-    """Run the optimality predicates and the five structural theorem checks.
+    """Run the optimality predicates and the five structural theorem checks
+    on the code that the profile's matrix presents.
 
-    The profile's matrix must present ``c``.  d is
+    A partitioned profile's matrix is a full-rank parity check, else
+    RankError; an unpartitioned one's is reduced to its row basis.  d is
     settled by :func:`blockwise_min_distance` when the profile is
     partitioned, every group has rows, the supports are pairwise disjoint
     and cover every coordinate, every local row is zero outside its
@@ -614,8 +617,9 @@ def check_structure(
     is beyond the locality-search guard, the affected verdicts are
     reported as None with an explanatory note rather than failing.
     """
-    cc = c.complete()
-    n, k = cc.n, cc.k
+    h = profile.matrix
+    c = LinearCode(pchk=h if profile.partitioned else h.row_basis())
+    n, k = c.n, c.k
     r, delta = profile.r, profile.delta
     notes: list[str] = []
     if search is not None and not (isinstance(search, LocalitySearch) and search.ok
@@ -623,9 +627,6 @@ def check_structure(
         raise StructureError(f"{search!r} does not certify the ({r},{delta})-locality "
                              f"of this [{n},{k}] code")
 
-    h = profile.matrix
-    if h.cols != n or h.row_basis() != cc.pchk.row_basis():
-        raise StructureError("profile matrix does not present the same code")
     if not profile.partitioned:
         notes.append(
             "no full-rank parity check admits a local/global row partition "
@@ -633,12 +634,12 @@ def check_structure(
         )
 
     d: int | None
-    bases = _blockwise_route(h, profile)
+    bases = _blockwise_route(profile)
     if bases is not None:
         d = _blockwise_dp(len(profile.global_rows), bases)
     else:
         try:
-            d = cc.min_distance(budget=scan_budget)
+            d = c.min_distance(budget=scan_budget)
         except ScanBudgetExceeded as e:
             d = None
             notes.append(f"min distance not settled: {e}; structural checks only")
@@ -654,15 +655,15 @@ def check_structure(
         r_optimal = True
     else:
         try:
-            r_optimal = is_r_optimal(cc, r, delta)
+            r_optimal = is_r_optimal(c, r, delta)
         except ResourceError as e:
             notes.append(f"r-optimality skipped: {e}")
 
     checks = {
-        "h_prime_mds": _check_h_prime(cc, profile, h, d if d is not None else bound),
+        "h_prime_mds": _check_h_prime(c, profile, d if d is not None else bound),
         "rows_per_group": _check_rows_per_group(profile),
-        "punctured_mds": _check_punctured_mds(cc, profile),
-        "disjointness": _check_disjointness(cc, profile),
+        "punctured_mds": _check_punctured_mds(c, profile),
+        "disjointness": _check_disjointness(c, profile),
         "distance_cap": _check_distance_cap(k, r, delta, d),
     }
     return OptimalityReport(
@@ -680,9 +681,7 @@ def check_structure(
     )
 
 
-def _check_h_prime(
-    c: LinearCode, profile: LocalityProfile, h: Mat4, d_target: int
-) -> CheckResult:
+def _check_h_prime(c: LinearCode, profile: LocalityProfile, d_target: int) -> CheckResult:
     """Deleting any ceil(k/r)-1 groups (rows and covered columns) must leave
     a full-rank parity check of an MDS code with the same distance."""
     name = "h_prime_mds"
@@ -700,7 +699,7 @@ def _check_h_prime(
             g = profile.groups[gi]
             drop_rows.update(i - 1 for i in g.rows)
             drop_cols.update(i - 1 for i in g.support)
-        hp = h.delete_rows(drop_rows).delete_columns(drop_cols)
+        hp = profile.matrix.delete_rows(drop_rows).delete_columns(drop_cols)
         tag = "+".join(str(g + 1) for g in choice) or "none"
         try:
             sub = LinearCode(pchk=hp)

@@ -52,6 +52,12 @@ def test_complete_hexacode():
     assert c.pchk.rows == 3
     assert (c.gen @ c.pchk.transpose()).is_zero()
     assert c.complete() is c  # idempotent
+    # parity-only input: the generator is filled in on the same object
+    p = LinearCode(pchk=LOCAL_5)
+    assert p.complete() is p
+    assert p.gen == LOCAL_5.right_kernel()
+    assert (p.gen @ p.pchk.transpose()).is_zero()
+    assert p.gen.rows + p.pchk.rows == p.n
 
 
 def test_complete_single_parity_layout_gives_repetition():

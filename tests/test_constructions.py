@@ -91,8 +91,8 @@ def test_build_accepts_exactly_the_catalogue_ranges():
     for fam in catalog():
         if fam.status != "constructed":
             continue
-        lows = {name: lo for name, (lo, _) in fam._ranges.items()}
-        for name, (lo, hi) in fam._ranges.items():
+        lows = {name: lo for name, (lo, _) in fam.ranges.items()}
+        for name, (lo, hi) in fam.ranges.items():
             assert build(fam.construction, **{**lows, name: lo}).params == {**lows, name: lo}
             with pytest.raises(RangeError, match=f"got {name}={lo - 1}"):
                 build(fam.construction, **{**lows, name: lo - 1})
@@ -193,11 +193,12 @@ def test_every_constructed_instance_up_to_64_matches_its_catalogue_tuple():
                 key = (fam.construction, inst["params"], v)
                 assert (bc.code.n, bc.code.k, bc.expected.d, bc.r, bc.delta) == want, key
                 assert (bc.expected.n, bc.expected.k) == (bc.code.n, bc.code.k), key
+                layout = [(g.rows[0], g.rows[-1]) for g in bc.profile.groups]
                 if bc.profile.partitioned:
-                    assert all(b - a + 1 == bc.delta - 1 for a, b in bc.layout), key
+                    assert all(b - a + 1 == bc.delta - 1 for a, b in layout), key
                 for m in (bc.code.generator(), bc.code.parity_check(), bc.profile.matrix):
                     digest.update(repr(m.array.shape).encode() + m.array.tobytes())
-                digest.update(repr(bc.layout).encode())
+                digest.update(repr(layout).encode())
     assert builds == 553
     assert digest.hexdigest() == BUILDS_UP_TO_64_SHA256
 
@@ -514,7 +515,7 @@ def test_desk_scale_distance_settled_by_blockwise_route():
     # d above the (r-1, delta) bound proves r-optimality without a search
     bc = build("C17G", l=17)
     assert (bc.code.n, bc.code.k) == (102, 46)
-    report = check_structure(bc.code, bc.profile, scan_budget=10 ** 5)
+    report = check_structure(bc.profile, scan_budget=10 ** 5)
     assert report.d == 12 and report.d_optimal is True
     assert report.r_optimal is True
     assert all(c.passed is True for c in report.checks.values())
@@ -529,7 +530,7 @@ def test_desk_scale_guard_degrades_gracefully():
     bc = build("C5", l=8, variant="b")
     assert (bc.code.n, bc.code.k) == (47, 23)
     # a tight scan budget stands in for the default 10^8 so the test is quick
-    report = check_structure(bc.code, bc.profile, scan_budget=10 ** 4)
+    report = check_structure(bc.profile, scan_budget=10 ** 4)
     assert report.d is None and report.d_optimal is None
     assert report.r_optimal is None
     assert report.checks["h_prime_mds"].passed is True

@@ -10,7 +10,13 @@ from lrc4 import gf4
 from lrc4.code import LinearCode, hexacode
 from lrc4.constructions import build
 from lrc4 import lrc
-from lrc4.errors import ResourceError, StructureError, UndefinedDistanceError
+from lrc4.errors import (
+    Lrc4Error,
+    RankError,
+    ResourceError,
+    StructureError,
+    UndefinedDistanceError,
+)
 from lrc4.lrc import (
     LocalGroup,
     LocalityProfile,
@@ -24,7 +30,7 @@ from lrc4.lrc import (
     structured_parity_check,
     verify_locality,
 )
-from lrc4.mat4 import Mat4
+from lrc4.mat4 import Mat4, vstack
 
 
 def repetition(n):
@@ -156,7 +162,7 @@ def test_check_structure_corruption_is_detected():
     h[4, 2] = 0  # zero one global entry
     broken = LinearCode(pchk=Mat4(h))
     profile = extract_profile(broken.pchk, [(1, 2), (3, 4)], r=3, delta=3)
-    report = check_structure(broken, profile)
+    report = check_structure(profile)
     assert not report.all_passed
     assert report.d_optimal is False or any(
         c.passed is False for c in report.checks.values()
@@ -174,7 +180,7 @@ def test_check_structure_reports_rank_deficient_h_prime():
         " / 0 0 0 0 0 0 1 1 w W / 0 0 1 W w 1 0 1 1 1"
     )
     profile = extract_profile(h, [(1, 2), (3, 4)], r=3, delta=3)
-    report = check_structure(LinearCode(pchk=h), profile)
+    report = check_structure(profile)
     check = report.checks["h_prime_mds"]
     assert check.passed is False
     assert check.witness == "H' not full rank after removing groups 1"
@@ -343,11 +349,24 @@ def test_locality_search_order_matches_definition(case):
 def test_check_structure_rejects_a_search_at_other_parameters():
     bc = build("C1", l=2)
     with pytest.raises(StructureError):
-        check_structure(bc.code, bc.profile, search=verify_locality(bc.code, 4, 3))
+        check_structure(bc.profile, search=verify_locality(bc.code, 4, 3))
     with pytest.raises(StructureError):
-        check_structure(bc.code, bc.profile, search=verify_locality(bc.code, 1, 3))
+        check_structure(bc.profile, search=verify_locality(bc.code, 1, 3))
     with pytest.raises(StructureError):  # a layout profile is no search result
-        check_structure(bc.code, bc.profile, search=bc.profile)
+        check_structure(bc.profile, search=bc.profile)
+
+
+def test_check_structure_rejects_a_rank_deficient_partitioned_matrix():
+    # a partitioned profile's matrix is the code's parity check, so a
+    # repeated row is bad input, not an inconsistency between two codes
+    bc = build("C6", l=2)
+    h = bc.profile.matrix
+    profile = LocalityProfile(r=bc.r, delta=bc.delta, groups=bc.profile.groups,
+                              global_rows=bc.profile.global_rows + (h.rows + 1,),
+                              matrix=vstack([h, h.take_rows([h.rows - 1])]))
+    with pytest.raises(RankError) as err:
+        check_structure(profile)
+    assert isinstance(err.value, Lrc4Error)
 
 
 @pytest.mark.parametrize(
@@ -413,10 +432,10 @@ def test_blockwise_distance_matches_enumeration(case):
     assume(kernel.rows <= 8)
     if kernel.rows == 0:
         with pytest.raises(UndefinedDistanceError):
-            blockwise_min_distance(h, profile)
+            blockwise_min_distance(profile)
         return
     words = kernel.span_words()[1:]
-    assert blockwise_min_distance(h, profile) == int(np.count_nonzero(words, axis=1).min())
+    assert blockwise_min_distance(profile) == int(np.count_nonzero(words, axis=1).min())
 
 
 def _leaky(bc):
@@ -434,24 +453,24 @@ def test_leaky_local_row_takes_the_router(monkeypatch):
     bc = build("C6", l=3)  # disjoint groups, [15,8,4]
     profile = _leaky(bc)
     with pytest.raises(ValueError, match="outside"):
-        blockwise_min_distance(profile.matrix, profile)
+        blockwise_min_distance(profile)
 
     def refuse(*args):
         raise AssertionError("the blockwise DP ran on an unfit profile")
 
     monkeypatch.setattr(lrc, "_blockwise_dp", refuse)
-    report = check_structure(bc.code, profile)
+    report = check_structure(profile)
     assert report.d == bc.code.min_distance() == 4
 
 
 def test_blockwise_route_needs_a_partition_and_the_work_budget(monkeypatch):
     bc = build("C6", l=3)
     h = bc.profile.matrix
-    assert lrc._blockwise_route(h, bc.profile) is not None
+    assert lrc._blockwise_route(bc.profile) is not None
     unpartitioned = LocalityProfile(r=bc.r, delta=bc.delta, groups=bc.profile.groups,
                                     global_rows=bc.profile.global_rows, matrix=h,
                                     partitioned=False)
-    assert lrc._blockwise_route(h, unpartitioned) is None
+    assert lrc._blockwise_route(unpartitioned) is None
     monkeypatch.setattr(lrc, "BLOCKWISE_MAX_WORK", 0)
-    assert lrc._blockwise_route(h, bc.profile) is None
+    assert lrc._blockwise_route(bc.profile) is None
     assert bc.verify().d == 4  # by the router
