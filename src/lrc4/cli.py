@@ -249,7 +249,7 @@ def _cmd_verify(args) -> int:
     if layout:
         profile = extract_profile(code.parity_check(), layout, r=r, delta=delta)
     else:
-        _, profile = restructure(code, found)
+        profile = restructure(code, found)
     report = check_structure(profile, search=found, scan_budget=budget)
     report.family = meta.get("family")
     report.status = meta.get("status")

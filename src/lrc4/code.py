@@ -2,9 +2,9 @@
 
 A :class:`LinearCode` is held as a generator matrix, a parity-check
 matrix, or both; the missing one is recovered as a right-kernel basis
-(``G H^T = 0``).  On top of that sit the classical operations: minimum
-distance, weight distribution, puncturing and shortening, and the MDS
-predicates specialised to q = 4.
+(``G H^T = 0``).  On top of that sit minimum distance, weight
+distribution, puncturing, and the MDS feasibility and weight-distribution
+formulas specialised to q = 4.
 
 Minimum distance is computed by two exact routes, chosen by cost:
 
@@ -130,17 +130,6 @@ class LinearCode:
     def parity_check(self) -> Mat4:
         return self.pchk if self.pchk is not None else self.complete().pchk
 
-    def dual(self) -> "LinearCode":
-        c = self.complete()
-        return LinearCode(gen=c.pchk, pchk=c.gen)
-
-    def canonical_generator(self) -> Mat4:
-        """rref of the generator: equal iff two codes have the same codewords."""
-        return self.generator().row_basis()
-
-    def same_code(self, other: "LinearCode") -> bool:
-        return self.n == other.n and self.canonical_generator() == other.canonical_generator()
-
     def __repr__(self) -> str:
         return f"LinearCode(n={self.n}, k={self.k})"
 
@@ -151,12 +140,6 @@ class LinearCode:
         if self.k > _MAX_ENUM_K:
             raise ResourceError(f"4^{self.k} codewords exceed the enumeration guard (k <= {_MAX_ENUM_K})")
         return span_chunks(self.generator())
-
-    def codewords(self) -> np.ndarray:
-        """All codewords as one array (k <= 10)."""
-        if self.k > _ENUM_CHUNK_K:
-            raise ResourceError(f"full codeword table wants k <= {_ENUM_CHUNK_K}, got {self.k}")
-        return next(iter(self.codeword_chunks()))
 
     # -- parameters -------------------------------------------------------
 
@@ -230,29 +213,6 @@ class LinearCode:
             raise EmptyCodeError("puncturing every coordinate leaves nothing")
         g = self.generator().delete_columns(i - 1 for i in drop)
         return LinearCode(gen=g.row_basis())
-
-    def shorten(self, coords: Iterable[int]) -> "LinearCode":
-        """Keep codewords vanishing on ``coords`` (1-based), then delete them."""
-        s = _check_coordinate_set(coords, self.n)
-        if len(s) == self.n:
-            raise EmptyCodeError("shortening every coordinate leaves nothing")
-        g = self.generator()
-        if not s:
-            return LinearCode(gen=g.row_basis())
-        sel = g.take_columns([i - 1 for i in sorted(s)])
-        # left kernel of sel = message combinations vanishing on s
-        combos = sel.transpose().right_kernel()
-        sub = (combos @ g).delete_columns(i - 1 for i in s)
-        basis = sub.row_basis()
-        if basis.rows == 0:
-            raise EmptyCodeError("shortening leaves the zero code")
-        return LinearCode(gen=basis)
-
-    def is_mds(self) -> bool:
-        """True iff d = n - k + 1."""
-        if self.k == 0:
-            return False
-        return self.min_distance() == self.n - self.k + 1
 
 
 def _check_coordinate_set(coords: Iterable[int], n: int) -> frozenset[int]:

@@ -42,6 +42,7 @@ from .lrc import (
     verify_locality,
 )
 from .mat4 import Mat4, hstack, vstack
+from .pg import normalize
 
 # ---------------------------------------------------------------------------
 # shared blocks
@@ -282,14 +283,13 @@ def c17g_triples(l: int) -> list[tuple[tuple[int, ...], tuple[int, ...], tuple[i
     return [_parse_vecs(row) for row in C17G_TRIPLES[:l]]
 
 
-# combinations a*u + b*v + c*z that must avoid every other subspace:
-# the projective (a,b,c) of weight <= 2 plus (1,1,1), (1,w,w^2), (1,w^2,w)
-_FORBIDDEN_COMBOS: list[tuple[int, int, int]] = (
-    [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
-    + [(1, b, 0) for b in gf4.NONZERO]
-    + [(1, 0, c) for c in gf4.NONZERO]
-    + [(0, 1, c) for c in gf4.NONZERO]
-    + [(1, 1, 1), (1, gf4.W, gf4.W2), (1, gf4.W2, gf4.W)]
+# combinations a*u + b*v + c*z that must avoid every other subspace: the
+# tails (a, b, c) at coordinates 4-6 of the local kernel's weight-4 words,
+# one per projective point.  Such a word's global syndrome inside another
+# group's plane would splice with a word of weight at most 6 there into a
+# codeword of weight below 12.  The other 6 points are the weight-6 tails.
+_FORBIDDEN_COMBOS: list[tuple[int, ...]] = sorted(
+    {normalize(w[3:]).coords for w in LOCAL_6.right_kernel().span_words() if (w > 0).sum() == 4}
 )
 
 
@@ -823,7 +823,8 @@ def build(
         # restructure raises StructureError when some coordinate has no
         # qualifying support, so this also certifies the locality
         code = LinearCode(gen=m)
-        code, profile = restructure(code, verify_locality(code, r, delta))
+        profile = restructure(code, verify_locality(code, r, delta))
+        code = LinearCode(gen=m, pchk=profile.parity_check())
     else:
         rows = delta - 1
         layout = [(1 + i * rows, (i + 1) * rows) for i in range(ceil(n / (r + rows)))]

@@ -59,11 +59,6 @@ def inv(a: int) -> int:
     return INV[a]
 
 
-def div(a: int, b: int) -> int:
-    """a / b, raising ZeroDivisionError when b = 0."""
-    return MUL[a][inv(b)]
-
-
 def to_symbol(a: int) -> str:
     """Render an element as one of ``0 1 w W``."""
     return SYMBOLS[a]

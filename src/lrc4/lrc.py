@@ -109,6 +109,11 @@ class LocalityProfile:
     def supports(self) -> list[frozenset[int]]:
         return [g.support for g in self.groups]
 
+    def parity_check(self) -> Mat4:
+        """The parity check of the code the profile presents: ``matrix``
+        when partitioned, else its row basis."""
+        return self.matrix if self.partitioned else self.matrix.row_basis()
+
 
 @dataclass(frozen=True)
 class LocalitySearch:
@@ -392,16 +397,15 @@ def structured_parity_check(
     return h, layout, partitioned
 
 
-def restructure(c: LinearCode, found: LocalitySearch) -> tuple[LinearCode, LocalityProfile]:
-    """The code with its parity check in local/global block form, built
-    from a successful :func:`verify_locality` search of it, and the
-    profile of that layout.  Raises StructureError when the search failed."""
+def restructure(c: LinearCode, found: LocalitySearch) -> LocalityProfile:
+    """The profile of the code's parity check in local/global block form,
+    built from a successful :func:`verify_locality` search of it.  Raises
+    StructureError when the search failed."""
     if not found.ok:
         raise StructureError(f"coordinates {list(found.bad_coordinates)} have no "
                              f"({found.r},{found.delta}) repair support")
     h, layout, partitioned = structured_parity_check(c, found.qualifying)
-    code = LinearCode(gen=c.generator(), pchk=h if partitioned else h.row_basis())
-    return code, extract_profile(h, layout, r=found.r, delta=found.delta, partitioned=partitioned)
+    return extract_profile(h, layout, r=found.r, delta=found.delta, partitioned=partitioned)
 
 
 # ---------------------------------------------------------------------------
@@ -599,14 +603,13 @@ def check_structure(
     scan_budget: int | None = None,
 ) -> OptimalityReport:
     """Run the optimality predicates and the five structural theorem checks
-    on the code that the profile's matrix presents.
+    on the code that :meth:`LocalityProfile.parity_check` presents.
 
-    A partitioned profile's matrix is a full-rank parity check, else
-    RankError; an unpartitioned one's is reduced to its row basis.  d is
-    settled by :func:`blockwise_min_distance` when the profile is
-    partitioned, every group has rows, the supports are pairwise disjoint
-    and cover every coordinate, every local row is zero outside its
-    group's support, and the DP's table work is within
+    A partitioned profile's matrix must be a full-rank parity check, else
+    RankError.  d is settled by :func:`blockwise_min_distance` when the
+    profile is partitioned, every group has rows, the supports are
+    pairwise disjoint and cover every coordinate, every local row is zero
+    outside its group's support, and the DP's table work is within
     :data:`BLOCKWISE_MAX_WORK`; otherwise by the scan/enumeration router
     of :meth:`LinearCode.min_distance`.  r-optimality is read from
     ``search``, a successful (r, delta) :func:`verify_locality` result,
@@ -617,8 +620,7 @@ def check_structure(
     is beyond the locality-search guard, the affected verdicts are
     reported as None with an explanatory note rather than failing.
     """
-    h = profile.matrix
-    c = LinearCode(pchk=h if profile.partitioned else h.row_basis())
+    c = LinearCode(pchk=profile.parity_check())
     n, k = c.n, c.k
     r, delta = profile.r, profile.delta
     notes: list[str] = []

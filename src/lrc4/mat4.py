@@ -3,7 +3,7 @@
 A :class:`Mat4` wraps a read-only numpy uint8 array with entries in
 {0,1,2,3} (see :mod:`lrc4.gf4` for the element encoding).  Sizes in this
 problem domain stay around 120 columns.  Products, row-space enumeration,
-Kronecker products and block assembly work on the array; the reductions
+Kronecker products and stacking work on the array; the reductions
 (reduced row-echelon form, rank, row basis, right kernel) pack the rows
 into bit planes and run the one elimination kernel,
 :func:`lrc4._gf4vec.echelon`, unpacking only the rows they return.
@@ -266,20 +266,3 @@ def vstack(blocks: Sequence[Mat4]) -> Mat4:
     cols = blocks[0].cols
     rows = sum(b.rows for b in blocks)
     return Mat4(np.vstack([b.array.reshape(b.rows, cols) for b in blocks]), cols=cols)
-
-
-def assemble_blocks(layout: Sequence[Sequence[Mat4]]) -> Mat4:
-    """Concatenate a grid of blocks into one matrix.
-
-    Within a grid row all blocks must agree on row count; the assembled
-    rows must agree on total width.  Zero-sized blocks are fine (they are
-    how constructions degenerate at minimal parameters).
-    """
-    if not layout or not all(row for row in layout):
-        raise ShapeError("assemble_blocks: empty layout")
-    strips = [hstack(row) for row in layout]
-    return vstack(strips)
-
-
-def kron(a: Mat4, b: Mat4) -> Mat4:
-    return a.kron(b)

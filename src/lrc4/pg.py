@@ -35,10 +35,6 @@ class PgPoint:
         if lead != 1:
             raise ValueError(f"not normalized: leading coordinate {gf4.to_symbol(lead)}")
 
-    @property
-    def m(self) -> int:
-        return len(self.coords)
-
     def __str__(self) -> str:
         return "(" + " ".join(gf4.to_symbol(x) for x in self.coords) + ")"
 
@@ -63,17 +59,6 @@ def enumerate_points(m: int) -> list[PgPoint]:
         if lead == 1:
             pts.append(PgPoint(v))
     return pts
-
-
-def span_dim(points: Iterable[PgPoint]) -> int:
-    """Vector-space dimension of the span of the points' coordinate vectors."""
-    rows = [p.coords for p in points]
-    if not rows:
-        raise ValueError("span of no points")
-    ms = {len(r) for r in rows}
-    if len(ms) != 1:
-        raise ValueError("points live in different spaces")
-    return Mat4(rows).rank()
 
 
 def count_subspaces(m: int, i: int) -> int:
@@ -129,12 +114,6 @@ def enumerate_subspaces(m: int, i: int) -> Iterator[Mat4]:
 def subspace_points(basis: Mat4) -> set[PgPoint]:
     """The projective points contained in the row space of ``basis``."""
     return {normalize(vec) for vec in basis.row_basis().span_words()[1:]}
-
-
-def point_in_subspace(p: PgPoint, basis: Mat4) -> bool:
-    """Membership test: does p lie in the row space of ``basis``?"""
-    stacked = Mat4(np.vstack([basis.array, np.array(p.coords, dtype=np.uint8)]))
-    return stacked.rank() == basis.rank()
 
 
 def intersect_subspaces(a: Mat4, b: Mat4) -> Mat4:

@@ -62,21 +62,17 @@ class RepairOutcome:
     failures: list[tuple[int, str]] = field(default_factory=list)
 
 
-def encode(bc, message: Sequence[int]) -> list[int]:
-    """message * generator; the result satisfies H c^T = 0.
-
-    Accepts a BuiltCode or a bare LinearCode.
-    """
-    code = bc.code if isinstance(bc, BuiltCode) else bc
+def encode(bc: BuiltCode, message: Sequence[int]) -> list[int]:
+    """message * generator; the result satisfies H c^T = 0."""
+    code = bc.code
     msg = [int(x) for x in message]
     if len(msg) != code.k:
         raise ValueError(f"message length {len(msg)} != k = {code.k}")
     return list((Mat4([msg]) @ code.generator()).row(0))
 
 
-def random_message(bc, rng: random.Random) -> list[int]:
-    code = bc.code if isinstance(bc, BuiltCode) else bc
-    return [rng.randrange(4) for _ in range(code.k)]
+def random_message(bc: BuiltCode, rng: random.Random) -> list[int]:
+    return [rng.randrange(4) for _ in range(bc.code.k)]
 
 
 def _solve_group(

@@ -93,7 +93,7 @@ def test_criterion_2_bound_equality():
 
 def test_criterion_3_weight_distributions():
     """Brute force reproduces the catalogued weight distributions exactly."""
-    c533 = LinearCode(gen=LOCAL_5).dual()
+    c533 = LinearCode(pchk=LOCAL_5)
     got_533 = c533.weight_distribution()
     got_hex = hexacode().weight_distribution()
     ok = got_533 == [1, 0, 0, 30, 15, 18] and got_hex == [1, 0, 0, 0, 45, 0, 18]

@@ -4,7 +4,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 from lrc4 import gf4
-from lrc4.constructions import c17g_triples
 from lrc4.mat4 import Mat4
 from lrc4.pg import (
     PgPoint,
@@ -14,8 +13,6 @@ from lrc4.pg import (
     enumerate_subspaces,
     intersect_subspaces,
     normalize,
-    point_in_subspace,
-    span_dim,
     subspace_points,
 )
 
@@ -78,15 +75,6 @@ def test_pencil_through_a_point_covers_the_plane():
     assert covered == set(pts)
 
 
-def test_span_dim():
-    assert span_dim([PgPoint((1, 0, 0))]) == 1
-    u, v, z = c17g_triples(17)[0]
-    assert span_dim([normalize(u), normalize(v), normalize(z)]) == 3
-    p, q = PgPoint((1, 0, 0)), PgPoint((0, 1, 0))
-    s = normalize(tuple(a ^ b for a, b in zip(p.coords, q.coords)))
-    assert span_dim([p, q, s]) == 2
-
-
 def test_count_subspaces():
     assert count_subspaces(3, 1) == 21
     assert count_subspaces(4, 0) == 1
@@ -122,8 +110,10 @@ def test_subspace_points_and_membership():
     basis = Mat4.from_string("1 0 0 / 0 1 0")
     pts = subspace_points(basis)
     assert len(pts) == 5
-    assert all(point_in_subspace(p, basis) for p in pts)
-    assert not point_in_subspace(PgPoint((0, 0, 1)), basis)
+    # membership oracle: a point of the row space leaves the rank unchanged
+    assert all(Mat4([*basis.array.tolist(), p.coords]).rank() == 2 for p in pts)
+    assert Mat4([*basis.array.tolist(), (0, 0, 1)]).rank() == 3
+    assert PgPoint((0, 0, 1)) not in pts
 
 
 def test_subspace_points_of_dependent_rows():
