@@ -166,9 +166,11 @@ def _locality_search(
     raises the rank exactly when its column's residual is nonzero.  A
     support must carry delta - 1 independent parity words, so its
     columns are rank-deficient by delta - 1.  The rank never falls, so a
-    node of rank above r has no qualifying descendant; nor has one whose
-    deficiency plus its number of later columns falls short.  Subsets of
-    size >= delta with that deficiency get the exact distance check.
+    node of rank above r has no qualifying descendant: a node that
+    reaches rank r keeps only the later columns with a zero residual.
+    Nor has a node whose deficiency plus its number of later columns
+    falls short.  Subsets of size >= delta with that deficiency get the
+    exact distance check.
     """
     need_def = delta - 1
     max_size = r + delta - 1
@@ -179,18 +181,21 @@ def _locality_search(
         depth = len(chosen) + 1
         for p, (i, hi, lo) in enumerate(later):
             grows = bool(hi | lo)
-            if grows and rank == r:
-                continue
             chosen.append(i)
             deficiency = depth - rank - grows
             if depth >= delta and deficiency >= need_def and _punctured_distance_at_least(
                 gen, chosen, delta
             ):
                 hits.append(tuple(chosen))
-            # each later column adds at most one to the deficiency
-            if depth < max_size and deficiency + len(later) - p - 1 >= need_def:
+            if depth < max_size:
                 rest = later[p + 1:]
-                rec(reduce_by((hi, lo), rest) if grows else rest, rank + grows)
+                if grows:
+                    rest = reduce_by((hi, lo), rest)
+                    if rank + 1 == r:  # only columns in the span can follow
+                        rest = [t for t in rest if not (t[1] | t[2])]
+                # each later column adds at most one to the deficiency
+                if deficiency + len(rest) >= need_def:
+                    rec(rest, rank + grows)
             chosen.pop()
 
     rec([(i, hi, lo) for i, (hi, lo) in enumerate(pack_columns(gen))], 0)

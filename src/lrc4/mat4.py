@@ -150,15 +150,9 @@ class Mat4:
         Word j is sum_i s_i * row_i, where the scalars s run over
         ``gf4.ELEMENTS`` in ``itertools.product`` order: the first row is the
         most significant base-4 digit and word 0 is zero.  Words repeat
-        when the rows are dependent.
+        when the rows are dependent.  The one-basis case of :func:`span_stack`.
         """
-        n = self.cols
-        table = np.zeros((1, n), dtype=np.uint8)
-        # last row first, each new row's scalar as the leading axis: the
-        # big table is then copied in four contiguous blocks per row
-        for row in self._a[::-1]:
-            table = (gf4.MUL_NP[:, row][:, None] ^ table).reshape(4 * len(table), n)
-        return table
+        return span_stack(self._a[None]).reshape(4 ** self.rows, self.cols)
 
     # -- reduction -----------------------------------------------------
 
@@ -242,6 +236,22 @@ class Mat4:
         if a.size == 0:
             return frozenset()
         return frozenset(int(c) for c in np.nonzero(a.any(axis=0))[0])
+
+
+def span_stack(bases: np.ndarray) -> np.ndarray:
+    """The spans of a stack of bases, as a (4^i, N, m) uint8 table.
+
+    ``bases`` is an (N, i, m) array of entries 0..3; ``table[:, b]`` lists
+    the words of basis b in :meth:`Mat4.span_words` order.
+    """
+    count, rows, m = bases.shape
+    multiples = gf4.MUL_NP[:, bases][:, None]  # (4, 1, N, i, m)
+    table = np.zeros((1, count, m), dtype=np.uint8)
+    # last row first, each new row's scalar as the leading axis: the
+    # big table is then copied in four contiguous blocks per row
+    for r in range(rows - 1, -1, -1):
+        table = (multiples[..., r, :] ^ table).reshape(4 * len(table), count, m)
+    return table
 
 
 def hstack(blocks: Sequence[Mat4]) -> Mat4:

@@ -19,6 +19,7 @@ from typing import Iterable, Iterator
 import numpy as np
 
 from . import gf4
+from .code import _ENUM_CHUNK_K
 from .mat4 import Mat4
 
 
@@ -83,17 +84,20 @@ def count_subspaces_containing(m: int, i: int, j: int) -> int:
     return count_subspaces(m - j, i - j)
 
 
-def enumerate_subspaces(m: int, i: int) -> Iterator[Mat4]:
-    """All i-dimensional subspaces of GF(4)^m as canonical rref basis matrices.
+def subspace_blocks(m: int, i: int) -> Iterator[np.ndarray]:
+    """All i-dimensional subspaces of GF(4)^m as stacks of canonical rref bases.
 
-    One matrix per subspace: for each set of pivot columns, entries right
-    of each pivot and off the pivot columns run over GF(4) freely.
+    Each block is a fresh (count, i, m) uint8 array.  For each set of
+    pivot columns, the entries right of each pivot and off the pivot
+    columns (the free cells, row by row) run over ``gf4.ELEMENTS`` in
+    ``itertools.product`` order.  A block's span table,
+    :func:`lrc4.mat4.span_stack`, holds at most 4^10 words, the
+    ``span_chunks`` rule: the trailing free cells vary within a block,
+    the leading ones from block to block.
     """
     if not 0 <= i <= m:
         raise ValueError(f"need 0 <= i <= m, got i={i}, m={m}")
-    if i == 0:
-        yield Mat4.zeros(0, m)
-        return
+    digits = np.array(gf4.ELEMENTS, dtype=np.uint8)
     for pivots in combinations(range(m), i):
         free_cells = [
             (r, c)
@@ -101,14 +105,26 @@ def enumerate_subspaces(m: int, i: int) -> Iterator[Mat4]:
             for c in range(pivots[r] + 1, m)
             if c not in pivots
         ]
-        base = np.zeros((i, m), dtype=np.uint8)
+        inner = min(len(free_cells), max(_ENUM_CHUNK_K - i, 0))
+        outer = free_cells[:len(free_cells) - inner]
+        base = np.zeros((4,) * inner + (i, m), dtype=np.uint8)
         for r, p in enumerate(pivots):
-            base[r, p] = 1
-        for values in product(gf4.ELEMENTS, repeat=len(free_cells)):
-            a = base.copy()
-            for (r, c), v in zip(free_cells, values):
-                a[r, c] = v
-            yield Mat4(a)
+            base[..., r, p] = 1
+        for axis, (r, c) in enumerate(free_cells[len(outer):]):
+            base[..., r, c] = digits.reshape([-1 if a == axis else 1 for a in range(inner)])
+        base = base.reshape(4 ** inner, i, m)
+        for values in product(gf4.ELEMENTS, repeat=len(outer)):
+            block = base.copy()
+            for (r, c), v in zip(outer, values):
+                block[:, r, c] = v
+            yield block
+
+
+def enumerate_subspaces(m: int, i: int) -> Iterator[Mat4]:
+    """All i-dimensional subspaces of GF(4)^m as canonical rref basis
+    matrices, one per subspace, in :func:`subspace_blocks` order."""
+    for block in subspace_blocks(m, i):
+        yield from map(Mat4, block)
 
 
 def subspace_points(basis: Mat4) -> set[PgPoint]:

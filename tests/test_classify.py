@@ -1,3 +1,5 @@
+from math import factorial
+
 from lrc4.classify import (
     all_claim_reports,
     enumerate_optimal_params,
@@ -143,9 +145,11 @@ def test_enumeration_cap():
 
 
 def test_weight5_scan():
-    d4, weight5 = no_weight5_in_d4_planes()
-    assert weight5 == 0
-    assert d4 > 0
+    # a [5,2,4] code's generator columns are the 5 points of PG(1,4), each
+    # scaled, in some order; each code has |GL(2,4)| = 15 * 12 generators
+    mds_planes = factorial(5) * 3 ** 5 // (15 * 12)
+    assert mds_planes == 162
+    assert no_weight5_in_d4_planes() == (mds_planes, 0)
 
 
 def test_claim1():

@@ -1,10 +1,12 @@
-from itertools import combinations, product
+import tracemalloc
+from itertools import combinations, islice, product
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from lrc4 import gf4
-from lrc4.mat4 import Mat4
+from lrc4.mat4 import Mat4, span_stack
 from lrc4.pg import (
     PgPoint,
     count_subspaces,
@@ -13,6 +15,7 @@ from lrc4.pg import (
     enumerate_subspaces,
     intersect_subspaces,
     normalize,
+    subspace_blocks,
     subspace_points,
 )
 
@@ -84,9 +87,59 @@ def test_count_subspaces():
         count_subspaces(2, 3)
 
 
+def subspaces_one_by_one(m, i):
+    """The reference enumeration: one rref basis per filling of the free cells."""
+    if i == 0:
+        yield Mat4.zeros(0, m)
+        return
+    for pivots in combinations(range(m), i):
+        free_cells = [
+            (r, c)
+            for r in range(i)
+            for c in range(pivots[r] + 1, m)
+            if c not in pivots
+        ]
+        base = np.zeros((i, m), dtype=np.uint8)
+        for r, p in enumerate(pivots):
+            base[r, p] = 1
+        for values in product(gf4.ELEMENTS, repeat=len(free_cells)):
+            a = base.copy()
+            for (r, c), v in zip(free_cells, values):
+                a[r, c] = v
+            yield Mat4(a)
+
+
 def test_count_subspaces_matches_enumeration():
-    for m, i in [(3, 1), (3, 2), (4, 2), (5, 2)]:
-        assert sum(1 for _ in enumerate_subspaces(m, i)) == count_subspaces(m, i)
+    for m, i in [(3, 1), (3, 2), (4, 2), (5, 2), (4, 0), (4, 4), (5, 5)]:
+        bases = list(enumerate_subspaces(m, i))
+        assert bases == list(subspaces_one_by_one(m, i))
+        assert len(bases) == count_subspaces(m, i)
+    # blocks split across free cells, and one-basis blocks at i >= 10
+    for m, i, count in [(8, 4, 3 * 4 ** 6), (11, 10, 50)]:
+        head = list(islice(enumerate_subspaces(m, i), count))
+        assert head == list(islice(subspaces_one_by_one(m, i), count))
+
+
+def test_subspace_blocks_span_like_span_words():
+    for m, i in [(3, 1), (4, 2), (5, 2), (5, 3), (4, 0), (5, 5)]:
+        for block in subspace_blocks(m, i):
+            table = span_stack(block)
+            assert block.shape[1:] == (i, m) and table.shape == (4 ** i, len(block), m)
+            assert table.shape[0] * table.shape[1] <= 4 ** 10
+            for b, basis in enumerate(block):
+                assert np.array_equal(table[:, b], Mat4(basis).span_words())
+    for block in islice(subspace_blocks(8, 4), 2):
+        assert span_stack(block).shape == (4 ** 4, 4 ** 6, 8)
+
+
+def test_enumerate_subspaces_is_lazy():
+    tracemalloc.start()
+    try:
+        next(enumerate_subspaces(8, 4))  # 4^16 bases share the first pivot pattern
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 def test_enumerated_subspaces_are_canonical_and_distinct():
