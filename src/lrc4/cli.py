@@ -19,7 +19,8 @@ Exit codes: 0 success, 1 verification/repair failure, 2 usage or format
 errors.  The minimum-distance column scan is budgeted at 10^8 subset
 checks; a scan over budget falls back to codeword enumeration when
 k <= 14.  ``verify --full`` lifts that budget together with the n <= 30
-guard of the locality search.
+guard of the locality search.  ``pg --points`` lists PG(m-1, 4) only for
+m <= 10.
 """
 
 from __future__ import annotations
@@ -52,6 +53,10 @@ from .repair import (
     random_message,
     random_tolerable_pattern,
 )
+
+# pg --points builds the whole list of (4^m - 1)/3 points before printing;
+# m = 10 is 349,525 points
+PG_POINTS_MAX_M = 10
 
 
 class FormatError(Lrc4Error):
@@ -331,6 +336,8 @@ def _cmd_repair(args) -> int:
 
 def _cmd_pg(args) -> int:
     if args.points:
+        if args.m > PG_POINTS_MAX_M:
+            raise ResourceError(f"pg --points is capped at m <= {PG_POINTS_MAX_M}, got m={args.m}")
         for p in enumerate_points(args.m):
             print(" ".join(gf4.to_symbol(x) for x in p.coords))
     elif args.count_subspaces is not None:
@@ -338,6 +345,8 @@ def _cmd_pg(args) -> int:
     elif args.count_containing is not None:
         i, j = args.count_containing
         print(count_subspaces_containing(args.m, i, j))
+    elif args.m < 1:
+        raise ValueError("need m >= 1")
     else:
         print(count_subspaces(args.m, 1))
     return 0

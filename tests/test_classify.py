@@ -1,6 +1,15 @@
+import random
 from math import factorial
 
+import numpy as np
+from hypothesis import assume, given, strategies as st
+
+from lrc4._gf4vec import pack
 from lrc4.classify import (
+    _PG4_SEED,
+    _line_meets,
+    _pg4_pairs,
+    _span,
     all_claim_reports,
     enumerate_optimal_params,
     no_weight5_in_d4_planes,
@@ -11,6 +20,8 @@ from lrc4.classify import (
 )
 from lrc4.constructions import build, catalog
 from lrc4.lrc import is_r_optimal, singleton_like_bound, verify_locality
+from lrc4.mat4 import Mat4
+from lrc4.pg import enumerate_points, intersect_subspaces
 
 
 def tuples(records):
@@ -188,6 +199,71 @@ def test_geometric_nonexistence():
     assert rep.facts["pairwise_intersection_sizes"] == [1]
     assert rep.facts["pg4_pairs_sampled"] == 500
     assert rep.facts["pg4_all_intersect"] and rep.facts["pg4_rank_argument"]
+
+
+def pg4_pairs_one_by_one(rng):
+    """The reference sampler: one Mat4 line and solid per candidate.
+
+    Returns the accepted (p, q, rows) and the number of candidates drawn.
+    """
+    pts5 = enumerate_points(5)
+    pairs, drawn = [], 0
+    while len(pairs) < 500:
+        drawn += 1
+        p, q = rng.sample(pts5, 2)
+        if Mat4([p.coords, q.coords]).rank() != 2:
+            continue
+        rows = [[rng.randrange(4) for _ in range(5)] for _ in range(4)]
+        if Mat4(rows).row_basis().rows != 4:
+            continue
+        pairs.append((p.coords, q.coords, rows))
+    return pairs, drawn
+
+
+def packed(*rows):
+    return pack(np.array(rows, dtype=np.uint8))
+
+
+def test_pg4_pairs_match_the_mat4_sampler():
+    rng, reference_rng = random.Random(_PG4_SEED), random.Random(_PG4_SEED)
+    pairs = _pg4_pairs(rng)
+    reference, drawn = pg4_pairs_one_by_one(reference_rng)
+    assert drawn == 538
+    assert rng.getstate() == reference_rng.getstate()  # the same 538 draws
+    assert pairs == [(*packed(p, q), packed(*rows)) for p, q, rows in reference]
+    for (p, q, rows), (p_coords, q_coords, solid) in zip(pairs, reference):
+        meets, rank = _line_meets(p, q, _span(rows))
+        line = Mat4([p_coords, q_coords])
+        assert meets == (intersect_subspaces(line, Mat4(solid).row_basis()).rows >= 1)
+        assert rank == Mat4([p_coords, q_coords, *solid]).rank()
+
+
+@st.composite
+def line_and_subspace(draw):
+    """Two vectors for a line and i rows, possibly dependent, for a
+    subspace of GF(4)^m, where the two need not meet: two lines in
+    GF(4)^4 or a line and a plane in GF(4)^5."""
+    m, i = draw(st.sampled_from([(4, 2), (5, 3)]))
+    vector = st.lists(st.integers(0, 3), min_size=m, max_size=m)
+    return draw(st.lists(vector, min_size=2, max_size=2)), draw(st.lists(vector, min_size=i, max_size=i))
+
+
+def test_line_meets_matches_intersect_subspaces():
+    # a line and a solid of PG(4,F4) always meet, so the sampled pairs
+    # cannot tell a working meet test from one that always says "meet"
+    outcomes = set()
+
+    @given(line_and_subspace())
+    def check(case):
+        line, sub = case
+        assume(Mat4(line).rank() == 2)
+        meets, rank = _line_meets(*packed(*line), _span(packed(*sub)))
+        assert meets == (intersect_subspaces(Mat4(line), Mat4(sub)).rows >= 1)
+        assert rank == Mat4(line + sub).rank()
+        outcomes.add(meets)
+
+    check()
+    assert outcomes == {True, False}
 
 
 def test_counting_bounds():

@@ -281,8 +281,19 @@ def test_pg_point_count_needs_no_enumeration(capsys, monkeypatch):
     code, out, _ = run(capsys, "pg", "--m", "20")
     assert code == 0 and out.strip() == "366503875925"
     for m in ("0", "-1"):
-        code, out, _ = run(capsys, "pg", "--m", m)
-        assert code == 2 and out == ""
+        code, out, err = run(capsys, "pg", "--m", m)
+        assert code == 2 and out == "" and "need m >= 1" in err
+
+
+def test_pg_points_capped_before_enumeration(capsys, monkeypatch):
+    enumerated = []
+    monkeypatch.setattr("lrc4.cli.enumerate_points", lambda m: enumerated.append(m) or [])
+    for m in ("11", "20"):
+        code, out, err = run(capsys, "pg", "--m", m, "--points")
+        assert code == 2 and out == "" and "m <= 10" in err
+    assert enumerated == []
+    code, out, _ = run(capsys, "pg", "--m", "10", "--points")
+    assert code == 0 and enumerated == [10]
 
 
 def test_usage_error_exits_2(capsys):
