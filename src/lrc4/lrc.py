@@ -23,19 +23,21 @@ constraint matrix's rows into local groups plus a global group, with
 it.  When the groups are disjoint, :func:`blockwise_min_distance`
 settles the minimum distance by dynamic programming over the global
 syndromes of the groups' local-kernel words, and verification takes
-that route.
+that route.  A profile compiles its groups once, on first use, into a
+:class:`GroupView` of packed ints, which the repair simulator reads.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import combinations
 from math import ceil, floor
 from typing import Sequence
 
 import numpy as np
 
-from ._gf4vec import Eliminator, pack_columns, pack_rows, reduce_by
+from ._gf4vec import Eliminator, Vec, pack_columns, pack_rows, reduce_by
 from .code import LinearCode, span_chunks
 from .errors import (
     RankError,
@@ -85,6 +87,21 @@ class LocalGroup:
     support: frozenset[int]
 
 
+@dataclass(frozen=True)
+class GroupView:
+    """A profile's groups as plain ints, for the per-word repair loops.
+
+    Coordinate c is bit c - 1 of a mask or a packed vector.  A group's
+    local rows vanish off its support, so packed over all n coordinates
+    they are its rows restricted to its columns.
+    """
+
+    words: tuple[Vec, ...]  # every row of the matrix, packed
+    masks: tuple[int, ...]  # each group's support as a bit mask
+    rows: tuple[tuple[Vec, ...], ...]  # each group's local rows, packed
+    groups_of: tuple[tuple[int, ...], ...]  # [c - 1]: 0-based groups holding c, in order
+
+
 @dataclass
 class LocalityProfile:
     """Partition of ``matrix``'s rows into local groups plus a global group.
@@ -113,6 +130,21 @@ class LocalityProfile:
         """The parity check of the code the profile presents: ``matrix``
         when partitioned, else its row basis."""
         return self.matrix if self.partitioned else self.matrix.row_basis()
+
+    @cached_property
+    def group_view(self) -> GroupView:
+        """The groups compiled for repair, on first use only."""
+        words = tuple(pack_rows(self.matrix))
+        groups_of: list[list[int]] = [[] for _ in range(self.matrix.cols)]
+        for gi, g in enumerate(self.groups):
+            for c in g.support:
+                groups_of[c - 1].append(gi)
+        return GroupView(
+            words=words,
+            masks=tuple(sum(1 << c - 1 for c in g.support) for g in self.groups),
+            rows=tuple(tuple(words[i - 1] for i in g.rows) for g in self.groups),
+            groups_of=tuple(map(tuple, groups_of)),
+        )
 
 
 @dataclass(frozen=True)

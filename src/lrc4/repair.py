@@ -9,6 +9,21 @@ and it stops at a fixpoint.  Global decoding is deliberately absent;
 a pattern that exceeds some group's tolerance is reported as a clean
 local failure, because the simulator exists to certify locality, not to
 be a decoder.
+
+What a repair needs of the profile is fixed, so the profile compiles it
+once, on the first repair, into its ``group_view``
+(:class:`~lrc4.lrc.GroupView`): each group's support as a bit mask and
+its local rows packed as in ``_gf4vec``, the groups holding each
+coordinate, and every row of the matrix packed.  A repair packs the
+received word the same way, 0 at the erasures, with a mask of the
+erasures: a group's unknowns are a mask AND, and its equations are its
+rows at the unknowns with the syndrome of the surviving symbols, which
+``echelon`` solves.  A syndrome is two parities: with x = x1 w + x0 and
+w^2 = w + 1, sum_i a_i b_i has w-part parity((A1 & (B1 ^ B0)) ^ (A0 & B1))
+and 1-part parity((A1 & B1) ^ (A0 & B0)) over the bit planes.  The final
+check that the repaired word is a codeword is the same test on every row
+of the matrix, augmented stack rows included; no numpy call and no copy
+of a full row is made per repair.
 """
 
 from __future__ import annotations
@@ -17,10 +32,8 @@ import random
 from dataclasses import dataclass, field
 from typing import Sequence
 
-import numpy as np
-
 from . import gf4
-from ._gf4vec import echelon
+from ._gf4vec import Vec, echelon
 from .code import _check_coordinate_set
 from .constructions import BuiltCode
 from .mat4 import Mat4
@@ -28,6 +41,12 @@ from .mat4 import Mat4
 
 #: a received word holds field elements, or None for an erasure
 _RECEIVED_SYMBOLS = frozenset((None, *gf4.ELEMENTS))
+# an erasure's byte in a packed received word, and each byte -> ASCII
+# digit of its high bit, low bit and erasure flag, for int(..., 2)
+_ERASURE = 4
+_HI_DIGIT = bytes.maketrans(bytes(range(5)), b"00110")
+_LO_DIGIT = bytes.maketrans(bytes(range(5)), b"01010")
+_ERASED_DIGIT = bytes.maketrans(bytes(range(5)), b"00001")
 
 
 @dataclass(frozen=True)
@@ -75,38 +94,61 @@ def random_message(bc: BuiltCode, rng: random.Random) -> list[int]:
     return [rng.randrange(4) for _ in range(bc.code.k)]
 
 
-def _solve_group(
-    h: Mat4, rows: tuple[int, ...], support: frozenset[int], word: list, unknowns: list[int]
-) -> dict[int, int] | str:
-    """Solve the group's parity equations for the erased coordinates.
+def _pack_received(word: list) -> tuple[int, int, int]:
+    """A received word as packed planes (0 at its erasures) and the mask
+    of its erasures."""
+    raw = bytes([_ERASURE if x is None else x for x in reversed(word)])
+    return (int(raw.translate(_HI_DIGIT), 2), int(raw.translate(_LO_DIGIT), 2),
+            int(raw.translate(_ERASED_DIGIT), 2))
 
-    Returns coordinate -> value, or why the system has no unique
+
+def _coordinates(mask: int) -> list[int]:
+    """The 1-based coordinates of a mask's set bits, in increasing order."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length())
+        mask ^= low
+    return out
+
+
+def _is_codeword(rows: Sequence[Vec], word: Vec) -> bool:
+    """Is the packed word orthogonal to every packed row?"""
+    wh, wl = word
+    t = wh ^ wl
+    for ah, al in rows:
+        if (((ah & t) ^ (al & wh)).bit_count() | ((ah & wh) ^ (al & wl)).bit_count()) & 1:
+            return False
+    return True
+
+
+def _solve_group(rows: Sequence[Vec], word: Vec, unknown: int) -> dict[int, int] | str:
+    """Solve a group's parity equations for its erased coordinates.
+
+    ``rows`` are the group's local rows and ``word`` the received word,
+    both packed, the word 0 at the erased coordinates that ``unknown``
+    marks.  Returns coordinate -> value, or why the system has no unique
     solution: "inconsistent" when the surviving group symbols belong to
     no codeword, "underdetermined" when several values fit (cannot
     happen for an intact MDS group within tolerance).
     """
-    e = len(unknowns)
-    known = sorted(support - set(unknowns))
-    # one packed equation per row: unknown j's coefficient at bit j, the
-    # syndrome of the known symbols at bit e
+    # one packed equation per row: the row at the unknowns, and the
+    # syndrome of the surviving symbols (its w- and 1-part) at a bit
+    # above them all
+    top = unknown.bit_length()
+    wh, wl = word
+    t = wh ^ wl
     eqs = []
-    for row_idx in rows:
-        row = h.array[row_idx - 1].tolist()
-        acc = 0
-        for coord in known:
-            acc ^= gf4.MUL[row[coord - 1]][word[coord - 1]]
-        hi, lo = (acc >> 1) << e, (acc & 1) << e
-        for j, coord in enumerate(unknowns):
-            x = row[coord - 1]
-            hi |= (x >> 1) << j
-            lo |= (x & 1) << j
-        eqs.append((hi, lo))
+    for ah, al in rows:
+        s1 = ((ah & t) ^ (al & wh)).bit_count() & 1
+        s0 = ((ah & wh) ^ (al & wl)).bit_count() & 1
+        eqs.append((ah & unknown | s1 << top, al & unknown | s0 << top))
     pivots = echelon(eqs)
-    if e in pivots:
+    if top in pivots:
         return "inconsistent"
-    if len(pivots) != e:
+    if len(pivots) != unknown.bit_count():
         return "underdetermined"
-    return {unknowns[p]: (hi >> e & 1) << 1 | lo >> e & 1 for p, (hi, lo) in zip(pivots, eqs)}
+    return {p + 1: (hi >> top & 1) << 1 | lo >> top & 1 for p, (hi, lo) in zip(pivots, eqs)}
 
 
 def local_repair(bc: BuiltCode, received: Sequence[int | None]) -> RepairOutcome:
@@ -126,76 +168,75 @@ def local_repair(bc: BuiltCode, received: Sequence[int | None]) -> RepairOutcome
     if not _RECEIVED_SYMBOLS.issuperset(word):
         bad = sorted(set(word) - _RECEIVED_SYMBOLS)
         raise ValueError(f"received symbols {bad} are not GF(4) elements 0..3")
-    h = bc.profile.matrix
-    delta = bc.delta
-    groups = bc.profile.groups
+    view = bc.profile.group_view
+    budget = bc.delta - 1
+    hi, lo, erased = _pack_received(word)
     trace: list[RepairStep] = []
 
     unsolved: dict[int, dict[str, list[int]]] = {}  # coordinate -> why -> groups
     progress = True
-    while progress:
+    while progress and erased:
         progress = False
-        erased = [i for i in range(1, n + 1) if word[i - 1] is None]
-        if not erased:
-            break
-        for i in erased:
-            if word[i - 1] is not None:
+        for i in _coordinates(erased):
+            if not erased >> (i - 1) & 1:
                 continue  # peeled earlier in this pass
-            for gi, grp in enumerate(groups):
-                if i not in grp.support:
+            for gi in view.groups_of[i - 1]:
+                unknown = erased & view.masks[gi]
+                if unknown.bit_count() > budget:
                     continue
-                unknowns = sorted(c for c in grp.support if word[c - 1] is None)
-                if len(unknowns) > delta - 1:
-                    continue
-                solved = _solve_group(h, grp.rows, grp.support, word, unknowns)
+                solved = _solve_group(view.rows[gi], (hi, lo), unknown)
                 if isinstance(solved, str):
                     unsolved.setdefault(i, {}).setdefault(solved, []).append(gi + 1)
                     continue
                 for coord, val in solved.items():
                     word[coord - 1] = val
-                reads = tuple(sorted(grp.support - set(unknowns)))
-                trace.append(RepairStep(group=gi + 1, solved=tuple(unknowns), reads=reads))
+                    hi |= (val >> 1) << (coord - 1)
+                    lo |= (val & 1) << (coord - 1)
+                erased ^= unknown
+                reads = tuple(_coordinates(view.masks[gi] ^ unknown))
+                trace.append(RepairStep(group=gi + 1, solved=tuple(solved), reads=reads))
                 progress = True
                 break
 
     failures = []
-    for i in range(1, n + 1):
-        if word[i - 1] is None:
-            if i in unsolved:
-                failures.append((i, "; ".join(
-                    f"local solve {why} in groups {gs}" for why, gs in unsolved[i].items()
-                )))
-            else:
-                eligible = [gi + 1 for gi, g in enumerate(groups) if i in g.support]
-                failures.append(
-                    (i, f"groups {eligible} all exceed {delta - 1} erasures")
-                )
+    for i in _coordinates(erased):
+        if i in unsolved:
+            failures.append((i, "; ".join(
+                f"local solve {why} in groups {gs}" for why, gs in unsolved[i].items()
+            )))
+        else:
+            eligible = [gi + 1 for gi in view.groups_of[i - 1]]
+            failures.append((i, f"groups {eligible} all exceed {budget} erasures"))
     if failures:
         return RepairOutcome(ok=False, codeword=None, trace=trace, failures=failures)
 
-    final = np.array(word, dtype=np.uint8)
-    synd = np.bitwise_xor.reduce(gf4.MUL_NP[h.array, final[None, :]], axis=1)
-    if synd.any():
+    if not _is_codeword(view.words, (hi, lo)):
         raise ValueError("received word is not a codeword: the repaired word fails a parity check")
-    return RepairOutcome(ok=True, codeword=[int(x) for x in word], trace=trace)
+    return RepairOutcome(ok=True, codeword=word, trace=trace)
 
 
 def erasure_tolerance_ok(bc: BuiltCode, pattern: ErasurePattern) -> bool:
     """Does every group see at most delta - 1 erasures?"""
-    return all(
-        len(pattern.erased & g.support) <= bc.delta - 1 for g in bc.profile.groups
-    )
+    groups_of = bc.profile.group_view.groups_of
+    counts = [0] * bc.profile.l
+    for c in _check_coordinate_set(pattern.erased, bc.code.n):
+        for gi in groups_of[c - 1]:
+            counts[gi] += 1
+    return all(k <= bc.delta - 1 for k in counts)
 
 
 def random_tolerable_pattern(bc: BuiltCode, rng: random.Random) -> ErasurePattern:
     """A random erasure pattern with at most delta - 1 erasures per group."""
     budget = bc.delta - 1
+    groups_of = bc.profile.group_view.groups_of
+    counts = [0] * bc.profile.l
     erased: set[int] = set()
     coords = list(range(1, bc.code.n + 1))
     rng.shuffle(coords)
     for c in coords:
-        trial = erased | {c}
-        if all(len(trial & g.support) <= budget for g in bc.profile.groups):
-            if rng.random() < 0.6:
-                erased.add(c)
+        held = groups_of[c - 1]
+        if all(counts[gi] < budget for gi in held) and rng.random() < 0.6:
+            erased.add(c)
+            for gi in held:
+                counts[gi] += 1
     return ErasurePattern(frozenset(erased))

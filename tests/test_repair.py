@@ -1,3 +1,4 @@
+import hashlib
 import random
 from itertools import combinations, product
 
@@ -5,9 +6,13 @@ import numpy as np
 import pytest
 
 from lrc4 import gf4
+from lrc4._gf4vec import pack, unpack
 from lrc4.constructions import acceptance_sweep, build
 from lrc4.repair import (
     ErasurePattern,
+    _coordinates,
+    _is_codeword,
+    _pack_received,
     _solve_group,
     encode,
     erasure_tolerance_ok,
@@ -151,6 +156,8 @@ def test_erased_coordinates_range_checked():
     for coords in ([0], [bc.code.n + 1], [1, -2]):
         with pytest.raises(ValueError, match="out of range"):
             ErasurePattern.of(coords).apply(word)
+        with pytest.raises(ValueError, match="out of range"):
+            erasure_tolerance_ok(bc, ErasurePattern.of(coords))
 
 
 def test_received_symbols_checked():
@@ -203,7 +210,8 @@ def test_solve_group_inconsistent_exactly_without_a_completion():
         h = bc.profile.matrix
         words = bc.code.generator().span_words()
         for _ in range(4):
-            grp = rng.choice(bc.profile.groups)
+            gi = rng.randrange(bc.profile.l)
+            grp = bc.profile.groups[gi]
             support = sorted(grp.support)
             unknowns = sorted(rng.sample(support, rng.randrange(1, bc.delta)))
             word = words[rng.randrange(len(words))].tolist()
@@ -218,7 +226,8 @@ def test_solve_group_inconsistent_exactly_without_a_completion():
                     full[c - 1] = x
                 if not any(group_syndrome(h, r, support, full) for r in grp.rows):
                     fits.append(dict(zip(unknowns, values)))
-            solved = _solve_group(h, grp.rows, grp.support, word, unknowns)
+            hi, lo, unknown = _pack_received(word)
+            solved = _solve_group(bc.profile.group_view.rows[gi], (hi, lo), unknown)
             verdicts.add(solved if isinstance(solved, str) else "solved")
             if not fits:
                 assert solved == "inconsistent"
@@ -227,3 +236,106 @@ def test_solve_group_inconsistent_exactly_without_a_completion():
             else:
                 assert solved == "underdetermined"
     assert verdicts == {"inconsistent", "solved"}
+
+
+def seeded_repairs():
+    """Seeded local_repair calls on the sweep codes, C17G l = 8 and the
+    unpartitioned C19 d = 9: per code, tolerable patterns, patterns one
+    erasure past a group's tolerance, and patterns with one corrupted
+    symbol inside a group that holds an erasure.  Yields each
+    pattern with its tolerance verdict and the repair's outcome, or the
+    message of the ValueError it raised."""
+    codes = [build(cid, **kw) for cid, kw in acceptance_sweep()]
+    codes += [build("C17G", l=8), build("C19", d=9)]
+    rng = random.Random(1919)
+    for bc in codes:
+        for trial in range(24):
+            pattern = random_tolerable_pattern(bc, rng)
+            yield "pattern", sorted(pattern.erased)
+            word = encode(bc, random_message(bc, rng))
+            grp = bc.profile.groups[rng.randrange(bc.profile.l)]
+            erased = set(pattern.erased)
+            kind = trial % 3
+            if kind == 1:  # over tolerance in grp
+                spare = sorted(grp.support - erased)
+                rng.shuffle(spare)
+                while len(erased & grp.support) < bc.delta:
+                    erased.add(spare.pop())
+            elif kind == 2 and not erased & grp.support:
+                erased.add(rng.choice(sorted(grp.support)))
+            pattern = ErasurePattern.of(erased)
+            received = pattern.apply(word)
+            if kind == 2:  # one corrupted symbol in a group with an erasure
+                bad = rng.choice(sorted(grp.support - erased))
+                received[bad - 1] ^= rng.randrange(1, 4)
+            yield "tolerable", erasure_tolerance_ok(bc, pattern)
+            try:
+                out = local_repair(bc, received)
+            except ValueError as exc:
+                yield "raised", str(exc)
+                continue
+            steps = [(s.group, s.solved, s.reads) for s in out.trace]
+            yield "outcome", (out.ok, out.codeword, steps, out.failures)
+
+
+KINDS = {"pattern": 1896, "tolerable": 1896, "ok": 909, "exceed": 532, "inconsistent": 251,
+         "raised": 204}
+PATTERNS_SHA256 = "7880ad927f394d5526291da416a0b6434ad091cf89a4d7ce6f1ca5a96cc364f7"
+REPAIRS_SHA256 = "92fceb5c20111536274082fa72daa329621711800f89c46eb9d624206e8d4c89"
+
+
+def test_seeded_repairs_are_pinned():
+    # recorded with the per-repair numpy implementation, whose outputs these pin
+    patterns, repairs = hashlib.sha256(), hashlib.sha256()
+    kinds = {}
+    for kind, value in seeded_repairs():
+        (patterns if kind == "pattern" else repairs).update(repr((kind, value)).encode())
+        if kind == "outcome":
+            ok, _, _, failures = value
+            kind = "ok" if ok else "inconsistent" if "inconsistent" in failures[0][1] else "exceed"
+        kinds[kind] = kinds.get(kind, 0) + 1
+    assert kinds == KINDS
+    assert patterns.hexdigest() == PATTERNS_SHA256
+    assert repairs.hexdigest() == REPAIRS_SHA256
+
+
+@pytest.mark.parametrize("cid,kw", [
+    ("C1", {"l": 2, "variant": "b"}),  # coordinate 5 lies in groups 1 and 2
+    ("C19", {"d": 9}),  # an augmented (unpartitioned) constraint stack
+    ("C17G", {"l": 8}),
+])
+def test_group_view_matches_its_profile(cid, kw):
+    bc = build(cid, **kw)
+    profile, n = bc.profile, bc.code.n
+    h = profile.matrix.array
+    view = profile.group_view
+    assert profile.group_view is view  # compiled once
+    for gi, grp in enumerate(profile.groups):
+        cols = np.array(sorted(grp.support))
+        assert _coordinates(view.masks[gi]) == cols.tolist()
+        local = unpack(list(view.rows[gi]), n)
+        rows = np.array(grp.rows)
+        assert (local[:, cols - 1] == h[rows - 1][:, cols - 1]).all()
+        assert (local == h[rows - 1]).all()  # zero off the group's columns
+    for c in range(1, n + 1):
+        holding = [gi for gi, g in enumerate(profile.groups) if c in g.support]
+        assert view.groups_of[c - 1] == tuple(holding)
+    if kw.get("variant") == "b":
+        assert view.groups_of[4] == (0, 1)
+    else:
+        assert profile.partitioned == (cid != "C19")
+
+    # the packed parity test against numpy's syndromes, row by row and
+    # over the whole matrix, on random words and on codewords
+    assert view.words == tuple(pack(h))
+    rng = np.random.default_rng(19)
+    words = rng.integers(0, 4, size=(200, n), dtype=np.uint8)
+    msgs = rng.integers(0, 4, size=(50, bc.code.k))
+    codewords = np.array([encode(bc, m) for m in msgs], dtype=np.uint8)
+    for x in (words, codewords):
+        zero = np.bitwise_xor.reduce(gf4.MUL_NP[h[None, :, :], x[:, None, :]], axis=2) == 0
+        packed = pack(x)
+        assert [[_is_codeword((row,), v) for row in view.words] for v in packed] == zero.tolist()
+        assert [_is_codeword(view.words, v) for v in packed] == zero.all(axis=1).tolist()
+    assert zero.all() and codewords.any()
+
