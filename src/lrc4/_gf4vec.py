@@ -15,11 +15,14 @@ what makes exhaustive d-1 column scans feasible in pure Python.  The
 locality search instead keeps a node's later columns reduced modulo the
 columns it picked: ``reduce_by`` adds one pivot to such a list with the
 same bit test and two XORs per vector, so a column's rank test is a
-zero test.  The third user of that step is ``echelon``, the exact
-reduced row-echelon kernel behind ``Mat4.rref``, ``rank``,
-``row_basis`` and ``right_kernel`` and the local repair solve; ``pack``
-and ``unpack`` move whole arrays in and out of the packed form with
-C-level byte translation, never a loop over entries.
+zero test.  The search packs a tag above each column's k residual
+bits, and the pivot's own tag bit with it, so the same XORs carry the
+pivot combination each residual absorbed.  The third user of that step
+is ``echelon``, the exact reduced row-echelon kernel behind
+``Mat4.rref``, ``rank``, ``row_basis`` and ``right_kernel`` and the
+local repair solve; ``pack`` and ``unpack`` move whole arrays in and
+out of the packed form with C-level byte translation, never a loop
+over entries.
 """
 
 from __future__ import annotations
@@ -182,7 +185,9 @@ def reduce_by(v: Vec, tagged: list[tuple[int, int, int]]) -> list[tuple[int, int
     vector gets the multiple of v that cancels its coefficient there, as
     in ``Eliminator.push``.  When v was itself reduced by earlier pivots
     and the vectors were reduced by the same pivots, a vector reduces to
-    zero exactly when it lies in the span of the pivots and v.
+    zero exactly when it lies in the span of the pivots and v.  Bits
+    above every lead, such as the locality search's pivot tags, are
+    carried along by the same XORs.
     """
     hi, lo = v
     x = hi | lo

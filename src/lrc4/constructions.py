@@ -24,7 +24,6 @@ parameter cases ruled out by weight-distribution or incidence arguments.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass, field
 from itertools import count
 from math import ceil
@@ -36,6 +35,7 @@ from .errors import CatalogError, RangeError, StructureError
 from .lrc import (
     LocalityProfile,
     OptimalityReport,
+    _is_integer,
     check_structure,
     extract_profile,
     restructure,
@@ -744,10 +744,6 @@ _BUILDERS: dict[str, Callable[..., Mat4]] = {
     "CLS1_3": _build_cls1_3,
     "CLS1_4": _build_cls1_4,
 }
-
-
-def _is_integer(value: object) -> bool:
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 def build(

@@ -6,11 +6,16 @@ at most r + delta - 1, induces a punctured code of minimum distance at
 least delta.  The search is one depth-first pass over column subsets
 of every size up to r + delta - 1.  Each node keeps the generator
 columns after its last pick reduced modulo the span of its picks, so
-whether a child raises the rank is a zero test.  A qualifying support
-must carry delta - 1 independent parity words, i.e. its generator
-columns must be rank-deficient by delta - 1, so a node of rank above r
-is pruned, and so is one whose remaining columns cannot make up the
-deficiency (each adds at most one).  The supports found are sorted in
+whether a child raises the rank is a zero test, and tagged with the
+pivot combination each residual absorbed, so a candidate's punctured
+code comes with its systematic generator and its distance is decided
+on packed ints.  A qualifying support must carry delta - 1 independent
+parity words, i.e. its generator columns must be rank-deficient by
+delta - 1, so a node of rank above r is pruned: at rank r - 1 the later
+columns are sorted by projective point once, and a child that reaches
+rank r keeps only its own point's columns and the zero residuals.  So
+is a node whose remaining columns cannot make up the deficiency (each
+adds at most one).  The supports found are sorted in
 increasing size and lexicographic order, so results are deterministic
 and the (r-1, delta) result is a strict prefix of the (r, delta) one.
 One :class:`LocalitySearch` feeds a whole verification: its qualifying
@@ -29,6 +34,7 @@ that route.  A profile compiles its groups once, on first use, into a
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import combinations
@@ -178,12 +184,51 @@ class LocalitySearch:
         return not self.ok or any(len(s) == full for s in self.coordinate_supports.values())
 
 
-def _punctured_distance_at_least(gen: Mat4, cols0: Sequence[int], delta: int) -> bool:
-    """Exact check that the code punctured to these columns has d >= delta."""
-    basis = gen.take_columns(cols0).row_basis()
-    if basis.rows == 0:
+def _punctured_distance_at_least(tags: Sequence[Vec], rank: int, delta: int) -> bool:
+    """Exact check that a punctured code C|_R has d >= delta.
+
+    C|_R has the systematic generator [I_rank | A]: its information
+    coordinates are the rank picks of R that raised the rank, and
+    ``tags`` holds the columns of A, one per other pick, packed over the
+    pivot index.  A word (y, yA) of weight below delta needs wt(y) <
+    delta, so only those y are tried, each scaled to lead with 1.  The
+    zero code (rank 0) has no distance and fails.
+    """
+    if not rank:
         return False
-    return int(np.count_nonzero(basis.span_words()[1:], axis=1).min()) >= delta
+    rows = []  # row j of A: pivot j's coefficient in every tagged column
+    for j in range(rank):
+        bit = 1 << j
+        h = l = 0
+        for t, (th, tl) in enumerate(tags):
+            if th & bit:
+                h |= 1 << t
+            if tl & bit:
+                l |= 1 << t
+        rows.append((h, l))
+    # grow y one nonzero entry at a time, in increasing position
+    stack = [(j, 1, h, l) for j, (h, l) in enumerate(rows)]
+    while stack:
+        j, wt, h, l = stack.pop()
+        if wt + (h | l).bit_count() < delta:
+            return False
+        if wt + 1 < delta:
+            for j2 in range(j + 1, rank):
+                rh, rl = rows[j2]
+                m = rh ^ rl
+                stack += ((j2, wt + 1, h ^ rh, l ^ rl),  # y_j2 = 1
+                          (j2, wt + 1, h ^ m, l ^ rh),  # w
+                          (j2, wt + 1, h ^ rl, l ^ m))  # w2
+    return True
+
+
+def _point(hi: int, lo: int) -> Vec:
+    """The nonzero packed vector scaled so its lowest nonzero entry is 1."""
+    x = hi | lo
+    bit = x & -x
+    if hi & bit:
+        return (hi ^ lo, hi) if lo & bit else (lo, hi ^ lo)
+    return hi, lo
 
 
 def _locality_search(
@@ -195,39 +240,82 @@ def _locality_search(
     qualifying support, both in (size, lex) order.  One depth-first pass
     over column subsets covers every size.  A node keeps the columns
     after its last pick reduced modulo the span of its picks, so a child
-    raises the rank exactly when its column's residual is nonzero.  A
-    support must carry delta - 1 independent parity words, so its
+    raises the rank exactly when its column's residual (its low k bits)
+    is nonzero.  Above the residual, entry k + j of a column, its tag j,
+    is the multiple of the j-th pivot's column that its residual has
+    absorbed: a pivot is reduced into the later columns with its own
+    entry k + j set to 1, so residual = column + sum of tag[j] * pivot
+    j.  A pick with a zero residual is then the sum of tag[j] * pivot j,
+    and its tag is its column of the punctured code's systematic
+    generator, which is what :func:`_punctured_distance_at_least` reads.
+
+    A support must carry delta - 1 independent parity words, so its
     columns are rank-deficient by delta - 1.  The rank never falls, so a
-    node of rank above r has no qualifying descendant: a node that
-    reaches rank r keeps only the later columns with a zero residual.
-    Nor has a node whose deficiency plus its number of later columns
-    falls short.  Subsets of size >= delta with that deficiency get the
-    exact distance check.
+    node of rank above r has no qualifying descendant: below a node that
+    reaches rank r only the later columns in its span can follow, the
+    zero residuals and those on the new pivot's projective point.  A
+    node of rank r - 1 sorts its later columns by point once, and each
+    growing child reduces only its own point's columns and the zero
+    ones.  Nor has a node whose deficiency plus its number of later
+    columns falls short.  Subsets of size >= delta with that deficiency
+    get the exact distance check.
     """
+    k = gen.rows
+    res_mask = (1 << k) - 1
     need_def = delta - 1
     max_size = r + delta - 1
     hits: list[tuple[int, ...]] = []
     chosen: list[int] = []
+    tags: list[Vec] = []  # the tags of the picks with a zero residual
 
     def rec(later: list[tuple[int, int, int]], rank: int) -> None:
         depth = len(chosen) + 1
+        # at rank r - 1, where a growing child reaches rank r, file the
+        # later positions under their residual's point (zero residuals
+        # under 0), and the slot of each position in its list
+        bucketed = rank + 1 == r and depth < max_size
+        if bucketed:
+            keys, slots, by_point = [], [], {}
+            for p, (_, hi, lo) in enumerate(later):
+                hi &= res_mask
+                lo &= res_mask
+                key = _point(hi, lo) if hi | lo else 0
+                same = by_point.setdefault(key, [])
+                keys.append(key)
+                slots.append(len(same))
+                same.append(p)
+            zeros = by_point.get(0, [])
+            zeros_left = len(zeros)  # the zero residuals after the current child
         for p, (i, hi, lo) in enumerate(later):
-            grows = bool(hi | lo)
-            chosen.append(i)
+            grows = bool((hi | lo) & res_mask)
             deficiency = depth - rank - grows
+            if bucketed:
+                if not grows:
+                    zeros_left -= 1
+                else:  # only the zero residuals and the child's point can follow
+                    same = by_point[keys[p]]
+                    ahead = same[slots[p] + 1:]
+                    # each later column adds at most one to the deficiency
+                    if deficiency + len(ahead) + zeros_left < need_def:
+                        continue
+                    follow = [later[q] for q in sorted(ahead + zeros[len(zeros) - zeros_left:])]
+            chosen.append(i)
+            if not grows:
+                tags.append((hi >> k, lo >> k))
             if depth >= delta and deficiency >= need_def and _punctured_distance_at_least(
-                gen, chosen, delta
+                tags, rank + grows, delta
             ):
                 hits.append(tuple(chosen))
             if depth < max_size:
-                rest = later[p + 1:]
-                if grows:
-                    rest = reduce_by((hi, lo), rest)
-                    if rank + 1 == r:  # only columns in the span can follow
-                        rest = [t for t in rest if not (t[1] | t[2])]
-                # each later column adds at most one to the deficiency
+                if not grows:
+                    rest = later[p + 1:]
+                else:
+                    pivot = (hi, lo | 1 << (k + rank))
+                    rest = reduce_by(pivot, follow if bucketed else later[p + 1:])
                 if deficiency + len(rest) >= need_def:
                     rec(rest, rank + grows)
+            if not grows:
+                tags.pop()
             chosen.pop()
 
     rec([(i, hi, lo) for i, (hi, lo) in enumerate(pack_columns(gen))], 0)
@@ -242,6 +330,17 @@ def _locality_search(
     return assigned, found
 
 
+def _is_integer(value: object) -> bool:
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def _check_search_params(r: int, delta: int) -> None:
+    if not (_is_integer(r) and _is_integer(delta)):
+        raise ValueError(f"need integers r and delta, got r={r!r}, delta={delta!r}")
+    if r < 1 or delta < 2:
+        raise ValueError(f"need r >= 1 and delta >= 2, got r={r}, delta={delta}")
+
+
 def verify_locality(
     c: LinearCode, r: int, delta: int, max_n: int = LOCALITY_SEARCH_MAX_N
 ) -> LocalitySearch:
@@ -251,8 +350,7 @@ def verify_locality(
     ``bad_coordinates`` lists those without.  :func:`restructure` turns a
     successful search into a block layout.
     """
-    if r < 1 or delta < 2:
-        raise ValueError(f"need r >= 1 and delta >= 2, got r={r}, delta={delta}")
+    _check_search_params(r, delta)
     if c.k == 0:
         raise ValueError("locality of the zero code is undefined")
     if c.n > max_n:
@@ -278,7 +376,8 @@ def _others_cover(sets: Sequence[frozenset[int]], i: int, n: int) -> bool:
 
 def is_r_optimal(c: LinearCode, r: int, delta: int) -> bool:
     """True when locality (r-1, delta) is impossible (vacuously true at r = 1)."""
-    if r <= 1:
+    _check_search_params(r, delta)
+    if r == 1:
         return True
     return not verify_locality(c, r - 1, delta).ok
 

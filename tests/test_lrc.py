@@ -1,3 +1,4 @@
+import hashlib
 import random
 from itertools import combinations, product
 
@@ -31,6 +32,7 @@ from lrc4.lrc import (
     verify_locality,
 )
 from lrc4.mat4 import Mat4, vstack
+from test_classify import constructed_instances
 
 
 def repetition(n):
@@ -87,6 +89,37 @@ def test_verify_locality_guard():
     bc = build("C17G", l=6)  # n = 36 exceeds the default search guard
     with pytest.raises(ResourceError):
         verify_locality(bc.code, 3, 4)
+
+
+SEARCHES = 367
+SEARCH_SHA256 = "6a3b903ecd65a679aa93e082c393f85342f231272106910d36179ebd321e00eb"
+
+
+def test_search_output_is_pinned():
+    # the (r, delta) and, for r >= 2, the (r-1, delta) search of every
+    # constructed instance with n <= 30, recorded with the Mat4 distance
+    # check and the full later-column reduction, whose outputs these pin
+    digest, searches = hashlib.sha256(), 0
+    for cid, kw, _ in constructed_instances(30):
+        bc = build(cid, **kw)
+        for r in range(max(bc.r - 1, 1), bc.r + 1):
+            res = verify_locality(bc.code, r, bc.delta)
+            record = (sorted((i, tuple(sorted(s))) for i, s in res.coordinate_supports.items()),
+                      [tuple(sorted(s)) for s in res.qualifying])
+            digest.update(repr((cid, sorted(kw.items()), r, record)).encode())
+            searches += 1
+    assert searches == SEARCHES
+    assert digest.hexdigest() == SEARCH_SHA256
+
+
+@pytest.mark.parametrize("r,delta", [(2.5, 3), (True, 3), (3, 3.0), (2, False), ("3", 3)])
+def test_verify_locality_rejects_non_integer_parameters(r, delta):
+    # a float r would never meet the rank-r prune, and a bool would run as 0 or 1
+    code = build("C1", l=2).code
+    with pytest.raises(ValueError, match="integer"):
+        verify_locality(code, r, delta)
+    with pytest.raises(ValueError, match="integer"):
+        is_r_optimal(code, r, delta)
 
 
 def test_is_r_optimal():
@@ -282,6 +315,49 @@ def test_locality_search_matches_brute_force_oracle():
         checked += 1
 
 
+def systematic_tags(gen, support):
+    """rank(C|_R) and the columns of A in C|_R's systematic generator
+    [I | A], packed over the pivot index, read off the rref of G|_R."""
+    sub, pivots = gen.take_columns([c - 1 for c in support]).rref()
+    tags = []
+    for c in range(len(support)):
+        if c not in pivots:
+            col = [int(x) for x in sub.array[:len(pivots), c]]
+            tags.append((sum(x >> 1 << j for j, x in enumerate(col)),
+                         sum((x & 1) << j for j, x in enumerate(col))))
+    return tags, len(pivots)
+
+
+def test_packed_punctured_distance_matches_the_punctured_code():
+    rng = random.Random(20)
+    checked = zeros = zero_columns = 0
+    while checked < 2000:
+        n, k, m = rng.randrange(4, 10), rng.randrange(1, 5), rng.randrange(1, 6)
+        base = [[rng.randrange(4) for _ in range(m)] for _ in range(k)]
+        # every column a scalar multiple of one of m base columns, or zero
+        picks = [(rng.randrange(m), rng.randrange(4)) for _ in range(n)]
+        gen = Mat4([[gf4.mul(a, row[j]) for j, a in picks] for row in base]).row_basis()
+        if gen.rows == 0:
+            continue
+        code = LinearCode(gen=gen)
+        support = sorted(rng.sample(range(1, n + 1), rng.randrange(1, n + 1)))
+        delta = rng.randrange(2, 6)
+        sub = code.puncture(set(range(1, n + 1)) - set(support))
+        expect = sub.k >= 1 and sub.min_distance() >= delta
+        tags, rank = systematic_tags(gen, support)
+        assert rank == sub.k
+        assert lrc._punctured_distance_at_least(tags, rank, delta) == expect
+        zeros += rank == 0
+        zero_columns += any(picks[c - 1][1] == 0 for c in support)
+        checked += 1
+    assert zeros > 0 and zero_columns > 0
+    # an all-zero support has rank 0 and no distance
+    gen = Mat4([[1, 0, 0, 1], [0, 0, 0, 1]])
+    assert gen.take_columns([1, 2]).row_basis().rows == 0
+    assert systematic_tags(gen, [2, 3]) == ([(0, 0), (0, 0)], 0)
+    assert not lrc._punctured_distance_at_least([(0, 0), (0, 0)], 0, 2)
+
+
 @st.composite
 def small_locality_cases(draw):
     # columns are scalar multiples of m random columns, so repeated
@@ -297,7 +373,7 @@ def small_locality_cases(draw):
     basis = Mat4(rows).row_basis()
     assume(basis.rows > 0)
     code = LinearCode(gen=basis)
-    return code, draw(st.integers(1, code.k)), draw(st.integers(2, 3))
+    return code, draw(st.integers(1, code.k)), draw(st.integers(2, 5))
 
 
 @given(small_locality_cases())
