@@ -20,7 +20,9 @@ bits, and the pivot's own tag bit with it, so the same XORs carry the
 pivot combination each residual absorbed.  The third user of that step
 is ``echelon``, the exact reduced row-echelon kernel behind
 ``Mat4.rref``, ``rank``, ``row_basis`` and ``right_kernel`` and the
-local repair solve; ``pack`` and ``unpack`` move whole arrays in and
+local repair solve; ``kernel`` reads a right-kernel basis off its
+output, for ``Mat4.right_kernel`` and the structure checks' H' on
+packed rows.  ``pack`` and ``unpack`` move whole arrays in and
 out of the packed form with C-level byte translation, never a loop
 over entries.
 """
@@ -123,6 +125,33 @@ def echelon(rows: list[Vec]) -> list[int]:
                 rows[j] = (h ^ hi, l ^ lo)
         pivots.append(bit.bit_length() - 1)
     return pivots
+
+
+def kernel(rows: list[Vec], cols: int) -> list[Vec]:
+    """Basis of the right kernel of packed rows over the columns in the
+    bit mask ``cols``, outside which the rows must vanish.
+
+    The rows are reduced in place by ``echelon``, so the rank is
+    ``cols.bit_count()`` minus the basis size.  The vector for free
+    column f (a column of ``cols`` that is no pivot) is 1 at f and, at
+    each pivot, that pivot row's entry at f (char 2: no negation).
+    """
+    pivots = echelon(rows)
+    free = cols
+    for p in pivots:
+        free ^= 1 << p
+    basis = []
+    while free:
+        bit = free & -free
+        free ^= bit
+        hi, lo = 0, bit
+        for p, (h, l) in zip(pivots, rows):
+            if h & bit:
+                hi |= 1 << p
+            if l & bit:
+                lo |= 1 << p
+        basis.append((hi, lo))
+    return basis
 
 
 class Eliminator:

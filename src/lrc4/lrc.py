@@ -29,7 +29,13 @@ it.  When the groups are disjoint, :func:`blockwise_min_distance`
 settles the minimum distance by dynamic programming over the global
 syndromes of the groups' local-kernel words, and verification takes
 that route.  A profile compiles its groups once, on first use, into a
-:class:`GroupView` of packed ints, which the repair simulator reads.
+:class:`GroupView` of packed ints, which the repair simulator and the
+structure checks read.  The two MDS checks of the structure theorem
+build no code object per sub-code: an H' is its kept packed rows masked
+to its kept columns, with its kernel read off their echelon form, and a
+restriction C|_S is the packed generator rows masked to S, so each
+sub-code's distance is the least weight of its 4^k' words (k' <= 3 on
+every constructed build with n <= 128).
 """
 
 from __future__ import annotations
@@ -39,14 +45,13 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import combinations
 from math import ceil, floor
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
-from ._gf4vec import Eliminator, Vec, pack_columns, pack_rows, reduce_by
+from ._gf4vec import Eliminator, Vec, echelon, kernel, pack_columns, pack_rows, reduce_by
 from .code import LinearCode, span_chunks
 from .errors import (
-    RankError,
     ResourceError,
     ScanBudgetExceeded,
     StructureError,
@@ -60,6 +65,10 @@ LOCALITY_SEARCH_MAX_N = 30
 BLOCKWISE_MAX_WORK = 10**8
 _INF = 10**9  # an unreachable weight in the blockwise DP's tables
 _DP_BLOCK = 1 << 14  # table entries the DP gathers per numpy call
+#: the largest sub-code dimension whose 4^k' words the two MDS checks list
+#: themselves; a larger one goes to LinearCode.min_distance (the
+#: constructed builds with n <= 128 need k' <= 3)
+_SPAN_MAX_K = 4
 
 
 def singleton_like_bound(n: int, k: int, r: int, delta: int) -> int:
@@ -79,10 +88,9 @@ def group_count_range(n: int, k: int, r: int, delta: int) -> tuple[int, int]:
 
 
 def _check_locality_params(n: int, k: int, r: int, delta: int) -> None:
-    if not (1 <= r <= k <= n):
+    _check_search_params(r, delta)
+    if not (r <= k <= n):
         raise ValueError(f"need 1 <= r <= k <= n, got n={n}, k={k}, r={r}")
-    if delta < 2:
-        raise ValueError(f"need delta >= 2, got {delta}")
 
 
 @dataclass(frozen=True)
@@ -95,7 +103,8 @@ class LocalGroup:
 
 @dataclass(frozen=True)
 class GroupView:
-    """A profile's groups as plain ints, for the per-word repair loops.
+    """A profile's groups as plain ints, for the per-word repair loops
+    and the structure checks.
 
     Coordinate c is bit c - 1 of a mask or a packed vector.  A group's
     local rows vanish off its support, so packed over all n coordinates
@@ -256,9 +265,10 @@ def _locality_search(
     zero residuals and those on the new pivot's projective point.  A
     node of rank r - 1 sorts its later columns by point once, and each
     growing child reduces only its own point's columns and the zero
-    ones.  Nor has a node whose deficiency plus its number of later
-    columns falls short.  Subsets of size >= delta with that deficiency
-    get the exact distance check.
+    ones; a child that keeps rank r - 1 takes its parent's points of
+    its later columns, whose residuals it shares.  Nor has a node whose
+    deficiency plus its number of later columns falls short.  Subsets of
+    size >= delta with that deficiency get the exact distance check.
     """
     k = gen.rows
     res_mask = (1 << k) - 1
@@ -268,20 +278,20 @@ def _locality_search(
     chosen: list[int] = []
     tags: list[Vec] = []  # the tags of the picks with a zero residual
 
-    def rec(later: list[tuple[int, int, int]], rank: int) -> None:
+    def rec(later: list[tuple[int, int, int]], rank: int, keys: list | None = None) -> None:
         depth = len(chosen) + 1
         # at rank r - 1, where a growing child reaches rank r, file the
         # later positions under their residual's point (zero residuals
-        # under 0), and the slot of each position in its list
+        # under 0), and the slot of each position in its list; a node
+        # reached by a zero-residual pick gets its parent's keys
         bucketed = rank + 1 == r and depth < max_size
         if bucketed:
-            keys, slots, by_point = [], [], {}
-            for p, (_, hi, lo) in enumerate(later):
-                hi &= res_mask
-                lo &= res_mask
-                key = _point(hi, lo) if hi | lo else 0
+            if keys is None:
+                keys = [_point(hi & res_mask, lo & res_mask) if (hi | lo) & res_mask else 0
+                        for _, hi, lo in later]
+            slots, by_point = [], {}
+            for p, key in enumerate(keys):
                 same = by_point.setdefault(key, [])
-                keys.append(key)
                 slots.append(len(same))
                 same.append(p)
             zeros = by_point.get(0, [])
@@ -313,7 +323,7 @@ def _locality_search(
                     pivot = (hi, lo | 1 << (k + rank))
                     rest = reduce_by(pivot, follow if bucketed else later[p + 1:])
                 if deficiency + len(rest) >= need_def:
-                    rec(rest, rank + grows)
+                    rec(rest, rank + grows, keys[p + 1:] if bucketed and not grows else None)
             if not grows:
                 tags.pop()
             chosen.pop()
@@ -331,7 +341,9 @@ def _locality_search(
 
 
 def _is_integer(value: object) -> bool:
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+    # a plain int first: the ABC check costs about a microsecond
+    return type(value) is int or (isinstance(value, numbers.Integral)
+                                  and not isinstance(value, bool))
 
 
 def _check_search_params(r: int, delta: int) -> None:
@@ -755,6 +767,14 @@ def check_structure(
     When the router's scan exceeds its budget with k > 14, or the code
     is beyond the locality-search guard, the affected verdicts are
     reported as None with an explanatory note rather than failing.
+
+    The two MDS checks run on packed vectors, from the profile's
+    :class:`GroupView` and one packed generator: an H' is its kept rows
+    masked to its kept columns, C|_S the generator rows masked to S, and
+    a sub-code's exact distance is the least weight of its words, or
+    :meth:`LinearCode.min_distance` of the sub-code above
+    :data:`_SPAN_MAX_K` dimensions.  An H' left with no columns fails
+    its check.
     """
     c = LinearCode(pchk=profile.parity_check())
     n, k = c.n, c.k
@@ -819,9 +839,27 @@ def check_structure(
     )
 
 
+def _least_weight(basis: list[Vec], code: Callable[[], LinearCode]) -> int | None:
+    """Least weight of a nonzero word in the span of the independent
+    packed vectors ``basis`` (None for the zero span), read off its 4^k'
+    words up to k' = :data:`_SPAN_MAX_K`; a larger span is measured as
+    ``code()``, the same code on its own coordinates, by
+    :meth:`LinearCode.min_distance`."""
+    if len(basis) > _SPAN_MAX_K:
+        return code().min_distance()
+    words = [(0, 0)]
+    for h, l in basis:  # add the multiples 1, w, w2 of each vector
+        m = h ^ l
+        words += [(a ^ x, b ^ y) for x, y in ((h, l), (m, h), (l, m)) for a, b in words]
+    return min(((a | b).bit_count() for a, b in words[1:]), default=None)
+
+
 def _check_h_prime(c: LinearCode, profile: LocalityProfile, d_target: int) -> CheckResult:
     """Deleting any ceil(k/r)-1 groups (rows and covered columns) must leave
-    a full-rank parity check of an MDS code with the same distance."""
+    a full-rank parity check of an MDS code with the same distance.
+
+    Each H' is the kept rows of the packed matrix masked to the kept
+    columns; its kernel is read off their echelon form."""
     name = "h_prime_mds"
     if not profile.partitioned:
         return CheckResult(
@@ -830,25 +868,29 @@ def _check_h_prime(c: LinearCode, profile: LocalityProfile, d_target: int) -> Ch
     s = ceil(c.k / profile.r) - 1
     if s > profile.l:
         return CheckResult(name, False, f"ceil(k/r)-1 = {s} exceeds l = {profile.l}")
+    view = profile.group_view
     for choice in combinations(range(profile.l), s):
-        drop_rows = set()
-        drop_cols: set[int] = set()
-        for gi in choice:
-            g = profile.groups[gi]
-            drop_rows.update(i - 1 for i in g.rows)
-            drop_cols.update(i - 1 for i in g.support)
-        hp = profile.matrix.delete_rows(drop_rows).delete_columns(drop_cols)
         tag = "+".join(str(g + 1) for g in choice) or "none"
-        try:
-            sub = LinearCode(pchk=hp)
-        except RankError:
+        dropped = [profile.groups[gi] for gi in choice]
+        drop_rows = {i - 1 for g in dropped for i in g.rows}
+        keep = (1 << c.n) - 1
+        for gi in choice:
+            keep &= ~view.masks[gi]
+        n_sub = keep.bit_count()
+        if not n_sub:
+            return CheckResult(name, False, f"H' has no columns after removing groups {tag}")
+        rows = [(h & keep, l & keep) for i, (h, l) in enumerate(view.words) if i not in drop_rows]
+        basis = kernel(rows, keep)
+        k_sub = len(basis)
+        if n_sub - k_sub < len(rows):
             return CheckResult(name, False, f"H' not full rank after removing groups {tag}")
-        if sub.k == 0:
+        if not k_sub:
             return CheckResult(name, False, f"H' leaves the zero code (groups {tag})")
-        dp = sub.min_distance()
-        if dp != sub.n - sub.k + 1 or dp != d_target:
+        dp = _least_weight(basis, lambda: LinearCode(pchk=profile.matrix.delete_rows(drop_rows)
+                           .delete_columns(i - 1 for g in dropped for i in g.support)))
+        if dp != n_sub - k_sub + 1 or dp != d_target:
             return CheckResult(
-                name, False, f"groups {tag}: [{sub.n},{sub.k}] with d'={dp}, want MDS d'={d_target}"
+                name, False, f"groups {tag}: [{n_sub},{k_sub}] with d'={dp}, want MDS d'={d_target}"
             )
     return CheckResult(name, True)
 
@@ -863,19 +905,23 @@ def _check_rows_per_group(profile: LocalityProfile) -> CheckResult:
 
 
 def _check_punctured_mds(c: LinearCode, profile: LocalityProfile) -> CheckResult:
-    """Each restriction C|_{S_i} must be [s_i, s_i - delta + 1, delta] MDS."""
+    """Each restriction C|_{S_i} must be [s_i, s_i - delta + 1, delta] MDS.
+
+    C|_S is spanned by the packed generator rows masked to S."""
     name = "punctured_mds"
     delta = profile.delta
+    gen = pack_rows(c.generator())
+    masks = profile.group_view.masks
     for i, g in enumerate(profile.groups):
-        outside = set(range(1, c.n + 1)) - g.support
-        local = c.puncture(outside)
+        rows = [(h & masks[i], l & masks[i]) for h, l in gen]
+        local = rows[:len(echelon(rows))]
         si = len(g.support)
-        di = local.min_distance() if local.k else None
-        if local.k != si - delta + 1 or di != delta:
+        di = _least_weight(local, lambda: c.puncture(set(range(1, c.n + 1)) - g.support))
+        if len(local) != si - delta + 1 or di != delta:
             return CheckResult(
                 name,
                 False,
-                f"group {i + 1}: C|_S is [{local.n},{local.k},{di}], "
+                f"group {i + 1}: C|_S is [{si},{len(local)},{di}], "
                 f"want [{si},{si - delta + 1},{delta}]",
             )
     return CheckResult(name, True)

@@ -19,7 +19,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from . import gf4
-from ._gf4vec import echelon, pack, unpack
+from ._gf4vec import echelon, kernel, pack, unpack
 
 
 class ShapeError(ValueError):
@@ -181,25 +181,11 @@ class Mat4:
 
         Returns a (cols - rank) x cols matrix; empty when the matrix has
         full column rank.  The vector for free column f is 1 at f and,
-        at each pivot, that pivot row's entry at f (char 2: no negation).
+        at each pivot, that pivot row's entry at f, as
+        :func:`~lrc4._gf4vec.kernel` reads it off the rref.
         """
-        rows = pack(self._a)
-        pivots = echelon(rows)
         n = self.cols
-        taken = set(pivots)
-        basis = []
-        for f in range(n):
-            if f in taken:
-                continue
-            bit = 1 << f
-            hi, lo = 0, bit
-            for p, (h, l) in zip(pivots, rows):
-                if h & bit:
-                    hi |= 1 << p
-                if l & bit:
-                    lo |= 1 << p
-            basis.append((hi, lo))
-        return Mat4._wrap(unpack(basis, n))
+        return Mat4._wrap(unpack(kernel(pack(self._a), (1 << n) - 1), n))
 
     # -- structure -----------------------------------------------------
 

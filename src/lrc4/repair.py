@@ -11,7 +11,7 @@ local failure, because the simulator exists to certify locality, not to
 be a decoder.
 
 What a repair needs of the profile is fixed, so the profile compiles it
-once, on the first repair, into its ``group_view``
+once, on first use (a repair or a structure check), into its ``group_view``
 (:class:`~lrc4.lrc.GroupView`): each group's support as a bit mask and
 its local rows packed as in ``_gf4vec``, the groups holding each
 coordinate, and every row of the matrix packed.  A repair packs the

@@ -1,5 +1,6 @@
 import hashlib
 import random
+import re
 from itertools import combinations, product
 
 import pytest
@@ -11,7 +12,9 @@ from lrc4 import gf4
 from lrc4.code import LinearCode, hexacode
 from lrc4.constructions import build
 from lrc4 import lrc
+from lrc4._gf4vec import pack_rows
 from lrc4.errors import (
+    EmptyCodeError,
     Lrc4Error,
     RankError,
     ResourceError,
@@ -120,6 +123,11 @@ def test_verify_locality_rejects_non_integer_parameters(r, delta):
         verify_locality(code, r, delta)
     with pytest.raises(ValueError, match="integer"):
         is_r_optimal(code, r, delta)
+    # the bounds too: 2.5 made singleton_like_bound(16, 3, 2.5, 3) read 12
+    with pytest.raises(ValueError, match="integer"):
+        singleton_like_bound(16, 3, r, delta)
+    with pytest.raises(ValueError, match="integer"):
+        group_count_range(16, 3, r, delta)
 
 
 def test_is_r_optimal():
@@ -217,6 +225,193 @@ def test_check_structure_reports_rank_deficient_h_prime():
     check = report.checks["h_prime_mds"]
     assert check.passed is False
     assert check.witness == "H' not full rank after removing groups 1"
+
+
+def test_h_prime_with_no_columns_left_is_a_failed_check():
+    # k = 2 and r = 1, so deleting ceil(k/r) - 1 = 1 group removes all of
+    # the single group's columns
+    profile = extract_profile(Mat4.from_string("1 1 1"), [(1, 1)], r=1, delta=3)
+    report = check_structure(profile)
+    check = report.checks["h_prime_mds"]
+    assert check.passed is False
+    assert check.witness == "H' has no columns after removing groups 1"
+    assert check == h_prime_by_linear_codes(LinearCode(pchk=profile.matrix), profile, report.d)
+
+
+# ---------------------------------------------------------------------------
+# the two MDS checks against an independent route: every H' and every
+# C|_S built as a LinearCode and measured by LinearCode.min_distance
+
+
+def h_prime_by_linear_codes(c, profile, d_target):
+    name = "h_prime_mds"
+    if not profile.partitioned:
+        return lrc.CheckResult(
+            name, None, "no full-rank local/global row partition exists at these parameters"
+        )
+    s = -(-c.k // profile.r) - 1
+    if s > profile.l:
+        return lrc.CheckResult(name, False, f"ceil(k/r)-1 = {s} exceeds l = {profile.l}")
+    for choice in combinations(range(profile.l), s):
+        drop_rows, drop_cols = set(), set()
+        for gi in choice:
+            g = profile.groups[gi]
+            drop_rows.update(i - 1 for i in g.rows)
+            drop_cols.update(i - 1 for i in g.support)
+        hp = profile.matrix.delete_rows(drop_rows).delete_columns(drop_cols)
+        tag = "+".join(str(g + 1) for g in choice) or "none"
+        try:
+            sub = LinearCode(pchk=hp)
+        except EmptyCodeError:
+            return lrc.CheckResult(name, False, f"H' has no columns after removing groups {tag}")
+        except RankError:
+            return lrc.CheckResult(name, False, f"H' not full rank after removing groups {tag}")
+        if sub.k == 0:
+            return lrc.CheckResult(name, False, f"H' leaves the zero code (groups {tag})")
+        dp = sub.min_distance()
+        if dp != sub.n - sub.k + 1 or dp != d_target:
+            return lrc.CheckResult(
+                name, False, f"groups {tag}: [{sub.n},{sub.k}] with d'={dp}, want MDS d'={d_target}"
+            )
+    return lrc.CheckResult(name, True)
+
+
+def punctured_by_linear_codes(c, profile):
+    name = "punctured_mds"
+    delta = profile.delta
+    for i, g in enumerate(profile.groups):
+        local = c.puncture(set(range(1, c.n + 1)) - g.support)
+        si = len(g.support)
+        di = local.min_distance() if local.k else None
+        if local.k != si - delta + 1 or di != delta:
+            return lrc.CheckResult(
+                name, False,
+                f"group {i + 1}: C|_S is [{local.n},{local.k},{di}], "
+                f"want [{si},{si - delta + 1},{delta}]",
+            )
+    return lrc.CheckResult(name, True)
+
+
+def assert_mds_checks_match(report):
+    profile = report.profile
+    c = LinearCode(pchk=profile.parity_check())
+    d = report.d if report.d is not None else report.bound_d
+    assert report.checks["h_prime_mds"] == h_prime_by_linear_codes(c, profile, d)
+    assert report.checks["punctured_mds"] == punctured_by_linear_codes(c, profile)
+
+
+def random_layout_profile(rng):
+    """A full-rank parity check of random local rows on random supports,
+    then random global rows, with its profile; None when the draw is not
+    a valid profile of a code with k >= r."""
+    n = rng.randrange(3, 10)
+    r, delta = rng.randrange(1, 4), rng.randrange(2, 5)
+    cols = list(range(n))
+    rng.shuffle(cols)
+    cuts = sorted(rng.sample(range(1, n), rng.randrange(0, min(3, n - 1))))
+    parts = [cols[a:b] for a, b in zip([0] + cuts, cuts + [n])]
+    if rng.random() < 0.3 and len(parts) > 1:  # let one group reach into the next
+        parts[0] = parts[0] + parts[1][:1]
+    rows, layout = [], []
+    for part in parts:
+        first = len(rows) + 1
+        for _ in range(rng.choice([delta - 1, delta - 1, 1, 2])):
+            row = [0] * n
+            for j in part:
+                row[j] = rng.choice([0, 1, 1, 2, 3])
+            rows.append(row)
+        layout.append((first, len(rows)))
+    rows += [[rng.randrange(4) for _ in range(n)] for _ in range(rng.randrange(0, 3))]
+    h = Mat4(rows)
+    if h.rank() != h.rows or n - h.rows < r:
+        return None
+    try:
+        return extract_profile(h, layout, r=r, delta=delta)
+    except StructureError:
+        return None
+
+
+def mds_failure_kinds(report):
+    """The kinds of failure that a report's two MDS checks witness."""
+    kinds = set()
+    h = report.checks["h_prime_mds"]
+    if h.passed is False:
+        m = re.fullmatch(r"groups \S+: \[(\d+),(\d+)\] with d'=(\d+), want MDS d'=\d+", h.witness)
+        if m:
+            n_sub, k_sub, dp = map(int, m.groups())
+            kinds.add("H' not MDS" if dp != n_sub - k_sub + 1 else "H' d' != d")
+        kinds |= {kind for kind in ("H' not full rank", "H' leaves the zero code",
+                                    "H' has no columns") if h.witness.startswith(kind)}
+    p = report.checks["punctured_mds"]
+    if p.passed is False:
+        m = re.fullmatch(r"group \d+: C\|_S is \[\d+,(\d+),\w+\], want \[\d+,(-?\d+),\d+\]",
+                         p.witness)
+        kinds.add("C|_S dim" if m[1] != m[2] else "d(C|_S) < delta")
+    return kinds
+
+
+def test_mds_checks_match_linear_codes_on_random_profiles():
+    rng = random.Random(2021)
+    seen, compared = set(), 0
+    while compared < 300:
+        profile = random_layout_profile(rng)
+        if profile is None:
+            continue
+        report = check_structure(profile)
+        assert_mds_checks_match(report)
+        seen |= mds_failure_kinds(report)
+        compared += 1
+    assert seen == {"H' not full rank", "H' leaves the zero code", "H' not MDS", "H' d' != d",
+                    "H' has no columns", "C|_S dim", "d(C|_S) < delta"}
+
+
+def test_least_weight_matches_min_distance():
+    # independent rows, not reduced, so every scalar multiple of every
+    # row takes part in some least-weight word
+    rng = random.Random(7)
+    for _ in range(500):
+        n = rng.randrange(1, 9)
+        basis = Mat4([[rng.randrange(4) for _ in range(n)] for _ in range(rng.randrange(1, 5))])
+        if basis.rank() != basis.rows:
+            continue
+        code = LinearCode(gen=basis)
+        assert lrc._least_weight(pack_rows(basis), lambda: code) == code.min_distance()
+    assert lrc._least_weight([], None) is None
+
+
+def test_mds_checks_match_linear_codes_on_catalogue_builds():
+    for cid, kw, _ in constructed_instances(64):
+        assert_mds_checks_match(build(cid, **kw).verify())
+
+
+def test_mds_checks_hand_a_large_sub_code_to_min_distance(monkeypatch):
+    # the [6,5,2] parity code as one group: k <= r, so H' is the whole
+    # matrix, and C|_S is the whole code, both of dimension 5
+    assert lrc._SPAN_MAX_K < 5
+    profile = extract_profile(Mat4.from_string("1 1 1 1 1 1"), [(1, 1)], r=5, delta=2)
+    c = LinearCode(pchk=profile.matrix)
+    small = build("C6", l=2)
+    small_c = LinearCode(pchk=small.profile.matrix)
+    measured = []
+    real = LinearCode.min_distance
+
+    def spy(self, *args, **kwargs):
+        measured.append((self.n, self.k))
+        return real(self, *args, **kwargs)
+
+    monkeypatch.setattr(LinearCode, "min_distance", spy)
+    assert lrc._check_h_prime(small_c, small.profile, 4).passed is True
+    assert lrc._check_punctured_mds(small_c, small.profile).passed is True
+    assert measured == []  # below the cap every word is listed
+    checks = [lrc._check_h_prime(c, profile, 2), lrc._check_h_prime(c, profile, 3),
+              lrc._check_punctured_mds(c, profile)]
+    assert measured == [(6, 5)] * 3
+    monkeypatch.undo()
+    assert checks == [h_prime_by_linear_codes(c, profile, 2),
+                      h_prime_by_linear_codes(c, profile, 3),
+                      punctured_by_linear_codes(c, profile)]
+    assert checks[0].passed is True and checks[2].passed is True
+    assert checks[1].witness == "groups none: [6,5] with d'=2, want MDS d'=3"
 
 
 def test_delta2_agrees_with_dual_word_locality():
