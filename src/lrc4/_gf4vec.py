@@ -19,12 +19,12 @@ zero test.  The search packs a tag above each column's k residual
 bits, and the pivot's own tag bit with it, so the same XORs carry the
 pivot combination each residual absorbed.  The third user of that step
 is ``echelon``, the exact reduced row-echelon kernel behind
-``Mat4.rref``, ``rank``, ``row_basis`` and ``right_kernel`` and the
-local repair solve; ``kernel`` reads a right-kernel basis off its
-output, for ``Mat4.right_kernel`` and the structure checks' H' on
-packed rows.  ``pack`` and ``unpack`` move whole arrays in and
-out of the packed form with C-level byte translation, never a loop
-over entries.
+``Mat4.rref``, ``rank``, ``row_basis`` and ``right_kernel``, the
+local repair solve and the restructuring's local dual bases; ``kernel``
+reads a right-kernel basis off its output, for ``Mat4.right_kernel``
+and the structure checks' H' on packed rows.  ``pack`` and ``unpack``
+move whole arrays in and out of the packed form with C-level byte
+translation, never a loop over entries.
 """
 
 from __future__ import annotations

@@ -1,7 +1,7 @@
 """Linear-code semantics over GF(4).
 
-A :class:`LinearCode` is held as a generator matrix, a parity-check
-matrix, or both; the missing one is recovered as a right-kernel basis
+A :class:`LinearCode` holds a generator and a parity-check matrix;
+built from one, it computes the other once, as its right-kernel basis
 (``G H^T = 0``).  On top of that sit minimum distance, weight
 distribution, puncturing, and the MDS feasibility and weight-distribution
 formulas specialised to q = 4.
@@ -85,7 +85,9 @@ class CodeParams:
 
 
 class LinearCode:
-    """An [n, k] code over GF(4), held by generator and/or parity-check matrix."""
+    """An [n, k] code over GF(4), held by its generator and parity-check
+    matrices.  Given one, the other is its right kernel, whose size is
+    the rank check; given both, their ranks and G H^T = 0 are checked."""
 
     __slots__ = ("gen", "pchk", "n", "k")
 
@@ -95,40 +97,32 @@ class LinearCode:
         n = gen.cols if gen is not None else pchk.cols
         if n == 0:
             raise EmptyCodeError("length-0 codes are not supported")
-        if gen is not None and gen.rank() != gen.rows:
-            raise RankError(f"generator has rank {gen.rank()} < {gen.rows} rows")
-        if pchk is not None and pchk.rank() != pchk.rows:
-            raise RankError(f"parity check has rank {pchk.rank()} < {pchk.rows} rows")
         if gen is not None and pchk is not None:
+            for m, what in ((gen, "generator"), (pchk, "parity check")):
+                if m.rank() != m.rows:
+                    raise RankError(f"{what} has rank {m.rank()} < {m.rows} rows")
             if pchk.cols != n:
                 raise ValueError("generator and parity check disagree on length")
             if gen.rows + pchk.rows != n:
                 raise RankError("generator and parity-check ranks do not add up to n")
             if not (gen @ pchk.transpose()).is_zero():
                 raise ValueError("G H^T != 0")
+        else:
+            held, what = (gen, "generator") if pchk is None else (pchk, "parity check")
+            other = held.right_kernel()
+            if n - other.rows != held.rows:
+                raise RankError(f"{what} has rank {n - other.rows} < {held.rows} rows")
+            gen, pchk = (held, other) if pchk is None else (other, held)
         self.gen = gen
         self.pchk = pchk
         self.n = n
-        self.k = gen.rows if gen is not None else n - pchk.rows
-
-    def complete(self) -> "LinearCode":
-        """Fill in the missing matrix, once, and return this code.
-
-        The missing matrix is the right kernel of the given one, a
-        full-rank basis orthogonal to it by construction, so it skips the
-        constructor's checks.
-        """
-        if self.gen is None:
-            self.gen = self.pchk.right_kernel()
-        elif self.pchk is None:
-            self.pchk = self.gen.right_kernel()
-        return self
+        self.k = gen.rows
 
     def generator(self) -> Mat4:
-        return self.gen if self.gen is not None else self.complete().gen
+        return self.gen
 
     def parity_check(self) -> Mat4:
-        return self.pchk if self.pchk is not None else self.complete().pchk
+        return self.pchk
 
     def __repr__(self) -> str:
         return f"LinearCode(n={self.n}, k={self.k})"

@@ -824,7 +824,7 @@ def build(
     else:
         rows = delta - 1
         layout = [(1 + i * rows, (i + 1) * rows) for i in range(ceil(n / (r + rows)))]
-        code = LinearCode(pchk=m).complete()
+        code = LinearCode(pchk=m)
         profile = extract_profile(m, layout, r=r, delta=delta)
     if (code.n, code.k) != (n, dim):
         raise StructureError(f"{cid}: built [{code.n},{code.k}], expected [{n},{dim}]")
@@ -843,7 +843,8 @@ def build(
 
 def blockwise_min_distance(bc: BuiltCode) -> int:
     """Exact d of a built disjoint-group code: :func:`lrc.blockwise_min_distance`
-    on its profile.  Raises ValueError on overlapping groups."""
+    on its profile.  Raises ValueError on overlapping groups and
+    ResourceError past :data:`lrc.BLOCKWISE_MAX_WORK`."""
     return lrc.blockwise_min_distance(bc.profile)
 
 

@@ -49,7 +49,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from ._gf4vec import Eliminator, Vec, echelon, kernel, pack_columns, pack_rows, reduce_by
+from ._gf4vec import Eliminator, Vec, echelon, kernel, pack_columns, pack_rows, reduce_by, unpack
 from .code import LinearCode, span_chunks
 from .errors import (
     ResourceError,
@@ -57,7 +57,7 @@ from .errors import (
     StructureError,
     UndefinedDistanceError,
 )
-from .mat4 import Mat4, vstack
+from .mat4 import Mat4
 
 LOCALITY_SEARCH_MAX_N = 30
 #: table operations the blockwise distance DP may spend inside verification
@@ -148,7 +148,7 @@ class LocalityProfile:
 
     @cached_property
     def group_view(self) -> GroupView:
-        """The groups compiled for repair, on first use only."""
+        """The groups compiled for repair and the structure checks, on first use only."""
         words = tuple(pack_rows(self.matrix))
         groups_of: list[list[int]] = [[] for _ in range(self.matrix.cols)]
         for gi, g in enumerate(self.groups):
@@ -367,7 +367,7 @@ def verify_locality(
         raise ValueError("locality of the zero code is undefined")
     if c.n > max_n:
         raise ResourceError(f"locality search guarded at n <= {max_n}, got n = {c.n}")
-    assigned, found = _locality_search(c.complete().gen, r, delta)
+    assigned, found = _locality_search(c.gen, r, delta)
     return LocalitySearch(n=c.n, r=r, delta=delta, coordinate_supports=assigned,
                           qualifying=tuple(found))
 
@@ -449,21 +449,22 @@ def extract_profile(
     )
 
 
-def _local_dual_basis(h0: Mat4, support: frozenset[int]) -> Mat4:
-    """Basis of the dual words vanishing outside the (1-based) support."""
-    n = h0.cols
-    outside = [i for i in range(n) if (i + 1) not in support]
-    combos = h0.take_columns(outside).transpose().right_kernel()
-    return (combos @ h0).row_basis()
+def _local_dual_basis(words: list[Vec], n: int, support: int) -> list[Vec]:
+    """RREF basis of the words in the span of the packed length-n ``words``
+    that vanish off the bit mask ``support``: with each word's part off
+    the support in the low n bits and the whole word above, they are the
+    echelon rows whose pivot is at bit n or above, shifted down."""
+    off = ((1 << n) - 1) ^ support
+    rows = [((h & off) | h << n, (l & off) | l << n) for h, l in words]
+    return [(h >> n, l >> n) for p, (h, l) in zip(echelon(rows), rows) if p >= n]
 
 
 def _select_cover(
     n: int,
-    candidates: list[tuple[frozenset[int], Mat4]],
+    candidates: list[tuple[frozenset[int], list[Vec]]],
 ) -> list[int] | None:
-    """First (in candidate order) subfamily covering {1..n} whose local
-    row blocks are mutually independent.  Depth-first with backtracking."""
-    packed = [pack_rows(basis) for _, basis in candidates]
+    """First (in candidate order) subfamily covering {1..n} whose packed
+    local row blocks are mutually independent.  Depth-first with backtracking."""
     elim = Eliminator()
     chosen: list[int] = []
 
@@ -473,11 +474,11 @@ def _select_cover(
         if len(covered.union(*(s for s, _ in candidates[start:]))) < n:
             return False
         for i in range(start, len(candidates)):
-            s = candidates[i][0]
+            s, block = candidates[i]
             if s <= covered:
                 continue
             pushed = 0
-            for v in packed[i]:
+            for v in block:
                 pushed += 1
                 if not elim.push(v):
                     break
@@ -507,42 +508,37 @@ def structured_parity_check(
 
     Some certified LRCs admit no such partition at all (every qualifying
     cover needs more than n - k group rows); for those the matrix is an
-    augmented stack with redundant rows and the flag is False.
+    augmented stack with redundant rows and the flag is False.  All of it
+    runs on packed rows; the finished matrix is unpacked once.
     """
-    h0 = c.parity_check()
     n = c.n
-    candidates = [(s, _local_dual_basis(h0, s)) for s in supports]
-    candidates = [(s, b) for s, b in candidates if b.rows > 0]
+    words = pack_rows(c.pchk)
+    candidates = [(s, _local_dual_basis(words, n, sum(1 << i - 1 for i in s))) for s in supports]
+    candidates = [(s, b) for s, b in candidates if b]
     chosen = _select_cover(n, candidates)
     partitioned = chosen is not None
     if chosen is None:
         # with empty row blocks nothing is pushed, so only coverage decides
-        chosen = _select_cover(n, [(s, Mat4.zeros(0, n)) for s, _ in candidates])
+        chosen = _select_cover(n, [(s, []) for s, _ in candidates])
     if chosen is None:
         raise StructureError("no family of local groups covers all coordinates")
     # the search never picks a support twice, so supports identify blocks
     kept = _minimal_cover([candidates[i][0] for i in chosen], n)
-    blocks = [b for s, b in (candidates[i] for i in chosen) if s in kept]
+    rows: list[Vec] = []
     layout: list[tuple[int, int]] = []
-    at = 1
-    for b in blocks:
-        layout.append((at, at + b.rows - 1))
-        at += b.rows
-    stacked = vstack(blocks) if blocks else Mat4.zeros(0, n)
-
+    for s, b in (candidates[i] for i in chosen):
+        if s in kept:
+            layout.append((len(rows) + 1, len(rows) + len(b)))
+            rows += b
     elim = Eliminator()
-    for v in pack_rows(stacked):
+    for v in rows:
         elim.push(v)
-    extra_rows = []
-    for idx, v in enumerate(pack_rows(h0)):
-        if elim.push(v):
-            extra_rows.append(idx)
-    h = vstack([stacked, h0.take_rows(extra_rows)]) if extra_rows else stacked
-    if h.rank() != h0.rows:
+    rows += [v for v in words if elim.push(v)]
+    if elim.rank != len(words):
         raise StructureError("restructured parity check lost rank")
-    if partitioned and h.rows != h0.rows:
+    if partitioned and len(rows) != len(words):
         raise StructureError("partitioned stack has redundant rows")
-    return h, layout, partitioned
+    return Mat4(unpack(rows, n)), layout, partitioned
 
 
 def restructure(c: LinearCode, found: LocalitySearch) -> LocalityProfile:
@@ -558,23 +554,6 @@ def restructure(c: LinearCode, found: LocalitySearch) -> LocalityProfile:
 
 # ---------------------------------------------------------------------------
 # blockwise distance
-
-
-def _blockwise_unfit(profile: LocalityProfile) -> str | None:
-    """Why the blockwise DP cannot measure the code of the profile's
-    matrix through its groups, or None when it can."""
-    h = profile.matrix
-    n = h.cols
-    supports = profile.supports()
-    if sum(map(len, supports)) != n or len(frozenset().union(*supports)) != n:
-        return "group supports must be pairwise disjoint and cover every coordinate"
-    rows = [i for g in profile.groups for i in g.rows] + list(profile.global_rows)
-    if not all(g.rows for g in profile.groups) or sorted(rows) != list(range(1, h.rows + 1)):
-        return "every group needs rows, and group and global rows must partition the matrix"
-    for g in profile.groups:
-        if not {c + 1 for c in h.column_support(i - 1 for i in g.rows)} <= g.support:
-            return f"local rows {g.rows} are nonzero outside their group's support"
-    return None
 
 
 def _splice_bases(profile: LocalityProfile) -> list[Mat4]:
@@ -641,6 +620,34 @@ def _blockwise_dp(g: int, bases: list[Mat4]) -> int:
     return d
 
 
+def _blockwise_bases(profile: LocalityProfile) -> list[Mat4]:
+    """The groups' :func:`_splice_bases`, for a profile whose code the DP
+    measures exactly within :data:`BLOCKWISE_MAX_WORK` table operations.
+    Raises ValueError on any other profile and ResourceError past the bound."""
+    h = profile.matrix
+    supports = profile.supports()
+    if sum(map(len, supports)) != h.cols or len(frozenset().union(*supports)) != h.cols:
+        raise ValueError("blockwise distance: group supports must be pairwise disjoint "
+                         "and cover every coordinate")
+    rows = [i for g in profile.groups for i in g.rows] + list(profile.global_rows)
+    if not all(g.rows for g in profile.groups) or sorted(rows) != list(range(1, h.rows + 1)):
+        raise ValueError("blockwise distance: every group needs rows, and group and global "
+                         "rows must partition the matrix")
+    for g in profile.groups:
+        if not {c + 1 for c in h.column_support(i - 1 for i in g.rows)} <= g.support:
+            raise ValueError(f"blockwise distance: local rows {g.rows} are nonzero "
+                             "outside their group's support")
+    bases = _splice_bases(profile)
+    # each group's 4^k_b kernel words, then one pass over the 4^g global
+    # syndromes per distinct syndrome of its words
+    size = 4 ** len(profile.global_rows)
+    work = sum(4**b.rows + min(4**b.rows, size) * size for b in bases)
+    if work > BLOCKWISE_MAX_WORK:
+        raise ResourceError(f"blockwise distance needs an estimated {work} table operations, "
+                            f"over the bound of {BLOCKWISE_MAX_WORK}")
+    return bases
+
+
 def blockwise_min_distance(profile: LocalityProfile) -> int:
     """Exact minimum distance of the code of the profile's matrix via its
     group structure.
@@ -654,26 +661,23 @@ def blockwise_min_distance(profile: LocalityProfile) -> int:
     table per distinct syndrome and finds the least positive splice
     weight exactly, far beyond the generic enumeration and column-scan
     guards: the full 17-group code ([102,46]) takes about a million
-    table operations.  Raises ValueError on any other profile.
+    table operations.  Raises ValueError on any other profile, and
+    ResourceError when the estimated table work exceeds
+    :data:`BLOCKWISE_MAX_WORK`.
     """
-    why = _blockwise_unfit(profile)
-    if why is not None:
-        raise ValueError(f"blockwise distance: {why}")
-    return _blockwise_dp(len(profile.global_rows), _splice_bases(profile))
+    return _blockwise_dp(len(profile.global_rows), _blockwise_bases(profile))
 
 
 def _blockwise_route(profile: LocalityProfile) -> list[Mat4] | None:
     """The groups' :func:`_splice_bases` when :func:`check_structure`
-    settles d by the blockwise DP: a partitioned profile that the DP
-    measures exactly, within :data:`BLOCKWISE_MAX_WORK` table operations."""
-    if not profile.partitioned or _blockwise_unfit(profile) is not None:
+    settles d by the blockwise DP: a partitioned profile that
+    :func:`_blockwise_bases` accepts."""
+    if not profile.partitioned:
         return None
-    bases = _splice_bases(profile)
-    # each group's 4^k_b kernel words, then one pass over the 4^g global
-    # syndromes per distinct syndrome of its words
-    size = 4 ** len(profile.global_rows)
-    work = sum(4**b.rows + min(4**b.rows, size) * size for b in bases)
-    return bases if work <= BLOCKWISE_MAX_WORK else None
+    try:
+        return _blockwise_bases(profile)
+    except (ValueError, ResourceError):
+        return None
 
 
 # ---------------------------------------------------------------------------

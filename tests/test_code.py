@@ -48,13 +48,14 @@ def test_code_params_singleton_guard():
 
 
 def test_complete_hexacode():
-    c = hexacode().complete()
+    # a code built from one matrix holds both, orthogonal, from construction
+    c = hexacode()
+    assert c.gen is HEXACODE_GEN
     assert c.pchk.rows == 3
     assert (c.gen @ c.pchk.transpose()).is_zero()
-    assert c.complete() is c  # idempotent
-    # parity-only input: the generator is filled in on the same object
+    # parity-only input: the generator is the kernel of the parity check
     p = LinearCode(pchk=LOCAL_5)
-    assert p.complete() is p
+    assert p.pchk is LOCAL_5
     assert p.gen == LOCAL_5.right_kernel()
     assert (p.gen @ p.pchk.transpose()).is_zero()
     assert p.gen.rows + p.pchk.rows == p.n
@@ -65,7 +66,7 @@ def test_complete_single_parity_layout_gives_repetition():
     n = 5
     pchk = Mat4([[1 if j == i else (1 if j == n - 1 else 0) for j in range(n)]
                  for i in range(n - 1)])
-    c = LinearCode(pchk=pchk).complete()
+    c = LinearCode(pchk=pchk)
     assert c.k == 1
     assert c.generator().row_basis() == Mat4([[1] * n])
 
@@ -215,13 +216,16 @@ def test_enumeration_guards():
         big.weight_distribution()
 
 
-def test_held_matrix_is_returned_without_a_kernel(monkeypatch):
-    def no_kernel(self):
-        raise AssertionError("right_kernel computed for a matrix the code holds")
-
-    monkeypatch.setattr(Mat4, "right_kernel", no_kernel)
-    assert LinearCode(gen=HEXACODE_GEN).generator() is HEXACODE_GEN
-    assert LinearCode(pchk=LOCAL_5).parity_check() is LOCAL_5
+def test_held_matrix_is_returned_without_a_kernel(echelon_calls):
+    # building from one matrix reduces it once, for the other matrix and
+    # the rank; reading either matrix back reduces nothing
+    for gen, pchk in ((HEXACODE_GEN, None), (None, LOCAL_5)):
+        echelon_calls.clear()
+        c = LinearCode(gen=gen, pchk=pchk)
+        g, h = c.generator(), c.parity_check()
+        assert g is c.gen and h is c.pchk
+        assert g is HEXACODE_GEN if gen is not None else h is LOCAL_5
+        assert len(echelon_calls) == 1
 
 
 def test_codeword_chunks_cover_everything():

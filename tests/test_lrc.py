@@ -1,4 +1,5 @@
 import hashlib
+import json
 import random
 import re
 from itertools import combinations, product
@@ -11,8 +12,8 @@ from hypothesis import assume, given, strategies as st
 from lrc4 import gf4
 from lrc4.code import LinearCode, hexacode
 from lrc4.constructions import build
-from lrc4 import lrc
-from lrc4._gf4vec import pack_rows
+from lrc4 import constructions, lrc
+from lrc4._gf4vec import pack_rows, unpack
 from lrc4.errors import (
     EmptyCodeError,
     Lrc4Error,
@@ -160,7 +161,7 @@ def test_extract_profile_overlap_variant():
 
 
 def test_extract_profile_single_group():
-    hx = hexacode().complete()
+    hx = hexacode()
     profile = extract_profile(hx.pchk, [(1, 3)], r=3, delta=4)
     assert profile.l == 1 and profile.global_rows == ()
 
@@ -195,6 +196,15 @@ def test_check_structure_c16_distance_cap_via_k_minus_1():
     assert (bc.code.k - 1) % bc.r == 0  # r | (k-1) branch: cap is 4*delta = 12
     assert report.checks["distance_cap"].passed
     assert report.all_passed
+
+
+def test_check_structure_reduces_its_parity_check_once(echelon_calls):
+    profile = build("C4", l=2, r=3).profile  # k = 6, r = 3: each H' drops one group
+    packed = pack_rows(profile.parity_check())
+    echelon_calls.clear()
+    report = check_structure(profile)
+    assert report.all_passed
+    assert sum(rows == packed for rows in echelon_calls) == 1
 
 
 def test_check_structure_corruption_is_detected():
@@ -463,6 +473,56 @@ def test_structured_parity_check_rebuilds_layout():
     assert all(b - a + 1 == 2 for a, b in layout)  # delta - 1 rows per group
     profile = extract_profile(h, layout, r=2, delta=3)
     assert profile.l >= 4
+
+
+# restructured matrix, its shape, the group row ranges and ``partitioned``
+# of every generator-family build, recorded before the dual bases, the
+# cover and the stack moved to packed rows
+RESTRUCTURED_DIGESTS = {
+    "C16 d=5": "6623cb6494bca283", "C16 d=6": "a68ab2c3787e3113",
+    "C16 d=7": "c673a7dd5d5c615e", "C16 d=8": "48a8d4baee328289",
+    "C16 d=9": "d31727b9d3671186", "C16 d=10": "b1410eb35ce37499",
+    "C16 d=11": "7c7d76fffae6e1de", "C16 d=12": "2aa2596744c374bb",
+    "C17 d=7": "7af2190086a8449c", "C17 d=8": "c1eb6757c7e2462d",
+    "C17 d=9": "825bc4bb94320054", "C17 d=10": "c4d7624393bccaad",
+    "C17 d=11": "3e6ece48501f9038", "C17 d=12": "366834a4b72dfd35",
+    "C17 d=13": "2d172e9ab65a0d85", "C17 d=14": "b89d69faa934b434",
+    "C17 d=15": "e5bb9218e54c267f", "C17 d=16": "c06c4a473ce78ed4",
+    "C18 d=5": "a7e27a5d4780c97c", "C18 d=6": "8b5bab4a005d28cc",
+    "C18 d=7": "374f970319f04be7", "C18 d=8": "d723c994072b2ef5",
+    "C18 d=9": "eaec65cb68e8b83f", "C18 d=10": "4fd5ffa7a8b4e91d",
+    "C18 d=11": "f25f7fb25594bec9", "C18 d=12": "ee7a6645a077add1",
+    "C19 d=6": "5960287fe3bd23a8", "C19 d=7": "e1ae5e02ed2591b1",
+    "C19 d=8": "73faf4978d38fd39", "C19 d=9": "c9a8efb1eb62b6f9",
+    "C19 d=10": "20a3d5280fea9d6b", "C19 d=11": "b34d97be9dbad9a2",
+    "C19 d=12": "a8ddba6696b7aa4a",
+}
+
+
+def test_restructured_generator_builds_match_recorded_digests():
+    got = {}
+    for cid, lo, hi in (("C16", 5, 12), ("C17", 7, 16), ("C18", 5, 12), ("C19", 6, 12)):
+        for d in range(lo, hi + 1):
+            p = build(cid, d=d).profile
+            head = json.dumps({"shape": list(p.matrix.shape),
+                               "layout": [[g.rows[0], g.rows[-1]] for g in p.groups],
+                               "partitioned": p.partitioned})
+            got[f"{cid} d={d}"] = hashlib.sha256(head.encode() + p.matrix.array.tobytes()).hexdigest()[:16]
+    assert got == RESTRUCTURED_DIGESTS
+
+
+@given(st.integers(2, 7).flatmap(lambda n: st.tuples(
+    st.lists(st.lists(st.integers(0, 3), min_size=n, max_size=n), min_size=1, max_size=n),
+    st.sets(st.integers(1, n), max_size=n))))
+def test_packed_local_dual_basis_matches_span_oracle(case):
+    rows, support = case
+    h = Mat4(rows).row_basis()
+    n = h.cols
+    off = [c for c in range(n) if c + 1 not in support]
+    want = {tuple(w) for w in h.span_words() if not w[off].any()}
+    basis = Mat4(unpack(lrc._local_dual_basis(pack_rows(h), n, sum(1 << c - 1 for c in support)), n))
+    assert {tuple(w) for w in basis.span_words()} == want
+    assert basis.row_basis() == basis  # independent rows, in reduced echelon form
 
 
 def brute_force_locality(code, r, delta):
@@ -745,3 +805,8 @@ def test_blockwise_route_needs_a_partition_and_the_work_budget(monkeypatch):
     monkeypatch.setattr(lrc, "BLOCKWISE_MAX_WORK", 0)
     assert lrc._blockwise_route(bc.profile) is None
     assert bc.verify().d == 4  # by the router
+    # the public entry points refuse the same work instead of running the DP
+    for measure, arg in ((blockwise_min_distance, bc.profile),
+                         (constructions.blockwise_min_distance, bc)):
+        with pytest.raises(ResourceError, match=r"estimated \d+ table operations, over the bound of 0"):
+            measure(arg)
