@@ -21,8 +21,9 @@ pivot combination each residual absorbed.  The third user of that step
 is ``echelon``, the exact reduced row-echelon kernel behind
 ``Mat4.rref``, ``rank``, ``row_basis`` and ``right_kernel``, the
 local repair solve and the restructuring's local dual bases; ``kernel``
-reads a right-kernel basis off its output, for ``Mat4.right_kernel``
-and the structure checks' H' on packed rows.  ``pack`` and ``unpack``
+reads a right-kernel basis off its output, for ``Mat4.right_kernel``,
+the structure checks' H' on packed rows and each group's local kernel,
+which the blockwise distance's splice tables span.  ``pack`` and ``unpack``
 move whole arrays in and out of the packed form with C-level byte
 translation, never a loop over entries.
 """

@@ -824,8 +824,8 @@ def build(
     else:
         rows = delta - 1
         layout = [(1 + i * rows, (i + 1) * rows) for i in range(ceil(n / (r + rows)))]
-        code = LinearCode(pchk=m)
         profile = extract_profile(m, layout, r=r, delta=delta)
+        code = profile.code  # shared, so verify() reduces m no second time
     if (code.n, code.k) != (n, dim):
         raise StructureError(f"{cid}: built [{code.n},{code.k}], expected [{n},{dim}]")
     return BuiltCode(

@@ -25,12 +25,18 @@ supports rebuild the block layout, and r-optimality is read from it
 A :class:`LocalityProfile` is a row layout: the partition of a
 constraint matrix's rows into local groups plus a global group, with
 1-based row and column indexing throughout; the structure checks read
-it.  When the groups are disjoint, :func:`blockwise_min_distance`
-settles the minimum distance by dynamic programming over the global
-syndromes of the groups' local-kernel words, and verification takes
-that route.  A profile compiles its groups once, on first use, into a
-:class:`GroupView` of packed ints, which the repair simulator and the
-structure checks read.  The two MDS checks of the structure theorem
+it.  A profile compiles its groups once, on first use, into a
+:class:`GroupView` of packed ints, which the repair simulator, the
+structure checks and the blockwise distance read, and it holds the
+code of its parity check, reduced once, as ``code``.  When the groups
+are disjoint, :func:`blockwise_min_distance` settles the minimum
+distance by dynamic programming over the global syndromes of the
+groups' local-kernel words, and verification takes that route.  Each
+group's (syndrome, least weight) table is built on packed ints: its
+local kernel is read off the echelon form of its packed rows, each
+basis word carries its global syndrome's two bit planes above its n
+coordinates, and the at most 4^k_b extended words are spanned by XOR.
+The two MDS checks of the structure theorem
 build no code object per sub-code: an H' is its kept packed rows masked
 to its kept columns, with its kernel read off their echelon form, and a
 restriction C|_S is the packed generator rows masked to S, so each
@@ -50,7 +56,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from ._gf4vec import Eliminator, Vec, echelon, kernel, pack_columns, pack_rows, reduce_by, unpack
-from .code import LinearCode, span_chunks
+from .code import LinearCode
 from .errors import (
     ResourceError,
     ScanBudgetExceeded,
@@ -147,10 +153,28 @@ class LocalityProfile:
         return self.matrix if self.partitioned else self.matrix.row_basis()
 
     @cached_property
+    def code(self) -> LinearCode:
+        """The code of :meth:`parity_check`, with its kernel computed on
+        first use only."""
+        return LinearCode(pchk=self.parity_check())
+
+    @cached_property
     def group_view(self) -> GroupView:
-        """The groups compiled for repair and the structure checks, on first use only."""
+        """The groups compiled for repair, the structure checks and the
+        blockwise distance, on first use only.  Raises StructureError
+        when a group names a row the matrix lacks or a coordinate
+        outside 1..n."""
+        m, n = self.matrix.rows, self.matrix.cols
+        for gi, g in enumerate(self.groups):
+            for i in g.rows:
+                if not 1 <= i <= m:
+                    raise StructureError(f"group {gi + 1} names row {i}, but the matrix has "
+                                         f"rows 1..{m}")
+            for c in sorted(g.support):
+                if not 1 <= c <= n:
+                    raise StructureError(f"group {gi + 1} names coordinate {c}, outside 1..{n}")
         words = tuple(pack_rows(self.matrix))
-        groups_of: list[list[int]] = [[] for _ in range(self.matrix.cols)]
+        groups_of: list[list[int]] = [[] for _ in range(n)]
         for gi, g in enumerate(self.groups):
             for c in g.support:
                 groups_of[c - 1].append(gi)
@@ -556,96 +580,109 @@ def restructure(c: LinearCode, found: LocalitySearch) -> LocalityProfile:
 # blockwise distance
 
 
-def _splice_bases(profile: LocalityProfile) -> list[Mat4]:
-    """Per group, a basis of the words w on its columns that its local
-    rows L_b annihilate, each followed by its global syndrome G_b w (G_b:
-    the global rows on the group's columns).  Over GF(4), G_b w + s = 0
-    means s = G_b w, so these [w | s] are the right kernel of
-    [[L_b, 0], [G_b, I]]."""
-    h = profile.matrix
-    glob0 = [i - 1 for i in profile.global_rows]
-    out = []
-    for g in profile.groups:
-        rows0 = [i - 1 for i in g.rows]
-        ident = np.zeros((len(rows0) + len(glob0), len(glob0)), dtype=np.uint8)
-        ident[len(rows0):] = np.eye(len(glob0), dtype=np.uint8)
-        cols0 = sorted(c - 1 for c in g.support)
-        out.append(Mat4(np.hstack([h.array[np.ix_(rows0 + glob0, cols0)], ident])).right_kernel())
-    return out
+def _syndrome(rows: Sequence[Vec], word: Vec) -> Vec:
+    """The syndrome of a packed word under packed ``rows``, as two bit
+    planes: bit j holds the w-part and the 1-part of row j's inner
+    product with the word, the two parities of :mod:`lrc4.repair`."""
+    wh, wl = word
+    t = wh ^ wl
+    sh = sl = 0
+    for j, (ah, al) in enumerate(rows):
+        sh |= (((ah & t) ^ (al & wh)).bit_count() & 1) << j
+        sl |= (((ah & wh) ^ (al & wl)).bit_count() & 1) << j
+    return sh, sl
 
 
-def _syndrome_tables(basis: Mat4, g: int) -> tuple[np.ndarray, np.ndarray]:
-    """Min weight of a group's kernel words per packed global syndrome,
-    from its :func:`_splice_bases` basis: over all words (so entry 0 is
-    0), and over the nonzero words.  Only the zero word has weight 0, so
-    the two differ at syndrome 0 alone."""
-    width = basis.cols - g
-    # packs an F4^g syndrome as an integer, 2 bits per entry
-    place = 1 << (2 * np.arange(g, dtype=np.int64))
-    t_any = np.full(1 << (2 * g), _INF, dtype=np.int64)
-    zero_syn = _INF  # least weight of a nonzero word with syndrome 0
-    for words in span_chunks(basis):
-        syn = words[:, width:].astype(np.int64) @ place
-        wt = np.count_nonzero(words[:, :width], axis=1)
-        np.minimum.at(t_any, syn, wt)
-        zero_syn = min(zero_syn, int(wt[(syn == 0) & (wt > 0)].min(initial=_INF)))
-    t_pos = t_any.copy()
-    t_pos[0] = zero_syn
-    return t_any, t_pos
+def _splice_table(basis: list[Vec], glob: list[Vec], n: int) -> tuple[np.ndarray, np.ndarray]:
+    """One group's splice table: every global syndrome of a nonzero word
+    of its local kernel, and the least weight of such a word.
+
+    ``basis`` spans the kernel and ``glob`` holds the global rows, all
+    packed over the n coordinates.  Each basis word carries its
+    syndrome's two planes above bit n, so spanning the extended words by
+    XOR spans the (word, syndrome) pairs.  A syndrome of g entries is
+    packed as its w-plane above its 1-plane, so adding syndromes is XOR
+    of their packed ints.
+    """
+    g = len(glob)
+    extended = []
+    for h, l in basis:
+        sh, sl = _syndrome(glob, (h, l))
+        extended.append((h | sh << n, l | sl << n))
+    coords = (1 << n) - 1
+    best: dict[int, int] = {}
+    for h, l in _span(extended)[1:]:
+        wt = ((h | l) & coords).bit_count()
+        syn = (h >> n) << g | l >> n
+        if best.get(syn, n + 1) > wt:
+            best[syn] = wt
+    return (np.fromiter(best, dtype=np.intp, count=len(best)),
+            np.fromiter(best.values(), dtype=np.int32, count=len(best)))
 
 
-def _blockwise_dp(g: int, bases: list[Mat4]) -> int:
-    """Least positive splice weight over the groups' :func:`_splice_bases`
-    (g global rows)."""
+def _blockwise_dp(g: int, tables: list[tuple[np.ndarray, np.ndarray]]) -> int:
+    """Least positive splice weight over the groups' :func:`_splice_table`
+    tables (g global rows)."""
     size = 1 << (2 * g)
     indices = np.arange(size)
     # min splice weight per global syndrome: any splice, and one with a nonzero block
-    dp_any = np.full(size, _INF, dtype=np.int64)
+    dp_any = np.full(size, _INF, dtype=np.int32)
     dp_any[0] = 0
-    dp_pos = np.full(size, _INF, dtype=np.int64)
-    for basis in bases:
-        t_any, t_pos = _syndrome_tables(basis, g)
+    dp_pos = np.full(size, _INF, dtype=np.int32)
+    shifted = np.empty(size, dtype=np.int32)
+    step = max(1, _DP_BLOCK // size)  # syndromes shifted per numpy call
+    for syn, wt in tables:
         # a word with a nonzero syndrome is nonzero, so the splices it
         # extends are the same candidates for both tables
-        shifted = np.full(size, _INF, dtype=np.int64)
-        syn = np.flatnonzero(t_any < _INF)[1:]  # syndrome 0 is first
-        step = max(1, _DP_BLOCK // size)  # syndromes shifted per numpy call
-        for s in (syn[at:at + step, None] for at in range(0, len(syn), step)):
-            np.minimum(shifted, (dp_any[indices ^ s] + t_any[s]).min(axis=0), out=shifted)
-        dp_pos = np.minimum(np.minimum(dp_pos, dp_any + t_pos[0]), shifted)
-        dp_any = np.minimum(dp_any, shifted)
+        moved = syn != 0
+        shifted.fill(_INF)
+        syn_m, wt_m = syn[moved, None], wt[moved, None]
+        for at in range(0, len(syn_m), step):
+            s = syn_m[at:at + step]
+            np.minimum(shifted, (dp_any[indices ^ s] + wt_m[at:at + step]).min(axis=0),
+                       out=shifted)
+        for w0 in wt[~moved]:  # the least nonzero word of syndrome 0, if any
+            np.minimum(dp_pos, dp_any + w0, out=dp_pos)
+        np.minimum(dp_pos, shifted, out=dp_pos)
+        np.minimum(dp_any, shifted, out=dp_any)
     d = int(dp_pos[0])
     if d >= _INF:
         raise UndefinedDistanceError("the zero code has no minimum distance")
     return d
 
 
-def _blockwise_bases(profile: LocalityProfile) -> list[Mat4]:
-    """The groups' :func:`_splice_bases`, for a profile whose code the DP
-    measures exactly within :data:`BLOCKWISE_MAX_WORK` table operations.
-    Raises ValueError on any other profile and ResourceError past the bound."""
+def _blockwise_bases(profile: LocalityProfile) -> list[tuple[np.ndarray, np.ndarray]]:
+    """The groups' :func:`_splice_table` tables, for a profile whose code
+    the DP measures exactly within :data:`BLOCKWISE_MAX_WORK` table
+    operations.  Raises ValueError on any other profile and
+    ResourceError past the bound, before any kernel word is listed."""
     h = profile.matrix
-    supports = profile.supports()
-    if sum(map(len, supports)) != h.cols or len(frozenset().union(*supports)) != h.cols:
-        raise ValueError("blockwise distance: group supports must be pairwise disjoint "
-                         "and cover every coordinate")
+    n = h.cols
     rows = [i for g in profile.groups for i in g.rows] + list(profile.global_rows)
     if not all(g.rows for g in profile.groups) or sorted(rows) != list(range(1, h.rows + 1)):
         raise ValueError("blockwise distance: every group needs rows, and group and global "
                          "rows must partition the matrix")
-    for g in profile.groups:
-        if not {c + 1 for c in h.column_support(i - 1 for i in g.rows)} <= g.support:
+    view = profile.group_view
+    cover = 0
+    for mask in view.masks:
+        cover |= mask
+    if cover != (1 << n) - 1 or sum(m.bit_count() for m in view.masks) != n:
+        raise ValueError("blockwise distance: group supports must be pairwise disjoint "
+                         "and cover every coordinate")
+    for g, mask, local in zip(profile.groups, view.masks, view.rows):
+        if any((h | l) & ~mask for h, l in local):
             raise ValueError(f"blockwise distance: local rows {g.rows} are nonzero "
                              "outside their group's support")
-    bases = _splice_bases(profile)
+    bases = [kernel(list(local), mask) for local, mask in zip(view.rows, view.masks)]
     # each group's 4^k_b kernel words, then one pass over the 4^g global
     # syndromes per distinct syndrome of its words
     size = 4 ** len(profile.global_rows)
-    work = sum(4**b.rows + min(4**b.rows, size) * size for b in bases)
+    work = sum(4**len(b) + min(4**len(b), size) * size for b in bases)
     if work > BLOCKWISE_MAX_WORK:
         raise ResourceError(f"blockwise distance needs an estimated {work} table operations, "
                             f"over the bound of {BLOCKWISE_MAX_WORK}")
-    return bases
+    glob = [view.words[i - 1] for i in profile.global_rows]
+    return [_splice_table(b, glob, n) for b in bases]
 
 
 def blockwise_min_distance(profile: LocalityProfile) -> int:
@@ -655,21 +692,24 @@ def blockwise_min_distance(profile: LocalityProfile) -> int:
     When the group supports are pairwise disjoint and cover every
     coordinate, and each local row is zero outside its group's support,
     a codeword is a splice of local-kernel words, one per group, whose
-    global-row syndromes cancel.  Per group, one table maps each packed
-    global syndrome to its least kernel-word weight; dynamic programming
-    over the 4^g syndromes (g global rows) then adds one XOR-shifted
-    table per distinct syndrome and finds the least positive splice
-    weight exactly, far beyond the generic enumeration and column-scan
-    guards: the full 17-group code ([102,46]) takes about a million
-    table operations.  Raises ValueError on any other profile, and
-    ResourceError when the estimated table work exceeds
-    :data:`BLOCKWISE_MAX_WORK`.
+    global-row syndromes cancel.  Per group, one table lists each packed
+    global syndrome of a nonzero kernel word with its least weight; it
+    is built from the profile's :class:`GroupView` on packed ints, with
+    no matrix object.  Dynamic programming over the 4^g syndromes (g
+    global rows) then adds one XOR-shifted table per distinct syndrome
+    to an int32 table and finds the least positive splice weight
+    exactly, far beyond the generic enumeration and column-scan guards:
+    the full 17-group code ([102,46]) takes about a million table
+    operations.  Raises ValueError on any other profile (StructureError
+    when a group names a coordinate outside 1..n), and ResourceError
+    when the estimated table work, read off the kernel dimensions
+    before any word is listed, exceeds :data:`BLOCKWISE_MAX_WORK`.
     """
     return _blockwise_dp(len(profile.global_rows), _blockwise_bases(profile))
 
 
-def _blockwise_route(profile: LocalityProfile) -> list[Mat4] | None:
-    """The groups' :func:`_splice_bases` when :func:`check_structure`
+def _blockwise_route(profile: LocalityProfile) -> list[tuple[np.ndarray, np.ndarray]] | None:
+    """The groups' :func:`_splice_table` tables when :func:`check_structure`
     settles d by the blockwise DP: a partitioned profile that
     :func:`_blockwise_bases` accepts."""
     if not profile.partitioned:
@@ -755,10 +795,13 @@ def check_structure(
     scan_budget: int | None = None,
 ) -> OptimalityReport:
     """Run the optimality predicates and the five structural theorem checks
-    on the code that :meth:`LocalityProfile.parity_check` presents.
+    on the code that :meth:`LocalityProfile.parity_check` presents, the
+    profile's cached ``code``.
 
     A partitioned profile's matrix must be a full-rank parity check, else
-    RankError.  d is settled by :func:`blockwise_min_distance` when the
+    RankError; a group naming a row or coordinate the matrix lacks raises
+    StructureError.  d is settled by :func:`blockwise_min_distance`, its
+    tables built from the profile's :class:`GroupView`, when the
     profile is partitioned, every group has rows, the supports are
     pairwise disjoint and cover every coordinate, every local row is zero
     outside its group's support, and the DP's table work is within
@@ -780,7 +823,7 @@ def check_structure(
     :data:`_SPAN_MAX_K` dimensions.  An H' left with no columns fails
     its check.
     """
-    c = LinearCode(pchk=profile.parity_check())
+    c = profile.code
     n, k = c.n, c.k
     r, delta = profile.r, profile.delta
     notes: list[str] = []
@@ -796,9 +839,9 @@ def check_structure(
         )
 
     d: int | None
-    bases = _blockwise_route(profile)
-    if bases is not None:
-        d = _blockwise_dp(len(profile.global_rows), bases)
+    tables = _blockwise_route(profile)
+    if tables is not None:
+        d = _blockwise_dp(len(profile.global_rows), tables)
     else:
         try:
             d = c.min_distance(budget=scan_budget)
@@ -843,6 +886,16 @@ def check_structure(
     )
 
 
+def _span(basis: list[Vec]) -> list[Vec]:
+    """The 4^k' words of the span of k' independent packed vectors, the
+    zero word first."""
+    words = [(0, 0)]
+    for h, l in basis:  # add the multiples 1, w, w2 of each vector
+        m = h ^ l
+        words += [(a ^ x, b ^ y) for x, y in ((h, l), (m, h), (l, m)) for a, b in words]
+    return words
+
+
 def _least_weight(basis: list[Vec], code: Callable[[], LinearCode]) -> int | None:
     """Least weight of a nonzero word in the span of the independent
     packed vectors ``basis`` (None for the zero span), read off its 4^k'
@@ -851,11 +904,7 @@ def _least_weight(basis: list[Vec], code: Callable[[], LinearCode]) -> int | Non
     :meth:`LinearCode.min_distance`."""
     if len(basis) > _SPAN_MAX_K:
         return code().min_distance()
-    words = [(0, 0)]
-    for h, l in basis:  # add the multiples 1, w, w2 of each vector
-        m = h ^ l
-        words += [(a ^ x, b ^ y) for x, y in ((h, l), (m, h), (l, m)) for a, b in words]
-    return min(((a | b).bit_count() for a, b in words[1:]), default=None)
+    return min(((a | b).bit_count() for a, b in _span(basis)[1:]), default=None)
 
 
 def _check_h_prime(c: LinearCode, profile: LocalityProfile, d_target: int) -> CheckResult:

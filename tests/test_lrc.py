@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import random
@@ -10,7 +11,7 @@ import numpy as np
 from hypothesis import assume, given, strategies as st
 
 from lrc4 import gf4
-from lrc4.code import LinearCode, hexacode
+from lrc4.code import LinearCode, hexacode, span_chunks
 from lrc4.constructions import build
 from lrc4 import constructions, lrc
 from lrc4._gf4vec import pack_rows, unpack
@@ -36,6 +37,7 @@ from lrc4.lrc import (
     verify_locality,
 )
 from lrc4.mat4 import Mat4, vstack
+from lrc4.repair import local_repair
 from test_classify import constructed_instances
 
 
@@ -199,11 +201,18 @@ def test_check_structure_c16_distance_cap_via_k_minus_1():
 
 
 def test_check_structure_reduces_its_parity_check_once(echelon_calls):
-    profile = build("C4", l=2, r=3).profile  # k = 6, r = 3: each H' drops one group
-    packed = pack_rows(profile.parity_check())
     echelon_calls.clear()
+    bc = build("C4", l=2, r=3)  # k = 6, r = 3: each H' drops one group
+    profile = bc.profile
+    packed = pack_rows(profile.parity_check())
     report = check_structure(profile)
     assert report.all_passed
+    # the build and the checks share the profile's code: one reduction in all
+    assert bc.code is profile.code
+    assert sum(rows == packed for rows in echelon_calls) == 1
+    fresh = dataclasses.replace(profile)  # the same layout, nothing cached
+    echelon_calls.clear()
+    assert check_structure(fresh).all_passed
     assert sum(rows == packed for rows in echelon_calls) == 1
 
 
@@ -767,6 +776,171 @@ def test_blockwise_distance_matches_enumeration(case):
         return
     words = kernel.span_words()[1:]
     assert blockwise_min_distance(profile) == int(np.count_nonzero(words, axis=1).min())
+
+
+# A numpy reference for the packed splice tables and their DP: per
+# group, the right kernel of [[L_b, 0], [G_b, I]] is the words w on the
+# group's columns that its local rows L_b annihilate, each followed by
+# its global syndrome G_b w (G_b: the global rows on the group's
+# columns); every combination of them is listed, and each syndrome,
+# packed 2 bits per entry, gets its least weight.
+_ORACLE_INF = 10**9
+
+
+def _oracle_splice_bases(profile):
+    h = profile.matrix
+    glob0 = [i - 1 for i in profile.global_rows]
+    out = []
+    for g in profile.groups:
+        rows0 = [i - 1 for i in g.rows]
+        ident = np.zeros((len(rows0) + len(glob0), len(glob0)), dtype=np.uint8)
+        ident[len(rows0):] = np.eye(len(glob0), dtype=np.uint8)
+        cols0 = sorted(c - 1 for c in g.support)
+        out.append(Mat4(np.hstack([h.array[np.ix_(rows0 + glob0, cols0)], ident])).right_kernel())
+    return out
+
+
+def _oracle_syndrome_tables(basis, g):
+    """Least weight per packed syndrome over all kernel words (entry 0 is
+    0), and over the nonzero ones."""
+    width = basis.cols - g
+    place = 1 << (2 * np.arange(g, dtype=np.int64))
+    t_any = np.full(1 << (2 * g), _ORACLE_INF, dtype=np.int64)
+    zero_syn = _ORACLE_INF
+    for words in span_chunks(basis):
+        syn = words[:, width:].astype(np.int64) @ place
+        wt = np.count_nonzero(words[:, :width], axis=1)
+        np.minimum.at(t_any, syn, wt)
+        zero_syn = min(zero_syn, int(wt[(syn == 0) & (wt > 0)].min(initial=_ORACLE_INF)))
+    t_pos = t_any.copy()
+    t_pos[0] = zero_syn
+    return t_any, t_pos
+
+
+def _oracle_distance(g, bases):
+    """Least positive splice weight, by the int64 min-plus DP."""
+    size = 1 << (2 * g)
+    indices = np.arange(size)
+    dp_any = np.full(size, _ORACLE_INF, dtype=np.int64)
+    dp_any[0] = 0
+    dp_pos = np.full(size, _ORACLE_INF, dtype=np.int64)
+    for basis in bases:
+        t_any, t_pos = _oracle_syndrome_tables(basis, g)
+        shifted = np.full(size, _ORACLE_INF, dtype=np.int64)
+        for s in np.flatnonzero(t_any < _ORACLE_INF)[1:]:
+            np.minimum(shifted, dp_any[indices ^ s] + t_any[s], out=shifted)
+        dp_pos = np.minimum(np.minimum(dp_pos, dp_any + t_pos[0]), shifted)
+        dp_any = np.minimum(dp_any, shifted)
+    return int(dp_pos[0]) if dp_pos[0] < _ORACLE_INF else None
+
+
+def _interleaved(syn, g):
+    """A syndrome packed as w-plane above 1-plane, repacked 2 bits per entry."""
+    return sum(((syn >> g + j & 1) << 1 | syn >> j & 1) << 2 * j for j in range(g))
+
+
+def _assert_tables_match_oracle(profile):
+    g = len(profile.global_rows)
+    tables = lrc._blockwise_bases(profile)
+    bases = _oracle_splice_bases(profile)
+    assert len(tables) == len(bases)
+    for (syn, wt), basis in zip(tables, bases):
+        assert syn.dtype == np.intp and wt.dtype == np.int32
+        _, t_pos = _oracle_syndrome_tables(basis, g)
+        want = {s: int(w) for s, w in enumerate(t_pos) if w < _ORACLE_INF}
+        got = {_interleaved(int(s), g): int(w) for s, w in zip(syn, wt)}
+        assert len(got) == len(syn) and got == want
+    want_d = _oracle_distance(g, bases)
+    if want_d is None:
+        with pytest.raises(UndefinedDistanceError):
+            lrc._blockwise_dp(g, tables)
+    else:
+        assert lrc._blockwise_dp(g, tables) == want_d
+
+
+@given(disjoint_block_codes())
+def test_splice_tables_match_the_numpy_oracle(case):
+    _, profile = case
+    _assert_tables_match_oracle(profile)
+
+
+def test_splice_tables_match_the_numpy_oracle_on_every_disjoint_build():
+    checked = 0
+    for cid, kw, d in constructed_instances(64):
+        profile = build(cid, **kw).profile
+        try:
+            lrc._blockwise_bases(profile)
+        except ValueError:
+            continue  # overlapping groups: the router's case
+        _assert_tables_match_oracle(profile)
+        assert blockwise_min_distance(profile) == d, (cid, kw)
+        checked += 1
+    assert checked > 100
+
+
+def test_blockwise_dp_without_zero_syndrome_words_stays_exact():
+    # each group is one column pair whose only local row is [1 1]: its
+    # kernel words (a, a) have weight 2 and the nonzero syndrome (a, 0)
+    # of the two global rows, so no nonzero word has syndrome 0 and most
+    # of the 16 syndromes stay unreachable in every table
+    groups = 4
+    n = 2 * groups
+    rows = []
+    for b in range(groups):
+        row = [0] * n
+        row[2 * b] = row[2 * b + 1] = 1
+        rows.append(row)
+    rows.append([1, 0] * groups)
+    rows.append([0] * n)
+    h = Mat4(rows)
+    pairs = tuple(LocalGroup(rows=(b + 1,), support=frozenset({2 * b + 1, 2 * b + 2}))
+                  for b in range(groups))
+    profile = LocalityProfile(r=1, delta=2, groups=pairs,
+                              global_rows=(groups + 1, groups + 2), matrix=h)
+    tables = lrc._blockwise_bases(profile)
+    for syn, wt in tables:
+        assert 0 not in syn and len(syn) == 3 and set(wt) == {2}
+    # two blocks with the same a cancel: weight 4
+    assert blockwise_min_distance(profile) == 4
+    assert blockwise_min_distance(profile) == LinearCode(pchk=h.row_basis()).min_distance()
+    _assert_tables_match_oracle(profile)
+
+
+def test_blockwise_work_bound_is_checked_before_any_word_is_listed(monkeypatch):
+    profile = build("C17G", l=4).profile
+
+    def refuse(*args):
+        raise AssertionError("a kernel word was listed past the work bound")
+
+    monkeypatch.setattr(lrc, "_span", refuse)
+    monkeypatch.setattr(lrc, "BLOCKWISE_MAX_WORK", 0)
+    with pytest.raises(ResourceError, match="over the bound of 0"):
+        blockwise_min_distance(profile)
+    assert lrc._blockwise_route(profile) is None
+
+
+def test_group_view_names_a_row_or_coordinate_the_matrix_lacks():
+    bc = build("C6", l=3)  # [15,8,4], three disjoint groups
+    p = bc.profile
+    first, *rest = p.groups
+    no_row = dataclasses.replace(
+        p, groups=(LocalGroup(rows=(1, 99), support=first.support), *rest))
+    with pytest.raises(StructureError, match="row 99"):
+        check_structure(no_row)
+    received = [None] + [0] * (bc.code.n - 1)
+    with pytest.raises(StructureError, match="row 99"):
+        local_repair(dataclasses.replace(bc, profile=no_row), received)
+    # the blockwise distance sees the broken row partition first
+    with pytest.raises(ValueError, match="partition"):
+        blockwise_min_distance(no_row)
+    for c in (0, 16):
+        off = dataclasses.replace(
+            p, groups=(LocalGroup(rows=first.rows, support=first.support | {c}), *rest))
+        with pytest.raises(StructureError, match=f"coordinate {c}, outside 1..15"):
+            check_structure(off)
+        with pytest.raises(StructureError, match=f"coordinate {c}"):
+            local_repair(dataclasses.replace(bc, profile=off), received)
+    assert local_repair(bc, received).ok
 
 
 def _leaky(bc):
