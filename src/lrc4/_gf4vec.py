@@ -22,8 +22,9 @@ is ``echelon``, the exact reduced row-echelon kernel behind
 ``Mat4.rref``, ``rank``, ``row_basis`` and ``right_kernel``, the
 local repair solve and the restructuring's local dual bases; ``kernel``
 reads a right-kernel basis off its output, for ``Mat4.right_kernel``,
-the structure checks' H' on packed rows and each group's local kernel,
-which the blockwise distance's splice tables span.  ``pack`` and ``unpack``
+the structure checks' H' on packed rows and, for the blockwise
+distance's splice tables, each group's local kernel with its words'
+global syndromes (the kernel of [[L_b, 0], [G_b, I]]).  ``pack`` and ``unpack``
 move whole arrays in and out of the packed form with C-level byte
 translation, never a loop over entries.
 """

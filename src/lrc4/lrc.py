@@ -32,10 +32,13 @@ code of its parity check, reduced once, as ``code``.  When the groups
 are disjoint, :func:`blockwise_min_distance` settles the minimum
 distance by dynamic programming over the global syndromes of the
 groups' local-kernel words, and verification takes that route.  Each
-group's (syndrome, least weight) table is built on packed ints: its
-local kernel is read off the echelon form of its packed rows, each
-basis word carries its global syndrome's two bit planes above its n
-coordinates, and the at most 4^k_b extended words are spanned by XOR.
+group's (syndrome, least weight) table is built on packed ints: one
+echelon form of its local rows and its masked global rows, each with a
+1 in its own syndrome column above the n coordinates, gives a kernel
+basis whose words carry their global syndrome's two bit planes, and
+the 4^k_b words are spanned by XOR (at most 64 on every constructed
+build with n <= 128; a kernel above 4^:data:`_SPAN_MAX_K` words is
+walked in bounded numpy blocks).
 The two MDS checks of the structure theorem
 build no code object per sub-code: an H' is its kept packed rows masked
 to its kept columns, with its kernel read off their echelon form, and a
@@ -49,7 +52,7 @@ from __future__ import annotations
 import numbers
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import combinations
+from itertools import combinations, product
 from math import ceil, floor
 from typing import Callable, Sequence
 
@@ -72,9 +75,12 @@ BLOCKWISE_MAX_WORK = 10**8
 _INF = 10**9  # an unreachable weight in the blockwise DP's tables
 _DP_BLOCK = 1 << 14  # table entries the DP gathers per numpy call
 #: the largest sub-code dimension whose 4^k' words the two MDS checks list
-#: themselves; a larger one goes to LinearCode.min_distance (the
-#: constructed builds with n <= 128 need k' <= 3)
+#: themselves, a larger one going to LinearCode.min_distance, and the
+#: largest local kernel whose words the blockwise distance lists in Python
+#: (the constructed builds with n <= 128 need k' <= 3)
 _SPAN_MAX_K = 4
+#: kernel words spanned per numpy block of a larger local kernel
+_SPLICE_BLOCK_K = 8
 
 
 def singleton_like_bound(n: int, k: int, r: int, delta: int) -> int:
@@ -580,44 +586,48 @@ def restructure(c: LinearCode, found: LocalitySearch) -> LocalityProfile:
 # blockwise distance
 
 
-def _syndrome(rows: Sequence[Vec], word: Vec) -> Vec:
-    """The syndrome of a packed word under packed ``rows``, as two bit
-    planes: bit j holds the w-part and the 1-part of row j's inner
-    product with the word, the two parities of :mod:`lrc4.repair`."""
-    wh, wl = word
-    t = wh ^ wl
-    sh = sl = 0
-    for j, (ah, al) in enumerate(rows):
-        sh |= (((ah & t) ^ (al & wh)).bit_count() & 1) << j
-        sl |= (((ah & wh) ^ (al & wl)).bit_count() & 1) << j
-    return sh, sl
-
-
-def _splice_table(basis: list[Vec], glob: list[Vec], n: int) -> tuple[np.ndarray, np.ndarray]:
+def _splice_table(basis: list[Vec], mask: int, n: int, g: int) -> tuple[np.ndarray, np.ndarray]:
     """One group's splice table: every global syndrome of a nonzero word
     of its local kernel, and the least weight of such a word.
 
-    ``basis`` spans the kernel and ``glob`` holds the global rows, all
-    packed over the n coordinates.  Each basis word carries its
-    syndrome's two planes above bit n, so spanning the extended words by
-    XOR spans the (word, syndrome) pairs.  A syndrome of g entries is
+    ``basis`` spans the right kernel of [[L_b, 0], [G_b, I]] on the
+    group's support ``mask`` and g syndrome columns above bit n, so each
+    word of its span is a local-kernel word with its global syndrome's
+    two planes above its n coordinates.  A syndrome of g entries is
     packed as its w-plane above its 1-plane, so adding syndromes is XOR
-    of their packed ints.
+    of their packed ints.  Up to :data:`_SPAN_MAX_K` basis words the
+    span is listed in Python; a larger one is walked in numpy blocks of
+    4^:data:`_SPLICE_BLOCK_K` words, so no list of all 4^k_b words is
+    built.
     """
-    g = len(glob)
-    extended = []
-    for h, l in basis:
-        sh, sl = _syndrome(glob, (h, l))
-        extended.append((h | sh << n, l | sl << n))
     coords = (1 << n) - 1
-    best: dict[int, int] = {}
-    for h, l in _span(extended)[1:]:
-        wt = ((h | l) & coords).bit_count()
-        syn = (h >> n) << g | l >> n
-        if best.get(syn, n + 1) > wt:
-            best[syn] = wt
-    return (np.fromiter(best, dtype=np.intp, count=len(best)),
-            np.fromiter(best.values(), dtype=np.int32, count=len(best)))
+    if len(basis) <= _SPAN_MAX_K:
+        best: dict[int, int] = {}
+        for h, l in _span(basis)[1:]:
+            wt = ((h | l) & coords).bit_count()
+            syn = (h >> n) << g | l >> n
+            if best.get(syn, n + 1) > wt:
+                best[syn] = wt
+        return (np.fromiter(best, dtype=np.intp, count=len(best)),
+                np.fromiter(best.values(), dtype=np.int32, count=len(best)))
+    cols = [i for i in range(n) if mask >> i & 1]
+    block = _span(basis[:_SPLICE_BLOCK_K])
+    words = unpack(block, n + g)[:, cols]
+    syns = np.array([(h >> n) << g | l >> n for h, l in block], dtype=np.intp)
+    least = np.full(1 << (2 * g), _INF, dtype=np.int32)
+    # each block is the first words' span shifted by one word of the rest's
+    rest = [((0, 0), (h, l), (h ^ l, h), (l, h ^ l)) for h, l in basis[_SPLICE_BLOCK_K:]]
+    for i, shift in enumerate(product(*rest)):
+        th = tl = 0
+        for h, l in shift:
+            th ^= h
+            tl ^= l
+        wt = np.count_nonzero(words ^ unpack([(th, tl)], n + g)[0, cols], axis=1).astype(np.int32)
+        if not i:
+            wt[0] = _INF  # the zero word
+        np.minimum.at(least, syns ^ ((th >> n) << g | tl >> n), wt)
+    syn = np.flatnonzero(least < _INF)
+    return syn, least[syn]
 
 
 def _blockwise_dp(g: int, tables: list[tuple[np.ndarray, np.ndarray]]) -> int:
@@ -651,7 +661,7 @@ def _blockwise_dp(g: int, tables: list[tuple[np.ndarray, np.ndarray]]) -> int:
     return d
 
 
-def _blockwise_bases(profile: LocalityProfile) -> list[tuple[np.ndarray, np.ndarray]]:
+def _blockwise_tables(profile: LocalityProfile) -> list[tuple[np.ndarray, np.ndarray]]:
     """The groups' :func:`_splice_table` tables, for a profile whose code
     the DP measures exactly within :data:`BLOCKWISE_MAX_WORK` table
     operations.  Raises ValueError on any other profile and
@@ -669,20 +679,26 @@ def _blockwise_bases(profile: LocalityProfile) -> list[tuple[np.ndarray, np.ndar
     if cover != (1 << n) - 1 or sum(m.bit_count() for m in view.masks) != n:
         raise ValueError("blockwise distance: group supports must be pairwise disjoint "
                          "and cover every coordinate")
-    for g, mask, local in zip(profile.groups, view.masks, view.rows):
+    for group, mask, local in zip(profile.groups, view.masks, view.rows):
         if any((h | l) & ~mask for h, l in local):
-            raise ValueError(f"blockwise distance: local rows {g.rows} are nonzero "
+            raise ValueError(f"blockwise distance: local rows {group.rows} are nonzero "
                              "outside their group's support")
-    bases = [kernel(list(local), mask) for local, mask in zip(view.rows, view.masks)]
+    g = len(profile.global_rows)
+    glob = [view.words[i - 1] for i in profile.global_rows]
+    syn_cols = ((1 << g) - 1) << n
+    # the right kernel of [[L_b, 0], [G_b, I]]: global row j, masked to the
+    # group's support, gets a 1 in syndrome column n + j
+    bases = [kernel(list(local) + [(a & mask, b & mask | 1 << n + j)
+                                   for j, (a, b) in enumerate(glob)], mask | syn_cols)
+             for local, mask in zip(view.rows, view.masks)]
     # each group's 4^k_b kernel words, then one pass over the 4^g global
     # syndromes per distinct syndrome of its words
-    size = 4 ** len(profile.global_rows)
+    size = 4**g
     work = sum(4**len(b) + min(4**len(b), size) * size for b in bases)
     if work > BLOCKWISE_MAX_WORK:
         raise ResourceError(f"blockwise distance needs an estimated {work} table operations, "
                             f"over the bound of {BLOCKWISE_MAX_WORK}")
-    glob = [view.words[i - 1] for i in profile.global_rows]
-    return [_splice_table(b, glob, n) for b in bases]
+    return [_splice_table(b, mask, n, g) for b, mask in zip(bases, view.masks)]
 
 
 def blockwise_min_distance(profile: LocalityProfile) -> int:
@@ -695,27 +711,27 @@ def blockwise_min_distance(profile: LocalityProfile) -> int:
     global-row syndromes cancel.  Per group, one table lists each packed
     global syndrome of a nonzero kernel word with its least weight; it
     is built from the profile's :class:`GroupView` on packed ints, with
-    no matrix object.  Dynamic programming over the 4^g syndromes (g
-    global rows) then adds one XOR-shifted table per distinct syndrome
-    to an int32 table and finds the least positive splice weight
-    exactly, far beyond the generic enumeration and column-scan guards:
-    the full 17-group code ([102,46]) takes about a million table
-    operations.  Raises ValueError on any other profile (StructureError
+    no matrix object, by :func:`_splice_table`.  Dynamic programming
+    over the 4^g syndromes (g global rows) then adds one XOR-shifted
+    table per distinct syndrome to an int32 table and finds the least
+    positive splice weight exactly, far beyond the generic enumeration
+    and column-scan guards: the full 17-group code ([102,46]) takes
+    about a million table operations.  Raises ValueError on any other profile (StructureError
     when a group names a coordinate outside 1..n), and ResourceError
     when the estimated table work, read off the kernel dimensions
     before any word is listed, exceeds :data:`BLOCKWISE_MAX_WORK`.
     """
-    return _blockwise_dp(len(profile.global_rows), _blockwise_bases(profile))
+    return _blockwise_dp(len(profile.global_rows), _blockwise_tables(profile))
 
 
 def _blockwise_route(profile: LocalityProfile) -> list[tuple[np.ndarray, np.ndarray]] | None:
     """The groups' :func:`_splice_table` tables when :func:`check_structure`
     settles d by the blockwise DP: a partitioned profile that
-    :func:`_blockwise_bases` accepts."""
+    :func:`_blockwise_tables` accepts."""
     if not profile.partitioned:
         return None
     try:
-        return _blockwise_bases(profile)
+        return _blockwise_tables(profile)
     except (ValueError, ResourceError):
         return None
 

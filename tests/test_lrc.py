@@ -841,7 +841,7 @@ def _interleaved(syn, g):
 
 def _assert_tables_match_oracle(profile):
     g = len(profile.global_rows)
-    tables = lrc._blockwise_bases(profile)
+    tables = lrc._blockwise_tables(profile)
     bases = _oracle_splice_bases(profile)
     assert len(tables) == len(bases)
     for (syn, wt), basis in zip(tables, bases):
@@ -864,12 +864,43 @@ def test_splice_tables_match_the_numpy_oracle(case):
     _assert_tables_match_oracle(profile)
 
 
+@given(disjoint_block_codes())
+def test_splice_tables_in_numpy_blocks_match_the_numpy_oracle(case):
+    # every nonzero kernel goes through the block walk, one basis word per block
+    _, profile = case
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(lrc, "_SPAN_MAX_K", 0)
+        mp.setattr(lrc, "_SPLICE_BLOCK_K", 1)
+        _assert_tables_match_oracle(profile)
+
+
+def test_large_local_kernel_is_walked_in_bounded_blocks(monkeypatch):
+    # one 11-coordinate group with one local row and one global row: a
+    # 10-dimensional kernel, 4^10 words in 16 blocks of 4^8
+    rng = np.random.default_rng(7)
+    n = 11
+    h = Mat4(np.vstack([np.ones(n, dtype=np.uint8), rng.integers(0, 4, n, dtype=np.uint8)]))
+    profile = LocalityProfile(r=n - 1, delta=2, global_rows=(2,), matrix=h,
+                              groups=(LocalGroup(rows=(1,), support=frozenset(range(1, n + 1))),))
+    spanned = []
+    span = lrc._span
+
+    def record(basis):
+        spanned.append(len(basis))
+        return span(basis)
+
+    monkeypatch.setattr(lrc, "_span", record)
+    _assert_tables_match_oracle(profile)
+    assert spanned and max(spanned) == lrc._SPLICE_BLOCK_K < n - 1
+    assert blockwise_min_distance(profile) == LinearCode(pchk=h).min_distance()
+
+
 def test_splice_tables_match_the_numpy_oracle_on_every_disjoint_build():
     checked = 0
     for cid, kw, d in constructed_instances(64):
         profile = build(cid, **kw).profile
         try:
-            lrc._blockwise_bases(profile)
+            lrc._blockwise_tables(profile)
         except ValueError:
             continue  # overlapping groups: the router's case
         _assert_tables_match_oracle(profile)
@@ -897,7 +928,7 @@ def test_blockwise_dp_without_zero_syndrome_words_stays_exact():
                   for b in range(groups))
     profile = LocalityProfile(r=1, delta=2, groups=pairs,
                               global_rows=(groups + 1, groups + 2), matrix=h)
-    tables = lrc._blockwise_bases(profile)
+    tables = lrc._blockwise_tables(profile)
     for syn, wt in tables:
         assert 0 not in syn and len(syn) == 3 and set(wt) == {2}
     # two blocks with the same a cancel: weight 4
