@@ -17,7 +17,10 @@ columns it picked: ``reduce_by`` adds one pivot to such a list with the
 same bit test and two XORs per vector, so a column's rank test is a
 zero test.  The search packs a tag above each column's k residual
 bits, and the pivot's own tag bit with it, so the same XORs carry the
-pivot combination each residual absorbed.  The third user of that step
+pivot combination each residual absorbed.  ``points`` and
+``reduce_planes`` are ``point`` and ``reduce_by`` over numpy arrays of
+packed vectors, for the search's table of the point keys of every
+column modulo every pivot pair.  The third user of that step
 is ``echelon``, the exact reduced row-echelon kernel behind
 ``Mat4.rref``, ``rank``, ``row_basis`` and ``right_kernel``, the
 local repair solve and the restructuring's local dual bases; ``kernel``
@@ -208,6 +211,44 @@ class Eliminator:
             self._basis.pop()
 
 
+def point(hi: int, lo: int) -> Vec:
+    """The nonzero packed vector scaled so its lowest nonzero entry is 1."""
+    x = hi | lo
+    bit = x & -x
+    if hi & bit:  # lead w or w2: multiply by its inverse
+        return (hi ^ lo, hi) if lo & bit else (lo, hi ^ lo)
+    return hi, lo
+
+
+def points(hi: np.ndarray, lo: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``point`` over arrays of packed vectors, unsigned ints; zero
+    vectors stay zero.  Products with boolean masks pick the multiple,
+    since a masked select would branch on every entry."""
+    x = hi | lo
+    bit = x & -x
+    up = (hi & bit) != 0  # lead w or w2
+    w2 = up & ((lo & bit) != 0)  # lead w2: times w; lead w: times w2
+    w = up ^ w2
+    mix = hi ^ lo
+    return hi ^ w2 * lo ^ w * mix, lo ^ w2 * mix ^ w * hi
+
+
+def reduce_planes(
+    ph: np.ndarray, pl: np.ndarray, hi: np.ndarray, lo: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """``reduce_by`` over arrays of unsigned ints: each vector (hi, lo)
+    less the multiple of its pivot (ph, pl), broadcast against it, that
+    clears the pivot's lead coordinate.  A zero pivot leaves its vectors
+    as they are."""
+    ph, pl = points(ph, pl)
+    x = ph | pl
+    bit = x & -x
+    ch = (hi & bit) != 0  # the coefficient there is ch * w + cl
+    cl = (lo & bit) != 0
+    mix = ph ^ pl  # w * (ph, pl) = (mix, ph)
+    return hi ^ ch * mix ^ cl * ph, lo ^ ch * ph ^ cl * pl
+
+
 def reduce_by(v: Vec, tagged: list[tuple[int, int, int]]) -> list[tuple[int, int, int]]:
     """Clear the lead coordinate of the nonzero vector v from tagged vectors.
 
@@ -220,11 +261,9 @@ def reduce_by(v: Vec, tagged: list[tuple[int, int, int]]) -> list[tuple[int, int
     above every lead, such as the locality search's pivot tags, are
     carried along by the same XORs.
     """
-    hi, lo = v
+    hi, lo = point(*v)
     x = hi | lo
     bit = x & -x
-    if hi & bit:
-        hi, lo = (hi ^ lo, hi) if lo & bit else (lo, hi ^ lo)
     m = hi ^ lo
     out = []
     for t, h, l in tagged:

@@ -118,6 +118,15 @@ class LinearCode:
         self.n = n
         self.k = gen.rows
 
+    @classmethod
+    def _proved(cls, gen: Mat4, pchk: Mat4) -> "LinearCode":
+        """The code held by a full-rank generator and a full-rank parity
+        check whose caller has proved them orthogonal and of ranks adding
+        to n, so none of the constructor's checks is repeated."""
+        c = cls.__new__(cls)
+        c.gen, c.pchk, c.n, c.k = gen, pchk, gen.cols, gen.rows
+        return c
+
     def generator(self) -> Mat4:
         return self.gen
 

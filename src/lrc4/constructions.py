@@ -34,6 +34,7 @@ from .code import HEXACODE_GEN, CodeParams, LinearCode
 from .errors import CatalogError, RangeError, StructureError
 from .lrc import (
     LocalityProfile,
+    LocalitySearch,
     OptimalityReport,
     _is_integer,
     check_structure,
@@ -549,9 +550,11 @@ class BuiltCode:
     r: int
     delta: int
     profile: LocalityProfile
+    #: the (r, delta) locality search that built a generator family's profile
+    search: LocalitySearch | None = None
 
     def verify(self) -> OptimalityReport:
-        report = check_structure(self.profile)
+        report = check_structure(self.profile, search=self.search)
         report.family = self.family.id
         report.status = self.family.status
         return report
@@ -815,12 +818,16 @@ def build(
     else:
         m = _BUILDERS[cid](**params)
     n, dim, dist, r, delta = fam.shape(**params)
+    search = None
     if fam.generator:
         # restructure raises StructureError when some coordinate has no
         # qualifying support, so this also certifies the locality
         code = LinearCode(gen=m)
-        profile = restructure(code, verify_locality(code, r, delta))
-        code = LinearCode(gen=m, pchk=profile.parity_check())
+        search = verify_locality(code, r, delta)
+        profile = restructure(code, search)
+        # m's kernel proved its rank, and the restructured rows span that
+        # kernel, or restructure raises: no check is repeated
+        code = LinearCode._proved(m, profile.parity_check())
     else:
         rows = delta - 1
         layout = [(1 + i * rows, (i + 1) * rows) for i in range(ceil(n / (r + rows)))]
@@ -838,6 +845,7 @@ def build(
         r=r,
         delta=delta,
         profile=profile,
+        search=search,
     )
 
 

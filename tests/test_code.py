@@ -1,10 +1,12 @@
 import random
 from itertools import product
+from math import comb
 
 import pytest
 from hypothesis import assume, given, strategies as st
 
 from lrc4 import gf4
+from lrc4._gf4vec import Eliminator
 from lrc4.code import (
     CodeParams,
     HEXACODE_GEN,
@@ -197,6 +199,30 @@ def test_has_dependent_columns_matches_brute_force():
                 for cols in combinations(range(m.cols), t)
             )
             assert has_dependent_columns(m, t) == brute
+
+
+def test_exhaustive_scan_pushes_every_subset_prefix_once(monkeypatch):
+    # every 7 columns of the [24,7,12] code's parity check are independent,
+    # so the scan pushes each prefix of each 7-subset once, whatever the
+    # column order: sum_{j=1..7} C(17 + j, j) = C(25, 7) - 1 pushes
+    h = build("C17G", l=4).code.parity_check().array
+    rng = random.Random(1)  # a seeded monomial change, as the benchmark's
+    perm = list(range(h.shape[1]))
+    rng.shuffle(perm)
+    hp = h[:, perm].copy()
+    for j in range(hp.shape[1]):
+        hp[:, j] = gf4.MUL_NP[rng.randrange(1, 4), hp[:, j]]
+    pushes = 0
+    real = Eliminator.push
+
+    def counted(self, v):
+        nonlocal pushes
+        pushes += 1
+        return real(self, v)
+
+    monkeypatch.setattr(Eliminator, "push", counted)
+    assert not has_dependent_columns(Mat4(hp), 7)
+    assert pushes == comb(25, 7) - 1 == 480_699
 
 
 @pytest.mark.parametrize(("cid", "params"), [("C1", {"l": 3}), ("C16", {"d": 12}), ("CLS2_1", {"l": 5})])

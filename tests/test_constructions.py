@@ -22,8 +22,11 @@ from lrc4.constructions import (
     verify_c17g_properties,
 )
 from lrc4.errors import CatalogError, RangeError
+from lrc4 import lrc
 from lrc4.lrc import check_structure
+from lrc4.mat4 import Mat4
 from lrc4.pg import enumerate_points, normalize
+from test_classify import constructed_instances
 
 
 def test_catalog_lookup_examples():
@@ -159,6 +162,49 @@ def test_build_examples_from_the_classification():
 
     chain = build("C16", d=11)
     assert (chain.code.n, chain.code.k, chain.code.min_distance()) == (15, 3, 11)
+
+
+def _generator_instances():
+    gen_cids = {f.construction for f in catalog() if f.generator}
+    return [(cid, kw) for cid, kw, _ in constructed_instances(30) if cid in gen_cids]
+
+
+def test_generator_builds_reduce_once_and_keep_full_rank_matrices(monkeypatch):
+    insts = _generator_instances()
+    assert len(insts) == 33  # C16-C19: the catalogue has no other generator family
+
+    def refuse(*args):
+        raise AssertionError("a generator build multiplied matrices")
+
+    for cid, kw in insts:
+        with monkeypatch.context() as m:
+            m.setattr(Mat4, "__matmul__", refuse)
+            bc = build(cid, **kw)
+        g, h = bc.code.generator(), bc.code.parity_check()
+        n, k = bc.code.n, bc.code.k
+        assert (g.rows, g.rank()) == (k, k), (cid, kw)
+        assert (h.rows, h.rank()) == (n - k, n - k), (cid, kw)
+        assert (g @ h.transpose()).is_zero(), (cid, kw)
+        assert h == bc.profile.parity_check(), (cid, kw)  # the restructured H
+
+
+def test_generator_builds_verify_from_their_own_search(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("verify() searched again")
+
+    for cid, kw in _generator_instances():
+        bc = build(cid, **kw)
+        assert bc.search.ok and (bc.search.r, bc.search.delta) == (bc.r, bc.delta)
+        want = check_structure(bc.profile)  # may search (r - 1, delta) afresh
+        with monkeypatch.context() as m:
+            m.setattr(lrc, "_locality_search", refuse)
+            report = bc.verify()
+        assert report.r_optimal is want.r_optimal is True, (cid, kw)
+        assert report.notes == want.notes
+        want.family, want.status = report.family, report.status
+        assert report.to_json_dict() == want.to_json_dict(), (cid, kw)
+    # parity-check families carry no search
+    assert build("C1", l=2).search is None
 
 
 def test_c4_c11_accept_k_for_r():

@@ -3,12 +3,14 @@ import hashlib
 import json
 import random
 import re
+from collections import Counter
 from itertools import combinations, product
+from unittest import mock
 
 import pytest
 
 import numpy as np
-from hypothesis import assume, given, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from lrc4 import gf4
 from lrc4.code import LinearCode, hexacode, span_chunks
@@ -684,6 +686,133 @@ def test_locality_search_order_matches_definition(case):
         assert res.coordinate_supports == first
     else:
         assert set(res.bad_coordinates) == set(range(1, code.n + 1)) - set(first)
+
+
+TABLE_ON = {2: 0, 3: 0}  # _GAIN_TABLE_MIN_N forcing the gain table at every n
+TABLE_OFF = {}
+
+
+@st.composite
+def gain_table_cases(draw):
+    # random columns, some of them then replaced by zero columns or by
+    # scaled copies of others, so point classes and zero residuals vary
+    n = draw(st.integers(1, 30))
+    k = draw(st.integers(1, min(n, 6)))
+    r = draw(st.sampled_from([2, 3]))
+    # with k <= r the rank prune never bites: keep such searches small
+    assume(k > r or n <= 12)
+    cols = draw(st.lists(st.lists(st.integers(0, 3), min_size=k, max_size=k),
+                         min_size=n, max_size=n))
+    for j, src, a in draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1),
+                                             st.integers(0, 3)), max_size=5)):
+        cols[j] = [gf4.mul(a, x) for x in cols[src]]
+    gen = Mat4([list(row) for row in zip(*cols)]).row_basis()
+    assume(gen.rows > 0)
+    return gen, r, draw(st.integers(2, 5))
+
+
+@settings(max_examples=60)
+@given(gain_table_cases())
+def test_gain_table_leaves_the_search_unchanged(case):
+    gen, r, delta = case
+    with mock.patch.object(lrc, "_GAIN_TABLE_MIN_N", TABLE_OFF):
+        want = lrc._locality_search(gen, r, delta)
+    with mock.patch.object(lrc, "_GAIN_TABLE_MIN_N", TABLE_ON):
+        assert lrc._locality_search(gen, r, delta) == want
+
+
+@pytest.mark.parametrize("table", [TABLE_ON, TABLE_OFF], ids=["on", "off"])
+def test_search_output_is_pinned_with_the_gain_table_forced(monkeypatch, table):
+    monkeypatch.setattr(lrc, "_GAIN_TABLE_MIN_N", table)
+    test_search_output_is_pinned()
+
+
+def test_oracle_cases_with_the_gain_table_forced_on(monkeypatch):
+    monkeypatch.setattr(lrc, "_GAIN_TABLE_MIN_N", TABLE_ON)
+    test_locality_search_matches_brute_force_oracle()
+    test_locality_search_matches_oracles_on_random_codes()
+    test_locality_search_order_matches_definition()
+
+
+def assert_gains_match_the_search(gen, r, delta):
+    """Check every gain of the table against the residuals that the
+    search without the table passes through ``reduce_by``: zero
+    residuals plus the largest point class, minus one.  Returns the
+    number of branches checked."""
+    n, k = gen.cols, gen.rows
+    mask = (1 << k) - 1
+    table = lrc._gain_table(lrc.pack_columns(gen), k, r)
+    pivots, checked = [], 0
+    real = lrc.reduce_by
+
+    def spy(v, tagged):
+        nonlocal checked
+        out = real(v, tagged)
+        rank = (v[1] >> k).bit_length() - 1  # the pivot's own tag bit
+        if rank <= r - 2:  # below rank r - 1 a node keeps every later column
+            del pivots[rank:]
+            pivots.append(n - 1 - len(tagged))
+        if rank == r - 2:
+            keys = [lrc.point(h & mask, l & mask) if (h | l) & mask else 0 for _, h, l in out]
+            classes = Counter(key for key in keys if key)
+            gain = keys.count(0) + max(classes.values(), default=1) - 1
+            assert (table[pivots[0]][pivots[1]] if r == 3 else table[pivots[0]]) == gain, pivots
+            checked += 1
+        return out
+
+    with mock.patch.object(lrc, "reduce_by", spy), \
+            mock.patch.object(lrc, "_GAIN_TABLE_MIN_N", TABLE_OFF):
+        lrc._locality_search(gen, r, delta)
+    return checked
+
+
+def search_and_count_reductions(gen, r, delta, table):
+    calls = 0
+    real = lrc.reduce_by
+
+    def counted(v, tagged):
+        nonlocal calls
+        calls += 1
+        return real(v, tagged)
+
+    with mock.patch.object(lrc, "reduce_by", counted), \
+            mock.patch.object(lrc, "_GAIN_TABLE_MIN_N", table):
+        return lrc._locality_search(gen, r, delta), calls
+
+
+def test_gain_table_matches_the_searchs_own_residuals():
+    checked = ruled_out = 0
+    for cid, kw in (("C17G", {"l": 4}), ("C18", {"d": 12}), ("C16", {"d": 9}),
+                    ("C4", {"l": 3, "r": 3}), ("C1", {"l": 3})):
+        bc = build(cid, **kw)
+        for r in (2, 3):
+            checked += assert_gains_match_the_search(bc.code.gen, r, bc.delta)
+            # with the table the search reduces less and finds the same
+            got, fewer = search_and_count_reductions(bc.code.gen, r, bc.delta, TABLE_ON)
+            want, calls = search_and_count_reductions(bc.code.gen, r, bc.delta, TABLE_OFF)
+            assert got == want and fewer <= calls
+            ruled_out += fewer < calls
+    assert checked > 700 and ruled_out == 10
+
+
+@given(gain_table_cases())
+def test_gain_table_matches_the_searchs_own_residuals_on_random_codes(case):
+    assert_gains_match_the_search(*case)
+
+
+def test_search_past_the_guard_takes_the_plain_path(monkeypatch):
+    # a raised max_n lets the search run at n > 30, where a key no longer
+    # fits the table's planes: the table must stay off whatever the crossover
+    def refuse(*args):
+        raise AssertionError("gain table built past n = 30")
+
+    monkeypatch.setattr(lrc, "_GAIN_TABLE_MIN_N", TABLE_ON)
+    monkeypatch.setattr(lrc, "_gain_table", refuse)
+    bc = build("C17G", l=6)  # n = 36
+    assert bc.code.n > lrc.LOCALITY_SEARCH_MAX_N
+    assert verify_locality(bc.code, 3, 4, max_n=36).ok
+    with pytest.raises(AssertionError, match="past n = 30"):
+        verify_locality(build("C17G", l=5).code, 2, 2)  # n = 30 takes the table
 
 
 def test_check_structure_rejects_a_search_at_other_parameters():
