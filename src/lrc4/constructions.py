@@ -11,11 +11,11 @@ generator matrix for the projective-geometry codes) with block structure
 instantiated at the requested parameters.  Every parity-check family
 comes from one group template, :func:`_groups`: g copies of a local
 block over per-group global tail rows, in which the variant families
-let groups 1 and 2 share one coordinate.  Builders return only that
-matrix; :func:`build` finishes every family in one place from its
-catalogue entry into a :class:`BuiltCode` bundling the code, its
-expected [n,k,d], the locality pair, the locality profile, and the
-family record.
+let groups 1 and 2 share one coordinate.  Each family's catalogue entry
+holds only that matrix (``FamilySpec.matrix``); :func:`build` finishes
+every family in one place from its entry into a :class:`BuiltCode`
+bundling the code, its expected [n,k,d], the locality pair, the
+locality profile, and the family record.
 
 Family records (:class:`FamilySpec`) cover the whole classification:
 constructed families, the two parameter ranges that remain open, and the
@@ -87,6 +87,29 @@ def _group_tails(tails, width: int) -> Mat4:
     for vecs in tails:
         cols += [(0,) * dim] * (width - len(vecs)) + [tuple(v) for v in vecs]
     return Mat4(cols).transpose()
+
+
+#: variant -> group 1's entries at the coordinate it shares with group 2
+_SHARED_COLUMN = {"a": (gf4.ZERO, gf4.ZERO, gf4.ZERO), "b": (gf4.ONE, gf4.W2, gf4.W)}
+
+
+def _groups(local: Mat4, tails, variant: str | None = None) -> Mat4:
+    """g = len(tails) copies of ``local`` over global rows in which group b
+    carries the vectors ``tails[b]`` in its last columns; no global rows
+    when every group's tail is empty.
+
+    The groups are disjoint unless ``variant`` is given: then group 1
+    loses its last column and holds the variant's shared column at group
+    2's first coordinate instead."""
+    h = Mat4.identity(len(tails)).kron(local)
+    if any(tails):
+        h = vstack([h, _group_tails(tails, local.cols)])
+    if variant is None:
+        return h
+    shared = local.cols - 1
+    a = h.delete_columns([shared]).array.copy()
+    a[:local.rows, shared] = _SHARED_COLUMN[variant][:local.rows]
+    return Mat4(a)
 
 
 # ---------------------------------------------------------------------------
@@ -169,7 +192,7 @@ C16_PUNCTURES: dict[int, tuple[int, ...]] = {
 }
 #: puncturing these six coordinates also yields d = 6, but strands the two
 #: surviving points of the third line segment without any 4-point collinear
-#: support, so the result is not a (2,3)-LRC; the builder uses a selection
+#: support, so the result is not a (2,3)-LRC; C16 uses a selection
 #: through the pencil point instead (see C16_SELECTIONS[6]).
 C16_D6_PUNCTURE = (11, 12, 13, 14, 15, 16)
 
@@ -182,6 +205,16 @@ C16_SELECTIONS: dict[int, tuple[int, ...]] = {
     6: (0, 1, 2, 3, 5, 6, 7, 9, 10, 11),
     5: (0, 1, 2, 3, 5, 6, 7, 9, 13),
 }
+
+
+def _c16(d: int) -> Mat4:
+    """C16's generator: the selection for d in C16_SELECTIONS, else G16's
+    puncture chain."""
+    if d in C16_SELECTIONS:
+        ext = hstack([Mat4([[0], [1], [0]]), G16])
+        return ext.take_columns(C16_SELECTIONS[d])  # 0 maps to column a
+    return G16.delete_columns(i - 1 for i in C16_PUNCTURES[d])
+
 
 C17_PUNCTURES: dict[int, tuple[int, ...]] = {
     16: (),
@@ -223,7 +256,17 @@ C19_PRINTED_PUNCTURES: dict[int, tuple[int, ...]] = {
 }
 
 # ---------------------------------------------------------------------------
-# global-row data for the n = 4l / 6l families with d in {8, 12}
+# global-row data
+
+# one global row tag per repetition group: C14 takes the first k + 2 of
+# the five points of PG(1,F4), C15 the first k + 3 of a 6-arc of PG(2,F4)
+_C14_TAGS = [(1, 0), (0, 1), (1, 1), (1, gf4.W), (1, gf4.W2)]
+_C15_TAGS = [
+    (1, 0, 0), (0, 1, 0), (0, 0, 1),
+    (1, 1, 1), (1, gf4.W, gf4.W2), (1, gf4.W2, gf4.W),
+]
+
+# -- the n = 4l / 6l families with d in {8, 12}
 
 # (u_i, v_i) in GF(4)^3 sitting at columns 3,4 of each 4-column group;
 # all five lines span{u_i, v_i} meet at the common point (0 1 0).
@@ -337,7 +380,7 @@ class FamilySpec:
     valid_range: str
     note: str = ""
     variants: tuple[str, ...] = ()
-    #: the builder returns the printed generator matrix, not a parity check
+    #: ``matrix`` gives the printed generator matrix, not a parity check
     generator: bool = False
     #: defining parameters -> (n, k, d, r, delta); build() finishes every code from it
     shape: Callable[..., tuple[int, int, int, int, int]] | None = field(default=None, repr=False)
@@ -348,6 +391,10 @@ class FamilySpec:
     defaults: dict[str, int] = field(default_factory=dict, repr=False)
     #: defining parameters -> instance status, where it varies within the family
     instance_status: Callable[..., str] | None = field(default=None, repr=False)
+    #: defining parameters (and ``variant`` where the family has variants)
+    #: -> the family's matrix: the printed generator if ``generator`` is
+    #: set, the parity check otherwise; None for a family with no construction
+    matrix: Callable[..., Mat4] | None = field(default=None, repr=False)
 
     def _status_at(self, params: dict) -> str:
         return self.instance_status(**params) if self.instance_status else self.status
@@ -391,84 +438,111 @@ _FAMILIES: list[FamilySpec] = [
     FamilySpec("1", "constructed", "C1",
         {"n": "5l-1", "k": "3l-1", "d": "3", "r": "3", "delta": "3"}, "l >= 2",
         variants=("a", "b"),
-        shape=lambda l: (5 * l - 1, 3 * l - 1, 3, 3, 3), ranges={"l": (2, None)}),
+        shape=lambda l: (5 * l - 1, 3 * l - 1, 3, 3, 3), ranges={"l": (2, None)},
+        matrix=lambda l, variant: _groups(LOCAL_5, [()] * l, variant)),
     FamilySpec("2", "constructed", "C2",
         {"n": "4l-1", "k": "2l-1", "d": "3", "r": "2", "delta": "3"}, "l >= 2",
         variants=("a", "b"),
-        shape=lambda l: (4 * l - 1, 2 * l - 1, 3, 2, 3), ranges={"l": (2, None)}),
+        shape=lambda l: (4 * l - 1, 2 * l - 1, 3, 2, 3), ranges={"l": (2, None)},
+        matrix=lambda l, variant: _groups(LOCAL_4A, [()] * l, variant)),
     FamilySpec("3", "constructed", "C3",
         {"n": "5l-2", "k": "3l-2", "d": "3", "r": "3", "delta": "3"}, "l >= 2",
         variants=("a", "b"),
-        shape=lambda l: (5 * l - 2, 3 * l - 2, 3, 3, 3), ranges={"l": (2, None)}),
+        shape=lambda l: (5 * l - 2, 3 * l - 2, 3, 3, 3), ranges={"l": (2, None)},
+        # C1 without its first column
+        matrix=lambda l, variant: _groups(LOCAL_5, [()] * l, variant).delete_columns([0])),
     FamilySpec("4", "constructed", "C4",
         {"n": "l(r+2)", "k": "rl", "d": "3", "r": "1..3", "delta": "3"}, "l >= 2, 1 <= r <= 3",
         shape=lambda l, r: (l * (r + 2), r * l, 3, r, 3), ranges={"l": (2, None), "r": (1, 3)},
-        defaults={"r": 3}),
+        defaults={"r": 3},
+        matrix=lambda l, r: _groups({3: LOCAL_5, 2: LOCAL_4B, 1: LOCAL_3}[r], [()] * l)),
     FamilySpec("5", "constructed", "C5",
         {"n": "6l-1", "k": "3l-1", "d": "4", "r": "3", "delta": "4"}, "l >= 2",
         variants=("a", "b"),
-        shape=lambda l: (6 * l - 1, 3 * l - 1, 4, 3, 4), ranges={"l": (2, None)}),
+        shape=lambda l: (6 * l - 1, 3 * l - 1, 4, 3, 4), ranges={"l": (2, None)},
+        matrix=lambda l, variant: _groups(LOCAL_6, [()] * l, variant)),
     FamilySpec("6", "constructed", "C6",
         {"n": "5l", "k": "3l-1", "d": "4", "r": "3", "delta": "3"}, "l >= 2",
-        shape=lambda l: (5 * l, 3 * l - 1, 4, 3, 3), ranges={"l": (2, None)}),
+        shape=lambda l: (5 * l, 3 * l - 1, 4, 3, 3), ranges={"l": (2, None)},
+        # global row 1_l (x) (0 0 1 W w)
+        matrix=lambda l: _groups(LOCAL_5, [_parse_vecs(("1", "W", "w"))] * l)),
     FamilySpec("7", "constructed", "C7",
         {"n": "4l", "k": "2l-1", "d": "4", "r": "2", "delta": "3"}, "l >= 2",
-        shape=lambda l: (4 * l, 2 * l - 1, 4, 2, 3), ranges={"l": (2, None)}),
+        shape=lambda l: (4 * l, 2 * l - 1, 4, 2, 3), ranges={"l": (2, None)},
+        # global row 1_l (x) (0 0 1 W)
+        matrix=lambda l: _groups(LOCAL_4B, [_parse_vecs(("1", "W"))] * l)),
     FamilySpec("8", "constructed", "C8",
         {"n": "5l-1", "k": "2l-1", "d": "4", "r": "2", "delta": "4"}, "l >= 2",
         variants=("a", "b"),
-        shape=lambda l: (5 * l - 1, 2 * l - 1, 4, 2, 4), ranges={"l": (2, None)}),
+        shape=lambda l: (5 * l - 1, 2 * l - 1, 4, 2, 4), ranges={"l": (2, None)},
+        matrix=lambda l, variant: _groups(LOCAL_5C, [()] * l, variant)),
     FamilySpec("9", "constructed", "C9",
         {"n": "5l-1", "k": "3l-2", "d": "4", "r": "3", "delta": "3"}, "l >= 2",
         variants=("a", "b"),
-        shape=lambda l: (5 * l - 1, 3 * l - 2, 4, 3, 3), ranges={"l": (2, None)}),
+        shape=lambda l: (5 * l - 1, 3 * l - 2, 4, 3, 3), ranges={"l": (2, None)},
+        # C6's matrix with groups 1 and 2 sharing a coordinate
+        matrix=lambda l, variant: _groups(LOCAL_5, [_parse_vecs(("1", "W", "w"))] * l, variant)),
     FamilySpec("10", "constructed", "C10",
         {"n": "6l-2", "k": "3l-2", "d": "4", "r": "3", "delta": "4"}, "l >= 2",
         variants=("a", "b"),
-        shape=lambda l: (6 * l - 2, 3 * l - 2, 4, 3, 4), ranges={"l": (2, None)}),
+        shape=lambda l: (6 * l - 2, 3 * l - 2, 4, 3, 4), ranges={"l": (2, None)},
+        # C5 without its first column
+        matrix=lambda l, variant: _groups(LOCAL_6, [()] * l, variant).delete_columns([0])),
     FamilySpec("11", "constructed", "C11",
         {"n": "l(r+3)", "k": "rl", "d": "4", "r": "1..3", "delta": "4"}, "l >= 2, 1 <= r <= 3",
         shape=lambda l, r: (l * (r + 3), r * l, 4, r, 4), ranges={"l": (2, None), "r": (1, 3)},
-        defaults={"r": 3}),
+        defaults={"r": 3},
+        matrix=lambda l, r: _groups({3: LOCAL_6, 2: LOCAL_5C, 1: LOCAL_4C}[r], [()] * l)),
     FamilySpec("12", "constructed", "C12",
         {"n": "k*delta", "k": "k", "d": "delta", "r": "1", "delta": ">= 5"}, "k >= 2, delta >= 5",
         shape=lambda k, delta: (k * delta, k, delta, 1, delta),
-        ranges={"k": (2, None), "delta": (5, None)}),
+        ranges={"k": (2, None), "delta": (5, None)},
+        matrix=lambda k, delta: _groups(single_parity_generator(delta), [()] * k)),
     FamilySpec("13", "constructed", "C13",
         {"n": "(k+1)delta", "k": "k", "d": "2delta", "r": "1", "delta": "> 2"}, "k >= 2, delta >= 3",
         shape=lambda k, delta: ((k + 1) * delta, k, 2 * delta, 1, delta),
-        ranges={"k": (2, None), "delta": (3, None)}),
+        ranges={"k": (2, None), "delta": (3, None)},
+        # global row 1_{k+1} (x) (0 ... 0 1)
+        matrix=lambda k, delta: _groups(single_parity_generator(delta), [((1,),)] * (k + 1))),
     FamilySpec("14", "constructed", "C14",
         {"n": "(k+2)delta", "k": "k", "d": "3delta", "r": "1", "delta": "> 2"}, "k in {2,3}, delta >= 3",
         shape=lambda k, delta: ((k + 2) * delta, k, 3 * delta, 1, delta),
-        ranges={"k": (2, 3), "delta": (3, None)}),
+        ranges={"k": (2, 3), "delta": (3, None)},
+        matrix=lambda k, delta: _groups(single_parity_generator(delta),
+                                        [[tag] for tag in _C14_TAGS[:k + 2]])),
     FamilySpec("15", "constructed", "C15",
         {"n": "(k+3)delta", "k": "k", "d": "4delta", "r": "1", "delta": "> 2"}, "k in {2,3}, delta >= 3",
         shape=lambda k, delta: ((k + 3) * delta, k, 4 * delta, 1, delta),
-        ranges={"k": (2, 3), "delta": (3, None)}),
+        ranges={"k": (2, 3), "delta": (3, None)},
+        matrix=lambda k, delta: _groups(single_parity_generator(delta),
+                                        [[tag] for tag in _C15_TAGS[:k + 3]])),
     FamilySpec("16", "constructed", "C16",
         {"n": "d+4", "k": "3", "d": "5..12", "r": "2", "delta": "3"}, "5 <= d <= 12",
         generator=True, shape=lambda d: (d + 4, 3, d, 2, 3), ranges={"d": (5, 12)},
-        defaults={"d": 12}),
+        defaults={"d": 12}, matrix=_c16),
     FamilySpec("l-s=2_1", "constructed", "CLS2_1",
         {"n": "4l", "k": "2l-3", "d": "8", "r": "2", "delta": "3"}, "l in {4, 5}",
         note="printed dimension k=3 is inconsistent; k is derived as n - rank(H)",
-        shape=lambda l: (4 * l, 2 * l - 3, 8, 2, 3), ranges={"l": (4, 5)}, defaults={"l": 5}),
+        shape=lambda l: (4 * l, 2 * l - 3, 8, 2, 3), ranges={"l": (4, 5)}, defaults={"l": 5},
+        matrix=lambda l: _groups(LOCAL_4B, [_parse_vecs(uv) for uv in CLS2_1_UV[:l]])),
     FamilySpec("l-s=3_1", "constructed", "CLS3_1",
         {"n": "20", "k": "5", "d": "12", "r": "2", "delta": "3"}, "l = 5",
         note="printed dimension k=3 is inconsistent; k is derived as n - rank(H)",
-        shape=lambda l: (4 * l, 2 * l - 5, 12, 2, 3), ranges={"l": (5, 5)}, defaults={"l": 5}),
+        shape=lambda l: (4 * l, 2 * l - 5, 12, 2, 3), ranges={"l": (5, 5)}, defaults={"l": 5},
+        matrix=lambda l: _groups(LOCAL_4B, [_parse_vecs(uv) for uv in CLS3_1_UV[:l]])),
     FamilySpec("17", "constructed", "C17",
         {"n": "d+5", "k": "3", "d": "7..16", "r": "2", "delta": "4"}, "7 <= d <= 16",
         generator=True, shape=lambda d: (d + 5, 3, d, 2, 4), ranges={"d": (7, 16)},
-        defaults={"d": 16}),
+        defaults={"d": 16}, matrix=lambda d: G17.delete_columns(i - 1 for i in C17_PUNCTURES[d])),
     FamilySpec("18", "constructed", "C18",
         {"n": "d+5", "k": "4", "d": "5..12", "r": "3", "delta": "3"}, "5 <= d <= 12",
         generator=True, shape=lambda d: (d + 5, 4, d, 3, 3), ranges={"d": (5, 12)},
-        defaults={"d": 12}),
+        defaults={"d": 12}, matrix=lambda d: G18.delete_columns(i - 1 for i in C18_PUNCTURES[d])),
     FamilySpec("l-s=1_3", "constructed", "CLS1_3",
         {"n": "5l", "k": "3l-2", "d": "5", "r": "3", "delta": "3"}, "l >= 3",
-        shape=lambda l: (5 * l, 3 * l - 2, 5, 3, 3), ranges={"l": (3, None)}),
+        shape=lambda l: (5 * l, 3 * l - 2, 5, 3, 3), ranges={"l": (3, None)},
+        # global rows 1_l (x) (0 0 1 0 W / 0 0 0 1 W)
+        matrix=lambda l: _groups(LOCAL_5, [_parse_vecs(("1 0", "0 1", "W W"))] * l)),
     FamilySpec("33d=10", "open", None,
         {"n": "5l", "k": "3l-5", "d": "10", "r": "3", "delta": "3"}, "4 <= l <= 9",
         note="only the length range is known; existence and structure are open",
@@ -478,16 +552,20 @@ _FAMILIES: list[FamilySpec] = [
         {"n": "d+6", "k": "4", "d": "6..12", "r": "3", "delta": "4"}, "6 <= d <= 12",
         note="d >= 13 is impossible: no quaternary [6+d, 4, d] code exists",
         generator=True, shape=lambda d: (d + 6, 4, d, 3, 4), ranges={"d": (6, 12)},
-        defaults={"d": 12}),
+        defaults={"d": 12},
+        matrix=lambda d: G19_D7 if d == 7 else G19.delete_columns(i - 1 for i in C19_PUNCTURES[d])),
     FamilySpec("l-s=1_4", "constructed", "CLS1_4",
         {"n": "6l", "k": "3l-2", "d": "6", "r": "3", "delta": "4"}, "l >= 3",
-        shape=lambda l: (6 * l, 3 * l - 2, 6, 3, 4), ranges={"l": (3, None)}),
+        shape=lambda l: (6 * l, 3 * l - 2, 6, 3, 4), ranges={"l": (3, None)},
+        # global rows 1_l (x) (0 0 0 1 0 W / 0 0 0 0 1 W)
+        matrix=lambda l: _groups(LOCAL_6, [_parse_vecs(("1 0", "0 1", "W W"))] * l)),
     FamilySpec("34l=4", "constructed", "C17G",
         {"n": "6l", "k": "3l-5", "d": "12", "r": "3", "delta": "4"}, "4 <= l <= 20",
         note="explicit for 4 <= l <= 17; existence believed but open for 18 <= l <= 20",
         shape=lambda l: (6 * l, 3 * l - 5, 12, 3, 4),
         ranges={"l": (4, 20)},
-        instance_status=lambda l: "constructed" if l <= 17 else "open"),
+        instance_status=lambda l: "constructed" if l <= 17 else "open",
+        matrix=lambda l: _groups(LOCAL_6, c17g_triples(l))),
     # parameter cases proven impossible
     FamilySpec("d3-t3", "nonexistent", None, {"d": "3"}, "k = 3 (mod r)",
         note="the removed groups force [5,2,4] local codes with r = 3, contradicting t <= r-1"),
@@ -560,194 +638,8 @@ class BuiltCode:
         return report
 
 
-#: variant -> group 1's entries at the coordinate it shares with group 2
-_SHARED_COLUMN = {"a": (gf4.ZERO, gf4.ZERO, gf4.ZERO), "b": (gf4.ONE, gf4.W2, gf4.W)}
-
-
-def _groups(local: Mat4, tails, variant: str | None = None) -> Mat4:
-    """g = len(tails) copies of ``local`` over global rows in which group b
-    carries the vectors ``tails[b]`` in its last columns; no global rows
-    when every group's tail is empty.
-
-    The groups are disjoint unless ``variant`` is given: then group 1
-    loses its last column and holds the variant's shared column at group
-    2's first coordinate instead."""
-    h = Mat4.identity(len(tails)).kron(local)
-    if any(tails):
-        h = vstack([h, _group_tails(tails, local.cols)])
-    if variant is None:
-        return h
-    shared = local.cols - 1
-    a = h.delete_columns([shared]).array.copy()
-    a[:local.rows, shared] = _SHARED_COLUMN[variant][:local.rows]
-    return Mat4(a)
-
-
-# -- d = 3 -------------------------------------------------------------------
-
-
-def _build_c1(l: int, variant: str) -> Mat4:
-    return _groups(LOCAL_5, [()] * l, variant)
-
-
-def _build_c2(l: int, variant: str) -> Mat4:
-    return _groups(LOCAL_4A, [()] * l, variant)
-
-
-def _build_c3(l: int, variant: str) -> Mat4:
-    return _build_c1(l, variant).delete_columns([0])
-
-
-def _build_c4(l: int, r: int) -> Mat4:
-    return _groups({3: LOCAL_5, 2: LOCAL_4B, 1: LOCAL_3}[r], [()] * l)
-
-
-# -- d = 4 -------------------------------------------------------------------
-
-
-def _build_c5(l: int, variant: str) -> Mat4:
-    return _groups(LOCAL_6, [()] * l, variant)
-
-
-def _build_c6(l: int) -> Mat4:
-    # global row 1_l (x) (0 0 1 W w)
-    return _groups(LOCAL_5, [_parse_vecs(("1", "W", "w"))] * l)
-
-
-def _build_c7(l: int) -> Mat4:
-    # global row 1_l (x) (0 0 1 W)
-    return _groups(LOCAL_4B, [_parse_vecs(("1", "W"))] * l)
-
-
-def _build_c8(l: int, variant: str) -> Mat4:
-    return _groups(LOCAL_5C, [()] * l, variant)
-
-
-def _build_c9(l: int, variant: str) -> Mat4:
-    # C6's matrix with groups 1 and 2 sharing a coordinate
-    return _groups(LOCAL_5, [_parse_vecs(("1", "W", "w"))] * l, variant)
-
-
-def _build_c10(l: int, variant: str) -> Mat4:
-    return _build_c5(l, variant).delete_columns([0])
-
-
-def _build_c11(l: int, r: int) -> Mat4:
-    return _groups({3: LOCAL_6, 2: LOCAL_5C, 1: LOCAL_4C}[r], [()] * l)
-
-
-# -- d >= 5, r = 1 -----------------------------------------------------------
-
-
-def _build_c12(k: int, delta: int) -> Mat4:
-    return _groups(single_parity_generator(delta), [()] * k)
-
-
-def _build_c13(k: int, delta: int) -> Mat4:
-    # global row 1_{k+1} (x) (0 ... 0 1)
-    return _groups(single_parity_generator(delta), [((1,),)] * (k + 1))
-
-
-_C14_TAGS = [(1, 0), (0, 1), (1, 1), (1, gf4.W), (1, gf4.W2)]
-_C15_TAGS = [
-    (1, 0, 0), (0, 1, 0), (0, 0, 1),
-    (1, 1, 1), (1, gf4.W, gf4.W2), (1, gf4.W2, gf4.W),
-]
-
-
-def _build_c14(k: int, delta: int) -> Mat4:
-    return _groups(single_parity_generator(delta), [[tag] for tag in _C14_TAGS[:k + 2]])
-
-
-def _build_c15(k: int, delta: int) -> Mat4:
-    return _groups(single_parity_generator(delta), [[tag] for tag in _C15_TAGS[:k + 3]])
-
-
-# -- d >= 5, r >= 2 ----------------------------------------------------------
-
-
-def _build_cls2_1(l: int) -> Mat4:
-    return _groups(LOCAL_4B, [_parse_vecs(uv) for uv in CLS2_1_UV[:l]])
-
-
-def _build_cls3_1(l: int) -> Mat4:
-    return _groups(LOCAL_4B, [_parse_vecs(uv) for uv in CLS3_1_UV[:l]])
-
-
-def _build_cls1_3(l: int) -> Mat4:
-    # global rows 1_l (x) (0 0 1 0 W / 0 0 0 1 W)
-    return _groups(LOCAL_5, [_parse_vecs(("1 0", "0 1", "W W"))] * l)
-
-
-def _build_cls1_4(l: int) -> Mat4:
-    # global rows 1_l (x) (0 0 0 1 0 W / 0 0 0 0 1 W)
-    return _groups(LOCAL_6, [_parse_vecs(("1 0", "0 1", "W W"))] * l)
-
-
-def _build_c17g(l: int) -> Mat4:
-    return _groups(LOCAL_6, c17g_triples(l))
-
-
-# -- printed generator matrices and their puncture chains ---------------------
-
-
-def _chain_generator(base: Mat4, punctures: tuple[int, ...]) -> Mat4:
-    return base.delete_columns(i - 1 for i in punctures)
-
-
-def _build_c16(d: int) -> Mat4:
-    if d in C16_SELECTIONS:
-        ext = hstack([Mat4([[0], [1], [0]]), G16])
-        return ext.take_columns([c for c in C16_SELECTIONS[d]])  # 0 maps to column a
-    return _chain_generator(G16, C16_PUNCTURES[d])
-
-
-def _build_c17(d: int) -> Mat4:
-    return _chain_generator(G17, C17_PUNCTURES[d])
-
-
-def _build_c18(d: int) -> Mat4:
-    return _chain_generator(G18, C18_PUNCTURES[d])
-
-
-def _build_c19(d: int) -> Mat4:
-    return G19_D7 if d == 7 else _chain_generator(G19, C19_PUNCTURES[d])
-
-
 # ---------------------------------------------------------------------------
 # the public builder
-
-#: construction id -> builder.  A builder takes its family's parameters
-#: (and ``variant`` where the family has variants) and returns the
-#: family's matrix: the printed generator if the family is marked
-#: ``generator``, its parity check otherwise.
-_BUILDERS: dict[str, Callable[..., Mat4]] = {
-    "C1": _build_c1,
-    "C2": _build_c2,
-    "C3": _build_c3,
-    "C4": _build_c4,
-    "C5": _build_c5,
-    "C6": _build_c6,
-    "C7": _build_c7,
-    "C8": _build_c8,
-    "C9": _build_c9,
-    "C10": _build_c10,
-    "C11": _build_c11,
-    "C12": _build_c12,
-    "C13": _build_c13,
-    "C14": _build_c14,
-    "C15": _build_c15,
-    "C16": _build_c16,
-    "C17": _build_c17,
-    "C18": _build_c18,
-    "C19": _build_c19,
-    "C17G": _build_c17g,
-    "CLS2_1": _build_cls2_1,
-    "CLS3_1": _build_cls3_1,
-    "CLS1_3": _build_cls1_3,
-    "CLS1_4": _build_cls1_4,
-}
-
 
 def build(
     construction: str,
@@ -767,8 +659,9 @@ def build(
     are printed.  The family's catalogue entry states which parameters
     it takes, their ranges and defaults: a parameter it does not take,
     one that is not an integer or lies outside its range, or an instance
-    the catalogue lists as open raises RangeError.  Unknown construction
-    names raise CatalogError.
+    the catalogue lists as open raises RangeError.  ``construction`` is
+    a construction id in any case or a family id; any other name, or an
+    entry with no matrix, raises CatalogError.
 
     Every family is finished here from its catalogue entry: [n, k, d], r
     and delta come from the entry; a parity check's first
@@ -776,15 +669,10 @@ def build(
     groups and the remaining rows global; a generator's groups come
     from the locality search.
     """
-    cid = construction.upper()
-    if cid not in _BUILDERS:
-        # accept a family id and resolve it to its construction
-        fam = _FAMILY_BY_ID.get(construction)
-        if fam is not None and fam.construction:
-            cid = fam.construction
-    if cid not in _BUILDERS:
+    fam = _FAMILY_BY_CONSTRUCTION.get(construction.upper()) or _FAMILY_BY_ID.get(construction)
+    if fam is None or fam.matrix is None:
         raise CatalogError(f"unknown construction {construction!r}")
-    fam = _FAMILY_BY_CONSTRUCTION[cid]
+    cid = fam.construction
     if k is not None and "r" in fam.ranges:  # C4/C11 also take k = r*l for r
         if not (_is_integer(k) and _is_integer(l)) or not l or k % l or r not in (None, k // l):
             with_r = "" if r is None else f", r={r!r}"
@@ -814,9 +702,9 @@ def build(
 
     if fam.variants:
         variant = variant or "a"
-        m = _BUILDERS[cid](**params, variant=variant)
+        m = fam.matrix(**params, variant=variant)
     else:
-        m = _BUILDERS[cid](**params)
+        m = fam.matrix(**params)
     n, dim, dist, r, delta = fam.shape(**params)
     search = None
     if fam.generator:
@@ -828,6 +716,7 @@ def build(
         # m's kernel proved its rank, and the restructured rows span that
         # kernel, or restructure raises: no check is repeated
         code = LinearCode._proved(m, profile.parity_check())
+        profile.code = code  # so verify() reduces the parity check no second time
     else:
         rows = delta - 1
         layout = [(1 + i * rows, (i + 1) * rows) for i in range(ceil(n / (r + rows)))]

@@ -58,6 +58,28 @@ def test_catalog_covers_all_statuses():
         family("zzz")
 
 
+def _build_bytes(bc):
+    mats = (bc.code.generator(), bc.code.parity_check(), bc.profile.matrix)
+    return bc.construction, b"".join(repr(m.array.shape).encode() + m.array.tobytes() for m in mats)
+
+
+def test_family_and_lower_case_ids_build_what_their_construction_id_builds():
+    constructed = [f for f in catalog() if f.status == "constructed"]
+    assert [f.id for f in catalog() if f.matrix is not None] == [f.id for f in constructed]
+    cids = [f.construction for f in constructed]
+    assert len(cids) == len(set(cids)) == 24
+    for fam in constructed:
+        params = next(fam.instances(128))["params"]  # the smallest instance
+        for v in fam.variants or (None,):
+            want = _build_bytes(build(fam.construction, **params, variant=v))
+            for alias in (fam.id, fam.construction.lower()):
+                assert _build_bytes(build(alias, **params, variant=v)) == want, (alias, v)
+    # an open or nonexistent entry has no matrix, so it names no construction
+    for fid, kw in (("33d=10", {"l": 4}), ("d3-t3", {})):
+        with pytest.raises(CatalogError, match=f"unknown construction '{fid}'"):
+            build(fid, **kw)
+
+
 def test_build_parameter_validation():
     cases = [
         ("C1", {"l": 1}, "C1 needs l >= 2, got l=1"),
@@ -205,6 +227,24 @@ def test_generator_builds_verify_from_their_own_search(monkeypatch):
         assert report.to_json_dict() == want.to_json_dict(), (cid, kw)
     # parity-check families carry no search
     assert build("C1", l=2).search is None
+
+
+def test_every_build_up_to_64_shares_its_code_with_the_profile(monkeypatch):
+    insts = constructed_instances(64)
+    assert len(insts) == 553
+    for cid, kw, _ in insts:
+        bc = build(cid, **kw)
+        assert bc.profile.code is bc.code, (cid, kw)
+
+    def refuse(*args):
+        raise AssertionError("verify() reduced a matrix again")
+
+    # so a generator build's verify() takes no kernel: build() proved it
+    for cid, kw in _generator_instances():
+        bc = build(cid, **kw)
+        with monkeypatch.context() as m:
+            m.setattr(Mat4, "right_kernel", refuse)
+            assert bc.verify().all_passed, (cid, kw)
 
 
 def test_c4_c11_accept_k_for_r():
