@@ -11,6 +11,7 @@ with a trailing newline.  ``build`` writes structured comments (family,
 parameters, locality pair and group row ranges) that ``verify`` reads
 back, so a built parity-check file carries its own layout; matrices from
 other sources are verified against a searched layout instead.
+``distance`` settles d through the file's layout when it has one.
 
 Coordinates, group rows and supports are 1-based everywhere, matching
 the classification's [n] = {1..n} convention.
@@ -38,6 +39,7 @@ from .classify import all_claim_reports, enumerate_optimal_params
 from .errors import Lrc4Error, ResourceError
 from .lrc import (
     LOCALITY_SEARCH_MAX_N,
+    LocalityProfile,
     check_structure,
     extract_profile,
     restructure,
@@ -251,10 +253,7 @@ def _cmd_verify(args) -> int:
             print(f"locality ({r},{delta}) FAILS at coordinates {sorted(found.bad_coordinates)}")
         return 1
 
-    if layout:
-        profile = extract_profile(code.parity_check(), layout, r=r, delta=delta)
-    else:
-        profile = restructure(code, found)
+    profile = _layout_profile(code, layout, r, delta) if layout else restructure(code, found)
     report = check_structure(profile, search=found, scan_budget=budget)
     report.family = meta.get("family")
     report.status = meta.get("status")
@@ -273,9 +272,19 @@ def _cmd_verify(args) -> int:
     return 0 if report.all_passed else 1
 
 
+def _layout_profile(code: LinearCode, layout: list, r: int, delta: int) -> LocalityProfile:
+    """The profile of a parity file's ``group-rows`` layout, holding its loaded code."""
+    profile = extract_profile(code.parity_check(), layout, r=r, delta=delta)
+    profile.code = code
+    return profile
+
+
 def _cmd_distance(args) -> int:
-    code, _, _ = _load_code(args)
-    print(code.min_distance())
+    code, meta, kind = _load_code(args)
+    if kind == "parity" and meta.get("group_rows") and {"r", "delta"} <= meta.keys():
+        print(_layout_profile(code, meta["group_rows"], meta["r"], meta["delta"]).min_distance())
+    else:
+        print(code.min_distance())
     return 0
 
 

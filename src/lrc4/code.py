@@ -218,8 +218,18 @@ class LinearCode:
         return LinearCode(gen=g.row_basis())
 
 
+def _coordinate_set(coords: Iterable[int]) -> frozenset[int]:
+    """The coordinates as ints; ValueError on one that int() would
+    truncate, such as 1.5."""
+    coords = list(coords)
+    ints = [int(i) for i in coords]
+    if ints != coords:
+        raise ValueError(f"coordinates must be integers, got {coords}")
+    return frozenset(ints)
+
+
 def _check_coordinate_set(coords: Iterable[int], n: int) -> frozenset[int]:
-    s = frozenset(int(i) for i in coords)
+    s = _coordinate_set(coords)
     bad = [i for i in s if not 1 <= i <= n]
     if bad:
         raise ValueError(f"coordinates out of range 1..{n}: {sorted(bad)}")

@@ -713,15 +713,11 @@ def build(
         code = LinearCode(gen=m)
         search = verify_locality(code, r, delta)
         profile = restructure(code, search)
-        # m's kernel proved its rank, and the restructured rows span that
-        # kernel, or restructure raises: no check is repeated
-        code = LinearCode._proved(m, profile.parity_check())
-        profile.code = code  # so verify() reduces the parity check no second time
     else:
         rows = delta - 1
         layout = [(1 + i * rows, (i + 1) * rows) for i in range(ceil(n / (r + rows)))]
         profile = extract_profile(m, layout, r=r, delta=delta)
-        code = profile.code  # shared, so verify() reduces m no second time
+    code = profile.code  # shared, so verify() reduces no matrix a second time
     if (code.n, code.k) != (n, dim):
         raise StructureError(f"{cid}: built [{code.n},{code.k}], expected [{n},{dim}]")
     return BuiltCode(

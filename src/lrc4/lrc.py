@@ -33,7 +33,8 @@ structure checks and the blockwise distance read, and it holds the
 code of its parity check, reduced once, as ``code``.  When the groups
 are disjoint, :func:`blockwise_min_distance` settles the minimum
 distance by dynamic programming over the global syndromes of the
-groups' local-kernel words, and verification takes that route.  Each
+groups' local-kernel words; ``LocalityProfile.min_distance`` takes that
+route for verification and ``lrc4 distance``.  Each
 group's (syndrome, least weight) table is built on packed ints: one
 echelon form of its local rows and its masked global rows, each with a
 1 in its own syndrome column above the n coordinates, gives a kernel
@@ -46,7 +47,7 @@ build no code object per sub-code: an H' is its kept packed rows masked
 to its kept columns, with its kernel read off their echelon form, and a
 restriction C|_S is the packed generator rows masked to S, so each
 sub-code's distance is the least weight of its 4^k' words (k' <= 3 on
-every constructed build with n <= 128).
+every constructed build with n <= 128), or else that of the code it spans.
 """
 
 from __future__ import annotations
@@ -56,7 +57,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import combinations, product
 from math import ceil, floor
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -183,6 +184,19 @@ class LocalityProfile:
         """The code of :meth:`parity_check`, with its kernel computed on
         first use only."""
         return LinearCode(pchk=self.parity_check())
+
+    def min_distance(self, budget: int | None = None) -> int:
+        """Exact d of ``code``: :func:`blockwise_min_distance` when the
+        profile is partitioned and the DP takes it within its work bound,
+        else :meth:`LinearCode.min_distance` with the scan ``budget``."""
+        if self.partitioned:
+            try:
+                tables = _blockwise_tables(self)
+            except (ValueError, ResourceError):
+                pass
+            else:
+                return _blockwise_dp(len(self.global_rows), tables)
+        return self.code.min_distance(budget)
 
     @cached_property
     def group_view(self) -> GroupView:
@@ -655,13 +669,16 @@ def structured_parity_check(
 
 def restructure(c: LinearCode, found: LocalitySearch) -> LocalityProfile:
     """The profile of the code's parity check in local/global block form,
-    built from a successful :func:`verify_locality` search of it.  Raises
-    StructureError when the search failed."""
+    built from a successful :func:`verify_locality` search of it.  Its
+    ``code`` pairs ``c``'s generator with the stacked rows, which span c's
+    dual at full rank or raise.  Raises StructureError when the search failed."""
     if not found.ok:
         raise StructureError(f"coordinates {list(found.bad_coordinates)} have no "
                              f"({found.r},{found.delta}) repair support")
     h, layout, partitioned = structured_parity_check(c, found.qualifying)
-    return extract_profile(h, layout, r=found.r, delta=found.delta, partitioned=partitioned)
+    profile = extract_profile(h, layout, r=found.r, delta=found.delta, partitioned=partitioned)
+    profile.code = LinearCode._proved(c.gen, profile.parity_check())
+    return profile
 
 
 # ---------------------------------------------------------------------------
@@ -806,18 +823,6 @@ def blockwise_min_distance(profile: LocalityProfile) -> int:
     return _blockwise_dp(len(profile.global_rows), _blockwise_tables(profile))
 
 
-def _blockwise_route(profile: LocalityProfile) -> list[tuple[np.ndarray, np.ndarray]] | None:
-    """The groups' :func:`_splice_table` tables when :func:`check_structure`
-    settles d by the blockwise DP: a partitioned profile that
-    :func:`_blockwise_tables` accepts."""
-    if not profile.partitioned:
-        return None
-    try:
-        return _blockwise_tables(profile)
-    except (ValueError, ResourceError):
-        return None
-
-
 # ---------------------------------------------------------------------------
 # structure checks
 
@@ -898,17 +903,12 @@ def check_structure(
 
     A partitioned profile's matrix must be a full-rank parity check, else
     RankError; a group naming a row or coordinate the matrix lacks raises
-    StructureError.  d is settled by :func:`blockwise_min_distance`, its
-    tables built from the profile's :class:`GroupView`, when the
-    profile is partitioned, every group has rows, the supports are
-    pairwise disjoint and cover every coordinate, every local row is zero
-    outside its group's support, and the DP's table work is within
-    :data:`BLOCKWISE_MAX_WORK`; otherwise by the scan/enumeration router
-    of :meth:`LinearCode.min_distance`.  r-optimality is read from
-    ``search``, a successful (r, delta) :func:`verify_locality` result,
-    if given.  Else, with d exact and r >= 2, a d above the (r-1, delta)
-    Singleton-like bound proves it, since no code of these [n, k, d] has
-    (r-1, delta)-locality; failing that, :func:`is_r_optimal` searches.
+    StructureError.  d is settled by :meth:`LocalityProfile.min_distance`
+    with ``scan_budget``.  r-optimality is read from ``search``, a
+    successful (r, delta) :func:`verify_locality` result, if given.  Else,
+    with d exact and r >= 2, a d above the (r-1, delta) Singleton-like
+    bound proves it, since no code of these [n, k, d] has (r-1,
+    delta)-locality; failing that, :func:`is_r_optimal` searches.
     When the router's scan exceeds its budget with k > 14, or the code
     is beyond the locality-search guard, the affected verdicts are
     reported as None with an explanatory note rather than failing.
@@ -937,15 +937,11 @@ def check_structure(
         )
 
     d: int | None
-    tables = _blockwise_route(profile)
-    if tables is not None:
-        d = _blockwise_dp(len(profile.global_rows), tables)
-    else:
-        try:
-            d = c.min_distance(budget=scan_budget)
-        except ScanBudgetExceeded as e:
-            d = None
-            notes.append(f"min distance not settled: {e}; structural checks only")
+    try:
+        d = profile.min_distance(scan_budget)
+    except ScanBudgetExceeded as e:
+        d = None
+        notes.append(f"min distance not settled: {e}; structural checks only")
 
     bound = singleton_like_bound(n, k, r, delta)
     d_optimal = None if d is None else (d == bound)
@@ -994,14 +990,15 @@ def _span(basis: list[Vec]) -> list[Vec]:
     return words
 
 
-def _least_weight(basis: list[Vec], code: Callable[[], LinearCode]) -> int | None:
+def _least_weight(basis: list[Vec], mask: int) -> int | None:
     """Least weight of a nonzero word in the span of the independent
-    packed vectors ``basis`` (None for the zero span), read off its 4^k'
-    words up to k' = :data:`_SPAN_MAX_K`; a larger span is measured as
-    ``code()``, the same code on its own coordinates, by
-    :meth:`LinearCode.min_distance`."""
+    packed vectors ``basis``, which vanish off the bit mask ``mask``
+    (None for the zero span), read off its 4^k' words up to k' =
+    :data:`_SPAN_MAX_K`; a larger span is measured as the code it
+    generates on the mask's columns, by :meth:`LinearCode.min_distance`."""
     if len(basis) > _SPAN_MAX_K:
-        return code().min_distance()
+        cols = [i for i in range(mask.bit_length()) if mask >> i & 1]
+        return LinearCode(gen=Mat4._wrap(unpack(basis, mask.bit_length())[:, cols])).min_distance()
     return min(((a | b).bit_count() for a, b in _span(basis)[1:]), default=None)
 
 
@@ -1022,8 +1019,7 @@ def _check_h_prime(c: LinearCode, profile: LocalityProfile, d_target: int) -> Ch
     view = profile.group_view
     for choice in combinations(range(profile.l), s):
         tag = "+".join(str(g + 1) for g in choice) or "none"
-        dropped = [profile.groups[gi] for gi in choice]
-        drop_rows = {i - 1 for g in dropped for i in g.rows}
+        drop_rows = {i - 1 for gi in choice for i in profile.groups[gi].rows}
         keep = (1 << c.n) - 1
         for gi in choice:
             keep &= ~view.masks[gi]
@@ -1037,8 +1033,7 @@ def _check_h_prime(c: LinearCode, profile: LocalityProfile, d_target: int) -> Ch
             return CheckResult(name, False, f"H' not full rank after removing groups {tag}")
         if not k_sub:
             return CheckResult(name, False, f"H' leaves the zero code (groups {tag})")
-        dp = _least_weight(basis, lambda: LinearCode(pchk=profile.matrix.delete_rows(drop_rows)
-                           .delete_columns(i - 1 for g in dropped for i in g.support)))
+        dp = _least_weight(basis, keep)
         if dp != n_sub - k_sub + 1 or dp != d_target:
             return CheckResult(
                 name, False, f"groups {tag}: [{n_sub},{k_sub}] with d'={dp}, want MDS d'={d_target}"
@@ -1067,7 +1062,7 @@ def _check_punctured_mds(c: LinearCode, profile: LocalityProfile) -> CheckResult
         rows = [(h & masks[i], l & masks[i]) for h, l in gen]
         local = rows[:len(echelon(rows))]
         si = len(g.support)
-        di = _least_weight(local, lambda: c.puncture(set(range(1, c.n + 1)) - g.support))
+        di = _least_weight(local, masks[i])
         if len(local) != si - delta + 1 or di != delta:
             return CheckResult(
                 name,

@@ -32,17 +32,19 @@ class Mat4:
     __slots__ = ("_a",)
 
     def __init__(self, entries: Sequence[Sequence[int]] | np.ndarray, cols: int | None = None):
-        try:
-            a = np.array(entries, dtype=np.uint8)
-        except OverflowError:
-            raise ValueError("entries must be GF(4) elements 0..3") from None
+        a = np.array(entries)
+        if a.dtype.kind not in "biu":  # floats and objects are compared as floats
+            a = a.astype(np.float64)
         if a.ndim == 1:
             # Allow an empty row list only when the column count is given.
             a = a.reshape(0, cols if cols is not None else 0)
         if a.ndim != 2:
             raise ShapeError(f"matrix data must be 2-dimensional, got shape {a.shape}")
-        if a.size and a.max() > 3:
+        # checked before the cast, which would truncate 1.5 and wrap -1 and 256
+        if a.size and (a.max() > 3 or a.dtype.kind != "u" and a.min() < 0
+                       or a.dtype.kind == "f" and (a != np.floor(a)).any()):
             raise ValueError("entries must be GF(4) elements 0..3")
+        a = a.astype(np.uint8, copy=False)
         a.setflags(write=False)
         self._a = a
 

@@ -34,7 +34,7 @@ from typing import Sequence
 
 from . import gf4
 from ._gf4vec import Vec, echelon
-from .code import _check_coordinate_set
+from .code import _check_coordinate_set, _coordinate_set
 from .constructions import BuiltCode
 from .mat4 import Mat4
 
@@ -57,7 +57,7 @@ class ErasurePattern:
 
     @classmethod
     def of(cls, coords) -> "ErasurePattern":
-        return cls(frozenset(int(i) for i in coords))
+        return cls(_coordinate_set(coords))
 
     def apply(self, codeword: Sequence[int]) -> list[int | None]:
         _check_coordinate_set(self.erased, len(codeword))
@@ -84,7 +84,7 @@ class RepairOutcome:
 def encode(bc: BuiltCode, message: Sequence[int]) -> list[int]:
     """message * generator; the result satisfies H c^T = 0."""
     code = bc.code
-    msg = [int(x) for x in message]
+    msg = list(message)
     if len(msg) != code.k:
         raise ValueError(f"message length {len(msg)} != k = {code.k}")
     return list((Mat4([msg]) @ code.generator()).row(0))
@@ -164,10 +164,11 @@ def local_repair(bc: BuiltCode, received: Sequence[int | None]) -> RepairOutcome
     n = bc.code.n
     if len(received) != n:
         raise ValueError(f"received word has length {len(received)}, want {n}")
-    word: list = [None if x is None else int(x) for x in received]
-    if not _RECEIVED_SYMBOLS.issuperset(word):
-        bad = sorted(set(word) - _RECEIVED_SYMBOLS)
+    # checked before the ints are taken, which would truncate 1.5
+    if not _RECEIVED_SYMBOLS.issuperset(received):
+        bad = sorted(set(received) - _RECEIVED_SYMBOLS, key=repr)
         raise ValueError(f"received symbols {bad} are not GF(4) elements 0..3")
+    word: list = [None if x is None else int(x) for x in received]
     view = bc.profile.group_view
     budget = bc.delta - 1
     hi, lo, erased = _pack_received(word)

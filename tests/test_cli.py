@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from lrc4.cli import FormatError, _built_comments, main, read_matrix, write_matrix
-from lrc4.code import HEXACODE_GEN
+from lrc4.code import HEXACODE_GEN, LinearCode
 from lrc4.constructions import acceptance_sweep, build, catalog
 from lrc4.mat4 import Mat4
 
@@ -208,6 +208,58 @@ def test_distance_subcommand(tmp_path, capsys):
         write_matrix(fh, HEXACODE_GEN)
     code, out, _ = run(capsys, "distance", "--generator", str(path))
     assert code == 0 and out.strip() == "4"
+
+
+def test_distance_settles_d_through_the_files_layout(tmp_path, capsys, monkeypatch):
+    # C17G l = 17 is [102,46,12]: past the column scan's budget and the
+    # enumeration guard, but its layout gives the blockwise DP
+    path = tmp_path / "c17g.txt"
+    run(capsys, "build", "--family", "C17G", "--l", "17", "--as", "parity", "--out", str(path))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the router ran on a file with a layout the DP takes")
+
+    with monkeypatch.context() as m:
+        m.setattr(LinearCode, "min_distance", refuse)
+        assert run(capsys, "distance", "--parity", str(path)) == (0, "12\n", "")
+    # without its group-rows comment the same matrix goes to the router
+    path = tmp_path / "c6.txt"
+    run(capsys, "build", "--family", "C6", "--l", "3", "--out", str(path))
+    text = path.read_text()
+    bare = tmp_path / "bare.txt"
+    bare.write_text("".join(l for l in text.splitlines(True) if not l.startswith("# group-rows")))
+    assert run(capsys, "distance", "--parity", str(bare)) == (0, "4\n", "")
+    # a layout that extract_profile rejects exits 2, as in verify
+    bad = tmp_path / "bad.txt"
+    bad.write_text(text.replace("# group-rows 1:2 3:4 5:6", "# group-rows 1:2 4:4 5:6"))
+    assert bad.read_text() != text
+    for cmd in ("distance", "verify"):
+        code, out, err = run(capsys, cmd, "--parity", str(bad))
+        assert (code, out) == (2, "")
+        assert err.startswith("lrc4: group row ranges must tile a prefix")
+
+
+def test_verify_reduces_a_loaded_matrix_once(tmp_path, capsys, monkeypatch):
+    # a parity file's layout profile holds the loaded code, and a
+    # generator file's restructured profile pairs the loaded generator
+    # with its stacked rows: one right kernel per verify
+    cases = [("parity", "C6", "--l", "3"), ("parity", "C16", "--d", "12"),
+             ("generator", "C16", "--d", "12")]
+    for kind, cid, *opts in cases:
+        path = tmp_path / f"{kind}.txt"
+        run(capsys, "build", "--family", cid, *opts, "--as", kind, "--out", str(path))
+        calls = []
+        real = Mat4.right_kernel
+
+        def spy(self):
+            calls.append(self.shape)
+            return real(self)
+
+        with monkeypatch.context() as m:
+            m.setattr(Mat4, "right_kernel", spy)
+            code, _, err = run(capsys, "verify", f"--{kind}", str(path))
+        assert (code, err) == (0, ""), (kind, cid)
+        assert len(calls) == 1, (kind, cid, calls)
 
 
 def test_classify_json(capsys):

@@ -388,16 +388,22 @@ def test_mds_checks_match_linear_codes_on_random_profiles():
 
 def test_least_weight_matches_min_distance():
     # independent rows, not reduced, so every scalar multiple of every
-    # row takes part in some least-weight word
+    # row takes part in some least-weight word; spread over a wider word
+    # with zero columns between, the mask naming the columns they fill,
+    # and above _SPAN_MAX_K rows measured as the code they generate
     rng = random.Random(7)
     for _ in range(500):
         n = rng.randrange(1, 9)
-        basis = Mat4([[rng.randrange(4) for _ in range(n)] for _ in range(rng.randrange(1, 5))])
+        basis = Mat4([[rng.randrange(4) for _ in range(n)] for _ in range(rng.randrange(1, 7))])
         if basis.rank() != basis.rows:
             continue
+        cols = sorted(rng.sample(range(n + 4), n))
+        wide = np.zeros((basis.rows, n + 4), dtype=np.uint8)
+        wide[:, cols] = basis.array
         code = LinearCode(gen=basis)
-        assert lrc._least_weight(pack_rows(basis), lambda: code) == code.min_distance()
-    assert lrc._least_weight([], None) is None
+        mask = sum(1 << c for c in cols)
+        assert lrc._least_weight(pack_rows(Mat4(wide)), mask) == code.min_distance()
+    assert lrc._least_weight([], 0) is None
 
 
 def test_mds_checks_match_linear_codes_on_catalogue_builds():
@@ -1076,7 +1082,7 @@ def test_blockwise_work_bound_is_checked_before_any_word_is_listed(monkeypatch):
     monkeypatch.setattr(lrc, "BLOCKWISE_MAX_WORK", 0)
     with pytest.raises(ResourceError, match="over the bound of 0"):
         blockwise_min_distance(profile)
-    assert lrc._blockwise_route(profile) is None
+    assert profile.min_distance() == 12  # by the router
 
 
 def test_group_view_names_a_row_or_coordinate_the_matrix_lacks():
@@ -1131,14 +1137,25 @@ def test_leaky_local_row_takes_the_router(monkeypatch):
 def test_blockwise_route_needs_a_partition_and_the_work_budget(monkeypatch):
     bc = build("C6", l=3)
     h = bc.profile.matrix
-    assert lrc._blockwise_route(bc.profile) is not None
+    routed = []  # (code, budget) of each LinearCode.min_distance call
+    real = LinearCode.min_distance
+
+    def spy(self, budget=None):
+        routed.append((self, budget))
+        return real(self, budget)
+
+    monkeypatch.setattr(LinearCode, "min_distance", spy)
+    assert bc.profile.min_distance() == 4 and routed == []  # by the DP
     unpartitioned = LocalityProfile(r=bc.r, delta=bc.delta, groups=bc.profile.groups,
                                     global_rows=bc.profile.global_rows, matrix=h,
                                     partitioned=False)
-    assert lrc._blockwise_route(unpartitioned) is None
+    assert unpartitioned.min_distance(7) == 4
+    assert routed == [(unpartitioned.code, 7)]
     monkeypatch.setattr(lrc, "BLOCKWISE_MAX_WORK", 0)
-    assert lrc._blockwise_route(bc.profile) is None
+    assert bc.profile.min_distance() == 4
+    assert routed[1:] == [(bc.code, None)]
     assert bc.verify().d == 4  # by the router
+    assert routed[2:] == [(bc.code, None)]
     # the public entry points refuse the same work instead of running the DP
     for measure, arg in ((blockwise_min_distance, bc.profile),
                          (constructions.blockwise_min_distance, bc)):

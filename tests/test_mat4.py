@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 from itertools import product
 
 import numpy as np
@@ -252,9 +253,15 @@ def test_eliminator_matches_dense_rank_under_push_pop(data):
 
 
 def test_entry_validation():
-    for bad in ([[0, 4]], [[-1]], [[256]]):
+    # non-integral entries are refused, not truncated; a cast would also
+    # wrap an int64 256 to 0
+    for bad in ([[0, 4]], [[-1]], [[256]], [[1.5, 2.9]], [[float("nan")]], [[float("inf")]],
+                [[Fraction(3, 2)]], [[2**70]], np.array([[256]], dtype=np.int64)):
         with pytest.raises(ValueError, match="GF\\(4\\) elements"):
             Mat4(bad)
+    # integral values of any numeric type are the field elements they name
+    for good in ([[2.0, 1]], np.array([[2, 1]]), [[np.int64(2), Fraction(1)]], [[2, True]]):
+        assert Mat4(good) == Mat4([[2, 1]])
     with pytest.raises(ShapeError):
         Mat4.from_string("1 0 / 1")
 

@@ -56,9 +56,11 @@ def test_encode_length_mismatch():
 
 def test_encode_rejects_non_field_symbols():
     bc = build("C4", l=2, r=3)
-    for bad in (4, -1, 256):
+    for bad in (4, -1, 256, 1.5):
         with pytest.raises(ValueError, match="GF\\(4\\) elements"):
             encode(bc, [bad] + [0] * (bc.code.k - 1))
+    # an integral value of another numeric type is the symbol it names
+    assert encode(bc, [1.0] + [0] * (bc.code.k - 1)) == encode(bc, [1] + [0] * (bc.code.k - 1))
 
 
 def test_zero_erasures_is_identity():
@@ -158,16 +160,26 @@ def test_erased_coordinates_range_checked():
             ErasurePattern.of(coords).apply(word)
         with pytest.raises(ValueError, match="out of range"):
             erasure_tolerance_ok(bc, ErasurePattern.of(coords))
+    # a non-integral coordinate is refused, not truncated to coordinate 1
+    for coords in ([1.5], [2, 1.5]):
+        with pytest.raises(ValueError, match="must be integers"):
+            ErasurePattern.of(coords)
+        with pytest.raises(ValueError, match="must be integers"):
+            erasure_tolerance_ok(bc, ErasurePattern(frozenset(coords)))
+    assert ErasurePattern.of([2.0, 1]) == ErasurePattern.of([1, 2])
 
 
 def test_received_symbols_checked():
     bc = build("C1", l=2, variant="a")
     word = encode(bc, [1] * bc.code.k)
-    for bad in (7, -1):
+    for bad in (7, -1, 1.5):
         received = [None] + word[1:]
         received[3] = bad
         with pytest.raises(ValueError, match="not GF"):
             local_repair(bc, received)
+    # an integral float is the symbol it names
+    received = [None] + [float(x) for x in word[1:]]
+    assert local_repair(bc, received).codeword == word
 
 
 def test_received_length_checked():
