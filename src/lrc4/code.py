@@ -218,18 +218,18 @@ class LinearCode:
         return LinearCode(gen=g.row_basis())
 
 
-def _coordinate_set(coords: Iterable[int]) -> frozenset[int]:
-    """The coordinates as ints; ValueError on one that int() would
-    truncate, such as 1.5."""
-    coords = list(coords)
-    ints = [int(i) for i in coords]
-    if ints != coords:
-        raise ValueError(f"coordinates must be integers, got {coords}")
-    return frozenset(ints)
+def _integers(values: Iterable[int], what: str) -> list[int]:
+    """The values as ints; ValueError on one that int() would truncate,
+    such as 1.5 (2.0 and numpy ints pass)."""
+    values = list(values)
+    ints = [int(v) for v in values]
+    if ints != values:
+        raise ValueError(f"{what} must be integers, got {values}")
+    return ints
 
 
 def _check_coordinate_set(coords: Iterable[int], n: int) -> frozenset[int]:
-    s = _coordinate_set(coords)
+    s = frozenset(_integers(coords, "coordinates"))
     bad = [i for i in s if not 1 <= i <= n]
     if bad:
         raise ValueError(f"coordinates out of range 1..{n}: {sorted(bad)}")

@@ -30,6 +30,7 @@ from math import ceil
 from typing import Callable, Iterator
 
 from . import gf4, lrc
+from ._gf4vec import Eliminator, pack_rows
 from .code import HEXACODE_GEN, CodeParams, LinearCode
 from .errors import CatalogError, RangeError, StructureError
 from .lrc import (
@@ -342,26 +343,27 @@ def verify_c17g_properties(l: int, triples=None) -> bool:
 
     (1) every triple spans a 3-dimensional subspace; (2) for i != j, all
     fifteen flagged combinations of triple i avoid the subspace of
-    triple j.
+    triple j.  Each plane is one :class:`Eliminator`; a combination lies
+    in it exactly when pushing it does not raise the rank.
     """
     if triples is None:
         triples = c17g_triples(l)
     else:
         triples = list(triples)[:l]
-    bases = []
+    planes, flagged = [], []
     for u, v, z in triples:
         m = Mat4([u, v, z])
-        if m.rank() != 3:
+        plane = Eliminator()
+        if not all(plane.push(x) for x in pack_rows(m)):
             return False
-        bases.append(m.rref()[0])
-    for i, (u, v, z) in enumerate(triples):
-        combos = Mat4(_FORBIDDEN_COMBOS) @ Mat4([u, v, z])
-        for j, basis in enumerate(bases):
-            if j == i:
-                continue
-            for t in range(combos.rows):
-                if vstack([basis, combos.take_rows([t])]).rank() == 3:
+        planes.append(plane)
+        flagged.append(pack_rows(Mat4(_FORBIDDEN_COMBOS) @ m))
+    for i, combos in enumerate(flagged):
+        for plane in planes[:i] + planes[i + 1:]:
+            for x in combos:
+                if not plane.push(x):
                     return False
+                plane.pop()
     return True
 
 

@@ -27,10 +27,10 @@ supports rebuild the block layout, and r-optimality is read from it
 A :class:`LocalityProfile` is a row layout: the partition of a
 constraint matrix's rows into local groups plus a global group, with
 1-based row and column indexing throughout; the structure checks read
-it.  A profile compiles its groups once, on first use, into a
-:class:`GroupView` of packed ints, which the repair simulator, the
-structure checks and the blockwise distance read, and it holds the
-code of its parity check, reduced once, as ``code``.  When the groups
+it.  A profile checks its layout when it is made and compiles its
+groups then into a :class:`GroupView` of packed ints, which the repair
+simulator, the structure checks and the blockwise distance read, and it
+holds the code of its parity check, reduced once, as ``code``.  When the groups
 are disjoint, :func:`blockwise_min_distance` settles the minimum
 distance by dynamic programming over the global syndromes of the
 groups' local-kernel words; ``LocalityProfile.min_distance`` takes that
@@ -74,7 +74,7 @@ from ._gf4vec import (
     reduce_planes,
     unpack,
 )
-from .code import LinearCode
+from .code import LinearCode, _integers
 from .errors import (
     ResourceError,
     ScanBudgetExceeded,
@@ -158,6 +158,12 @@ class LocalityProfile:
     certified LRC but no full-rank parity-check matrix admits a
     local/global row partition; ``matrix`` is then an augmented
     (redundant-row) constraint stack.
+
+    The layout is checked when the profile is made, ``dataclasses.replace``
+    included: each group names a row, the groups and ``global_rows`` name
+    every row of ``matrix`` exactly once, every support lies in 1..n and
+    each group's rows are zero outside its support; StructureError
+    otherwise.  The groups are then compiled into ``group_view``.
     """
 
     r: int
@@ -166,6 +172,34 @@ class LocalityProfile:
     global_rows: tuple[int, ...]
     matrix: Mat4 = field(repr=False)
     partitioned: bool = True
+    group_view: GroupView = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        m, n = self.matrix.rows, self.matrix.cols
+        named = [i for g in self.groups for i in g.rows] + list(self.global_rows)
+        if sorted(named) != list(range(1, m + 1)):
+            wrong = sorted({i for i in named if named.count(i) > 1 or not 1 <= i <= m}
+                           | set(range(1, m + 1)).difference(named))
+            raise StructureError(f"the groups and global rows must name each of the matrix's "
+                                 f"rows 1..{m} exactly once; rows {wrong} break this")
+        words = tuple(pack_rows(self.matrix))
+        coords = frozenset(range(1, n + 1))
+        masks, rows, groups_of = [], [], [[] for _ in range(n)]
+        for gi, g in enumerate(self.groups):
+            if not g.rows:
+                raise StructureError(f"group {gi + 1} names no row")
+            if not g.support <= coords:
+                raise StructureError(f"group {gi + 1} names coordinate "
+                                     f"{min(g.support - coords)}, outside 1..{n}")
+            masks.append(sum(1 << c - 1 for c in g.support))
+            rows.append(tuple(words[i - 1] for i in g.rows))
+            if any((h | l) & ~masks[-1] for h, l in rows[-1]):
+                raise StructureError(f"local rows {g.rows} of group {gi + 1} are nonzero "
+                                     "outside its support")
+            for c in g.support:
+                groups_of[c - 1].append(gi)
+        self.group_view = GroupView(words=words, masks=tuple(masks), rows=tuple(rows),
+                                    groups_of=tuple(map(tuple, groups_of)))
 
     @property
     def l(self) -> int:
@@ -197,33 +231,6 @@ class LocalityProfile:
             else:
                 return _blockwise_dp(len(self.global_rows), tables)
         return self.code.min_distance(budget)
-
-    @cached_property
-    def group_view(self) -> GroupView:
-        """The groups compiled for repair, the structure checks and the
-        blockwise distance, on first use only.  Raises StructureError
-        when a group names a row the matrix lacks or a coordinate
-        outside 1..n."""
-        m, n = self.matrix.rows, self.matrix.cols
-        for gi, g in enumerate(self.groups):
-            for i in g.rows:
-                if not 1 <= i <= m:
-                    raise StructureError(f"group {gi + 1} names row {i}, but the matrix has "
-                                         f"rows 1..{m}")
-            for c in sorted(g.support):
-                if not 1 <= c <= n:
-                    raise StructureError(f"group {gi + 1} names coordinate {c}, outside 1..{n}")
-        words = tuple(pack_rows(self.matrix))
-        groups_of: list[list[int]] = [[] for _ in range(n)]
-        for gi, g in enumerate(self.groups):
-            for c in g.support:
-                groups_of[c - 1].append(gi)
-        return GroupView(
-            words=words,
-            masks=tuple(sum(1 << c - 1 for c in g.support) for g in self.groups),
-            rows=tuple(tuple(words[i - 1] for i in g.rows) for g in self.groups),
-            groups_of=tuple(map(tuple, groups_of)),
-        )
 
 
 @dataclass(frozen=True)
@@ -525,15 +532,15 @@ def extract_profile(
     layout: Sequence[tuple[int, int]],
     r: int,
     delta: int,
-    partitioned: bool = True,
 ) -> LocalityProfile:
     """Build a profile from a parity-check matrix and its group row ranges.
 
     ``layout`` lists 1-based inclusive row ranges, one per local group,
     partitioning a prefix of the rows; the remaining rows are global.
+    Each group's support is the columns its rows touch.
     """
     n = pchk.cols
-    ranges = [(int(a), int(b)) for a, b in layout]
+    ranges = [tuple(_integers(pair, "group row ranges")) for pair in layout]
     expect = 1
     for a, b in ranges:
         if a != expect or b < a:
@@ -565,24 +572,8 @@ def extract_profile(
     for i in range(len(groups)):
         if _others_cover(supports, i, n):
             raise StructureError(f"dropping group {i + 1} still covers all coordinates")
-    return LocalityProfile(
-        r=r,
-        delta=delta,
-        groups=tuple(groups),
-        global_rows=global_rows,
-        matrix=pchk,
-        partitioned=partitioned,
-    )
-
-
-def _local_dual_basis(words: list[Vec], n: int, support: int) -> list[Vec]:
-    """RREF basis of the words in the span of the packed length-n ``words``
-    that vanish off the bit mask ``support``: with each word's part off
-    the support in the low n bits and the whole word above, they are the
-    echelon rows whose pivot is at bit n or above, shifted down."""
-    off = ((1 << n) - 1) ^ support
-    rows = [((h & off) | h << n, (l & off) | l << n) for h, l in words]
-    return [(h >> n, l >> n) for p, (h, l) in zip(echelon(rows), rows) if p >= n]
+    return LocalityProfile(r=r, delta=delta, groups=tuple(groups), global_rows=global_rows,
+                           matrix=pchk)
 
 
 def _select_cover(
@@ -622,15 +613,19 @@ def _select_cover(
 
 def structured_parity_check(
     c: LinearCode, supports: Sequence[frozenset[int]]
-) -> tuple[Mat4, list[tuple[int, int]], bool]:
+) -> tuple[Mat4, tuple[LocalGroup, ...], bool]:
     """Rebuild a constraint matrix in local/global block form.
 
     Local groups are qualifying ``supports`` (in (size, lex) order)
     selected so that they cover every coordinate and their per-support
     dual bases stay mutually independent; the global rows extend the
-    stack to a full dual basis.  Returns the matrix, the
-    1-based group row ranges, and whether the rows form a genuine
-    partition of a full-rank parity check.
+    stack to a full dual basis.  A support S's dual basis is the RREF
+    basis of the right kernel of G|_S, the generator masked to S: a
+    dual word supported in S is exactly a solution of G|_S x = 0, and
+    it touches every coordinate of S, since C|_S has d >= delta >= 2.
+    Returns the matrix, the local groups (their rows first, the global
+    rows after them), and whether the rows form a genuine partition of
+    a full-rank parity check.
 
     Some certified LRCs admit no such partition at all (every qualifying
     cover needs more than n - k group rows); for those the matrix is an
@@ -638,9 +633,14 @@ def structured_parity_check(
     runs on packed rows; the finished matrix is unpacked once.
     """
     n = c.n
-    words = pack_rows(c.pchk)
-    candidates = [(s, _local_dual_basis(words, n, sum(1 << i - 1 for i in s))) for s in supports]
-    candidates = [(s, b) for s, b in candidates if b]
+    gen = pack_rows(c.gen)
+    candidates = []
+    for s in supports:
+        mask = sum(1 << i - 1 for i in s)
+        block = kernel([(h & mask, l & mask) for h, l in gen], mask)
+        if block:
+            echelon(block)
+            candidates.append((s, block))
     chosen = _select_cover(n, candidates)
     partitioned = chosen is not None
     if chosen is None:
@@ -651,20 +651,22 @@ def structured_parity_check(
     # the search never picks a support twice, so supports identify blocks
     kept = _minimal_cover([candidates[i][0] for i in chosen], n)
     rows: list[Vec] = []
-    layout: list[tuple[int, int]] = []
+    groups = []
     for s, b in (candidates[i] for i in chosen):
         if s in kept:
-            layout.append((len(rows) + 1, len(rows) + len(b)))
+            groups.append(LocalGroup(rows=tuple(range(len(rows) + 1, len(rows) + len(b) + 1)),
+                                     support=s))
             rows += b
     elim = Eliminator()
     for v in rows:
         elim.push(v)
+    words = pack_rows(c.pchk)
     rows += [v for v in words if elim.push(v)]
     if elim.rank != len(words):
         raise StructureError("restructured parity check lost rank")
     if partitioned and len(rows) != len(words):
         raise StructureError("partitioned stack has redundant rows")
-    return Mat4(unpack(rows, n)), layout, partitioned
+    return Mat4(unpack(rows, n)), tuple(groups), partitioned
 
 
 def restructure(c: LinearCode, found: LocalitySearch) -> LocalityProfile:
@@ -675,8 +677,10 @@ def restructure(c: LinearCode, found: LocalitySearch) -> LocalityProfile:
     if not found.ok:
         raise StructureError(f"coordinates {list(found.bad_coordinates)} have no "
                              f"({found.r},{found.delta}) repair support")
-    h, layout, partitioned = structured_parity_check(c, found.qualifying)
-    profile = extract_profile(h, layout, r=found.r, delta=found.delta, partitioned=partitioned)
+    h, groups, partitioned = structured_parity_check(c, found.qualifying)
+    profile = LocalityProfile(r=found.r, delta=found.delta, groups=groups,
+                              global_rows=tuple(range(groups[-1].rows[-1] + 1, h.rows + 1)),
+                              matrix=h, partitioned=partitioned)
     profile.code = LinearCode._proved(c.gen, profile.parity_check())
     return profile
 
@@ -763,14 +767,10 @@ def _blockwise_dp(g: int, tables: list[tuple[np.ndarray, np.ndarray]]) -> int:
 def _blockwise_tables(profile: LocalityProfile) -> list[tuple[np.ndarray, np.ndarray]]:
     """The groups' :func:`_splice_table` tables, for a profile whose code
     the DP measures exactly within :data:`BLOCKWISE_MAX_WORK` table
-    operations.  Raises ValueError on any other profile and
+    operations: its group supports are pairwise disjoint and cover every
+    coordinate.  Raises ValueError on any other profile and
     ResourceError past the bound, before any kernel word is listed."""
-    h = profile.matrix
-    n = h.cols
-    rows = [i for g in profile.groups for i in g.rows] + list(profile.global_rows)
-    if not all(g.rows for g in profile.groups) or sorted(rows) != list(range(1, h.rows + 1)):
-        raise ValueError("blockwise distance: every group needs rows, and group and global "
-                         "rows must partition the matrix")
+    n = profile.matrix.cols
     view = profile.group_view
     cover = 0
     for mask in view.masks:
@@ -778,10 +778,6 @@ def _blockwise_tables(profile: LocalityProfile) -> list[tuple[np.ndarray, np.nda
     if cover != (1 << n) - 1 or sum(m.bit_count() for m in view.masks) != n:
         raise ValueError("blockwise distance: group supports must be pairwise disjoint "
                          "and cover every coordinate")
-    for group, mask, local in zip(profile.groups, view.masks, view.rows):
-        if any((h | l) & ~mask for h, l in local):
-            raise ValueError(f"blockwise distance: local rows {group.rows} are nonzero "
-                             "outside their group's support")
     g = len(profile.global_rows)
     glob = [view.words[i - 1] for i in profile.global_rows]
     syn_cols = ((1 << g) - 1) << n
@@ -805,7 +801,7 @@ def blockwise_min_distance(profile: LocalityProfile) -> int:
     group structure.
 
     When the group supports are pairwise disjoint and cover every
-    coordinate, and each local row is zero outside its group's support,
+    coordinate (a profile's local rows vanish off their group's support),
     a codeword is a splice of local-kernel words, one per group, whose
     global-row syndromes cancel.  Per group, one table lists each packed
     global syndrome of a nonzero kernel word with its least weight; it
@@ -815,8 +811,8 @@ def blockwise_min_distance(profile: LocalityProfile) -> int:
     table per distinct syndrome to an int32 table and finds the least
     positive splice weight exactly, far beyond the generic enumeration
     and column-scan guards: the full 17-group code ([102,46]) takes
-    about a million table operations.  Raises ValueError on any other profile (StructureError
-    when a group names a coordinate outside 1..n), and ResourceError
+    about a million table operations.  Raises ValueError when the
+    supports overlap or leave a coordinate uncovered, and ResourceError
     when the estimated table work, read off the kernel dimensions
     before any word is listed, exceeds :data:`BLOCKWISE_MAX_WORK`.
     """
@@ -902,8 +898,7 @@ def check_structure(
     profile's cached ``code``.
 
     A partitioned profile's matrix must be a full-rank parity check, else
-    RankError; a group naming a row or coordinate the matrix lacks raises
-    StructureError.  d is settled by :meth:`LocalityProfile.min_distance`
+    RankError.  d is settled by :meth:`LocalityProfile.min_distance`
     with ``scan_budget``.  r-optimality is read from ``search``, a
     successful (r, delta) :func:`verify_locality` result, if given.  Else,
     with d exact and r >= 2, a d above the (r-1, delta) Singleton-like

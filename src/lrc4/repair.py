@@ -11,7 +11,7 @@ local failure, because the simulator exists to certify locality, not to
 be a decoder.
 
 What a repair needs of the profile is fixed, so the profile compiles it
-once, on first use (a repair or a structure check), into its ``group_view``
+once, when it is made, into its ``group_view``
 (:class:`~lrc4.lrc.GroupView`): each group's support as a bit mask and
 its local rows packed as in ``_gf4vec``, the groups holding each
 coordinate, and every row of the matrix packed.  A repair packs the
@@ -34,7 +34,7 @@ from typing import Sequence
 
 from . import gf4
 from ._gf4vec import Vec, echelon
-from .code import _check_coordinate_set, _coordinate_set
+from .code import _check_coordinate_set, _integers
 from .constructions import BuiltCode
 from .mat4 import Mat4
 
@@ -57,11 +57,12 @@ class ErasurePattern:
 
     @classmethod
     def of(cls, coords) -> "ErasurePattern":
-        return cls(_coordinate_set(coords))
+        return cls(frozenset(_integers(coords, "coordinates")))
 
     def apply(self, codeword: Sequence[int]) -> list[int | None]:
         _check_coordinate_set(self.erased, len(codeword))
-        return [None if (i + 1) in self.erased else int(x) for i, x in enumerate(codeword)]
+        word = _integers(codeword, "codeword entries")
+        return [None if (i + 1) in self.erased else x for i, x in enumerate(word)]
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import random
 import re
 
 import pytest
@@ -24,7 +25,7 @@ from lrc4.constructions import (
 from lrc4.errors import CatalogError, RangeError
 from lrc4 import lrc
 from lrc4.lrc import check_structure
-from lrc4.mat4 import Mat4
+from lrc4.mat4 import Mat4, vstack
 from lrc4.pg import enumerate_points, normalize
 from test_classify import constructed_instances
 
@@ -436,6 +437,46 @@ def test_c17g_properties_reject_degenerate_triple():
     triples = c17g_triples(17)
     broken = [(triples[0][1], triples[0][1], triples[0][2])] + triples[1:]
     assert not verify_c17g_properties(17, triples=broken)
+
+
+def c17g_properties_by_mat4(l, triples):
+    """The Mat4 formulation of verify_c17g_properties: each triple's rank,
+    then each flagged combination stacked under every other triple's rref
+    basis, in the plane when the stack keeps rank 3."""
+    triples = list(triples)[:l]
+    bases = []
+    for u, v, z in triples:
+        m = Mat4([u, v, z])
+        if m.rank() != 3:
+            return False
+        bases.append(m.rref()[0])
+    for i, (u, v, z) in enumerate(triples):
+        combos = Mat4(_FORBIDDEN_COMBOS) @ Mat4([u, v, z])
+        for j, basis in enumerate(bases):
+            if j == i:
+                continue
+            for t in range(combos.rows):
+                if vstack([basis, combos.take_rows([t])]).rank() == 3:
+                    return False
+    return True
+
+
+def test_c17g_properties_match_the_mat4_formulation():
+    for l in range(4, 18):
+        assert verify_c17g_properties(l) is c17g_properties_by_mat4(l, c17g_triples(l)) is True
+    # single-entry mutations of the table, each entry moved to another
+    # GF(4) value; the Mat4 route takes ~0.1 s a table, so 80 of them
+    rng = random.Random(17)
+    table = c17g_triples(17)
+    verdicts = []
+    for _ in range(80):
+        mutated = [[list(vec) for vec in triple] for triple in table]
+        vec = mutated[rng.randrange(17)][rng.randrange(3)]
+        vec[rng.randrange(len(vec))] ^= rng.randrange(1, 4)
+        got = verify_c17g_properties(17, triples=mutated)
+        assert got is c17g_properties_by_mat4(17, mutated)
+        verdicts.append(got)
+    assert verdicts.count(True) >= 5 and verdicts.count(False) >= 5
 
 
 def test_c17g_triples_range():

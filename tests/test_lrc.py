@@ -16,7 +16,7 @@ from lrc4 import gf4
 from lrc4.code import LinearCode, hexacode, span_chunks
 from lrc4.constructions import build
 from lrc4 import constructions, lrc
-from lrc4._gf4vec import pack_rows, unpack
+from lrc4._gf4vec import echelon, kernel, pack_rows, unpack
 from lrc4.errors import (
     EmptyCodeError,
     Lrc4Error,
@@ -153,6 +153,13 @@ def test_extract_profile_c6():
     assert sorted(profile.groups[0].support) == [1, 2, 3, 4, 5]
     assert sorted(profile.groups[1].support) == [6, 7, 8, 9, 10]
     assert profile.global_rows == (5,)
+    # integral floats and numpy ints name the same rows; 1.5 is refused,
+    # not truncated to row 1
+    same = extract_profile(bc.code.parity_check(), [(1, 2.0), (np.int64(3), 4)], r=3, delta=3)
+    assert same == profile
+    for layout in ([(1.5, 2.9), (3, 4)], [(1, 2), (3, 4.5)]):
+        with pytest.raises(ValueError, match="group row ranges must be integers"):
+            extract_profile(bc.code.parity_check(), layout, r=3, delta=3)
 
 
 def test_extract_profile_overlap_variant():
@@ -484,12 +491,42 @@ def test_qualifying_supports_hexacode():
 
 def test_structured_parity_check_rebuilds_layout():
     base = build("C16", d=12).code
-    h, layout, partitioned = structured_parity_check(base, verify_locality(base, 2, 3).qualifying)
+    h, groups, partitioned = structured_parity_check(base, verify_locality(base, 2, 3).qualifying)
     assert partitioned
     assert h.rank() == h.rows == base.n - base.k
-    assert all(b - a + 1 == 2 for a, b in layout)  # delta - 1 rows per group
+    assert all(len(g.rows) == 2 for g in groups)  # delta - 1 rows per group
+    layout = [(g.rows[0], g.rows[-1]) for g in groups]
     profile = extract_profile(h, layout, r=2, delta=3)
     assert profile.l >= 4
+    assert profile.groups == groups
+
+
+def _reread(profile):
+    """A restructured profile read back through extract_profile from its
+    matrix and its groups' row ranges: the second route to its layout."""
+    layout = [(g.rows[0], g.rows[-1]) for g in profile.groups]
+    assert all(g.rows == tuple(range(a, b + 1)) for g, (a, b) in zip(profile.groups, layout))
+    again = extract_profile(profile.matrix, layout, r=profile.r, delta=profile.delta)
+    assert (again.groups, again.global_rows) == (profile.groups, profile.global_rows)
+
+
+def test_restructured_profiles_reread_through_extract_profile():
+    # every generator build with n <= 64 (the C19 d = 9 augmented stack
+    # among them), and the sweep codes' generators restructured from a
+    # search alone, with no layout given
+    generator_builds = 0
+    for cid, kw, _ in constructed_instances(64):
+        bc = build(cid, **kw)
+        if bc.family.generator:
+            _reread(bc.profile)
+            generator_builds += 1
+    assert generator_builds == len(RESTRUCTURED_DIGESTS)
+    c19 = build("C19", d=9).profile  # among them, an augmented stack
+    assert not c19.partitioned and c19.matrix.rows > c19.code.n - c19.code.k
+    for cid, kw in constructions.acceptance_sweep():
+        bc = build(cid, **kw)
+        code = LinearCode(gen=bc.code.generator())
+        _reread(lrc.restructure(code, verify_locality(code, bc.r, bc.delta)))
 
 
 # restructured matrix, its shape, the group row ranges and ``partitioned``
@@ -532,12 +569,18 @@ def test_restructured_generator_builds_match_recorded_digests():
     st.lists(st.lists(st.integers(0, 3), min_size=n, max_size=n), min_size=1, max_size=n),
     st.sets(st.integers(1, n), max_size=n))))
 def test_packed_local_dual_basis_matches_span_oracle(case):
+    # structured_parity_check's local block on a support S: the right
+    # kernel of the generator masked to S, in reduced echelon form, is
+    # exactly the dual words that vanish off S
     rows, support = case
     h = Mat4(rows).row_basis()
     n = h.cols
     off = [c for c in range(n) if c + 1 not in support]
     want = {tuple(w) for w in h.span_words() if not w[off].any()}
-    basis = Mat4(unpack(lrc._local_dual_basis(pack_rows(h), n, sum(1 << c - 1 for c in support)), n))
+    mask = sum(1 << c - 1 for c in support)
+    block = kernel([(a & mask, b & mask) for a, b in pack_rows(h.right_kernel())], mask)
+    echelon(block)
+    basis = Mat4(unpack(block, n))
     assert {tuple(w) for w in basis.span_words()} == want
     assert basis.row_basis() == basis  # independent rows, in reduced echelon form
 
@@ -1086,52 +1129,71 @@ def test_blockwise_work_bound_is_checked_before_any_word_is_listed(monkeypatch):
 
 
 def test_group_view_names_a_row_or_coordinate_the_matrix_lacks():
-    bc = build("C6", l=3)  # [15,8,4], three disjoint groups
+    bc = build("C6", l=3)  # [15,8,4], three disjoint groups, rows 1..7
     p = bc.profile
     first, *rest = p.groups
-    no_row = dataclasses.replace(
-        p, groups=(LocalGroup(rows=(1, 99), support=first.support), *rest))
-    with pytest.raises(StructureError, match="row 99"):
-        check_structure(no_row)
-    received = [None] + [0] * (bc.code.n - 1)
-    with pytest.raises(StructureError, match="row 99"):
-        local_repair(dataclasses.replace(bc, profile=no_row), received)
-    # the blockwise distance sees the broken row partition first
-    with pytest.raises(ValueError, match="partition"):
-        blockwise_min_distance(no_row)
+    # the profile refuses such a layout where it is made, so no check,
+    # repair or distance ever reads it
+    with pytest.raises(StructureError, match=r"rows 1\.\.7 exactly once; rows \[2, 99\]"):
+        dataclasses.replace(p, groups=(LocalGroup(rows=(1, 99), support=first.support), *rest))
     for c in (0, 16):
-        off = dataclasses.replace(
-            p, groups=(LocalGroup(rows=first.rows, support=first.support | {c}), *rest))
         with pytest.raises(StructureError, match=f"coordinate {c}, outside 1..15"):
-            check_structure(off)
-        with pytest.raises(StructureError, match=f"coordinate {c}"):
-            local_repair(dataclasses.replace(bc, profile=off), received)
+            dataclasses.replace(
+                p, groups=(LocalGroup(rows=first.rows, support=first.support | {c}), *rest))
+    received = [None] + [0] * (bc.code.n - 1)
     assert local_repair(bc, received).ok
 
 
 def _leaky(bc):
-    """The profile of ``bc`` over a matrix whose first local row has a
-    global row added: the same code, but that row leaks outside its group."""
+    """The matrix of ``bc``'s profile with a global row added to its first
+    local row: the same code, but that row leaks outside its group."""
     h = bc.profile.matrix.array.copy()
     h[0] ^= h[bc.profile.global_rows[0] - 1]
     leaky = Mat4(h)
     assert not {c + 1 for c in leaky.column_support([0])} <= bc.profile.groups[0].support
-    return LocalityProfile(r=bc.r, delta=bc.delta, groups=bc.profile.groups,
-                           global_rows=bc.profile.global_rows, matrix=leaky)
+    return leaky
 
 
-def test_leaky_local_row_takes_the_router(monkeypatch):
-    bc = build("C6", l=3)  # disjoint groups, [15,8,4]
-    profile = _leaky(bc)
-    with pytest.raises(ValueError, match="outside"):
-        blockwise_min_distance(profile)
+def _broken_layouts(bc):
+    """One layout per rule a profile checks where it is made, each
+    breaking only that rule: {case: (changed fields, error text)}."""
+    p = bc.profile
+    first, *rest = p.groups
+    n, m = p.matrix.cols, p.matrix.rows
+    return {
+        "no-row": ({"groups": (*p.groups, LocalGroup(rows=(), support=first.support))},
+                   f"group {p.l + 1} names no row"),
+        "row-twice": ({"global_rows": p.global_rows + p.global_rows[-1:]},
+                      rf"rows 1\.\.{m} exactly once; rows \[{m}\]"),
+        "row-unnamed": ({"global_rows": p.global_rows[:-1]},
+                        rf"rows 1\.\.{m} exactly once; rows \[{m}\]"),
+        "outside-1..n": ({"groups": (LocalGroup(rows=first.rows, support=first.support | {n + 1}),
+                                     *rest)},
+                         f"group 1 names coordinate {n + 1}, outside 1..{n}"),
+        "leak": ({"matrix": _leaky(bc)}, r"local rows \(1, 2\) of group 1 are nonzero outside"),
+    }
 
-    def refuse(*args):
-        raise AssertionError("the blockwise DP ran on an unfit profile")
 
-    monkeypatch.setattr(lrc, "_blockwise_dp", refuse)
-    report = check_structure(profile)
-    assert report.d == bc.code.min_distance() == 4
+@pytest.mark.parametrize("route", ["constructor", "replace"])
+@pytest.mark.parametrize("case", ["no-row", "row-twice", "row-unnamed", "outside-1..n", "leak"])
+def test_profile_checks_its_layout_where_it_is_made(case, route):
+    bc = build("C6", l=3)
+    p = bc.profile
+    changes, message = _broken_layouts(bc)[case]
+    fields = {"r": p.r, "delta": p.delta, "groups": p.groups, "global_rows": p.global_rows,
+              "matrix": p.matrix}
+
+    def make(**changes):
+        if route == "constructor":
+            return LocalityProfile(**{**fields, **changes})
+        return dataclasses.replace(p, **changes)
+
+    with pytest.raises(StructureError, match=message):
+        make(**changes)
+    # the unbroken layout passes, and its view is compiled again
+    again = make()
+    assert again == p and again.group_view == p.group_view
+    assert again.group_view is not p.group_view
 
 
 def test_blockwise_route_needs_a_partition_and_the_work_budget(monkeypatch):

@@ -42,6 +42,10 @@ def test_normalize():
     assert normalize(p.coords) == p  # involution-free
     with pytest.raises(ValueError):
         normalize((0, 0, 0))
+    # a non-integral coordinate is refused, not truncated to (1 w)
+    with pytest.raises(ValueError, match="must be integers"):
+        normalize([1.5, 2])
+    assert normalize([2.0, np.int64(2)]) == normalize((2, 2))
     with pytest.raises(ValueError):
         PgPoint((gf4.W, 0, 0))  # not normalized
 

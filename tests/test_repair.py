@@ -167,6 +167,10 @@ def test_erased_coordinates_range_checked():
         with pytest.raises(ValueError, match="must be integers"):
             erasure_tolerance_ok(bc, ErasurePattern(frozenset(coords)))
     assert ErasurePattern.of([2.0, 1]) == ErasurePattern.of([1, 2])
+    # and so is a non-integral codeword entry, which read as [None, 1, 2]
+    with pytest.raises(ValueError, match="codeword entries must be integers"):
+        ErasurePattern.of([1]).apply([0, 1.5, 2])
+    assert ErasurePattern.of([1]).apply([0, 1.0, np.int64(2)]) == [None, 1, 2]
 
 
 def test_received_symbols_checked():
