@@ -308,11 +308,8 @@ def verify_counting_bounds() -> EvidenceReport:
 
     a_dist_5 = mds_weight_distribution(5, 3)
     proj_a3 = a_dist_5[3] // 3
-    line_bound = 1
-    l = 1
-    while 1 + 4 * proj_a3 * l <= points_pg4 - (proj_a3 - 1):
-        line_bound = l + 1
-        l += 1
+    # the largest l with 1 + 4 * proj_a3 * (l - 1) <= points_pg4 - (proj_a3 - 1)
+    line_bound = (points_pg4 - proj_a3) // (4 * proj_a3) + 1
 
     facts = {
         "points_pg4": points_pg4,

@@ -53,22 +53,22 @@ from .pg import normalize
 LOCAL_5 = Mat4.from_string("1 0 1 1 1 / 0 1 1 w W")
 
 #: LOCAL_5 without its 4th column ([4,2,3] local structure, variant used by C2)
-LOCAL_4A = Mat4.from_string("1 0 1 1 / 0 1 1 W")
+LOCAL_4A = LOCAL_5.delete_columns([3])
 
 #: LOCAL_5 without its 5th column ([4,2,3] local structure, used by C4/C7)
-LOCAL_4B = Mat4.from_string("1 0 1 1 / 0 1 1 w")
+LOCAL_4B = LOCAL_5.delete_columns([4])
 
 #: LOCAL_5 without columns 4,5 (kernel is the [3,1,3] repetition code)
-LOCAL_3 = Mat4.from_string("1 0 1 / 0 1 1")
+LOCAL_3 = LOCAL_5.delete_columns([3, 4])
 
 #: Hexacode generator doubling as the 3-row [6,3,4] local block
 LOCAL_6 = HEXACODE_GEN
 
 #: LOCAL_6 without its 5th column ([5,2,4] local code, used by C8/C11)
-LOCAL_5C = Mat4.from_string("1 0 0 1 1 / 0 1 0 1 W / 0 0 1 1 w")
+LOCAL_5C = LOCAL_6.delete_columns([4])
 
 #: LOCAL_6 without columns 5,6 (kernel is the [4,1,4] repetition code)
-LOCAL_4C = Mat4.from_string("1 0 0 1 / 0 1 0 1 / 0 0 1 1")
+LOCAL_4C = LOCAL_6.delete_columns([4, 5])
 
 
 def single_parity_generator(delta: int) -> Mat4:

@@ -27,10 +27,10 @@ supports rebuild the block layout, and r-optimality is read from it
 A :class:`LocalityProfile` is a row layout: the partition of a
 constraint matrix's rows into local groups plus a global group, with
 1-based row and column indexing throughout; the structure checks read
-it.  A profile checks its layout when it is made and compiles its
-groups then into a :class:`GroupView` of packed ints, which the repair
-simulator, the structure checks and the blockwise distance read, and it
-holds the code of its parity check, reduced once, as ``code``.  When the groups
+it.  A profile checks its layout when it is made and compiles it then
+into packed ints on its own fields, which the repair simulator, the
+structure checks and the blockwise distance read, and it holds the
+code of its parity check, reduced once, as ``code``.  When the groups
 are disjoint, :func:`blockwise_min_distance` settles the minimum
 distance by dynamic programming over the global syndromes of the
 groups' local-kernel words; ``LocalityProfile.min_distance`` takes that
@@ -134,22 +134,6 @@ class LocalGroup:
     support: frozenset[int]
 
 
-@dataclass(frozen=True)
-class GroupView:
-    """A profile's groups as plain ints, for the per-word repair loops
-    and the structure checks.
-
-    Coordinate c is bit c - 1 of a mask or a packed vector.  A group's
-    local rows vanish off its support, so packed over all n coordinates
-    they are its rows restricted to its columns.
-    """
-
-    words: tuple[Vec, ...]  # every row of the matrix, packed
-    masks: tuple[int, ...]  # each group's support as a bit mask
-    rows: tuple[tuple[Vec, ...], ...]  # each group's local rows, packed
-    groups_of: tuple[tuple[int, ...], ...]  # [c - 1]: 0-based groups holding c, in order
-
-
 @dataclass
 class LocalityProfile:
     """Partition of ``matrix``'s rows into local groups plus a global group.
@@ -160,10 +144,15 @@ class LocalityProfile:
     (redundant-row) constraint stack.
 
     The layout is checked when the profile is made, ``dataclasses.replace``
-    included: each group names a row, the groups and ``global_rows`` name
-    every row of ``matrix`` exactly once, every support lies in 1..n and
-    each group's rows are zero outside its support; StructureError
-    otherwise.  The groups are then compiled into ``group_view``.
+    included.  Its group rows, supports and global rows are taken as
+    ints (ValueError on one that int() would truncate, such as 1.5); then
+    each group names a row, the groups and ``global_rows`` name every row
+    of ``matrix`` exactly once, every support lies in 1..n and each
+    group's rows are zero outside its support; StructureError otherwise.
+    The layout is then compiled into the packed fields below, which take
+    no part in comparison: coordinate c is bit c - 1 of a mask or a
+    packed vector, and a group's local rows, which vanish off its
+    support, are its rows restricted to its columns.
     """
 
     r: int
@@ -172,9 +161,20 @@ class LocalityProfile:
     global_rows: tuple[int, ...]
     matrix: Mat4 = field(repr=False)
     partitioned: bool = True
-    group_view: GroupView = field(init=False, repr=False, compare=False)
+    #: every row of the matrix, packed
+    words: tuple[Vec, ...] = field(init=False, repr=False, compare=False)
+    #: each group's support as a bit mask
+    masks: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    #: each group's local rows, packed
+    local_rows: tuple[tuple[Vec, ...], ...] = field(init=False, repr=False, compare=False)
+    #: [c - 1]: the 0-based groups holding coordinate c, in order
+    groups_of: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
+        self.groups = tuple(LocalGroup(rows=tuple(_integers(g.rows, "group rows")),
+                                       support=frozenset(_integers(g.support, "group supports")))
+                            for g in self.groups)
+        self.global_rows = tuple(_integers(self.global_rows, "global rows"))
         m, n = self.matrix.rows, self.matrix.cols
         named = [i for g in self.groups for i in g.rows] + list(self.global_rows)
         if sorted(named) != list(range(1, m + 1)):
@@ -182,9 +182,9 @@ class LocalityProfile:
                            | set(range(1, m + 1)).difference(named))
             raise StructureError(f"the groups and global rows must name each of the matrix's "
                                  f"rows 1..{m} exactly once; rows {wrong} break this")
-        words = tuple(pack_rows(self.matrix))
+        self.words = words = tuple(pack_rows(self.matrix))
         coords = frozenset(range(1, n + 1))
-        masks, rows, groups_of = [], [], [[] for _ in range(n)]
+        masks, local_rows, groups_of = [], [], [[] for _ in range(n)]
         for gi, g in enumerate(self.groups):
             if not g.rows:
                 raise StructureError(f"group {gi + 1} names no row")
@@ -192,21 +192,18 @@ class LocalityProfile:
                 raise StructureError(f"group {gi + 1} names coordinate "
                                      f"{min(g.support - coords)}, outside 1..{n}")
             masks.append(sum(1 << c - 1 for c in g.support))
-            rows.append(tuple(words[i - 1] for i in g.rows))
-            if any((h | l) & ~masks[-1] for h, l in rows[-1]):
+            local_rows.append(tuple(words[i - 1] for i in g.rows))
+            if any((h | l) & ~masks[-1] for h, l in local_rows[-1]):
                 raise StructureError(f"local rows {g.rows} of group {gi + 1} are nonzero "
                                      "outside its support")
             for c in g.support:
                 groups_of[c - 1].append(gi)
-        self.group_view = GroupView(words=words, masks=tuple(masks), rows=tuple(rows),
-                                    groups_of=tuple(map(tuple, groups_of)))
+        self.masks, self.local_rows = tuple(masks), tuple(local_rows)
+        self.groups_of = tuple(map(tuple, groups_of))
 
     @property
     def l(self) -> int:
         return len(self.groups)
-
-    def supports(self) -> list[frozenset[int]]:
-        return [g.support for g in self.groups]
 
     def parity_check(self) -> Mat4:
         """The parity check of the code the profile presents: ``matrix``
@@ -771,21 +768,20 @@ def _blockwise_tables(profile: LocalityProfile) -> list[tuple[np.ndarray, np.nda
     coordinate.  Raises ValueError on any other profile and
     ResourceError past the bound, before any kernel word is listed."""
     n = profile.matrix.cols
-    view = profile.group_view
     cover = 0
-    for mask in view.masks:
+    for mask in profile.masks:
         cover |= mask
-    if cover != (1 << n) - 1 or sum(m.bit_count() for m in view.masks) != n:
+    if cover != (1 << n) - 1 or sum(m.bit_count() for m in profile.masks) != n:
         raise ValueError("blockwise distance: group supports must be pairwise disjoint "
                          "and cover every coordinate")
     g = len(profile.global_rows)
-    glob = [view.words[i - 1] for i in profile.global_rows]
+    glob = [profile.words[i - 1] for i in profile.global_rows]
     syn_cols = ((1 << g) - 1) << n
     # the right kernel of [[L_b, 0], [G_b, I]]: global row j, masked to the
     # group's support, gets a 1 in syndrome column n + j
     bases = [kernel(list(local) + [(a & mask, b & mask | 1 << n + j)
                                    for j, (a, b) in enumerate(glob)], mask | syn_cols)
-             for local, mask in zip(view.rows, view.masks)]
+             for local, mask in zip(profile.local_rows, profile.masks)]
     # each group's 4^k_b kernel words, then one pass over the 4^g global
     # syndromes per distinct syndrome of its words
     size = 4**g
@@ -793,7 +789,7 @@ def _blockwise_tables(profile: LocalityProfile) -> list[tuple[np.ndarray, np.nda
     if work > BLOCKWISE_MAX_WORK:
         raise ResourceError(f"blockwise distance needs an estimated {work} table operations, "
                             f"over the bound of {BLOCKWISE_MAX_WORK}")
-    return [_splice_table(b, mask, n, g) for b, mask in zip(bases, view.masks)]
+    return [_splice_table(b, mask, n, g) for b, mask in zip(bases, profile.masks)]
 
 
 def blockwise_min_distance(profile: LocalityProfile) -> int:
@@ -805,8 +801,8 @@ def blockwise_min_distance(profile: LocalityProfile) -> int:
     a codeword is a splice of local-kernel words, one per group, whose
     global-row syndromes cancel.  Per group, one table lists each packed
     global syndrome of a nonzero kernel word with its least weight; it
-    is built from the profile's :class:`GroupView` on packed ints, with
-    no matrix object, by :func:`_splice_table`.  Dynamic programming
+    is built from the profile's packed masks and rows, with no matrix
+    object, by :func:`_splice_table`.  Dynamic programming
     over the 4^g syndromes (g global rows) then adds one XOR-shifted
     table per distinct syndrome to an int32 table and finds the least
     positive splice weight exactly, far beyond the generic enumeration
@@ -825,21 +821,11 @@ def blockwise_min_distance(profile: LocalityProfile) -> int:
 
 @dataclass
 class CheckResult:
-    name: str
+    """One structure check's verdict, None when it cannot be decided,
+    named by its key in :attr:`OptimalityReport.checks`."""
+
     passed: bool | None
     witness: str | None = None
-
-    def __bool__(self) -> bool:
-        return self.passed is not False
-
-
-CHECK_NAMES = (
-    "h_prime_mds",
-    "rows_per_group",
-    "punctured_mds",
-    "disjointness",
-    "distance_cap",
-)
 
 
 @dataclass
@@ -881,7 +867,7 @@ class OptimalityReport:
             "bound_d": self.bound_d,
             "d_optimal": self.d_optimal,
             "r_optimal": self.r_optimal,
-            "checks": {name: self.checks[name].passed for name in CHECK_NAMES},
+            "checks": {name: c.passed for name, c in self.checks.items()},
             "family": self.family,
             "status": self.status,
         }
@@ -909,7 +895,7 @@ def check_structure(
     reported as None with an explanatory note rather than failing.
 
     The two MDS checks run on packed vectors, from the profile's
-    :class:`GroupView` and one packed generator: an H' is its kept rows
+    packed rows and masks and one packed generator: an H' is its kept rows
     masked to its kept columns, C|_S the generator rows masked to S, and
     a sub-code's exact distance is the least weight of its words, or
     :meth:`LinearCode.min_distance` of the sub-code above
@@ -1003,56 +989,52 @@ def _check_h_prime(c: LinearCode, profile: LocalityProfile, d_target: int) -> Ch
 
     Each H' is the kept rows of the packed matrix masked to the kept
     columns; its kernel is read off their echelon form."""
-    name = "h_prime_mds"
     if not profile.partitioned:
         return CheckResult(
-            name, None, "no full-rank local/global row partition exists at these parameters"
+            None, "no full-rank local/global row partition exists at these parameters"
         )
     s = ceil(c.k / profile.r) - 1
     if s > profile.l:
-        return CheckResult(name, False, f"ceil(k/r)-1 = {s} exceeds l = {profile.l}")
-    view = profile.group_view
+        return CheckResult(False, f"ceil(k/r)-1 = {s} exceeds l = {profile.l}")
     for choice in combinations(range(profile.l), s):
         tag = "+".join(str(g + 1) for g in choice) or "none"
         drop_rows = {i - 1 for gi in choice for i in profile.groups[gi].rows}
         keep = (1 << c.n) - 1
         for gi in choice:
-            keep &= ~view.masks[gi]
+            keep &= ~profile.masks[gi]
         n_sub = keep.bit_count()
         if not n_sub:
-            return CheckResult(name, False, f"H' has no columns after removing groups {tag}")
-        rows = [(h & keep, l & keep) for i, (h, l) in enumerate(view.words) if i not in drop_rows]
+            return CheckResult(False, f"H' has no columns after removing groups {tag}")
+        rows = [(h & keep, l & keep) for i, (h, l) in enumerate(profile.words) if i not in drop_rows]
         basis = kernel(rows, keep)
         k_sub = len(basis)
         if n_sub - k_sub < len(rows):
-            return CheckResult(name, False, f"H' not full rank after removing groups {tag}")
+            return CheckResult(False, f"H' not full rank after removing groups {tag}")
         if not k_sub:
-            return CheckResult(name, False, f"H' leaves the zero code (groups {tag})")
+            return CheckResult(False, f"H' leaves the zero code (groups {tag})")
         dp = _least_weight(basis, keep)
         if dp != n_sub - k_sub + 1 or dp != d_target:
             return CheckResult(
-                name, False, f"groups {tag}: [{n_sub},{k_sub}] with d'={dp}, want MDS d'={d_target}"
+                False, f"groups {tag}: [{n_sub},{k_sub}] with d'={dp}, want MDS d'={d_target}"
             )
-    return CheckResult(name, True)
+    return CheckResult(True)
 
 
 def _check_rows_per_group(profile: LocalityProfile) -> CheckResult:
-    name = "rows_per_group"
     want = profile.delta - 1
     for i, g in enumerate(profile.groups):
         if len(g.rows) != want:
-            return CheckResult(name, False, f"group {i + 1} has {len(g.rows)} rows, want {want}")
-    return CheckResult(name, True)
+            return CheckResult(False, f"group {i + 1} has {len(g.rows)} rows, want {want}")
+    return CheckResult(True)
 
 
 def _check_punctured_mds(c: LinearCode, profile: LocalityProfile) -> CheckResult:
     """Each restriction C|_{S_i} must be [s_i, s_i - delta + 1, delta] MDS.
 
     C|_S is spanned by the packed generator rows masked to S."""
-    name = "punctured_mds"
     delta = profile.delta
     gen = pack_rows(c.generator())
-    masks = profile.group_view.masks
+    masks = profile.masks
     for i, g in enumerate(profile.groups):
         rows = [(h & masks[i], l & masks[i]) for h, l in gen]
         local = rows[:len(echelon(rows))]
@@ -1060,42 +1042,39 @@ def _check_punctured_mds(c: LinearCode, profile: LocalityProfile) -> CheckResult
         di = _least_weight(local, masks[i])
         if len(local) != si - delta + 1 or di != delta:
             return CheckResult(
-                name,
                 False,
                 f"group {i + 1}: C|_S is [{si},{len(local)},{di}], "
                 f"want [{si},{si - delta + 1},{delta}]",
             )
-    return CheckResult(name, True)
+    return CheckResult(True)
 
 
 def _check_disjointness(c: LinearCode, profile: LocalityProfile) -> CheckResult:
     """When r | k and r < k: disjoint supports of size r+delta-1 tiling n."""
-    name = "disjointness"
     r, delta = profile.r, profile.delta
     if c.k % r != 0 or r >= c.k:
-        return CheckResult(name, True, "not applicable (r does not properly divide k)")
+        return CheckResult(True, "not applicable (r does not properly divide k)")
     full = r + delta - 1
     seen: set[int] = set()
     for i, g in enumerate(profile.groups):
         if len(g.support) != full:
-            return CheckResult(name, False, f"group {i + 1} support size {len(g.support)} != {full}")
+            return CheckResult(False, f"group {i + 1} support size {len(g.support)} != {full}")
         if seen & g.support:
-            return CheckResult(name, False, f"group {i + 1} overlaps an earlier group")
+            return CheckResult(False, f"group {i + 1} overlaps an earlier group")
         seen |= g.support
     if c.n % full != 0:
-        return CheckResult(name, False, f"(r+delta-1) = {full} does not divide n = {c.n}")
-    return CheckResult(name, True)
+        return CheckResult(False, f"(r+delta-1) = {full} does not divide n = {c.n}")
+    return CheckResult(True)
 
 
 def _check_distance_cap(k: int, r: int, delta: int, d: int | None) -> CheckResult:
     """d <= q when r does not divide k-1, else d <= delta*q (q = 4)."""
-    name = "distance_cap"
     if d is None:
-        return CheckResult(name, None, "distance unknown")
+        return CheckResult(None, "distance unknown")
     if (k - 1) % r == 0:
         cap, why = 4 * delta, "r | (k-1)"
     else:
         cap, why = 4, "r does not divide k-1"
     if d > cap:
-        return CheckResult(name, False, f"d = {d} exceeds cap {cap} ({why})")
-    return CheckResult(name, True)
+        return CheckResult(False, f"d = {d} exceeds cap {cap} ({why})")
+    return CheckResult(True)

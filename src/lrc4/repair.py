@@ -11,10 +11,10 @@ local failure, because the simulator exists to certify locality, not to
 be a decoder.
 
 What a repair needs of the profile is fixed, so the profile compiles it
-once, when it is made, into its ``group_view``
-(:class:`~lrc4.lrc.GroupView`): each group's support as a bit mask and
-its local rows packed as in ``_gf4vec``, the groups holding each
-coordinate, and every row of the matrix packed.  A repair packs the
+once, when it is made, onto its own fields: each group's support as a
+bit mask (``masks``) and its local rows packed as in ``_gf4vec``
+(``local_rows``), the groups holding each coordinate (``groups_of``),
+and every row of the matrix packed (``words``).  A repair packs the
 received word the same way, 0 at the erasures, with a mask of the
 erasures: a group's unknowns are a mask AND, and its equations are its
 rows at the unknowns with the syndrome of the surviving symbols, which
@@ -170,7 +170,7 @@ def local_repair(bc: BuiltCode, received: Sequence[int | None]) -> RepairOutcome
         bad = sorted(set(received) - _RECEIVED_SYMBOLS, key=repr)
         raise ValueError(f"received symbols {bad} are not GF(4) elements 0..3")
     word: list = [None if x is None else int(x) for x in received]
-    view = bc.profile.group_view
+    profile = bc.profile
     budget = bc.delta - 1
     hi, lo, erased = _pack_received(word)
     trace: list[RepairStep] = []
@@ -182,11 +182,11 @@ def local_repair(bc: BuiltCode, received: Sequence[int | None]) -> RepairOutcome
         for i in _coordinates(erased):
             if not erased >> (i - 1) & 1:
                 continue  # peeled earlier in this pass
-            for gi in view.groups_of[i - 1]:
-                unknown = erased & view.masks[gi]
+            for gi in profile.groups_of[i - 1]:
+                unknown = erased & profile.masks[gi]
                 if unknown.bit_count() > budget:
                     continue
-                solved = _solve_group(view.rows[gi], (hi, lo), unknown)
+                solved = _solve_group(profile.local_rows[gi], (hi, lo), unknown)
                 if isinstance(solved, str):
                     unsolved.setdefault(i, {}).setdefault(solved, []).append(gi + 1)
                     continue
@@ -195,7 +195,7 @@ def local_repair(bc: BuiltCode, received: Sequence[int | None]) -> RepairOutcome
                     hi |= (val >> 1) << (coord - 1)
                     lo |= (val & 1) << (coord - 1)
                 erased ^= unknown
-                reads = tuple(_coordinates(view.masks[gi] ^ unknown))
+                reads = tuple(_coordinates(profile.masks[gi] ^ unknown))
                 trace.append(RepairStep(group=gi + 1, solved=tuple(solved), reads=reads))
                 progress = True
                 break
@@ -207,19 +207,19 @@ def local_repair(bc: BuiltCode, received: Sequence[int | None]) -> RepairOutcome
                 f"local solve {why} in groups {gs}" for why, gs in unsolved[i].items()
             )))
         else:
-            eligible = [gi + 1 for gi in view.groups_of[i - 1]]
+            eligible = [gi + 1 for gi in profile.groups_of[i - 1]]
             failures.append((i, f"groups {eligible} all exceed {budget} erasures"))
     if failures:
         return RepairOutcome(ok=False, codeword=None, trace=trace, failures=failures)
 
-    if not _is_codeword(view.words, (hi, lo)):
+    if not _is_codeword(profile.words, (hi, lo)):
         raise ValueError("received word is not a codeword: the repaired word fails a parity check")
     return RepairOutcome(ok=True, codeword=word, trace=trace)
 
 
 def erasure_tolerance_ok(bc: BuiltCode, pattern: ErasurePattern) -> bool:
     """Does every group see at most delta - 1 erasures?"""
-    groups_of = bc.profile.group_view.groups_of
+    groups_of = bc.profile.groups_of
     counts = [0] * bc.profile.l
     for c in _check_coordinate_set(pattern.erased, bc.code.n):
         for gi in groups_of[c - 1]:
@@ -230,7 +230,7 @@ def erasure_tolerance_ok(bc: BuiltCode, pattern: ErasurePattern) -> bool:
 def random_tolerable_pattern(bc: BuiltCode, rng: random.Random) -> ErasurePattern:
     """A random erasure pattern with at most delta - 1 erasures per group."""
     budget = bc.delta - 1
-    groups_of = bc.profile.group_view.groups_of
+    groups_of = bc.profile.groups_of
     counts = [0] * bc.profile.l
     erased: set[int] = set()
     coords = list(range(1, bc.code.n + 1))

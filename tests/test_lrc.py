@@ -272,14 +272,13 @@ def test_h_prime_with_no_columns_left_is_a_failed_check():
 
 
 def h_prime_by_linear_codes(c, profile, d_target):
-    name = "h_prime_mds"
     if not profile.partitioned:
         return lrc.CheckResult(
-            name, None, "no full-rank local/global row partition exists at these parameters"
+            None, "no full-rank local/global row partition exists at these parameters"
         )
     s = -(-c.k // profile.r) - 1
     if s > profile.l:
-        return lrc.CheckResult(name, False, f"ceil(k/r)-1 = {s} exceeds l = {profile.l}")
+        return lrc.CheckResult(False, f"ceil(k/r)-1 = {s} exceeds l = {profile.l}")
     for choice in combinations(range(profile.l), s):
         drop_rows, drop_cols = set(), set()
         for gi in choice:
@@ -291,21 +290,20 @@ def h_prime_by_linear_codes(c, profile, d_target):
         try:
             sub = LinearCode(pchk=hp)
         except EmptyCodeError:
-            return lrc.CheckResult(name, False, f"H' has no columns after removing groups {tag}")
+            return lrc.CheckResult(False, f"H' has no columns after removing groups {tag}")
         except RankError:
-            return lrc.CheckResult(name, False, f"H' not full rank after removing groups {tag}")
+            return lrc.CheckResult(False, f"H' not full rank after removing groups {tag}")
         if sub.k == 0:
-            return lrc.CheckResult(name, False, f"H' leaves the zero code (groups {tag})")
+            return lrc.CheckResult(False, f"H' leaves the zero code (groups {tag})")
         dp = sub.min_distance()
         if dp != sub.n - sub.k + 1 or dp != d_target:
             return lrc.CheckResult(
-                name, False, f"groups {tag}: [{sub.n},{sub.k}] with d'={dp}, want MDS d'={d_target}"
+                False, f"groups {tag}: [{sub.n},{sub.k}] with d'={dp}, want MDS d'={d_target}"
             )
-    return lrc.CheckResult(name, True)
+    return lrc.CheckResult(True)
 
 
 def punctured_by_linear_codes(c, profile):
-    name = "punctured_mds"
     delta = profile.delta
     for i, g in enumerate(profile.groups):
         local = c.puncture(set(range(1, c.n + 1)) - g.support)
@@ -313,11 +311,11 @@ def punctured_by_linear_codes(c, profile):
         di = local.min_distance() if local.k else None
         if local.k != si - delta + 1 or di != delta:
             return lrc.CheckResult(
-                name, False,
+                False,
                 f"group {i + 1}: C|_S is [{local.n},{local.k},{di}], "
                 f"want [{si},{si - delta + 1},{delta}]",
             )
-    return lrc.CheckResult(name, True)
+    return lrc.CheckResult(True)
 
 
 def assert_mds_checks_match(report):
@@ -1154,46 +1152,85 @@ def _leaky(bc):
     return leaky
 
 
+def _retyped(p, case, to):
+    """``p``'s layout with its group rows, its supports or its global
+    rows (by ``case``) passed through ``to``: changed fields."""
+    groups, global_rows = p.groups, p.global_rows
+    if case == "fractional-rows":
+        groups = tuple(LocalGroup(rows=tuple(map(to, g.rows)), support=g.support) for g in groups)
+    elif case == "fractional-support":
+        groups = tuple(LocalGroup(rows=g.rows, support=frozenset(map(to, g.support)))
+                       for g in groups)
+    else:
+        global_rows = tuple(map(to, global_rows))
+    return {"groups": groups, "global_rows": global_rows}
+
+
 def _broken_layouts(bc):
     """One layout per rule a profile checks where it is made, each
-    breaking only that rule: {case: (changed fields, error text)}."""
+    breaking only that rule: {case: (changed fields, error, error text)}."""
     p = bc.profile
     first, *rest = p.groups
     n, m = p.matrix.cols, p.matrix.rows
     return {
         "no-row": ({"groups": (*p.groups, LocalGroup(rows=(), support=first.support))},
-                   f"group {p.l + 1} names no row"),
+                   StructureError, f"group {p.l + 1} names no row"),
         "row-twice": ({"global_rows": p.global_rows + p.global_rows[-1:]},
-                      rf"rows 1\.\.{m} exactly once; rows \[{m}\]"),
+                      StructureError, rf"rows 1\.\.{m} exactly once; rows \[{m}\]"),
         "row-unnamed": ({"global_rows": p.global_rows[:-1]},
-                        rf"rows 1\.\.{m} exactly once; rows \[{m}\]"),
+                        StructureError, rf"rows 1\.\.{m} exactly once; rows \[{m}\]"),
         "outside-1..n": ({"groups": (LocalGroup(rows=first.rows, support=first.support | {n + 1}),
                                      *rest)},
-                         f"group 1 names coordinate {n + 1}, outside 1..{n}"),
-        "leak": ({"matrix": _leaky(bc)}, r"local rows \(1, 2\) of group 1 are nonzero outside"),
+                         StructureError, f"group 1 names coordinate {n + 1}, outside 1..{n}"),
+        "leak": ({"matrix": _leaky(bc)},
+                 StructureError, r"local rows \(1, 2\) of group 1 are nonzero outside"),
+        **{case: (_retyped(p, case, lambda i: i + 0.5), ValueError, f"{what} must be integers")
+           for case, what in (("fractional-rows", "group rows"),
+                              ("fractional-support", "group supports"),
+                              ("fractional-global-rows", "global rows"))},
     }
 
 
+PACKED_FIELDS = ("words", "masks", "local_rows", "groups_of")
+
+
 @pytest.mark.parametrize("route", ["constructor", "replace"])
-@pytest.mark.parametrize("case", ["no-row", "row-twice", "row-unnamed", "outside-1..n", "leak"])
+@pytest.mark.parametrize("case", ["no-row", "row-twice", "row-unnamed", "outside-1..n", "leak",
+                                  "fractional-rows", "fractional-support",
+                                  "fractional-global-rows"])
 def test_profile_checks_its_layout_where_it_is_made(case, route):
     bc = build("C6", l=3)
     p = bc.profile
-    changes, message = _broken_layouts(bc)[case]
-    fields = {"r": p.r, "delta": p.delta, "groups": p.groups, "global_rows": p.global_rows,
-              "matrix": p.matrix}
+    changes, error, message = _broken_layouts(bc)[case]
 
-    def make(**changes):
+    def make(base, **changes):
         if route == "constructor":
+            fields = {"r": base.r, "delta": base.delta, "groups": base.groups,
+                      "global_rows": base.global_rows, "matrix": base.matrix}
             return LocalityProfile(**{**fields, **changes})
-        return dataclasses.replace(p, **changes)
+        return dataclasses.replace(base, **changes)
 
-    with pytest.raises(StructureError, match=message):
-        make(**changes)
-    # the unbroken layout passes, and its view is compiled again
-    again = make()
-    assert again == p and again.group_view == p.group_view
-    assert again.group_view is not p.group_view
+    with pytest.raises(error, match=message):
+        make(p, **changes)
+    # the unbroken layout passes, and its packed fields are compiled again;
+    # they take no part in comparison or repr
+    again = make(p)
+    assert again == p
+    for name in PACKED_FIELDS:
+        assert getattr(again, name) == getattr(p, name)
+        assert getattr(again, name) is not getattr(p, name)
+    assert {f.name: (f.compare, f.repr) for f in dataclasses.fields(p) if not f.init} \
+        == dict.fromkeys(PACKED_FIELDS, (False, False))
+    if case.startswith("fractional-"):
+        # integral floats and numpy ints give the int-indexed profile, with
+        # ints stored; at n = 70 a support's mask passes 64 bits
+        wide = build("C6", l=14).profile
+        for to in (float, np.int64):
+            twin = make(wide, **_retyped(wide, case, to))
+            assert twin == wide and twin.masks == wide.masks
+            indices = [*twin.global_rows, *(i for g in twin.groups for i in (*g.rows, *g.support))]
+            assert {type(i) for i in indices} == {int}
+            assert twin.min_distance() == 4
 
 
 def test_blockwise_route_needs_a_partition_and_the_work_budget(monkeypatch):

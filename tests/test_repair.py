@@ -243,7 +243,7 @@ def test_solve_group_inconsistent_exactly_without_a_completion():
                 if not any(group_syndrome(h, r, support, full) for r in grp.rows):
                     fits.append(dict(zip(unknowns, values)))
             hi, lo, unknown = _pack_received(word)
-            solved = _solve_group(bc.profile.group_view.rows[gi], (hi, lo), unknown)
+            solved = _solve_group(bc.profile.local_rows[gi], (hi, lo), unknown)
             verdicts.add(solved if isinstance(solved, str) else "solved")
             if not fits:
                 assert solved == "inconsistent"
@@ -324,26 +324,27 @@ def test_group_view_matches_its_profile(cid, kw):
     bc = build(cid, **kw)
     profile, n = bc.profile, bc.code.n
     h = profile.matrix.array
-    view = profile.group_view
-    assert profile.group_view is view  # compiled once
+    fields = (profile.words, profile.masks, profile.local_rows, profile.groups_of)
+    again = (profile.words, profile.masks, profile.local_rows, profile.groups_of)
+    assert all(a is b for a, b in zip(fields, again))  # compiled once
     for gi, grp in enumerate(profile.groups):
         cols = np.array(sorted(grp.support))
-        assert _coordinates(view.masks[gi]) == cols.tolist()
-        local = unpack(list(view.rows[gi]), n)
+        assert _coordinates(profile.masks[gi]) == cols.tolist()
+        local = unpack(list(profile.local_rows[gi]), n)
         rows = np.array(grp.rows)
         assert (local[:, cols - 1] == h[rows - 1][:, cols - 1]).all()
         assert (local == h[rows - 1]).all()  # zero off the group's columns
     for c in range(1, n + 1):
         holding = [gi for gi, g in enumerate(profile.groups) if c in g.support]
-        assert view.groups_of[c - 1] == tuple(holding)
+        assert profile.groups_of[c - 1] == tuple(holding)
     if kw.get("variant") == "b":
-        assert view.groups_of[4] == (0, 1)
+        assert profile.groups_of[4] == (0, 1)
     else:
         assert profile.partitioned == (cid != "C19")
 
     # the packed parity test against numpy's syndromes, row by row and
     # over the whole matrix, on random words and on codewords
-    assert view.words == tuple(pack(h))
+    assert profile.words == tuple(pack(h))
     rng = np.random.default_rng(19)
     words = rng.integers(0, 4, size=(200, n), dtype=np.uint8)
     msgs = rng.integers(0, 4, size=(50, bc.code.k))
@@ -351,7 +352,7 @@ def test_group_view_matches_its_profile(cid, kw):
     for x in (words, codewords):
         zero = np.bitwise_xor.reduce(gf4.MUL_NP[h[None, :, :], x[:, None, :]], axis=2) == 0
         packed = pack(x)
-        assert [[_is_codeword((row,), v) for row in view.words] for v in packed] == zero.tolist()
-        assert [_is_codeword(view.words, v) for v in packed] == zero.all(axis=1).tolist()
+        assert [[_is_codeword((row,), v) for row in profile.words] for v in packed] == zero.tolist()
+        assert [_is_codeword(profile.words, v) for v in packed] == zero.all(axis=1).tolist()
     assert zero.all() and codewords.any()
 
