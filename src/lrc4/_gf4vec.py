@@ -30,9 +30,13 @@ distance's splice tables, each group's local kernel with its words'
 global syndromes (the kernel of [[L_b, 0], [G_b, I]]).  ``pack`` and ``unpack``
 move whole arrays in and out of the packed form with C-level byte
 translation, never a loop over entries.
+``span``, the coordinate codec ``mask``/``coordinates`` and ``dots``
+complete the format's rules, which no other module spells out.
 """
 
 from __future__ import annotations
+
+from typing import Iterable
 
 import numpy as np
 
@@ -132,6 +136,46 @@ def echelon(rows: list[Vec]) -> list[int]:
     return pivots
 
 
+def span(basis: list[Vec]) -> list[Vec]:
+    """The 4^k words of the span of k independent packed vectors, the
+    zero word first: word j is sum_i s_i * basis[i], where s_i is the
+    i-th base-4 digit of j, lowest first, read as 0, 1, w, w2."""
+    words = [(0, 0)]
+    for h, l in basis:  # add the multiples 1, w, w2 of each vector
+        m = h ^ l
+        words += [(a ^ x, b ^ y) for x, y in ((h, l), (m, h), (l, m)) for a, b in words]
+    return words
+
+
+def mask(coords: Iterable[int]) -> int:
+    """The bit mask of distinct 1-based coordinates: coordinate c is bit c - 1."""
+    return sum(1 << c - 1 for c in coords)
+
+
+def coordinates(bits: int) -> list[int]:
+    """The 1-based coordinates of a mask's set bits, in increasing order."""
+    out = []
+    while bits:
+        low = bits & -bits
+        out.append(low.bit_length())
+        bits ^= low
+    return out
+
+
+def dots(rows: Iterable[Vec], word: Vec) -> list[int]:
+    """The inner product of each packed row with the packed word, as a
+    field element 0..3.  With x = x1 w + x0 and w^2 = w + 1, sum_i a_i b_i
+    has w-part parity((A1 & (B1 ^ B0)) ^ (A0 & B1)) and 1-part
+    parity((A1 & B1) ^ (A0 & B0)) over the bit planes."""
+    wh, wl = word
+    t = wh ^ wl
+    out = []
+    for ah, al in rows:  # a loop: on a group's few rows a comprehension costs more
+        out.append((((ah & t) ^ (al & wh)).bit_count() & 1) << 1
+                   | ((ah & wh) ^ (al & wl)).bit_count() & 1)
+    return out
+
+
 def kernel(rows: list[Vec], cols: int) -> list[Vec]:
     """Basis of the right kernel of packed rows over the columns in the
     bit mask ``cols``, outside which the rows must vanish.
@@ -170,12 +214,15 @@ class Eliminator:
     one-hot mask of the lead and the multiples 1, w, w2 of the vector,
     so the coefficient read at ``bit`` picks the multiple that cancels
     it.  ``push`` returns True when the vector extended the rank, which
-    is exactly the dependency signal the subset scans need.
+    is exactly the dependency signal the subset scans need.  The
+    constructor pushes ``vectors`` in order.
     """
 
-    def __init__(self) -> None:
+    def __init__(self, vectors: Iterable[Vec] = ()) -> None:
         self._basis: list[tuple[int, int, int, int, int, int, int]] = []
         self._trail: list[bool] = []
+        for v in vectors:
+            self.push(v)
 
     @property
     def rank(self) -> int:

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._gf4vec import Eliminator, Vec, pack
+from ._gf4vec import Eliminator, Vec, pack, span
 from .code import mds_weight_distribution
 from .constructions import catalog
 from .lrc import group_count_range, singleton_like_bound
@@ -178,14 +178,6 @@ def verify_claim2(planes: tuple[int, int] | None = None) -> EvidenceReport:
     )
 
 
-def _span(vectors) -> Eliminator:
-    """An :class:`Eliminator` with the packed vectors pushed, in order."""
-    span = Eliminator()
-    for v in vectors:
-        span.push(v)
-    return span
-
-
 def _pg4_pairs(rng: random.Random) -> list[tuple[Vec, Vec, list[Vec]]]:
     """The sampled line / solid pairs of PG(4,F4), packed, in draw order.
 
@@ -198,10 +190,10 @@ def _pg4_pairs(rng: random.Random) -> list[tuple[Vec, Vec, list[Vec]]]:
     pairs = []
     while len(pairs) < _PG4_PAIRS:
         p, q = rng.sample(points, 2)
-        if _span((p, q)).rank != 2:
+        if Eliminator((p, q)).rank != 2:
             continue
         rows = pack(np.array([[rng.randrange(4) for _ in range(5)] for _ in range(4)], dtype=np.uint8))
-        if _span(rows).rank == 4:
+        if Eliminator(rows).rank == 4:
             pairs.append((p, q, rows))
     return pairs
 
@@ -215,9 +207,8 @@ def _line_meets(p: Vec, q: Vec, sub: Eliminator) -> tuple[bool, int]:
     p + c*q for c in 1, w, w2: a dependent one is a common point.  The
     rank pushes p and q on top of ``sub``.
     """
-    (ph, pl), (qh, ql) = p, q
-    # w*(h, l) = (h ^ l, h) and w2*(h, l) = (l, h ^ l)
-    points = (p, q, (ph ^ qh, pl ^ ql), (ph ^ qh ^ ql, pl ^ qh), (ph ^ ql, pl ^ qh ^ ql))
+    ph, pl = p
+    points = [p, q] + [(ph ^ h, pl ^ l) for h, l in span([q])[1:]]
     meets = False
     for v in points:
         grew = sub.push(v)
@@ -259,7 +250,7 @@ def verify_geometric_nonexistence() -> EvidenceReport:
     all_meet = True
     rank_forced = True
     for p, q, rows in pairs:
-        solid = _span(rows)
+        solid = Eliminator(rows)
         meets, stacked = _line_meets(p, q, solid)
         all_meet &= meets
         rank_forced &= 2 + solid.rank - stacked >= 1

@@ -353,8 +353,8 @@ def verify_c17g_properties(l: int, triples=None) -> bool:
     planes, flagged = [], []
     for u, v, z in triples:
         m = Mat4([u, v, z])
-        plane = Eliminator()
-        if not all(plane.push(x) for x in pack_rows(m)):
+        plane = Eliminator(pack_rows(m))
+        if plane.rank < 3:
             return False
         planes.append(plane)
         flagged.append(pack_rows(Mat4(_FORBIDDEN_COMBOS) @ m))

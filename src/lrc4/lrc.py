@@ -39,9 +39,9 @@ group's (syndrome, least weight) table is built on packed ints: one
 echelon form of its local rows and its masked global rows, each with a
 1 in its own syndrome column above the n coordinates, gives a kernel
 basis whose words carry their global syndrome's two bit planes, and
-the 4^k_b words are spanned by XOR (at most 64 on every constructed
-build with n <= 128; a kernel above 4^:data:`_SPAN_MAX_K` words is
-walked in bounded numpy blocks).
+``_gf4vec.span`` lists the 4^k_b words (at most 64 on every
+constructed build with n <= 128; a kernel above 4^:data:`_SPAN_MAX_K`
+words is walked in bounded numpy blocks).
 The two MDS checks of the structure theorem
 build no code object per sub-code: an H' is its kept packed rows masked
 to its kept columns, with its kernel read off their echelon form, and a
@@ -55,7 +55,7 @@ from __future__ import annotations
 import numbers
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import combinations, product
+from itertools import combinations
 from math import ceil, floor
 from typing import Sequence
 
@@ -64,14 +64,17 @@ import numpy as np
 from ._gf4vec import (
     Eliminator,
     Vec,
+    coordinates,
     echelon,
     kernel,
+    mask,
     pack_columns,
     pack_rows,
     point,
     points,
     reduce_by,
     reduce_planes,
+    span,
     unpack,
 )
 from .code import LinearCode, _integers
@@ -150,9 +153,9 @@ class LocalityProfile:
     of ``matrix`` exactly once, every support lies in 1..n and each
     group's rows are zero outside its support; StructureError otherwise.
     The layout is then compiled into the packed fields below, which take
-    no part in comparison: coordinate c is bit c - 1 of a mask or a
-    packed vector, and a group's local rows, which vanish off its
-    support, are its rows restricted to its columns.
+    no part in comparison: coordinate c is bit c - 1 of a mask
+    (``_gf4vec.mask``) or a packed vector, and a group's local rows,
+    which vanish off its support, are its rows restricted to its columns.
     """
 
     r: int
@@ -191,7 +194,7 @@ class LocalityProfile:
             if not g.support <= coords:
                 raise StructureError(f"group {gi + 1} names coordinate "
                                      f"{min(g.support - coords)}, outside 1..{n}")
-            masks.append(sum(1 << c - 1 for c in g.support))
+            masks.append(mask(g.support))
             local_rows.append(tuple(words[i - 1] for i in g.rows))
             if any((h | l) & ~masks[-1] for h, l in local_rows[-1]):
                 raise StructureError(f"local rows {g.rows} of group {gi + 1} are nonzero "
@@ -633,8 +636,8 @@ def structured_parity_check(
     gen = pack_rows(c.gen)
     candidates = []
     for s in supports:
-        mask = sum(1 << i - 1 for i in s)
-        block = kernel([(h & mask, l & mask) for h, l in gen], mask)
+        support = mask(s)
+        block = kernel([(h & support, l & support) for h, l in gen], support)
         if block:
             echelon(block)
             candidates.append((s, block))
@@ -654,9 +657,7 @@ def structured_parity_check(
             groups.append(LocalGroup(rows=tuple(range(len(rows) + 1, len(rows) + len(b) + 1)),
                                      support=s))
             rows += b
-    elim = Eliminator()
-    for v in rows:
-        elim.push(v)
+    elim = Eliminator(rows)
     words = pack_rows(c.pchk)
     rows += [v for v in words if elim.push(v)]
     if elim.rank != len(words):
@@ -703,25 +704,20 @@ def _splice_table(basis: list[Vec], mask: int, n: int, g: int) -> tuple[np.ndarr
     coords = (1 << n) - 1
     if len(basis) <= _SPAN_MAX_K:
         best: dict[int, int] = {}
-        for h, l in _span(basis)[1:]:
+        for h, l in span(basis)[1:]:
             wt = ((h | l) & coords).bit_count()
             syn = (h >> n) << g | l >> n
             if best.get(syn, n + 1) > wt:
                 best[syn] = wt
         return (np.fromiter(best, dtype=np.intp, count=len(best)),
                 np.fromiter(best.values(), dtype=np.int32, count=len(best)))
-    cols = [i for i in range(n) if mask >> i & 1]
-    block = _span(basis[:_SPLICE_BLOCK_K])
+    cols = [c - 1 for c in coordinates(mask)]
+    block = span(basis[:_SPLICE_BLOCK_K])
     words = unpack(block, n + g)[:, cols]
     syns = np.array([(h >> n) << g | l >> n for h, l in block], dtype=np.intp)
     least = np.full(1 << (2 * g), _INF, dtype=np.int32)
     # each block is the first words' span shifted by one word of the rest's
-    rest = [((0, 0), (h, l), (h ^ l, h), (l, h ^ l)) for h, l in basis[_SPLICE_BLOCK_K:]]
-    for i, shift in enumerate(product(*rest)):
-        th = tl = 0
-        for h, l in shift:
-            th ^= h
-            tl ^= l
+    for i, (th, tl) in enumerate(span(basis[_SPLICE_BLOCK_K:])):
         wt = np.count_nonzero(words ^ unpack([(th, tl)], n + g)[0, cols], axis=1).astype(np.int32)
         if not i:
             wt[0] = _INF  # the zero word
@@ -961,16 +957,6 @@ def check_structure(
     )
 
 
-def _span(basis: list[Vec]) -> list[Vec]:
-    """The 4^k' words of the span of k' independent packed vectors, the
-    zero word first."""
-    words = [(0, 0)]
-    for h, l in basis:  # add the multiples 1, w, w2 of each vector
-        m = h ^ l
-        words += [(a ^ x, b ^ y) for x, y in ((h, l), (m, h), (l, m)) for a, b in words]
-    return words
-
-
 def _least_weight(basis: list[Vec], mask: int) -> int | None:
     """Least weight of a nonzero word in the span of the independent
     packed vectors ``basis``, which vanish off the bit mask ``mask``
@@ -978,9 +964,9 @@ def _least_weight(basis: list[Vec], mask: int) -> int | None:
     :data:`_SPAN_MAX_K`; a larger span is measured as the code it
     generates on the mask's columns, by :meth:`LinearCode.min_distance`."""
     if len(basis) > _SPAN_MAX_K:
-        cols = [i for i in range(mask.bit_length()) if mask >> i & 1]
+        cols = [c - 1 for c in coordinates(mask)]
         return LinearCode(gen=Mat4._wrap(unpack(basis, mask.bit_length())[:, cols])).min_distance()
-    return min(((a | b).bit_count() for a, b in _span(basis)[1:]), default=None)
+    return min(((a | b).bit_count() for a, b in span(basis)[1:]), default=None)
 
 
 def _check_h_prime(c: LinearCode, profile: LocalityProfile, d_target: int) -> CheckResult:

@@ -17,13 +17,11 @@ bit mask (``masks``) and its local rows packed as in ``_gf4vec``
 and every row of the matrix packed (``words``).  A repair packs the
 received word the same way, 0 at the erasures, with a mask of the
 erasures: a group's unknowns are a mask AND, and its equations are its
-rows at the unknowns with the syndrome of the surviving symbols, which
-``echelon`` solves.  A syndrome is two parities: with x = x1 w + x0 and
-w^2 = w + 1, sum_i a_i b_i has w-part parity((A1 & (B1 ^ B0)) ^ (A0 & B1))
-and 1-part parity((A1 & B1) ^ (A0 & B0)) over the bit planes.  The final
-check that the repaired word is a codeword is the same test on every row
-of the matrix, augmented stack rows included; no numpy call and no copy
-of a full row is made per repair.
+rows at the unknowns with the syndrome of the surviving symbols
+(``_gf4vec.dots``), which ``echelon`` solves.  The final check that the
+repaired word is a codeword takes the syndrome on every row of the
+matrix, augmented stack rows included; no numpy call and no copy of a
+full row is made per repair.
 """
 
 from __future__ import annotations
@@ -33,7 +31,7 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 from . import gf4
-from ._gf4vec import Vec, echelon
+from ._gf4vec import Vec, coordinates, dots, echelon
 from .code import _check_coordinate_set, _integers
 from .constructions import BuiltCode
 from .mat4 import Mat4
@@ -103,26 +101,6 @@ def _pack_received(word: list) -> tuple[int, int, int]:
             int(raw.translate(_ERASED_DIGIT), 2))
 
 
-def _coordinates(mask: int) -> list[int]:
-    """The 1-based coordinates of a mask's set bits, in increasing order."""
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(low.bit_length())
-        mask ^= low
-    return out
-
-
-def _is_codeword(rows: Sequence[Vec], word: Vec) -> bool:
-    """Is the packed word orthogonal to every packed row?"""
-    wh, wl = word
-    t = wh ^ wl
-    for ah, al in rows:
-        if (((ah & t) ^ (al & wh)).bit_count() | ((ah & wh) ^ (al & wl)).bit_count()) & 1:
-            return False
-    return True
-
-
 def _solve_group(rows: Sequence[Vec], word: Vec, unknown: int) -> dict[int, int] | str:
     """Solve a group's parity equations for its erased coordinates.
 
@@ -137,13 +115,9 @@ def _solve_group(rows: Sequence[Vec], word: Vec, unknown: int) -> dict[int, int]
     # syndrome of the surviving symbols (its w- and 1-part) at a bit
     # above them all
     top = unknown.bit_length()
-    wh, wl = word
-    t = wh ^ wl
     eqs = []
-    for ah, al in rows:
-        s1 = ((ah & t) ^ (al & wh)).bit_count() & 1
-        s0 = ((ah & wh) ^ (al & wl)).bit_count() & 1
-        eqs.append((ah & unknown | s1 << top, al & unknown | s0 << top))
+    for (ah, al), s in zip(rows, dots(rows, word)):
+        eqs.append((ah & unknown | (s >> 1) << top, al & unknown | (s & 1) << top))
     pivots = echelon(eqs)
     if top in pivots:
         return "inconsistent"
@@ -179,7 +153,7 @@ def local_repair(bc: BuiltCode, received: Sequence[int | None]) -> RepairOutcome
     progress = True
     while progress and erased:
         progress = False
-        for i in _coordinates(erased):
+        for i in coordinates(erased):
             if not erased >> (i - 1) & 1:
                 continue  # peeled earlier in this pass
             for gi in profile.groups_of[i - 1]:
@@ -195,13 +169,13 @@ def local_repair(bc: BuiltCode, received: Sequence[int | None]) -> RepairOutcome
                     hi |= (val >> 1) << (coord - 1)
                     lo |= (val & 1) << (coord - 1)
                 erased ^= unknown
-                reads = tuple(_coordinates(profile.masks[gi] ^ unknown))
+                reads = tuple(coordinates(profile.masks[gi] ^ unknown))
                 trace.append(RepairStep(group=gi + 1, solved=tuple(solved), reads=reads))
                 progress = True
                 break
 
     failures = []
-    for i in _coordinates(erased):
+    for i in coordinates(erased):
         if i in unsolved:
             failures.append((i, "; ".join(
                 f"local solve {why} in groups {gs}" for why, gs in unsolved[i].items()
@@ -212,7 +186,7 @@ def local_repair(bc: BuiltCode, received: Sequence[int | None]) -> RepairOutcome
     if failures:
         return RepairOutcome(ok=False, codeword=None, trace=trace, failures=failures)
 
-    if not _is_codeword(profile.words, (hi, lo)):
+    if any(dots(profile.words, (hi, lo))):
         raise ValueError("received word is not a codeword: the repaired word fails a parity check")
     return RepairOutcome(ok=True, codeword=word, trace=trace)
 

@@ -4,12 +4,11 @@ from math import factorial
 import numpy as np
 from hypothesis import assume, given, strategies as st
 
-from lrc4._gf4vec import pack
+from lrc4._gf4vec import Eliminator, pack
 from lrc4.classify import (
     _PG4_SEED,
     _line_meets,
     _pg4_pairs,
-    _span,
     all_claim_reports,
     enumerate_optimal_params,
     no_weight5_in_d4_planes,
@@ -232,7 +231,7 @@ def test_pg4_pairs_match_the_mat4_sampler():
     assert rng.getstate() == reference_rng.getstate()  # the same 538 draws
     assert pairs == [(*packed(p, q), packed(*rows)) for p, q, rows in reference]
     for (p, q, rows), (p_coords, q_coords, solid) in zip(pairs, reference):
-        meets, rank = _line_meets(p, q, _span(rows))
+        meets, rank = _line_meets(p, q, Eliminator(rows))
         line = Mat4([p_coords, q_coords])
         assert meets == (intersect_subspaces(line, Mat4(solid).row_basis()).rows >= 1)
         assert rank == Mat4([p_coords, q_coords, *solid]).rank()
@@ -257,7 +256,7 @@ def test_line_meets_matches_intersect_subspaces():
     def check(case):
         line, sub = case
         assume(Mat4(line).rank() == 2)
-        meets, rank = _line_meets(*packed(*line), _span(packed(*sub)))
+        meets, rank = _line_meets(*packed(*line), Eliminator(packed(*sub)))
         assert meets == (intersect_subspaces(Mat4(line), Mat4(sub)).rows >= 1)
         assert rank == Mat4(line + sub).rank()
         outcomes.add(meets)

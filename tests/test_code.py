@@ -61,6 +61,10 @@ def test_complete_hexacode():
     assert p.gen == LOCAL_5.right_kernel()
     assert (p.gen @ p.pchk.transpose()).is_zero()
     assert p.gen.rows + p.pchk.rows == p.n
+    # it is given exactly one: neither, or both, is refused
+    for gen, pchk in ((None, None), (c.gen, c.pchk)):
+        with pytest.raises(ValueError, match="exactly one"):
+            LinearCode(gen=gen, pchk=pchk)
 
 
 def test_complete_single_parity_layout_gives_repetition():
@@ -87,7 +91,7 @@ def test_min_distance_examples():
 
 
 def test_min_distance_undefined_for_zero_code():
-    z = LinearCode(gen=Mat4.zeros(0, 4), pchk=Mat4.identity(4))
+    z = LinearCode(gen=Mat4.zeros(0, 4))
     with pytest.raises(UndefinedDistanceError):
         z.min_distance()
 

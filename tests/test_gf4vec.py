@@ -1,0 +1,50 @@
+import numpy as np
+from hypothesis import given, strategies as st
+
+from lrc4._gf4vec import Eliminator, coordinates, mask, pack, span
+from lrc4.mat4 import Mat4
+
+
+@given(st.integers(0, 5), st.integers(1, 7), st.integers(0, 2**32 - 1))
+def test_span_lists_span_words_packed(k, m, seed):
+    # span takes the first vector as the lowest base-4 digit, span_words
+    # the first row as the highest: the same words in the same order
+    # once the basis is reversed.  Dependent bases are allowed.
+    rows = np.random.default_rng(seed).integers(0, 4, size=(k, m), dtype=np.uint8)
+    words = span(pack(rows))
+    assert len(words) == 4**k
+    assert words == pack(Mat4(rows[::-1]).span_words())
+
+
+@given(st.integers(1, 130).flatmap(
+    lambda n: st.tuples(st.just(n), st.frozensets(st.integers(1, n)))))
+def test_mask_and_coordinates_round_trip(case):
+    n, coords = case
+    bits = mask(coords)
+    assert bits.bit_length() <= n
+    assert all(bits >> c - 1 & 1 for c in coords) and bits.bit_count() == len(coords)
+    assert coordinates(bits) == sorted(coords)
+    assert mask(coordinates(bits)) == bits
+
+
+@given(st.lists(st.tuples(st.integers(0, 2**70), st.integers(0, 2**70)), max_size=8))
+def test_seeded_eliminator_is_the_pushes_one_by_one(vectors):
+    calls = []
+    real = Eliminator.push
+
+    def counted(self, v):
+        calls.append(v)
+        return real(self, v)
+
+    Eliminator.push = counted
+    try:
+        seeded = Eliminator(vectors)
+        seeded_calls = len(calls)
+        calls.clear()
+        pushed = Eliminator()
+        grew = [pushed.push(v) for v in vectors]
+    finally:
+        Eliminator.push = real
+    assert seeded_calls == len(calls) == len(vectors)
+    assert seeded.rank == pushed.rank == sum(grew)
+    assert seeded._basis == pushed._basis and seeded._trail == pushed._trail

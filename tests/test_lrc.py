@@ -157,7 +157,7 @@ def test_extract_profile_c6():
     # not truncated to row 1
     same = extract_profile(bc.code.parity_check(), [(1, 2.0), (np.int64(3), 4)], r=3, delta=3)
     assert same == profile
-    for layout in ([(1.5, 2.9), (3, 4)], [(1, 2), (3, 4.5)]):
+    for layout in ([(1.5, 2.9), (3, 4)], [(1, 2), (3, 4.5)], [(True, 2), (3, 4)]):
         with pytest.raises(ValueError, match="group row ranges must be integers"):
             extract_profile(bc.code.parity_check(), layout, r=3, delta=3)
 
@@ -1059,13 +1059,13 @@ def test_large_local_kernel_is_walked_in_bounded_blocks(monkeypatch):
     profile = LocalityProfile(r=n - 1, delta=2, global_rows=(2,), matrix=h,
                               groups=(LocalGroup(rows=(1,), support=frozenset(range(1, n + 1))),))
     spanned = []
-    span = lrc._span
+    span = lrc.span
 
     def record(basis):
         spanned.append(len(basis))
         return span(basis)
 
-    monkeypatch.setattr(lrc, "_span", record)
+    monkeypatch.setattr(lrc, "span", record)
     _assert_tables_match_oracle(profile)
     assert spanned and max(spanned) == lrc._SPLICE_BLOCK_K < n - 1
     assert blockwise_min_distance(profile) == LinearCode(pchk=h).min_distance()
@@ -1119,7 +1119,7 @@ def test_blockwise_work_bound_is_checked_before_any_word_is_listed(monkeypatch):
     def refuse(*args):
         raise AssertionError("a kernel word was listed past the work bound")
 
-    monkeypatch.setattr(lrc, "_span", refuse)
+    monkeypatch.setattr(lrc, "span", refuse)
     monkeypatch.setattr(lrc, "BLOCKWISE_MAX_WORK", 0)
     with pytest.raises(ResourceError, match="over the bound of 0"):
         blockwise_min_distance(profile)
@@ -1212,6 +1212,10 @@ def test_profile_checks_its_layout_where_it_is_made(case, route):
 
     with pytest.raises(error, match=message):
         make(p, **changes)
+    if case.startswith("fractional-"):
+        # a bool is refused too, not read as row or coordinate 1
+        with pytest.raises(error, match=message):
+            make(p, **_retyped(p, case, lambda i: True))
     # the unbroken layout passes, and its packed fields are compiled again;
     # they take no part in comparison or repr
     again = make(p)

@@ -45,6 +45,9 @@ def test_normalize():
     # a non-integral coordinate is refused, not truncated to (1 w)
     with pytest.raises(ValueError, match="must be integers"):
         normalize([1.5, 2])
+    # and a bool, not read as 1
+    with pytest.raises(ValueError, match="must be integers"):
+        normalize([True, 0, 1])
     assert normalize([2.0, np.int64(2)]) == normalize((2, 2))
     with pytest.raises(ValueError):
         PgPoint((gf4.W, 0, 0))  # not normalized

@@ -6,12 +6,10 @@ import numpy as np
 import pytest
 
 from lrc4 import gf4
-from lrc4._gf4vec import pack, unpack
+from lrc4._gf4vec import coordinates, dots, pack, unpack
 from lrc4.constructions import acceptance_sweep, build
 from lrc4.repair import (
     ErasurePattern,
-    _coordinates,
-    _is_codeword,
     _pack_received,
     _solve_group,
     encode,
@@ -162,6 +160,12 @@ def test_erased_coordinates_range_checked():
             erasure_tolerance_ok(bc, ErasurePattern.of(coords))
     # a non-integral coordinate is refused, not truncated to coordinate 1
     for coords in ([1.5], [2, 1.5]):
+        with pytest.raises(ValueError, match="must be integers"):
+            ErasurePattern.of(coords)
+        with pytest.raises(ValueError, match="must be integers"):
+            erasure_tolerance_ok(bc, ErasurePattern(frozenset(coords)))
+    # so is a bool, not read as coordinate 1
+    for coords in ([True], [2, np.bool_(False)]):
         with pytest.raises(ValueError, match="must be integers"):
             ErasurePattern.of(coords)
         with pytest.raises(ValueError, match="must be integers"):
@@ -329,7 +333,7 @@ def test_group_view_matches_its_profile(cid, kw):
     assert all(a is b for a, b in zip(fields, again))  # compiled once
     for gi, grp in enumerate(profile.groups):
         cols = np.array(sorted(grp.support))
-        assert _coordinates(profile.masks[gi]) == cols.tolist()
+        assert coordinates(profile.masks[gi]) == cols.tolist()
         local = unpack(list(profile.local_rows[gi]), n)
         rows = np.array(grp.rows)
         assert (local[:, cols - 1] == h[rows - 1][:, cols - 1]).all()
@@ -342,7 +346,7 @@ def test_group_view_matches_its_profile(cid, kw):
     else:
         assert profile.partitioned == (cid != "C19")
 
-    # the packed parity test against numpy's syndromes, row by row and
+    # the packed inner products against numpy's syndromes, row by row and
     # over the whole matrix, on random words and on codewords
     assert profile.words == tuple(pack(h))
     rng = np.random.default_rng(19)
@@ -350,9 +354,11 @@ def test_group_view_matches_its_profile(cid, kw):
     msgs = rng.integers(0, 4, size=(50, bc.code.k))
     codewords = np.array([encode(bc, m) for m in msgs], dtype=np.uint8)
     for x in (words, codewords):
-        zero = np.bitwise_xor.reduce(gf4.MUL_NP[h[None, :, :], x[:, None, :]], axis=2) == 0
+        syndromes = np.bitwise_xor.reduce(gf4.MUL_NP[h[None, :, :], x[:, None, :]], axis=2)
+        zero = syndromes == 0
         packed = pack(x)
-        assert [[_is_codeword((row,), v) for row in profile.words] for v in packed] == zero.tolist()
-        assert [_is_codeword(profile.words, v) for v in packed] == zero.all(axis=1).tolist()
+        assert [dots(profile.words, v) for v in packed] == syndromes.tolist()
+        assert [[not any(dots((row,), v)) for row in profile.words] for v in packed] == zero.tolist()
+        assert [not any(dots(profile.words, v)) for v in packed] == zero.all(axis=1).tolist()
     assert zero.all() and codewords.any()
 
