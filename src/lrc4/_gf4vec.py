@@ -137,11 +137,12 @@ def echelon(rows: list[Vec]) -> list[int]:
 
 
 def span(basis: list[Vec]) -> list[Vec]:
-    """The 4^k words of the span of k independent packed vectors, the
-    zero word first: word j is sum_i s_i * basis[i], where s_i is the
-    i-th base-4 digit of j, lowest first, read as 0, 1, w, w2."""
+    """The 4^k words of the span of k independent packed vectors in
+    :meth:`Mat4.span_words` order, the zero word first: word j is
+    sum_i s_i * basis[i], where s_i is the i-th base-4 digit of j,
+    basis[0]'s the most significant, read as 0, 1, w, w2."""
     words = [(0, 0)]
-    for h, l in basis:  # add the multiples 1, w, w2 of each vector
+    for h, l in reversed(basis):  # add the multiples 1, w, w2 of each vector
         m = h ^ l
         words += [(a ^ x, b ^ y) for x, y in ((h, l), (m, h), (l, m)) for a, b in words]
     return words

@@ -8,10 +8,9 @@ Matrix text format (bit-exact round trip):
     ...
 
 with a trailing newline.  ``build`` writes structured comments (family,
-parameters, locality pair and group row ranges) that ``verify`` reads
-back, so a built parity-check file carries its own layout; matrices from
-other sources are verified against a searched layout instead.
-``distance`` settles d through the file's layout when it has one.
+parameters, locality pair and group row ranges) that ``verify`` and
+``distance`` read back: a parity-check file's ``group-rows`` are its
+layout, and any other file's is searched for and restructured.
 
 Coordinates, group rows and supports are 1-based everywhere, matching
 the classification's [n] = {1..n} convention.
@@ -19,9 +18,9 @@ the classification's [n] = {1..n} convention.
 Exit codes: 0 success, 1 verification/repair failure, 2 usage or format
 errors.  The minimum-distance column scan is budgeted at 10^8 subset
 checks; a scan over budget falls back to codeword enumeration when
-k <= 14.  ``verify --full`` lifts that budget together with the n <= 30
-guard of the locality search.  ``pg --points`` lists PG(m-1, 4) only for
-m <= 10.
+k <= 14.  Past n = 30 the locality search is budgeted at
+``lrc.LOCALITY_SEARCH_MAX_WORK`` units of work.  ``verify --full`` lifts
+both budgets.  ``pg --points`` lists PG(m-1, 4) only for m <= 10.
 """
 
 from __future__ import annotations
@@ -38,8 +37,6 @@ from .constructions import build
 from .classify import all_claim_reports, enumerate_optimal_params
 from .errors import Lrc4Error, ResourceError
 from .lrc import (
-    LOCALITY_SEARCH_MAX_N,
-    LocalityProfile,
     check_structure,
     extract_profile,
     restructure,
@@ -196,10 +193,7 @@ def _cmd_build(args) -> int:
 
 
 def _load_code(args) -> tuple[LinearCode, dict, str]:
-    if args.parity:
-        path, kind = args.parity, "parity"
-    else:
-        path, kind = args.generator, "generator"
+    path, kind = (args.parity, "parity") if args.parity else (args.generator, "generator")
     with open(path, encoding="utf-8") as fh:
         m, meta = read_matrix(fh)
     declared = {"parity-check": "parity", "generator": "generator"}.get(meta.get("kind"))
@@ -216,48 +210,26 @@ def _cmd_verify(args) -> int:
     r = args.r if args.r is not None else meta.get("r")
     delta = args.delta if args.delta is not None else meta.get("delta")
     if r is None or delta is None:
-        print("verify: need --r and --delta (not found in file metadata)", file=sys.stderr)
-        return 2
-    r, delta = int(r), int(delta)
-
-    layout = meta.get("group_rows") if kind == "parity" else None
-    max_n = code.n if args.full else LOCALITY_SEARCH_MAX_N
+        raise Lrc4Error("verify: need --r and --delta (not found in file metadata)")
     budget = 10**18 if args.full else None
-
-    notes: list[str] = []
-    try:
-        found = verify_locality(code, r, delta, max_n=max_n)
-    except ResourceError as e:
-        # past the desk-scale guard: fall back to the file's layout if it
-        # has one, reporting locality as unverified
-        if not layout:
-            print(f"lrc4: {e} (use --full to override)", file=sys.stderr)
-            return 2
-        found = None
-        notes.append(f"locality not re-verified by search: {e}")
-    if found is not None and not found.ok:
-        payload = {
-            "params": {"n": code.n, "k": code.k, "d": None},
-            "locality": {"r": r, "delta": delta, "l": 0, "groups": []},
-            "bound_d": None,
-            "d_optimal": False,
-            "r_optimal": None,
-            "checks": {},
-            "family": meta.get("family"),
-            "status": meta.get("status"),
-            "bad_coordinates": sorted(found.bad_coordinates),
-        }
+    profile, found = _file_profile(code, meta, kind, r, delta, budget)
+    if profile is None:
+        bad = list(found.bad_coordinates)
         if args.json:
-            print(json.dumps(payload))
+            print(json.dumps({
+                "params": {"n": code.n, "k": code.k, "d": None},
+                "locality": {"r": found.r, "delta": found.delta, "l": 0, "groups": []},
+                "bound_d": None, "d_optimal": False, "r_optimal": None, "checks": {},
+                "family": meta.get("family"), "status": meta.get("status"),
+                "bad_coordinates": bad,
+            }))
         else:
-            print(f"locality ({r},{delta}) FAILS at coordinates {sorted(found.bad_coordinates)}")
+            print(f"locality ({found.r},{found.delta}) FAILS at coordinates {bad}")
         return 1
 
-    profile = _layout_profile(code, layout, r, delta) if layout else restructure(code, found)
-    report = check_structure(profile, search=found, scan_budget=budget)
+    report = check_structure(profile, search=found, scan_budget=budget, search_budget=budget)
     report.family = meta.get("family")
     report.status = meta.get("status")
-    report.notes.extend(notes)
     if args.json:
         print(json.dumps(report.to_json_dict()))
     else:
@@ -272,19 +244,25 @@ def _cmd_verify(args) -> int:
     return 0 if report.all_passed else 1
 
 
-def _layout_profile(code: LinearCode, layout: list, r: int, delta: int) -> LocalityProfile:
-    """The profile of a parity file's ``group-rows`` layout, holding its loaded code."""
-    profile = extract_profile(code.parity_check(), layout, r=r, delta=delta)
-    profile.code = code
-    return profile
+def _file_profile(code: LinearCode, meta: dict, kind: str, r: int, delta: int, budget=None):
+    """A code file's layout and the search behind it: a parity file's
+    ``group-rows`` as they stand (``punctured_mds`` on them certifies the
+    locality), else the search within ``budget``, restructured, or None
+    when it fails."""
+    if kind == "parity" and meta.get("group_rows"):
+        profile = extract_profile(code.parity_check(), meta["group_rows"], r=r, delta=delta)
+        profile.code = code
+        return profile, None
+    found = verify_locality(code, r, delta, budget)
+    return (restructure(code, found) if found.ok else None), found
 
 
 def _cmd_distance(args) -> int:
     code, meta, kind = _load_code(args)
-    if kind == "parity" and meta.get("group_rows") and {"r", "delta"} <= meta.keys():
-        print(_layout_profile(code, meta["group_rows"], meta["r"], meta["delta"]).min_distance())
-    else:
-        print(code.min_distance())
+    profile = None
+    if {"r", "delta"} <= meta.keys():
+        profile = _file_profile(code, meta, kind, meta["r"], meta["delta"])[0]
+    print(code.min_distance() if profile is None else profile.min_distance())
     return 0
 
 
@@ -381,7 +359,7 @@ def make_parser() -> argparse.ArgumentParser:
     v.add_argument("--r", type=int)
     v.add_argument("--delta", type=int)
     v.add_argument("--full", action="store_true",
-                   help="lift the desk-scale guards (may be very slow)")
+                   help="lift the scan and search work budgets (may be very slow)")
     v.add_argument("--json", action="store_true")
     v.set_defaults(fn=_cmd_verify)
 

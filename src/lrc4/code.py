@@ -55,8 +55,9 @@ _ENUM_SYMBOL_S = 1.6e-9
 
 
 def span_chunks(basis: Mat4) -> Iterator[np.ndarray]:
-    """Every combination of the rows of ``basis``, in tables of at most
-    4^10 rows; the first table starts with the zero word."""
+    """Every combination of the rows of ``basis`` in :meth:`Mat4.span_words`
+    order (row 0 the most significant base-4 digit), in tables of at
+    most 4^10 rows; the first table starts with the zero word."""
     if basis.rows <= _ENUM_CHUNK_K:  # one table, without re-wrapping the rows
         yield basis.span_words()
         return
@@ -208,11 +209,14 @@ class LinearCode:
 
 
 def _integers(values: Iterable[int], what: str) -> list[int]:
-    """The values as ints; ValueError on a bool, Python's or numpy's, or
-    on one that int() would truncate, such as 1.5 (2.0 and numpy ints
-    pass)."""
+    """The values as ints, by the package's one integer rule: a value
+    equal to its int() that is no bool, Python's or numpy's (2.0 and
+    numpy ints pass; 1.5, "2" and True raise ValueError)."""
     values = list(values)
-    ints = [int(v) for v in values]
+    try:
+        ints = [int(v) for v in values]
+    except (TypeError, ValueError, OverflowError):
+        ints = None
     if ints != values or not {bool, np.bool_}.isdisjoint(map(type, values)):
         raise ValueError(f"{what} must be integers, got {values}")
     return ints

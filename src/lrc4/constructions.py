@@ -31,13 +31,12 @@ from typing import Callable, Iterator
 
 from . import gf4, lrc
 from ._gf4vec import Eliminator, pack_rows
-from .code import HEXACODE_GEN, CodeParams, LinearCode
+from .code import HEXACODE_GEN, CodeParams, LinearCode, _integers
 from .errors import CatalogError, RangeError, StructureError
 from .lrc import (
     LocalityProfile,
     LocalitySearch,
     OptimalityReport,
-    _is_integer,
     check_structure,
     extract_profile,
     restructure,
@@ -676,7 +675,12 @@ def build(
         raise CatalogError(f"unknown construction {construction!r}")
     cid = fam.construction
     if k is not None and "r" in fam.ranges:  # C4/C11 also take k = r*l for r
-        if not (_is_integer(k) and _is_integer(l)) or not l or k % l or r not in (None, k // l):
+        try:
+            k, l = _integers((k, l), "k and l")
+            fits = l and not k % l and r in (None, k // l)
+        except ValueError:
+            fits = False
+        if not fits:
             with_r = "" if r is None else f", r={r!r}"
             raise RangeError(f"{cid} needs k = r*l, got k={k!r}, l={l!r}{with_r}")
         k, r = None, k // l
@@ -691,8 +695,10 @@ def build(
         value = fam.defaults.get(name) if given[name] is None else given[name]
         if value is None:
             raise RangeError(f"{cid} needs parameter {name}")
-        if not _is_integer(value):
-            raise RangeError(f"{cid} needs an integer {name}, got {name}={value!r}")
+        try:
+            [value] = _integers([value], name)
+        except ValueError:
+            raise RangeError(f"{cid} needs an integer {name}, got {name}={value!r}") from None
         if value < lo or (hi is not None and value > hi):
             needs = f"{name} >= {lo}" if hi is None else f"{lo} <= {name} <= {hi}"
             raise RangeError(f"{cid} needs {needs}, got {name}={value}")

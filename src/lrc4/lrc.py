@@ -20,6 +20,8 @@ up to n = 30, a rank-(r-1) branch that one numpy table of point keys
 per search shows cannot reach it.  The supports found are sorted in
 increasing size and lexicographic order, so results are deterministic
 and the (r-1, delta) result is a strict prefix of the (r, delta) one.
+The search counts its work and, past n = 30, stops with ResourceError
+once it passes a budget, :data:`LOCALITY_SEARCH_MAX_WORK` by default.
 One :class:`LocalitySearch` feeds a whole verification: its qualifying
 supports rebuild the block layout, and r-optimality is read from it
 (some coordinate's smallest qualifying support has size r+delta-1).
@@ -52,11 +54,10 @@ every constructed build with n <= 128), or else that of the code it spans.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import combinations
-from math import ceil, floor
+from math import ceil, floor, inf
 from typing import Sequence
 
 import numpy as np
@@ -86,7 +87,13 @@ from .errors import (
 )
 from .mat4 import Mat4
 
+#: the largest n the locality search takes with no work bound
 LOCALITY_SEARCH_MAX_N = 30
+#: the work bound past it, in column reductions, a distance check counting
+#: _CHECK_WORK (about as long): the worst constructed build with n <= 256,
+#: C10 l = 43 a from its generator, needs 3.3e6, 4 s on a 2-core Xeon
+LOCALITY_SEARCH_MAX_WORK = 10**7
+_CHECK_WORK = 6
 #: the least n, by r, at which the locality search builds its gain table
 #: (:func:`_gain_table`).  Measured on a 2-core Xeon with Python 3.11
 #: over the audit's searches: the table costs 0.06-0.08 ms at r = 2 and
@@ -109,7 +116,7 @@ _SPLICE_BLOCK_K = 8
 
 def singleton_like_bound(n: int, k: int, r: int, delta: int) -> int:
     """Upper bound n - k + 1 - (ceil(k/r) - 1)(delta - 1) on the distance."""
-    _check_locality_params(n, k, r, delta)
+    r, delta = _locality_params(r, delta, n, k)
     return n - k + 1 - (ceil(k / r) - 1) * (delta - 1)
 
 
@@ -119,14 +126,19 @@ def group_count_range(n: int, k: int, r: int, delta: int) -> tuple[int, int]:
     The pair is returned even when the lower end exceeds the upper end;
     that marks the parameters as infeasible.
     """
-    _check_locality_params(n, k, r, delta)
+    r, delta = _locality_params(r, delta, n, k)
     return ceil(k / r), floor((n - k) / (delta - 1))
 
 
-def _check_locality_params(n: int, k: int, r: int, delta: int) -> None:
-    _check_search_params(r, delta)
-    if not (r <= k <= n):
+def _locality_params(r: int, delta: int, n: int | None = None, k: int = 0) -> tuple[int, int]:
+    """r and delta as ints (:func:`lrc4.code._integers`); ValueError unless
+    r >= 1 and delta >= 2, and, given n and k, r <= k <= n."""
+    r, delta = _integers((r, delta), "r and delta")
+    if r < 1 or delta < 2:
+        raise ValueError(f"need r >= 1 and delta >= 2, got r={r}, delta={delta}")
+    if n is not None and not (r <= k <= n):
         raise ValueError(f"need 1 <= r <= k <= n, got n={n}, k={k}, r={r}")
+    return r, delta
 
 
 @dataclass(frozen=True)
@@ -349,7 +361,7 @@ def _gain_table(cols: list[Vec], k: int, r: int) -> list:
 
 
 def _locality_search(
-    gen: Mat4, r: int, delta: int
+    gen: Mat4, r: int, delta: int, budget: float = inf
 ) -> tuple[dict[int, frozenset[int]], list[frozenset[int]]]:
     """Find every support R, |R| <= r+delta-1, with d(C|_R) >= delta.
 
@@ -390,6 +402,10 @@ def _locality_search(
     such a child, so the outputs are those of the plain search.  Below
     the crossover the table costs more than it saves, and past n = 30 a
     key would not fit a uint64, so those searches run without it.
+
+    A node entered with more than ``budget`` work done, a unit per column
+    reduced and :data:`_CHECK_WORK` per distance check, raises
+    ResourceError naming both counts.
     """
     k, n = gen.rows, gen.cols
     res_mask = (1 << k) - 1
@@ -401,9 +417,14 @@ def _locality_search(
     cols = pack_columns(gen)
     table = (_gain_table(cols, k, r)
              if _GAIN_TABLE_MIN_N.get(r, n + 1) <= n <= LOCALITY_SEARCH_MAX_N else None)
+    columns = checks = 0  # the work done: columns reduced, distance checks made
 
     def rec(later: list[tuple[int, int, int]], rank: int, keys: list | None = None,
             gains: list | None = None) -> None:
+        nonlocal columns, checks
+        if columns + _CHECK_WORK * checks > budget:
+            raise ResourceError(f"locality search stopped after {columns} column reductions and "
+                                f"{checks} distance checks, over its work budget of {budget}")
         depth = len(chosen) + 1
         # at rank r - 2: the gain of each growing child's branch, by column
         branch_gain = gains if rank + 2 == r else None
@@ -441,16 +462,17 @@ def _locality_search(
             chosen.append(i)
             if not grows:
                 tags.append((hi >> k, lo >> k))
-            if depth >= delta and deficiency >= need_def and _punctured_distance_at_least(
-                tags, rank + grows, delta
-            ):
-                hits.append(tuple(chosen))
+            if depth >= delta and deficiency >= need_def:
+                checks += 1
+                if _punctured_distance_at_least(tags, rank + grows, delta):
+                    hits.append(tuple(chosen))
             if depth < max_size:
                 if not grows:
                     rest = later[p + 1:]
                 else:
-                    pivot = (hi, lo | 1 << (k + rank))
-                    rest = reduce_by(pivot, follow if bucketed else later[p + 1:])
+                    reduced = follow if bucketed else later[p + 1:]
+                    columns += len(reduced)
+                    rest = reduce_by((hi, lo | 1 << (k + rank)), reduced)
                 if deficiency + len(rest) >= need_def:
                     if not grows:
                         sub = gains
@@ -473,34 +495,23 @@ def _locality_search(
     return assigned, found
 
 
-def _is_integer(value: object) -> bool:
-    # a plain int first: the ABC check costs about a microsecond
-    return type(value) is int or (isinstance(value, numbers.Integral)
-                                  and not isinstance(value, bool))
-
-
-def _check_search_params(r: int, delta: int) -> None:
-    if not (_is_integer(r) and _is_integer(delta)):
-        raise ValueError(f"need integers r and delta, got r={r!r}, delta={delta!r}")
-    if r < 1 or delta < 2:
-        raise ValueError(f"need r >= 1 and delta >= 2, got r={r}, delta={delta}")
-
-
-def verify_locality(
-    c: LinearCode, r: int, delta: int, max_n: int = LOCALITY_SEARCH_MAX_N
-) -> LocalitySearch:
+def verify_locality(c: LinearCode, r: int, delta: int, budget: int | None = None) -> LocalitySearch:
     """Search every coordinate's (r, delta) repair supports, by definition.
 
     The result is ``ok`` when every coordinate has one; otherwise its
     ``bad_coordinates`` lists those without.  :func:`restructure` turns a
-    successful search into a block layout.
+    successful search into a block layout.  Past n = 30 the search
+    raises ResourceError, naming its work, once that passes ``budget``
+    (:data:`LOCALITY_SEARCH_MAX_WORK` when None).
     """
-    _check_search_params(r, delta)
+    r, delta = _locality_params(r, delta)
     if c.k == 0:
         raise ValueError("locality of the zero code is undefined")
-    if c.n > max_n:
-        raise ResourceError(f"locality search guarded at n <= {max_n}, got n = {c.n}")
-    assigned, found = _locality_search(c.gen, r, delta)
+    if c.n <= LOCALITY_SEARCH_MAX_N:
+        budget = inf
+    elif budget is None:
+        budget = LOCALITY_SEARCH_MAX_WORK
+    assigned, found = _locality_search(c.gen, r, delta, budget)
     return LocalitySearch(n=c.n, r=r, delta=delta, coordinate_supports=assigned,
                           qualifying=tuple(found))
 
@@ -519,12 +530,11 @@ def _others_cover(sets: Sequence[frozenset[int]], i: int, n: int) -> bool:
     return len(set().union(*sets[:i], *sets[i + 1:])) == n
 
 
-def is_r_optimal(c: LinearCode, r: int, delta: int) -> bool:
-    """True when locality (r-1, delta) is impossible (vacuously true at r = 1)."""
-    _check_search_params(r, delta)
-    if r == 1:
-        return True
-    return not verify_locality(c, r - 1, delta).ok
+def is_r_optimal(c: LinearCode, r: int, delta: int, budget: int | None = None) -> bool:
+    """True when locality (r-1, delta) is impossible (vacuously true at r = 1),
+    by a :func:`verify_locality` search within ``budget``."""
+    r, delta = _locality_params(r, delta)
+    return r == 1 or not verify_locality(c, r - 1, delta, budget).ok
 
 
 def extract_profile(
@@ -874,6 +884,7 @@ def check_structure(
     *,
     search: LocalitySearch | None = None,
     scan_budget: int | None = None,
+    search_budget: int | None = None,
 ) -> OptimalityReport:
     """Run the optimality predicates and the five structural theorem checks
     on the code that :meth:`LocalityProfile.parity_check` presents, the
@@ -885,9 +896,9 @@ def check_structure(
     successful (r, delta) :func:`verify_locality` result, if given.  Else,
     with d exact and r >= 2, a d above the (r-1, delta) Singleton-like
     bound proves it, since no code of these [n, k, d] has (r-1,
-    delta)-locality; failing that, :func:`is_r_optimal` searches.
-    When the router's scan exceeds its budget with k > 14, or the code
-    is beyond the locality-search guard, the affected verdicts are
+    delta)-locality; failing that, :func:`is_r_optimal` searches within
+    ``search_budget``.  When the router's scan exceeds its budget with
+    k > 14, or that search its budget, the affected verdicts are
     reported as None with an explanatory note rather than failing.
 
     The two MDS checks run on packed vectors, from the profile's
@@ -931,7 +942,7 @@ def check_structure(
         r_optimal = True
     else:
         try:
-            r_optimal = is_r_optimal(c, r, delta)
+            r_optimal = is_r_optimal(c, r, delta, search_budget)
         except ResourceError as e:
             notes.append(f"r-optimality skipped: {e}")
 

@@ -90,7 +90,8 @@ def subspace_blocks(m: int, i: int) -> Iterator[np.ndarray]:
     Each block is a fresh (count, i, m) uint8 array.  For each set of
     pivot columns, the entries right of each pivot and off the pivot
     columns (the free cells, row by row) run over ``gf4.ELEMENTS`` in
-    ``itertools.product`` order.  A block's span table,
+    ``itertools.product`` order, the first cell the most significant, as
+    row 0 is in :meth:`Mat4.span_words`.  A block's span table,
     :func:`lrc4.mat4.span_stack`, holds at most 4^10 words, the
     ``span_chunks`` rule: the trailing free cells vary within a block,
     the leading ones from block to block.

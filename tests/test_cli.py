@@ -1,5 +1,6 @@
 import io
 import json
+import re
 
 import pytest
 from hypothesis import example, given, strategies as st
@@ -158,25 +159,29 @@ def test_verify_parity_files_of_the_sweep_match_verify(tmp_path, capsys):
         assert js == json.dumps(build(cid, **kw).verify().to_json_dict()) + "\n", (cid, kw)
 
 def test_verify_full_lifts_every_search_guard(tmp_path, capsys, monkeypatch):
-    # C1 l = 8 is [39,23,3], past the n <= 30 locality-search guard
+    # C1 l = 8 is [39,23,3], past the n <= 30 bound-free locality search
     for kind in ("generator", "parity"):
         path = tmp_path / f"{kind}.txt"
         run(capsys, "build", "--family", "C1", "--l", "8", "--as", kind, "--out", str(path))
-        code, out, err = run(capsys, "verify", f"--{kind}", str(path), "--full")
-        assert (code, err) == (0, ""), kind
-        assert "r_optimal=True" in out
-        assert "skipped" not in out
-    # without --full a layout file falls back to its own groups, and a
-    # generator file has none to fall back to; the exact d = 3 is above
-    # the (r-1, delta) bound, which proves r-optimality without a search
-    code, out, _ = run(capsys, "verify", "--parity", str(tmp_path / "parity.txt"))
-    assert code == 0
-    assert "[39,23,3]" in out and "r_optimal=True" in out
-    assert "skipped" not in out
-    assert "note: locality not re-verified by search" in out
+        full = run(capsys, "verify", f"--{kind}", str(path), "--full")
+        assert full[0] == 0 and full[2] == "", kind
+        assert "[39,23,3]" in full[1] and "r_optimal=True" in full[1]
+        assert "note" not in full[1]
+        # the search fits the default work budget, so no flag is needed;
+        # d = 3 above the (r-1, delta) bound proves r-optimality of the
+        # layout file without a search
+        assert run(capsys, "verify", f"--{kind}", str(path)) == full
+    # with a budget too small for the search, a generator file has no
+    # layout to verify and exits 2 naming the work done; --full lifts it
+    monkeypatch.setattr("lrc4.lrc.LOCALITY_SEARCH_MAX_WORK", 100)
+    code, _, err = run(capsys, "verify", "--generator", str(tmp_path / "generator.txt"))
+    assert code == 2 and re.search(r"stopped after \d+ column reductions and \d+ distance "
+                                   r"checks, over its work budget of 100", err)
+    code, out, _ = run(capsys, "verify", "--generator", str(tmp_path / "generator.txt"), "--full")
+    assert code == 0 and "r_optimal=True" in out
     # variant b's groups overlap, so its router settles d; with d unsettled
     # (a scan budget below C(39,3), k > 14) the bound cannot fire and
-    # r-optimality needs the guarded search
+    # r-optimality needs the (r-1, delta) search, here over its budget
     path = tmp_path / "parity_b.txt"
     run(capsys, "build", "--family", "C1", "--l", "8", "--variant", "b", "--as", "parity",
         "--out", str(path))
@@ -185,10 +190,10 @@ def test_verify_full_lifts_every_search_guard(tmp_path, capsys, monkeypatch):
     assert code == 0
     assert "r_optimal=None" in out
     assert "note: min distance not settled" in out
-    assert out.count("note: r-optimality skipped") == 1
-    assert "note: locality not re-verified by search" in out
-    code, _, err = run(capsys, "verify", "--generator", str(tmp_path / "generator.txt"))
-    assert code == 2 and "use --full" in err
+    assert out.count("note: r-optimality skipped: locality search stopped") == 1
+    code, out, _ = run(capsys, "verify", "--parity", str(path), "--full")
+    assert code == 0
+    assert "[39,23,3]" in out and "r_optimal=True" in out and "note" not in out
 
 
 def test_verify_locality_failure_exits_1(tmp_path, capsys):
@@ -208,6 +213,24 @@ def test_distance_subcommand(tmp_path, capsys):
         write_matrix(fh, HEXACODE_GEN)
     code, out, _ = run(capsys, "distance", "--generator", str(path))
     assert code == 0 and out.strip() == "4"
+
+
+def test_c17g_generator_file_is_settled_by_the_budgeted_search(tmp_path, capsys, monkeypatch):
+    # [102,46,12] as a generator file carries no layout: the locality
+    # search re-finds one within its work budget, with no flag, and the
+    # blockwise DP settles d on it rather than the router
+    path = tmp_path / "c17g.txt"
+    run(capsys, "build", "--family", "C17G", "--l", "17", "--as", "generator", "--out", str(path))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the router ran on a code whose searched layout the DP takes")
+
+    monkeypatch.setattr(LinearCode, "min_distance", refuse)
+    code, out, err = run(capsys, "verify", "--generator", str(path))
+    assert (code, err) == (0, "")
+    assert out.startswith("[102,46,12] bound_d=12 d_optimal=True r_optimal=True\n")
+    assert out.count(": True") == 5 and "note" not in out
+    assert run(capsys, "distance", "--generator", str(path)) == (0, "12\n", "")
 
 
 def test_distance_settles_d_through_the_files_layout(tmp_path, capsys, monkeypatch):

@@ -3,6 +3,7 @@ import json
 import random
 import re
 
+import numpy as np
 import pytest
 
 from lrc4.code import LinearCode
@@ -24,9 +25,10 @@ from lrc4.constructions import (
 )
 from lrc4.errors import CatalogError, RangeError
 from lrc4 import lrc
-from lrc4.lrc import check_structure
+from lrc4.lrc import check_structure, restructure, verify_locality
 from lrc4.mat4 import Mat4, vstack
 from lrc4.pg import enumerate_points, normalize
+from lrc4.repair import ErasurePattern
 from test_classify import constructed_instances
 
 
@@ -98,13 +100,14 @@ def test_build_parameter_validation():
         ("C12", {"k": 2, "delta": 5, "l": 7}, "C12 takes no parameter l"),
         ("C16", {"l": 3}, "C16 takes no parameter l"),
         ("C1", {"l": 2.5}, "C1 needs an integer l, got l=2.5"),
-        ("C1", {"l": 3.0}, "C1 needs an integer l, got l=3.0"),
+        ("C1", {"l": None}, "C1 needs parameter l"),
         ("C1", {"l": "3"}, "C1 needs an integer l, got l='3'"),
         ("C1", {"l": True}, "C1 needs an integer l, got l=True"),
-        ("C16", {"d": 12.0}, "C16 needs an integer d, got d=12.0"),
-        ("C4", {"l": 2, "r": 2.0}, "C4 needs an integer r, got r=2.0"),
+        ("C16", {"d": 11.5}, "C16 needs an integer d, got d=11.5"),
+        ("C4", {"l": 2, "r": 2.5}, "C4 needs an integer r, got r=2.5"),
         ("C4", {"l": 2, "k": "6"}, "C4 needs k = r*l, got k='6', l=2"),
-        ("C4", {"l": 2, "k": 6.0}, "C4 needs k = r*l, got k=6.0, l=2"),
+        ("C4", {"l": 2, "k": 6.5}, "C4 needs k = r*l, got k=6.5, l=2"),
+        ("C4", {"l": 2.0, "k": 7}, "C4 needs k = r*l, got k=7, l=2"),
     ]
     for cid, kw, message in cases:
         with pytest.raises(RangeError, match=re.escape(message)):
@@ -113,6 +116,31 @@ def test_build_parameter_validation():
         build("C99", l=2)
     with pytest.raises(CatalogError):
         build("C99", l=2, variant="a")
+
+
+def test_one_integer_rule_for_parameters_and_coordinates():
+    # build() parameters, r and delta, coordinates, rows and supports all
+    # follow code._integers: an integral value of any numeric type is the
+    # int it names, and 1.5, "2" and bools are refused
+    for cid, kw, want in (("C6", {"l": 3.0}, {"l": 3}), ("C16", {"d": np.float64(12)}, {"d": 12}),
+                          ("C4", {"l": 2, "r": np.int64(2)}, {"l": 2, "r": 2}),
+                          ("C4", {"l": 2, "k": 6.0}, {"l": 2, "r": 3})):
+        bc = build(cid, **kw)
+        assert bc.params == want and {type(v) for v in bc.params.values()} == {int}, kw
+        assert bc.code.generator() == build(cid, **want).code.generator()
+    assert ErasurePattern.of([2.0, np.int64(1)]).erased == frozenset({1, 2})
+    bc = build("C6", l=3)
+    found = verify_locality(bc.code, 3.0, np.int64(3))
+    assert found == verify_locality(bc.code, 3, 3) and (type(found.r), type(found.delta)) == (int, int)
+    bound = lrc.singleton_like_bound(15, 7, np.int64(3), 3.0)
+    assert bound == lrc.singleton_like_bound(15, 7, 3, 3) and type(bound) is int
+    for bad in (1.5, "2", True, [3]):
+        with pytest.raises(RangeError, match="needs an integer l"):
+            build("C6", l=bad)
+        with pytest.raises(ValueError, match="coordinates must be integers"):
+            ErasurePattern.of([bad])
+        with pytest.raises(ValueError, match="r and delta must be integers"):
+            verify_locality(bc.code, 3, bad)
 
 
 def test_build_accepts_exactly_the_catalogue_ranges():
@@ -658,25 +686,55 @@ def test_desk_scale_distance_settled_by_blockwise_route():
     assert report.notes == []
 
 
-def test_desk_scale_guard_degrades_gracefully():
+def test_desk_scale_guard_degrades_gracefully(monkeypatch):
     # C5 l = 8 variant b is [47,23,4] with overlapping groups, so the
-    # router settles d; past its budget (k > 14) and the locality-search
-    # guard the report marks d and r-optimality indeterminate with notes
-    # while the structural checks still run
+    # router settles d; past its budget (k > 14) the report marks d
+    # indeterminate with a note while the structural checks still run,
+    # and r-optimality takes the (r-1, delta) search
     bc = build("C5", l=8, variant="b")
     assert (bc.code.n, bc.code.k) == (47, 23)
     # a tight scan budget stands in for the default 10^8 so the test is quick
     report = check_structure(bc.profile, scan_budget=10 ** 4)
     assert report.d is None and report.d_optimal is None
-    assert report.r_optimal is None
+    assert report.r_optimal is True
     assert report.checks["h_prime_mds"].passed is True
     assert report.checks["rows_per_group"].passed is True
     assert report.checks["punctured_mds"].passed is True
     assert report.checks["disjointness"].passed is True
     assert report.checks["distance_cap"].passed is None  # needs d
-    assert any(note.startswith("min distance not settled") for note in report.notes)
-    assert any(note.startswith("r-optimality skipped") for note in report.notes)
-    assert report.all_passed  # nothing failed; several verdicts deferred
+    assert [note.split(":")[0] for note in report.notes] == ["min distance not settled"]
+    assert report.all_passed  # nothing failed; some verdicts deferred
+    # a search over its work budget defers r-optimality too
+    monkeypatch.setattr(lrc, "LOCALITY_SEARCH_MAX_WORK", 100)
+    report = check_structure(bc.profile, scan_budget=10 ** 4)
+    assert report.r_optimal is None
+    assert any(note.startswith("r-optimality skipped: locality search stopped")
+               for note in report.notes)
+    assert report.all_passed
+    assert check_structure(bc.profile, scan_budget=10 ** 4, search_budget=10**18).r_optimal
+
+
+def test_every_family_past_n_30_verifies_from_its_generator_alone():
+    # the first instance with 30 < n <= 64 of each family, both variants:
+    # the budgeted search re-finds a layout from the generator, and the
+    # restructured profile gets the catalogue's exact verdicts
+    checked = 0
+    for fam in catalog():
+        if fam.status == "nonexistent" or fam.construction is None:
+            continue
+        inst = next((i for i in fam.instances(64)
+                     if i["n"] > 30 and i["status"] == "constructed"), None)
+        if inst is None:
+            continue
+        for v in fam.variants or (None,):
+            kw = dict(inst["params"], **({"variant": v} if v else {}))
+            code = LinearCode(gen=build(fam.construction, **kw).code.generator())
+            found = verify_locality(code, inst["r"], inst["delta"])
+            report = check_structure(restructure(code, found), search=found)
+            assert report.d == inst["d"], (fam.construction, kw)
+            assert report.d_optimal and report.r_optimal and report.all_passed, (fam.construction, kw)
+            checked += 1
+    assert checked == 25
 
 
 def test_acceptance_sweep_matches_smallest_parameters():

@@ -93,10 +93,29 @@ def test_verify_locality_failure_lists_coordinates():
     assert res.bad_coordinates == tuple(range(1, 7))
 
 
-def test_verify_locality_guard():
-    bc = build("C17G", l=6)  # n = 36 exceeds the default search guard
-    with pytest.raises(ResourceError):
+def test_verify_locality_guard(monkeypatch):
+    # past n = 30 the search stops once its work passes the budget, and
+    # the error names the work it did; up to n = 30 it always finishes
+    bc = build("C17G", l=6)  # n = 36
+    assert verify_locality(bc.code, 3, 4).ok
+    work = r"stopped after (\d+) column reductions and (\d+) distance checks"
+    with pytest.raises(ResourceError, match=work + ", over its work budget of 50") as err:
+        verify_locality(bc.code, 3, 4, budget=50)
+    columns, checks = map(int, re.search(work, str(err.value)).groups())
+    assert columns + lrc._CHECK_WORK * checks > 50
+    monkeypatch.setattr(lrc, "LOCALITY_SEARCH_MAX_WORK", 50)
+    with pytest.raises(ResourceError, match="budget of 50"):
         verify_locality(bc.code, 3, 4)
+    with pytest.raises(ResourceError, match="budget of 50"):
+        is_r_optimal(bc.code, 3, 4)
+    assert verify_locality(bc.code, 3, 4, budget=10**18).ok
+    assert verify_locality(build("C17G", l=5).code, 3, 4).ok  # n = 30
+    # a low-dimensional random code makes a long search: [40,6] at r = 5
+    # takes about 10^7 units; its distance checks count toward the stop
+    rng = np.random.default_rng(2)
+    code = LinearCode(gen=Mat4(rng.integers(0, 4, size=(6, 40), dtype=np.uint8)))
+    with pytest.raises(ResourceError, match=r"and [1-9]\d* distance checks"):
+        verify_locality(code, 5, 3, budget=10**5)
 
 
 SEARCHES = 367
@@ -120,7 +139,7 @@ def test_search_output_is_pinned():
     assert digest.hexdigest() == SEARCH_SHA256
 
 
-@pytest.mark.parametrize("r,delta", [(2.5, 3), (True, 3), (3, 3.0), (2, False), ("3", 3)])
+@pytest.mark.parametrize("r,delta", [(2.5, 3), (True, 3), (3, 3.5), (2, False), ("3", 3)])
 def test_verify_locality_rejects_non_integer_parameters(r, delta):
     # a float r would never meet the rank-r prune, and a bool would run as 0 or 1
     code = build("C1", l=2).code
@@ -848,8 +867,8 @@ def test_gain_table_matches_the_searchs_own_residuals_on_random_codes(case):
 
 
 def test_search_past_the_guard_takes_the_plain_path(monkeypatch):
-    # a raised max_n lets the search run at n > 30, where a key no longer
-    # fits the table's planes: the table must stay off whatever the crossover
+    # past n = 30 a key no longer fits the table's planes: the table must
+    # stay off whatever the crossover
     def refuse(*args):
         raise AssertionError("gain table built past n = 30")
 
@@ -857,7 +876,7 @@ def test_search_past_the_guard_takes_the_plain_path(monkeypatch):
     monkeypatch.setattr(lrc, "_gain_table", refuse)
     bc = build("C17G", l=6)  # n = 36
     assert bc.code.n > lrc.LOCALITY_SEARCH_MAX_N
-    assert verify_locality(bc.code, 3, 4, max_n=36).ok
+    assert verify_locality(bc.code, 3, 4).ok
     with pytest.raises(AssertionError, match="past n = 30"):
         verify_locality(build("C17G", l=5).code, 2, 2)  # n = 30 takes the table
 
