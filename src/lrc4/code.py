@@ -42,6 +42,7 @@ from .errors import (
     ScanBudgetExceeded,
     UndefinedDistanceError,
 )
+from .gf4 import _integers
 from .mat4 import Mat4
 
 DEFAULT_SCAN_BUDGET = 10**8
@@ -206,20 +207,6 @@ class LinearCode:
             raise EmptyCodeError("puncturing every coordinate leaves nothing")
         g = self.generator().delete_columns(i - 1 for i in drop)
         return LinearCode(gen=g.row_basis())
-
-
-def _integers(values: Iterable[int], what: str) -> list[int]:
-    """The values as ints, by the package's one integer rule: a value
-    equal to its int() that is no bool, Python's or numpy's (2.0 and
-    numpy ints pass; 1.5, "2" and True raise ValueError)."""
-    values = list(values)
-    try:
-        ints = [int(v) for v in values]
-    except (TypeError, ValueError, OverflowError):
-        ints = None
-    if ints != values or not {bool, np.bool_}.isdisjoint(map(type, values)):
-        raise ValueError(f"{what} must be integers, got {values}")
-    return ints
 
 
 def _check_coordinate_set(coords: Iterable[int], n: int) -> frozenset[int]:

@@ -31,7 +31,7 @@ from typing import Callable, Iterator
 
 from . import gf4, lrc
 from ._gf4vec import Eliminator, pack_rows
-from .code import HEXACODE_GEN, CodeParams, LinearCode, _integers
+from .code import HEXACODE_GEN, CodeParams, LinearCode
 from .errors import CatalogError, RangeError, StructureError
 from .lrc import (
     LocalityProfile,
@@ -676,7 +676,7 @@ def build(
     cid = fam.construction
     if k is not None and "r" in fam.ranges:  # C4/C11 also take k = r*l for r
         try:
-            k, l = _integers((k, l), "k and l")
+            k, l = gf4._integers((k, l), "k and l")
             fits = l and not k % l and r in (None, k // l)
         except ValueError:
             fits = False
@@ -696,7 +696,7 @@ def build(
         if value is None:
             raise RangeError(f"{cid} needs parameter {name}")
         try:
-            [value] = _integers([value], name)
+            [value] = gf4._integers([value], name)
         except ValueError:
             raise RangeError(f"{cid} needs an integer {name}, got {name}={value!r}") from None
         if value < lo or (hi is not None and value > hi):

@@ -13,6 +13,8 @@ Textual symbols are ``0 1 w W`` with capital W standing for w^2.
 
 from __future__ import annotations
 
+from typing import Iterable
+
 import numpy as np
 
 ZERO = 0
@@ -40,6 +42,40 @@ _SYMBOL_TO_ELEMENT = {"0": 0, "1": 1, "w": 2, "W": 3}
 
 # numpy mirror of MUL for vectorized table lookups on uint8 arrays.
 MUL_NP = np.array(MUL, dtype=np.uint8)
+
+_BOOLS = frozenset((bool, np.bool_))
+# each element under every value equal to it, which hashes as it does
+_ELEMENT_OF = {e: e for e in ELEMENTS}
+
+
+def _integers(values: Iterable[int], what: str) -> list[int]:
+    """The values as ints, by the package's one integer rule: a value
+    equal to its int() that is no bool, Python's or numpy's (2.0 and
+    numpy ints pass; 1.5, "2" and True raise ValueError)."""
+    values = list(values)
+    try:
+        ints = [int(v) for v in values]
+    except (TypeError, ValueError, OverflowError):
+        ints = None
+    if ints != values or not _BOOLS.isdisjoint(map(type, values)):
+        raise ValueError(f"{what} must be integers, got {values}")
+    return ints
+
+
+def _elements(values: Iterable, what: str, erasures: bool = False) -> list:
+    """The values as field elements, by :func:`_integers`'s rule in the range
+    0..3: a value equal to one of the ints 0..3 that is no bool (2.0 and
+    numpy ints pass; 7, 1.5 and True raise ValueError), or, with
+    ``erasures``, None."""
+    values = list(values)
+    table = {None: None, **_ELEMENT_OF} if erasures else _ELEMENT_OF
+    try:
+        if _BOOLS.isdisjoint(map(type, values)):
+            return list(map(table.__getitem__, values))
+    except (KeyError, TypeError):  # no element, or unhashable
+        pass
+    bad = [v for v in values if type(v) in _BOOLS or v not in tuple(table)]
+    raise ValueError(f"{what} must be integers 0..3; {bad} are not GF(4) elements")
 
 
 def add(a: int, b: int) -> int:

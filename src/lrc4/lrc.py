@@ -26,17 +26,17 @@ One :class:`LocalitySearch` feeds a whole verification: its qualifying
 supports rebuild the block layout, and r-optimality is read from it
 (some coordinate's smallest qualifying support has size r+delta-1).
 
-A :class:`LocalityProfile` is a row layout: the partition of a
-constraint matrix's rows into local groups plus a global group, with
-1-based row and column indexing throughout; the structure checks read
-it.  A profile checks its layout when it is made and compiles it then
-into packed ints on its own fields, which the repair simulator, the
-structure checks and the blockwise distance read, and it holds the
-code of its parity check, reduced once, as ``code``.  When the groups
-are disjoint, :func:`blockwise_min_distance` settles the minimum
-distance by dynamic programming over the global syndromes of the
-groups' local-kernel words; ``LocalityProfile.min_distance`` takes that
-route for verification and ``lrc4 distance``.  Each
+A :class:`LocalityProfile` is a row layout: a constraint matrix and
+the rows of its local groups, whose supports it reads off the matrix,
+the other rows being global, with 1-based indexing throughout; the
+structure checks read it.  A profile checks its layout when it is made
+and compiles it then into packed ints on its own fields, which the
+repair simulator, the structure checks and the blockwise distance read,
+and it holds the code of its parity check, reduced once, as ``code``.
+When the groups are disjoint, :func:`blockwise_min_distance` settles
+the minimum distance by dynamic programming over the global syndromes
+of the groups' local-kernel words; ``LocalityProfile.min_distance``
+takes that route for verification and ``lrc4 distance``.  Each
 group's (syndrome, least weight) table is built on packed ints: one
 echelon form of its local rows and its masked global rows, each with a
 1 in its own syndrome column above the n coordinates, gives a kernel
@@ -55,9 +55,10 @@ every constructed build with n <= 128), or else that of the code it spans.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, reduce
 from itertools import combinations
 from math import ceil, floor, inf
+from operator import or_
 from typing import Sequence
 
 import numpy as np
@@ -78,13 +79,14 @@ from ._gf4vec import (
     span,
     unpack,
 )
-from .code import LinearCode, _integers
+from .code import LinearCode
 from .errors import (
     ResourceError,
     ScanBudgetExceeded,
     StructureError,
     UndefinedDistanceError,
 )
+from .gf4 import _integers
 from .mat4 import Mat4
 
 #: the largest n the locality search takes with no work bound
@@ -131,7 +133,7 @@ def group_count_range(n: int, k: int, r: int, delta: int) -> tuple[int, int]:
 
 
 def _locality_params(r: int, delta: int, n: int | None = None, k: int = 0) -> tuple[int, int]:
-    """r and delta as ints (:func:`lrc4.code._integers`); ValueError unless
+    """r and delta as ints (:func:`lrc4.gf4._integers`); ValueError unless
     r >= 1 and delta >= 2, and, given n and k, r <= k <= n."""
     r, delta = _integers((r, delta), "r and delta")
     if r < 1 or delta < 2:
@@ -153,29 +155,32 @@ class LocalGroup:
 class LocalityProfile:
     """Partition of ``matrix``'s rows into local groups plus a global group.
 
+    ``group_rows`` names each group's rows; its support is the set of
+    columns they touch, and the rows no group names are global.
     ``partitioned`` is False in the exceptional case where the code is a
     certified LRC but no full-rank parity-check matrix admits a
     local/global row partition; ``matrix`` is then an augmented
     (redundant-row) constraint stack.
 
     The layout is checked when the profile is made, ``dataclasses.replace``
-    included.  Its group rows, supports and global rows are taken as
-    ints (ValueError on one that int() would truncate, such as 1.5); then
-    each group names a row, the groups and ``global_rows`` name every row
-    of ``matrix`` exactly once, every support lies in 1..n and each
-    group's rows are zero outside its support; StructureError otherwise.
-    The layout is then compiled into the packed fields below, which take
-    no part in comparison: coordinate c is bit c - 1 of a mask
-    (``_gf4vec.mask``) or a packed vector, and a group's local rows,
-    which vanish off its support, are its rows restricted to its columns.
+    included.  Its group rows are taken as ints (ValueError on one that
+    int() would truncate, such as 1.5); then each group names a row, the
+    groups name distinct rows of 1..m, no group's rows are all zero or
+    touch more than r+delta-1 columns, and the supports cover every
+    coordinate, none of them redundantly; StructureError otherwise.  The
+    fields below take no part in comparison: coordinate c is bit c - 1
+    of a mask (``_gf4vec.mask``) or a packed vector.
     """
 
     r: int
     delta: int
-    groups: tuple[LocalGroup, ...]
-    global_rows: tuple[int, ...]
+    group_rows: tuple[tuple[int, ...], ...]
     matrix: Mat4 = field(repr=False)
     partitioned: bool = True
+    #: each group's rows and support
+    groups: tuple[LocalGroup, ...] = field(init=False, compare=False)
+    #: the rows no group names, in order
+    global_rows: tuple[int, ...] = field(init=False, compare=False)
     #: every row of the matrix, packed
     words: tuple[Vec, ...] = field(init=False, repr=False, compare=False)
     #: each group's support as a bit mask
@@ -186,34 +191,43 @@ class LocalityProfile:
     groups_of: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        self.groups = tuple(LocalGroup(rows=tuple(_integers(g.rows, "group rows")),
-                                       support=frozenset(_integers(g.support, "group supports")))
-                            for g in self.groups)
-        self.global_rows = tuple(_integers(self.global_rows, "global rows"))
+        self.group_rows = tuple(tuple(_integers(rows, "group rows")) for rows in self.group_rows)
         m, n = self.matrix.rows, self.matrix.cols
-        named = [i for g in self.groups for i in g.rows] + list(self.global_rows)
-        if sorted(named) != list(range(1, m + 1)):
-            wrong = sorted({i for i in named if named.count(i) > 1 or not 1 <= i <= m}
-                           | set(range(1, m + 1)).difference(named))
-            raise StructureError(f"the groups and global rows must name each of the matrix's "
-                                 f"rows 1..{m} exactly once; rows {wrong} break this")
+        named = [i for rows in self.group_rows for i in rows]
+        self.global_rows = tuple(sorted(set(range(1, m + 1)).difference(named)))
+        # the rest of 1..m leaves len(named) rows exactly when they are distinct rows of 1..m
+        if len(self.global_rows) + len(named) != m:
+            wrong = sorted({i for i in named if named.count(i) > 1 or not 1 <= i <= m})
+            raise StructureError(f"the groups must name distinct rows of the matrix's rows "
+                                 f"1..{m}; rows {wrong} break this")
         self.words = words = tuple(pack_rows(self.matrix))
-        coords = frozenset(range(1, n + 1))
-        masks, local_rows, groups_of = [], [], [[] for _ in range(n)]
-        for gi, g in enumerate(self.groups):
-            if not g.rows:
+        groups, masks, local_rows, groups_of = [], [], [], [[] for _ in range(n)]
+        for gi, rows in enumerate(self.group_rows):
+            if not rows:
                 raise StructureError(f"group {gi + 1} names no row")
-            if not g.support <= coords:
-                raise StructureError(f"group {gi + 1} names coordinate "
-                                     f"{min(g.support - coords)}, outside 1..{n}")
-            masks.append(mask(g.support))
-            local_rows.append(tuple(words[i - 1] for i in g.rows))
-            if any((h | l) & ~masks[-1] for h, l in local_rows[-1]):
-                raise StructureError(f"local rows {g.rows} of group {gi + 1} are nonzero "
-                                     "outside its support")
-            for c in g.support:
+            local = tuple(words[i - 1] for i in rows)
+            support = reduce(or_, (h | l for h, l in local), 0)
+            if not support:
+                where = (f"{rows[0]}..{rows[-1]}" if rows == tuple(range(rows[0], rows[-1] + 1))
+                         else rows)
+                raise StructureError(f"local group rows {where} are all zero")
+            coords = coordinates(support)
+            if len(coords) > self.r + self.delta - 1:
+                raise StructureError(f"group {rows} has support size {len(coords)} "
+                                     f"> r+delta-1 = {self.r + self.delta - 1}")
+            groups.append(LocalGroup(rows=rows, support=frozenset(coords)))
+            masks.append(support)
+            local_rows.append(local)
+            for c in coords:
                 groups_of[c - 1].append(gi)
-        self.masks, self.local_rows = tuple(masks), tuple(local_rows)
+        full, cover = (1 << n) - 1, reduce(or_, masks, 0)
+        if cover != full:
+            raise StructureError(f"coordinates not covered by any local group: "
+                                 f"{coordinates(full & ~cover)}")
+        for gi in range(len(masks)):
+            if _others_cover(masks, gi, full):
+                raise StructureError(f"dropping group {gi + 1} still covers all coordinates")
+        self.groups, self.masks, self.local_rows = tuple(groups), tuple(masks), tuple(local_rows)
         self.groups_of = tuple(map(tuple, groups_of))
 
     @property
@@ -233,16 +247,15 @@ class LocalityProfile:
 
     def min_distance(self, budget: int | None = None) -> int:
         """Exact d of ``code``: :func:`blockwise_min_distance` when the
-        profile is partitioned and the DP takes it within its work bound,
-        else :meth:`LinearCode.min_distance` with the scan ``budget``."""
-        if self.partitioned:
-            try:
-                tables = _blockwise_tables(self)
-            except (ValueError, ResourceError):
-                pass
-            else:
-                return _blockwise_dp(len(self.global_rows), tables)
-        return self.code.min_distance(budget)
+        group supports are pairwise disjoint and the DP takes the profile
+        within its work bound, else :meth:`LinearCode.min_distance` with
+        the scan ``budget``.  The DP measures the kernel of the stacked
+        rows, which is the code whether or not some rows are redundant."""
+        try:
+            tables = _blockwise_tables(self)
+        except (ValueError, ResourceError):
+            return self.code.min_distance(budget)
+        return _blockwise_dp(len(self.global_rows), tables)
 
 
 @dataclass(frozen=True)
@@ -516,18 +529,18 @@ def verify_locality(c: LinearCode, r: int, delta: int, budget: int | None = None
                           qualifying=tuple(found))
 
 
-def _minimal_cover(supports: list[frozenset[int]], n: int) -> list[frozenset[int]]:
-    """Drop supports that are redundant for covering {1..n}, newest first."""
-    kept = list(supports)
+def _minimal_cover(masks: list[int], full: int) -> list[int]:
+    """Drop the masks that are redundant for covering ``full``, newest first."""
+    kept = list(masks)
     for i in range(len(kept) - 1, -1, -1):
-        if _others_cover(kept, i, n):
+        if _others_cover(kept, i, full):
             kept.pop(i)
     return kept
 
 
-def _others_cover(sets: Sequence[frozenset[int]], i: int, n: int) -> bool:
-    """Do the sets other than ``sets[i]`` still cover {1..n}?"""
-    return len(set().union(*sets[:i], *sets[i + 1:])) == n
+def _others_cover(masks: Sequence[int], i: int, full: int) -> bool:
+    """Do the masks other than ``masks[i]`` still cover ``full``?"""
+    return reduce(or_, masks[:i] + masks[i + 1:], 0) == full
 
 
 def is_r_optimal(c: LinearCode, r: int, delta: int, budget: int | None = None) -> bool:
@@ -546,10 +559,9 @@ def extract_profile(
     """Build a profile from a parity-check matrix and its group row ranges.
 
     ``layout`` lists 1-based inclusive row ranges, one per local group,
-    partitioning a prefix of the rows; the remaining rows are global.
-    Each group's support is the columns its rows touch.
+    tiling a prefix of the rows (StructureError otherwise); the remaining
+    rows are global.  The profile checks the rest of the layout.
     """
-    n = pchk.cols
     ranges = [tuple(_integers(pair, "group row ranges")) for pair in layout]
     expect = 1
     for a, b in ranges:
@@ -558,51 +570,25 @@ def extract_profile(
         expect = b + 1
     if expect - 1 > pchk.rows:
         raise StructureError("layout references more rows than the matrix has")
-    global_rows = tuple(range(expect, pchk.rows + 1))
-
-    groups = []
-    covered: set[int] = set()
-    for a, b in ranges:
-        rows = tuple(range(a, b + 1))
-        support = frozenset(c + 1 for c in pchk.column_support(range(a - 1, b)))
-        if not support:
-            raise StructureError(f"local group rows {a}..{b} are all zero")
-        groups.append(LocalGroup(rows=rows, support=support))
-        covered |= support
-
-    uncovered = sorted(set(range(1, n + 1)) - covered)
-    if uncovered:
-        raise StructureError(f"coordinates not covered by any local group: {uncovered}")
-    for g in groups:
-        if len(g.support) > r + delta - 1:
-            raise StructureError(
-                f"group {g.rows} has support size {len(g.support)} > r+delta-1 = {r + delta - 1}"
-            )
-    supports = [g.support for g in groups]
-    for i in range(len(groups)):
-        if _others_cover(supports, i, n):
-            raise StructureError(f"dropping group {i + 1} still covers all coordinates")
-    return LocalityProfile(r=r, delta=delta, groups=tuple(groups), global_rows=global_rows,
-                           matrix=pchk)
+    return LocalityProfile(r=r, delta=delta, matrix=pchk,
+                           group_rows=tuple(tuple(range(a, b + 1)) for a, b in ranges))
 
 
-def _select_cover(
-    n: int,
-    candidates: list[tuple[frozenset[int], list[Vec]]],
-) -> list[int] | None:
-    """First (in candidate order) subfamily covering {1..n} whose packed
-    local row blocks are mutually independent.  Depth-first with backtracking."""
+def _select_cover(full: int, candidates: list[tuple[int, list[Vec]]]) -> list[int] | None:
+    """First (in candidate order) subfamily whose masks cover ``full`` and
+    whose packed local row blocks are mutually independent.  Depth-first
+    with backtracking."""
     elim = Eliminator()
     chosen: list[int] = []
 
-    def rec(start: int, covered: frozenset[int]) -> bool:
-        if len(covered) == n:
+    def rec(start: int, covered: int) -> bool:
+        if covered == full:
             return True
-        if len(covered.union(*(s for s, _ in candidates[start:]))) < n:
+        if reduce(or_, (s for s, _ in candidates[start:]), covered) != full:
             return False
         for i in range(start, len(candidates)):
             s, block = candidates[i]
-            if s <= covered:
+            if not s & ~covered:
                 continue
             pushed = 0
             for v in block:
@@ -618,12 +604,12 @@ def _select_cover(
                 elim.pop()
         return False
 
-    return chosen if rec(0, frozenset()) else None
+    return chosen if rec(0, 0) else None
 
 
 def structured_parity_check(
     c: LinearCode, supports: Sequence[frozenset[int]]
-) -> tuple[Mat4, tuple[LocalGroup, ...], bool]:
+) -> tuple[Mat4, tuple[tuple[int, ...], ...], bool]:
     """Rebuild a constraint matrix in local/global block form.
 
     Local groups are qualifying ``supports`` (in (size, lex) order)
@@ -632,10 +618,10 @@ def structured_parity_check(
     stack to a full dual basis.  A support S's dual basis is the RREF
     basis of the right kernel of G|_S, the generator masked to S: a
     dual word supported in S is exactly a solution of G|_S x = 0, and
-    it touches every coordinate of S, since C|_S has d >= delta >= 2.
-    Returns the matrix, the local groups (their rows first, the global
-    rows after them), and whether the rows form a genuine partition of
-    a full-rank parity check.
+    the basis touches every coordinate of S, since C|_S has d >= delta
+    >= 2.  Returns the matrix, each local group's rows (the groups'
+    rows first, the global rows after them), and whether the rows form
+    a genuine partition of a full-rank parity check.
 
     Some certified LRCs admit no such partition at all (every qualifying
     cover needs more than n - k group rows); for those the matrix is an
@@ -643,6 +629,7 @@ def structured_parity_check(
     runs on packed rows; the finished matrix is unpacked once.
     """
     n = c.n
+    full = (1 << n) - 1
     gen = pack_rows(c.gen)
     candidates = []
     for s in supports:
@@ -650,22 +637,21 @@ def structured_parity_check(
         block = kernel([(h & support, l & support) for h, l in gen], support)
         if block:
             echelon(block)
-            candidates.append((s, block))
-    chosen = _select_cover(n, candidates)
+            candidates.append((support, block))
+    chosen = _select_cover(full, candidates)
     partitioned = chosen is not None
     if chosen is None:
         # with empty row blocks nothing is pushed, so only coverage decides
-        chosen = _select_cover(n, [(s, []) for s, _ in candidates])
+        chosen = _select_cover(full, [(s, []) for s, _ in candidates])
     if chosen is None:
         raise StructureError("no family of local groups covers all coordinates")
-    # the search never picks a support twice, so supports identify blocks
-    kept = _minimal_cover([candidates[i][0] for i in chosen], n)
+    # the search never picks a support twice, so masks identify blocks
+    kept = _minimal_cover([candidates[i][0] for i in chosen], full)
     rows: list[Vec] = []
-    groups = []
+    group_rows = []
     for s, b in (candidates[i] for i in chosen):
         if s in kept:
-            groups.append(LocalGroup(rows=tuple(range(len(rows) + 1, len(rows) + len(b) + 1)),
-                                     support=s))
+            group_rows.append(tuple(range(len(rows) + 1, len(rows) + len(b) + 1)))
             rows += b
     elim = Eliminator(rows)
     words = pack_rows(c.pchk)
@@ -674,7 +660,7 @@ def structured_parity_check(
         raise StructureError("restructured parity check lost rank")
     if partitioned and len(rows) != len(words):
         raise StructureError("partitioned stack has redundant rows")
-    return Mat4(unpack(rows, n)), tuple(groups), partitioned
+    return Mat4(unpack(rows, n)), tuple(group_rows), partitioned
 
 
 def restructure(c: LinearCode, found: LocalitySearch) -> LocalityProfile:
@@ -685,10 +671,9 @@ def restructure(c: LinearCode, found: LocalitySearch) -> LocalityProfile:
     if not found.ok:
         raise StructureError(f"coordinates {list(found.bad_coordinates)} have no "
                              f"({found.r},{found.delta}) repair support")
-    h, groups, partitioned = structured_parity_check(c, found.qualifying)
-    profile = LocalityProfile(r=found.r, delta=found.delta, groups=groups,
-                              global_rows=tuple(range(groups[-1].rows[-1] + 1, h.rows + 1)),
-                              matrix=h, partitioned=partitioned)
+    h, group_rows, partitioned = structured_parity_check(c, found.qualifying)
+    profile = LocalityProfile(r=found.r, delta=found.delta, group_rows=group_rows, matrix=h,
+                              partitioned=partitioned)
     profile.code = LinearCode._proved(c.gen, profile.parity_check())
     return profile
 
@@ -770,16 +755,13 @@ def _blockwise_dp(g: int, tables: list[tuple[np.ndarray, np.ndarray]]) -> int:
 def _blockwise_tables(profile: LocalityProfile) -> list[tuple[np.ndarray, np.ndarray]]:
     """The groups' :func:`_splice_table` tables, for a profile whose code
     the DP measures exactly within :data:`BLOCKWISE_MAX_WORK` table
-    operations: its group supports are pairwise disjoint and cover every
-    coordinate.  Raises ValueError on any other profile and
-    ResourceError past the bound, before any kernel word is listed."""
+    operations: its group supports are pairwise disjoint.  Raises
+    ValueError on any other profile and ResourceError past the bound,
+    before any kernel word is listed."""
     n = profile.matrix.cols
-    cover = 0
-    for mask in profile.masks:
-        cover |= mask
-    if cover != (1 << n) - 1 or sum(m.bit_count() for m in profile.masks) != n:
-        raise ValueError("blockwise distance: group supports must be pairwise disjoint "
-                         "and cover every coordinate")
+    # the supports cover every coordinate, so they are disjoint exactly when their sizes sum to n
+    if sum(m.bit_count() for m in profile.masks) != n:
+        raise ValueError("blockwise distance: group supports must be pairwise disjoint")
     g = len(profile.global_rows)
     glob = [profile.words[i - 1] for i in profile.global_rows]
     syn_cols = ((1 << g) - 1) << n
@@ -802,10 +784,9 @@ def blockwise_min_distance(profile: LocalityProfile) -> int:
     """Exact minimum distance of the code of the profile's matrix via its
     group structure.
 
-    When the group supports are pairwise disjoint and cover every
-    coordinate (a profile's local rows vanish off their group's support),
-    a codeword is a splice of local-kernel words, one per group, whose
-    global-row syndromes cancel.  Per group, one table lists each packed
+    When the group supports are pairwise disjoint, a codeword is a
+    splice of local-kernel words, one per group, whose global-row
+    syndromes cancel.  Per group, one table lists each packed
     global syndrome of a nonzero kernel word with its least weight; it
     is built from the profile's packed masks and rows, with no matrix
     object, by :func:`_splice_table`.  Dynamic programming
@@ -814,9 +795,9 @@ def blockwise_min_distance(profile: LocalityProfile) -> int:
     positive splice weight exactly, far beyond the generic enumeration
     and column-scan guards: the full 17-group code ([102,46]) takes
     about a million table operations.  Raises ValueError when the
-    supports overlap or leave a coordinate uncovered, and ResourceError
-    when the estimated table work, read off the kernel dimensions
-    before any word is listed, exceeds :data:`BLOCKWISE_MAX_WORK`.
+    supports overlap, and ResourceError when the estimated table work,
+    read off the kernel dimensions before any word is listed, exceeds
+    :data:`BLOCKWISE_MAX_WORK`.
     """
     return _blockwise_dp(len(profile.global_rows), _blockwise_tables(profile))
 
@@ -1047,7 +1028,8 @@ def _check_punctured_mds(c: LinearCode, profile: LocalityProfile) -> CheckResult
 
 
 def _check_disjointness(c: LinearCode, profile: LocalityProfile) -> CheckResult:
-    """When r | k and r < k: disjoint supports of size r+delta-1 tiling n."""
+    """When r | k and r < k: disjoint supports of size r+delta-1, which
+    tile the n coordinates, as every profile's supports cover them."""
     r, delta = profile.r, profile.delta
     if c.k % r != 0 or r >= c.k:
         return CheckResult(True, "not applicable (r does not properly divide k)")
@@ -1059,8 +1041,6 @@ def _check_disjointness(c: LinearCode, profile: LocalityProfile) -> CheckResult:
         if seen & g.support:
             return CheckResult(False, f"group {i + 1} overlaps an earlier group")
         seen |= g.support
-    if c.n % full != 0:
-        return CheckResult(False, f"(r+delta-1) = {full} does not divide n = {c.n}")
     return CheckResult(True)
 
 

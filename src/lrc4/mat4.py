@@ -32,18 +32,21 @@ class Mat4:
     __slots__ = ("_a",)
 
     def __init__(self, entries: Sequence[Sequence[int]] | np.ndarray, cols: int | None = None):
-        a = np.array(entries)
-        if a.dtype.kind not in "biu":  # floats and objects are compared as floats
-            a = a.astype(np.float64)
+        # an int array is range-checked whole, other entries by the element rule
+        ints = isinstance(entries, np.ndarray) and entries.dtype.kind in "iu"
+        a = np.array(entries, dtype=None if ints else object)
         if a.ndim == 1:
             # Allow an empty row list only when the column count is given.
             a = a.reshape(0, cols if cols is not None else 0)
         if a.ndim != 2:
             raise ShapeError(f"matrix data must be 2-dimensional, got shape {a.shape}")
-        # checked before the cast, which would truncate 1.5 and wrap -1 and 256
-        if a.size and (a.max() > 3 or a.dtype.kind != "u" and a.min() < 0
-                       or a.dtype.kind == "f" and (a != np.floor(a)).any()):
-            raise ValueError("entries must be GF(4) elements 0..3")
+        if not ints:
+            entries = gf4._elements(a.ravel().tolist(), "matrix entries")
+            a = np.array(entries, dtype=np.uint8).reshape(a.shape)
+        # checked before the cast, which would wrap -1 and 256
+        elif a.size and (a.max() > 3 or a.min() < 0):
+            bad = np.unique(a[(a < 0) | (a > 3)]).tolist()
+            raise ValueError(f"matrix entries must be integers 0..3; {bad} are not GF(4) elements")
         a = a.astype(np.uint8, copy=False)
         a.setflags(write=False)
         self._a = a
@@ -217,13 +220,6 @@ class Mat4:
         drop = set(rows)
         keep = [r for r in range(self.rows) if r not in drop]
         return self.take_rows(keep)
-
-    def column_support(self, rows: Iterable[int] | None = None) -> frozenset[int]:
-        """0-based indices of columns that are nonzero in the given rows."""
-        a = self._a if rows is None else self._a[list(rows), :]
-        if a.size == 0:
-            return frozenset()
-        return frozenset(int(c) for c in np.nonzero(a.any(axis=0))[0])
 
 
 def span_stack(bases: np.ndarray) -> np.ndarray:

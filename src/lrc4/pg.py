@@ -19,7 +19,7 @@ from typing import Iterable, Iterator
 import numpy as np
 
 from . import gf4
-from .code import _ENUM_CHUNK_K, _integers
+from .code import _ENUM_CHUNK_K
 from .mat4 import Mat4
 
 
@@ -42,7 +42,7 @@ class PgPoint:
 
 def normalize(vec: Iterable[int]) -> PgPoint:
     """Scale a nonzero vector so its first nonzero coordinate is 1."""
-    v = tuple(_integers(vec, "point coordinates"))
+    v = tuple(gf4._elements(vec, "point coordinates"))
     lead = next((x for x in v if x), 0)
     if lead == 0:
         raise ValueError("cannot normalize the zero vector")

@@ -30,15 +30,13 @@ import random
 from dataclasses import dataclass, field
 from typing import Sequence
 
-from . import gf4
 from ._gf4vec import Vec, coordinates, dots, echelon
-from .code import _check_coordinate_set, _integers
+from .code import _check_coordinate_set
 from .constructions import BuiltCode
+from .gf4 import _elements, _integers
 from .mat4 import Mat4
 
 
-#: a received word holds field elements, or None for an erasure
-_RECEIVED_SYMBOLS = frozenset((None, *gf4.ELEMENTS))
 # an erasure's byte in a packed received word, and each byte -> ASCII
 # digit of its high bit, low bit and erasure flag, for int(..., 2)
 _ERASURE = 4
@@ -59,7 +57,7 @@ class ErasurePattern:
 
     def apply(self, codeword: Sequence[int]) -> list[int | None]:
         _check_coordinate_set(self.erased, len(codeword))
-        word = _integers(codeword, "codeword entries")
+        word = _elements(codeword, "codeword entries")
         return [None if (i + 1) in self.erased else x for i, x in enumerate(word)]
 
 
@@ -139,11 +137,7 @@ def local_repair(bc: BuiltCode, received: Sequence[int | None]) -> RepairOutcome
     n = bc.code.n
     if len(received) != n:
         raise ValueError(f"received word has length {len(received)}, want {n}")
-    # checked before the ints are taken, which would truncate 1.5
-    if not _RECEIVED_SYMBOLS.issuperset(received):
-        bad = sorted(set(received) - _RECEIVED_SYMBOLS, key=repr)
-        raise ValueError(f"received symbols {bad} are not GF(4) elements 0..3")
-    word: list = [None if x is None else int(x) for x in received]
+    word = _elements(received, "received symbols", erasures=True)
     profile = bc.profile
     budget = bc.delta - 1
     hi, lo, erased = _pack_received(word)

@@ -120,7 +120,7 @@ def test_build_parameter_validation():
 
 def test_one_integer_rule_for_parameters_and_coordinates():
     # build() parameters, r and delta, coordinates, rows and supports all
-    # follow code._integers: an integral value of any numeric type is the
+    # follow gf4._integers: an integral value of any numeric type is the
     # int it names, and 1.5, "2" and bools are refused
     for cid, kw, want in (("C6", {"l": 3.0}, {"l": 3}), ("C16", {"d": np.float64(12)}, {"d": 12}),
                           ("C4", {"l": 2, "r": np.int64(2)}, {"l": 2, "r": 2}),

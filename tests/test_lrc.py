@@ -26,7 +26,6 @@ from lrc4.errors import (
     UndefinedDistanceError,
 )
 from lrc4.lrc import (
-    LocalGroup,
     LocalityProfile,
     LocalitySearch,
     blockwise_min_distance,
@@ -116,6 +115,24 @@ def test_verify_locality_guard(monkeypatch):
     code = LinearCode(gen=Mat4(rng.integers(0, 4, size=(6, 40), dtype=np.uint8)))
     with pytest.raises(ResourceError, match=r"and [1-9]\d* distance checks"):
         verify_locality(code, 5, 3, budget=10**5)
+
+
+def test_search_refinds_every_parity_layout_past_n_30_from_the_generator():
+    # the second route to a parity-check build's layout past n = 30: the
+    # budgeted search from its generator alone finds every printed group
+    # support, and the profile it restructures gives the catalogue d
+    checked = 0
+    for cid, kw, d in constructed_instances(64):
+        bc = build(cid, **kw)
+        if bc.family.generator or bc.code.n <= lrc.LOCALITY_SEARCH_MAX_N:
+            continue
+        code = LinearCode(gen=bc.code.gen)
+        found = verify_locality(code, bc.r, bc.delta)
+        assert found.ok, (cid, kw)
+        assert all(g.support in found.qualifying for g in bc.profile.groups), (cid, kw)
+        assert lrc.restructure(code, found).min_distance() == d, (cid, kw)
+        checked += 1
+    assert checked == 330
 
 
 SEARCHES = 367
@@ -508,14 +525,14 @@ def test_qualifying_supports_hexacode():
 
 def test_structured_parity_check_rebuilds_layout():
     base = build("C16", d=12).code
-    h, groups, partitioned = structured_parity_check(base, verify_locality(base, 2, 3).qualifying)
+    h, group_rows, partitioned = structured_parity_check(base, verify_locality(base, 2, 3).qualifying)
     assert partitioned
     assert h.rank() == h.rows == base.n - base.k
-    assert all(len(g.rows) == 2 for g in groups)  # delta - 1 rows per group
-    layout = [(g.rows[0], g.rows[-1]) for g in groups]
+    assert all(len(rows) == 2 for rows in group_rows)  # delta - 1 rows per group
+    layout = [(rows[0], rows[-1]) for rows in group_rows]
     profile = extract_profile(h, layout, r=2, delta=3)
     assert profile.l >= 4
-    assert profile.groups == groups
+    assert profile.group_rows == group_rows
 
 
 def _reread(profile):
@@ -896,9 +913,9 @@ def test_check_structure_rejects_a_rank_deficient_partitioned_matrix():
     # repeated row is bad input, not an inconsistency between two codes
     bc = build("C6", l=2)
     h = bc.profile.matrix
-    profile = LocalityProfile(r=bc.r, delta=bc.delta, groups=bc.profile.groups,
-                              global_rows=bc.profile.global_rows + (h.rows + 1,),
+    profile = LocalityProfile(r=bc.r, delta=bc.delta, group_rows=bc.profile.group_rows,
                               matrix=vstack([h, h.take_rows([h.rows - 1])]))
+    assert profile.global_rows == bc.profile.global_rows + (h.rows + 1,)
     with pytest.raises(RankError) as err:
         check_structure(profile)
     assert isinstance(err.value, Lrc4Error)
@@ -935,29 +952,28 @@ def test_partitioned_profiles_everywhere_else():
 @st.composite
 def disjoint_block_codes(draw):
     """A parity check [blockdiag(local rows) ; global rows] over randomly
-    permuted columns, with its profile; rows may be zero or dependent."""
+    permuted columns, with its profile at r = the largest group and
+    delta = 2.  A group's first row is nonzero on each of its columns, so
+    the groups cover every coordinate; its other rows and the global rows
+    may be zero or dependent."""
     sizes = draw(st.lists(st.integers(1, 4), min_size=1, max_size=3))
     n = sum(sizes)
     perm = draw(st.permutations(range(n)))
     entries = st.integers(0, 3)
-    rows, groups, at = [], [], 0
+    rows, group_rows, at = [], [], 0
     for size in sizes:
         cols = perm[at:at + size]
         at += size
         first = len(rows) + 1
-        for _ in range(draw(st.integers(1, size))):
+        for j in range(draw(st.integers(1, size))):
             row = [0] * n
             for c in cols:
-                row[c] = draw(entries)
+                row[c] = draw(st.integers(1, 3) if j == 0 else entries)
             rows.append(row)
-        groups.append(LocalGroup(rows=tuple(range(first, len(rows) + 1)),
-                                 support=frozenset(c + 1 for c in cols)))
-    first = len(rows) + 1
+        group_rows.append(tuple(range(first, len(rows) + 1)))
     rows += draw(st.lists(st.lists(entries, min_size=n, max_size=n), max_size=3))
     h = Mat4(rows)
-    profile = LocalityProfile(r=1, delta=2, groups=tuple(groups),
-                              global_rows=tuple(range(first, len(rows) + 1)), matrix=h)
-    return h, profile
+    return h, LocalityProfile(r=max(sizes), delta=2, group_rows=tuple(group_rows), matrix=h)
 
 
 @given(disjoint_block_codes())
@@ -1075,8 +1091,8 @@ def test_large_local_kernel_is_walked_in_bounded_blocks(monkeypatch):
     rng = np.random.default_rng(7)
     n = 11
     h = Mat4(np.vstack([np.ones(n, dtype=np.uint8), rng.integers(0, 4, n, dtype=np.uint8)]))
-    profile = LocalityProfile(r=n - 1, delta=2, global_rows=(2,), matrix=h,
-                              groups=(LocalGroup(rows=(1,), support=frozenset(range(1, n + 1))),))
+    profile = LocalityProfile(r=n - 1, delta=2, group_rows=((1,),), matrix=h)
+    assert profile.global_rows == (2,) and profile.groups[0].support == set(range(1, n + 1))
     spanned = []
     span = lrc.span
 
@@ -1119,10 +1135,9 @@ def test_blockwise_dp_without_zero_syndrome_words_stays_exact():
     rows.append([1, 0] * groups)
     rows.append([0] * n)
     h = Mat4(rows)
-    pairs = tuple(LocalGroup(rows=(b + 1,), support=frozenset({2 * b + 1, 2 * b + 2}))
-                  for b in range(groups))
-    profile = LocalityProfile(r=1, delta=2, groups=pairs,
-                              global_rows=(groups + 1, groups + 2), matrix=h)
+    profile = LocalityProfile(r=1, delta=2, group_rows=tuple((b + 1,) for b in range(groups)),
+                              matrix=h)
+    assert profile.global_rows == (groups + 1, groups + 2)
     tables = lrc._blockwise_tables(profile)
     for syn, wt in tables:
         assert 0 not in syn and len(syn) == 3 and set(wt) == {2}
@@ -1148,15 +1163,13 @@ def test_blockwise_work_bound_is_checked_before_any_word_is_listed(monkeypatch):
 def test_group_view_names_a_row_or_coordinate_the_matrix_lacks():
     bc = build("C6", l=3)  # [15,8,4], three disjoint groups, rows 1..7
     p = bc.profile
-    first, *rest = p.groups
-    # the profile refuses such a layout where it is made, so no check,
-    # repair or distance ever reads it
-    with pytest.raises(StructureError, match=r"rows 1\.\.7 exactly once; rows \[2, 99\]"):
-        dataclasses.replace(p, groups=(LocalGroup(rows=(1, 99), support=first.support), *rest))
-    for c in (0, 16):
-        with pytest.raises(StructureError, match=f"coordinate {c}, outside 1..15"):
-            dataclasses.replace(
-                p, groups=(LocalGroup(rows=first.rows, support=first.support | {c}), *rest))
+    first, *rest = p.group_rows
+    # the profile refuses a row the matrix lacks where it is made, so no
+    # check, repair or distance ever reads it; a support is read off the
+    # matrix's columns, so it names no coordinate the matrix lacks
+    with pytest.raises(StructureError, match=r"distinct rows of the matrix's rows 1\.\.7; rows \[99\]"):
+        dataclasses.replace(p, group_rows=((*first, 99), *rest))
+    assert set().union(*(g.support for g in p.groups)) == set(range(1, 16))
     received = [None] + [0] * (bc.code.n - 1)
     assert local_repair(bc, received).ok
 
@@ -1166,57 +1179,47 @@ def _leaky(bc):
     local row: the same code, but that row leaks outside its group."""
     h = bc.profile.matrix.array.copy()
     h[0] ^= h[bc.profile.global_rows[0] - 1]
-    leaky = Mat4(h)
-    assert not {c + 1 for c in leaky.column_support([0])} <= bc.profile.groups[0].support
-    return leaky
+    return Mat4(h)
 
 
-def _retyped(p, case, to):
-    """``p``'s layout with its group rows, its supports or its global
-    rows (by ``case``) passed through ``to``: changed fields."""
-    groups, global_rows = p.groups, p.global_rows
-    if case == "fractional-rows":
-        groups = tuple(LocalGroup(rows=tuple(map(to, g.rows)), support=g.support) for g in groups)
-    elif case == "fractional-support":
-        groups = tuple(LocalGroup(rows=g.rows, support=frozenset(map(to, g.support)))
-                       for g in groups)
-    else:
-        global_rows = tuple(map(to, global_rows))
-    return {"groups": groups, "global_rows": global_rows}
+def _retyped(group_rows, to):
+    """``group_rows`` with every row passed through ``to``."""
+    return tuple(tuple(map(to, rows)) for rows in group_rows)
 
 
 def _broken_layouts(bc):
     """One layout per rule a profile checks where it is made, each
     breaking only that rule: {case: (changed fields, error, error text)}."""
     p = bc.profile
-    first, *rest = p.groups
-    n, m = p.matrix.cols, p.matrix.rows
+    h, m, rows = p.matrix, p.matrix.rows, p.group_rows
     return {
-        "no-row": ({"groups": (*p.groups, LocalGroup(rows=(), support=first.support))},
-                   StructureError, f"group {p.l + 1} names no row"),
-        "row-twice": ({"global_rows": p.global_rows + p.global_rows[-1:]},
-                      StructureError, rf"rows 1\.\.{m} exactly once; rows \[{m}\]"),
-        "row-unnamed": ({"global_rows": p.global_rows[:-1]},
-                        StructureError, rf"rows 1\.\.{m} exactly once; rows \[{m}\]"),
-        "outside-1..n": ({"groups": (LocalGroup(rows=first.rows, support=first.support | {n + 1}),
-                                     *rest)},
-                         StructureError, f"group 1 names coordinate {n + 1}, outside 1..{n}"),
+        "no-row": ({"group_rows": (*rows, ())}, StructureError, f"group {p.l + 1} names no row"),
+        "row-twice": ({"group_rows": (*rows, (m - 1, m))},
+                      StructureError, rf"rows 1\.\.{m}; rows \[{m - 1}\]"),
+        # an unnamed row is a global row, so the last group's coordinates go uncovered
+        "row-unnamed": ({"group_rows": rows[:-1]}, StructureError,
+                        r"coordinates not covered by any local group: \[11, 12, 13, 14, 15\]"),
+        # a leaking local row widens its group's support
         "leak": ({"matrix": _leaky(bc)},
-                 StructureError, r"local rows \(1, 2\) of group 1 are nonzero outside"),
-        **{case: (_retyped(p, case, lambda i: i + 0.5), ValueError, f"{what} must be integers")
-           for case, what in (("fractional-rows", "group rows"),
-                              ("fractional-support", "group supports"),
-                              ("fractional-global-rows", "global rows"))},
+                 StructureError, r"group \(1, 2\) has support size 1\d > r\+delta-1 = 5"),
+        "all-zero": ({"matrix": vstack([h, Mat4.zeros(1, h.cols)]), "group_rows": (*rows, (m + 1,))},
+                     StructureError, rf"local group rows {m + 1}\.\.{m + 1} are all zero"),
+        "oversize": ({"r": 2}, StructureError, r"group \(1, 2\) has support size 5 > r\+delta-1 = 4"),
+        "redundant": ({"matrix": vstack([h, h.take_rows([0, 1])]),
+                       "group_rows": (*rows, (m + 1, m + 2))},
+                      StructureError, "dropping group 1 still covers all coordinates"),
+        "fractional-rows": ({"group_rows": _retyped(rows, lambda i: i + 0.5)},
+                            ValueError, "group rows must be integers"),
     }
 
 
 PACKED_FIELDS = ("words", "masks", "local_rows", "groups_of")
+DERIVED_FIELDS = ("groups", "global_rows")
 
 
 @pytest.mark.parametrize("route", ["constructor", "replace"])
-@pytest.mark.parametrize("case", ["no-row", "row-twice", "row-unnamed", "outside-1..n", "leak",
-                                  "fractional-rows", "fractional-support",
-                                  "fractional-global-rows"])
+@pytest.mark.parametrize("case", ["no-row", "row-twice", "row-unnamed", "leak", "all-zero",
+                                  "oversize", "redundant", "fractional-rows"])
 def test_profile_checks_its_layout_where_it_is_made(case, route):
     bc = build("C6", l=3)
     p = bc.profile
@@ -1224,39 +1227,61 @@ def test_profile_checks_its_layout_where_it_is_made(case, route):
 
     def make(base, **changes):
         if route == "constructor":
-            fields = {"r": base.r, "delta": base.delta, "groups": base.groups,
-                      "global_rows": base.global_rows, "matrix": base.matrix}
+            fields = {"r": base.r, "delta": base.delta, "group_rows": base.group_rows,
+                      "matrix": base.matrix}
             return LocalityProfile(**{**fields, **changes})
         return dataclasses.replace(base, **changes)
 
     with pytest.raises(error, match=message):
         make(p, **changes)
-    if case.startswith("fractional-"):
-        # a bool is refused too, not read as row or coordinate 1
+    if case == "fractional-rows":
+        # a bool is refused too, not read as row 1
         with pytest.raises(error, match=message):
-            make(p, **_retyped(p, case, lambda i: True))
-    # the unbroken layout passes, and its packed fields are compiled again;
-    # they take no part in comparison or repr
+            make(p, group_rows=_retyped(p.group_rows, lambda i: True))
+    # the unbroken layout passes, and its derived and packed fields are
+    # made again; they take no part in comparison, and only the derived
+    # ones are shown
     again = make(p)
     assert again == p
-    for name in PACKED_FIELDS:
+    for name in DERIVED_FIELDS + PACKED_FIELDS:
         assert getattr(again, name) == getattr(p, name)
         assert getattr(again, name) is not getattr(p, name)
     assert {f.name: (f.compare, f.repr) for f in dataclasses.fields(p) if not f.init} \
-        == dict.fromkeys(PACKED_FIELDS, (False, False))
-    if case.startswith("fractional-"):
+        == {**dict.fromkeys(DERIVED_FIELDS, (False, True)),
+            **dict.fromkeys(PACKED_FIELDS, (False, False))}
+    if case == "fractional-rows":
         # integral floats and numpy ints give the int-indexed profile, with
         # ints stored; at n = 70 a support's mask passes 64 bits
         wide = build("C6", l=14).profile
         for to in (float, np.int64):
-            twin = make(wide, **_retyped(wide, case, to))
+            twin = make(wide, group_rows=_retyped(wide.group_rows, to))
             assert twin == wide and twin.masks == wide.masks
             indices = [*twin.global_rows, *(i for g in twin.groups for i in (*g.rows, *g.support))]
             assert {type(i) for i in indices} == {int}
             assert twin.min_distance() == 4
 
 
-def test_blockwise_route_needs_a_partition_and_the_work_budget(monkeypatch):
+def test_derived_layout_matches_what_the_producers_passed():
+    # a group's support is the set of columns its rows touch, and the
+    # global rows are the rows after the groups'; extract_profile read the
+    # first off the matrix's columns, and restructure took it from the
+    # qualifying supports of its search
+    restructured = 0
+    for cid, kw, _ in constructed_instances(64):
+        bc = build(cid, **kw)
+        p = bc.profile
+        h = p.matrix.array
+        assert p.global_rows == tuple(range(p.group_rows[-1][-1] + 1, h.shape[0] + 1)), (cid, kw)
+        for g in p.groups:
+            touched = np.flatnonzero(h[[i - 1 for i in g.rows]].any(axis=0)) + 1
+            assert g.support == set(touched.tolist()), (cid, kw)
+            if bc.family.generator:
+                assert g.support in bc.search.qualifying, (cid, kw)
+        restructured += bc.family.generator
+    assert restructured == len(RESTRUCTURED_DIGESTS)
+
+
+def test_blockwise_route_needs_disjoint_groups_and_the_work_budget(monkeypatch):
     bc = build("C6", l=3)
     h = bc.profile.matrix
     routed = []  # (code, budget) of each LinearCode.min_distance call
@@ -1268,16 +1293,23 @@ def test_blockwise_route_needs_a_partition_and_the_work_budget(monkeypatch):
 
     monkeypatch.setattr(LinearCode, "min_distance", spy)
     assert bc.profile.min_distance() == 4 and routed == []  # by the DP
-    unpartitioned = LocalityProfile(r=bc.r, delta=bc.delta, groups=bc.profile.groups,
-                                    global_rows=bc.profile.global_rows, matrix=h,
+    # the DP measures the kernel of the stacked rows, so an augmented
+    # stack of disjoint groups (here the global row twice) takes it too
+    unpartitioned = LocalityProfile(r=bc.r, delta=bc.delta, group_rows=bc.profile.group_rows,
+                                    matrix=vstack([h, h.take_rows([h.rows - 1])]),
                                     partitioned=False)
-    assert unpartitioned.min_distance(7) == 4
-    assert routed == [(unpartitioned.code, 7)]
+    assert unpartitioned.min_distance(7) == 4 and routed == []
+    assert unpartitioned.code.min_distance(7) == 4  # the router's d
+    routed.clear()
+    overlapping = build("C1", l=2, variant="b")  # groups 1 and 2 share coordinate 5
+    assert overlapping.profile.min_distance() == overlapping.expected.d
+    assert routed == [(overlapping.code, None)]
+    routed.clear()
     monkeypatch.setattr(lrc, "BLOCKWISE_MAX_WORK", 0)
     assert bc.profile.min_distance() == 4
-    assert routed[1:] == [(bc.code, None)]
+    assert routed == [(bc.code, None)]
     assert bc.verify().d == 4  # by the router
-    assert routed[2:] == [(bc.code, None)]
+    assert routed[1:] == [(bc.code, None)]
     # the public entry points refuse the same work instead of running the DP
     for measure, arg in ((blockwise_min_distance, bc.profile),
                          (constructions.blockwise_min_distance, bc)):

@@ -256,11 +256,12 @@ def test_entry_validation():
     # non-integral entries are refused, not truncated; a cast would also
     # wrap an int64 256 to 0
     for bad in ([[0, 4]], [[-1]], [[256]], [[1.5, 2.9]], [[float("nan")]], [[float("inf")]],
-                [[Fraction(3, 2)]], [[2**70]], np.array([[256]], dtype=np.int64)):
+                [[Fraction(3, 2)]], [[2**70]], np.array([[256]], dtype=np.int64),
+                [[2, True]], np.array([[True]])):
         with pytest.raises(ValueError, match="GF\\(4\\) elements"):
             Mat4(bad)
     # integral values of any numeric type are the field elements they name
-    for good in ([[2.0, 1]], np.array([[2, 1]]), [[np.int64(2), Fraction(1)]], [[2, True]]):
+    for good in ([[2.0, 1]], np.array([[2, 1]]), [[np.int64(2), Fraction(1)]]):
         assert Mat4(good) == Mat4([[2, 1]])
     with pytest.raises(ShapeError):
         Mat4.from_string("1 0 / 1")

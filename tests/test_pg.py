@@ -48,6 +48,11 @@ def test_normalize():
     # and a bool, not read as 1
     with pytest.raises(ValueError, match="must be integers"):
         normalize([True, 0, 1])
+    # and so is an int outside 0..3, which indexed past the field tables
+    # (7) or wrapped round to w^2 (-1)
+    for bad in ([0, 7, 1], [1, -1]):
+        with pytest.raises(ValueError, match=r"must be integers 0\.\.3; \[-?\d\] are not GF\(4\)"):
+            normalize(bad)
     assert normalize([2.0, np.int64(2)]) == normalize((2, 2))
     with pytest.raises(ValueError):
         PgPoint((gf4.W, 0, 0))  # not normalized

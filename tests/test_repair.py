@@ -8,6 +8,7 @@ import pytest
 from lrc4 import gf4
 from lrc4._gf4vec import coordinates, dots, pack, unpack
 from lrc4.constructions import acceptance_sweep, build
+from lrc4.mat4 import Mat4
 from lrc4.repair import (
     ErasurePattern,
     _pack_received,
@@ -188,6 +189,29 @@ def test_received_symbols_checked():
     # an integral float is the symbol it names
     received = [None] + [float(x) for x in word[1:]]
     assert local_repair(bc, received).codeword == word
+
+
+def test_field_elements_follow_one_rule():
+    # a received word, a codeword, a message and a matrix take the same
+    # symbols: a value equal to one of 0..3 that is no bool
+    bc = build("C4", l=2, r=3)
+    word = encode(bc, [1] + [0] * (bc.code.k - 1))
+    for bad in (True, np.bool_(True), 7, -1, 1.5, "1"):
+        received = [None] + word[1:]
+        received[1] = bad
+        with pytest.raises(ValueError, match=r"received symbols must be integers 0\.\.3; \[.*\] are not GF"):
+            local_repair(bc, received)
+        with pytest.raises(ValueError, match=r"codeword entries must be integers 0\.\.3"):
+            ErasurePattern.of([1]).apply(received[1:2] + word[1:])
+        with pytest.raises(ValueError, match=r"matrix entries must be integers 0\.\.3"):
+            encode(bc, [bad] + [0] * (bc.code.k - 1))
+        with pytest.raises(ValueError, match=r"matrix entries must be integers 0\.\.3"):
+            Mat4([[bad, 2.0]])
+    same = [np.int64(x) if i % 2 else float(x) for i, x in enumerate(word)]
+    assert ErasurePattern.of([1]).apply(same) == [None] + word[1:]
+    assert local_repair(bc, [None] + same[1:]).codeword == word
+    assert encode(bc, [1.0] + [np.uint8(0)] * (bc.code.k - 1)) == word
+    assert Mat4([[np.int64(1), 2.0]]) == Mat4([[1, 2]])
 
 
 def test_received_length_checked():
