@@ -30,6 +30,7 @@ distance's splice tables, each group's local kernel with its words'
 global syndromes (the kernel of [[L_b, 0], [G_b, I]]).  ``pack`` and ``unpack``
 move whole arrays in and out of the packed form with C-level byte
 translation, never a loop over entries.
+``pack_word`` packs a received word with erasures for local repair.
 ``span``, the coordinate codec ``mask``/``coordinates`` and ``dots``
 complete the format's rules, which no other module spells out.
 """
@@ -42,9 +43,12 @@ import numpy as np
 
 Vec = tuple[int, int]
 
-# entry byte -> ASCII digit of its high / low bit, for int(..., 2)
-_HI_DIGIT = bytes.maketrans(bytes(range(4)), b"0011")
-_LO_DIGIT = bytes.maketrans(bytes(range(4)), b"0101")
+# entry byte -> ASCII digit of its high / low bit, for int(..., 2), and of
+# whether it is an erasure; an erasure is byte 4, whose planes are 0
+_ERASURE = 4
+_HI_DIGIT = bytes.maketrans(bytes(range(5)), b"00110")
+_LO_DIGIT = bytes.maketrans(bytes(range(5)), b"01010")
+_ERASED_DIGIT = bytes.maketrans(bytes(range(5)), b"00001")
 # ASCII bit digit -> its value as a high bit, for ``unpack``
 _BIT_BYTE = bytes.maketrans(b"01", b"\x00\x02")
 
@@ -64,6 +68,15 @@ def pack(a: np.ndarray) -> list[Vec]:
     hi = raw.translate(_HI_DIGIT)
     lo = raw.translate(_LO_DIGIT)
     return [(int(hi[i : i + n], 2), int(lo[i : i + n], 2)) for i in range(m * n - n, -1, -n)]
+
+
+def pack_word(word: list) -> tuple[int, int, int]:
+    """A received word of entries 0..3 and None (an erasure) as its
+    packed planes, 0 at its erasures, and the mask of its erasures; the
+    word's bytes, last entry first, translated as ``pack`` does."""
+    raw = bytes([_ERASURE if x is None else x for x in reversed(word)])
+    return (int(raw.translate(_HI_DIGIT), 2), int(raw.translate(_LO_DIGIT), 2),
+            int(raw.translate(_ERASED_DIGIT), 2))
 
 
 def unpack(vectors: list[Vec], n: int) -> np.ndarray:

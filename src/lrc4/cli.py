@@ -102,7 +102,7 @@ def read_matrix(fh: IO[str]) -> tuple[Mat4, dict]:
     want = r if c else 0
     if min(r, c) < 0 or len(rows) != want or any(len(row) != c for row in rows):
         raise FormatError(f"expected {r} rows of {c} symbols")
-    m = Mat4(rows, cols=c) if rows else Mat4.zeros(r, c)
+    m = Mat4(rows) if rows else Mat4.zeros(r, c)
     return m, meta
 
 

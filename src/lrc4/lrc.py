@@ -43,7 +43,7 @@ echelon form of its local rows and its masked global rows, each with a
 basis whose words carry their global syndrome's two bit planes, and
 ``_gf4vec.span`` lists the 4^k_b words (at most 64 on every
 constructed build with n <= 128; a kernel above 4^:data:`_SPAN_MAX_K`
-words is walked in bounded numpy blocks).
+words is walked by ``code.span_chunks``, as codeword enumeration is).
 The two MDS checks of the structure theorem
 build no code object per sub-code: an H' is its kept packed rows masked
 to its kept columns, with its kernel read off their echelon form, and a
@@ -79,7 +79,7 @@ from ._gf4vec import (
     span,
     unpack,
 )
-from .code import LinearCode
+from .code import LinearCode, span_chunks
 from .errors import (
     ResourceError,
     ScanBudgetExceeded,
@@ -109,11 +109,11 @@ _INF = 10**9  # an unreachable weight in the blockwise DP's tables
 _DP_BLOCK = 1 << 14  # table entries the DP gathers per numpy call
 #: the largest sub-code dimension whose 4^k' words the two MDS checks list
 #: themselves, a larger one going to LinearCode.min_distance, and the
-#: largest local kernel whose words the blockwise distance lists in Python
-#: (the constructed builds with n <= 128 need k' <= 3)
-_SPAN_MAX_K = 4
-#: kernel words spanned per numpy block of a larger local kernel
-_SPLICE_BLOCK_K = 8
+#: largest local kernel whose words the blockwise distance lists in Python,
+#: a larger one going to code.span_chunks: listing loses to that walk from
+#: k_b = 4 on, on a 2-core Xeon (the constructed builds with n <= 128 need
+#: k' <= 3)
+_SPAN_MAX_K = 3
 
 
 def singleton_like_bound(n: int, k: int, r: int, delta: int) -> int:
@@ -252,10 +252,9 @@ class LocalityProfile:
         the scan ``budget``.  The DP measures the kernel of the stacked
         rows, which is the code whether or not some rows are redundant."""
         try:
-            tables = _blockwise_tables(self)
+            return blockwise_min_distance(self)
         except (ValueError, ResourceError):
             return self.code.min_distance(budget)
-        return _blockwise_dp(len(self.global_rows), tables)
 
 
 @dataclass(frozen=True)
@@ -268,8 +267,17 @@ class LocalitySearch:
     n: int
     r: int
     delta: int
-    coordinate_supports: dict[int, frozenset[int]] = field(repr=False)
     qualifying: tuple[frozenset[int], ...] = field(repr=False)
+
+    @cached_property
+    def coordinate_supports(self) -> dict[int, frozenset[int]]:
+        """Each coordinate's first qualifying support, keyed in the order
+        the supports first reach them."""
+        first: dict[int, frozenset[int]] = {}
+        for s in self.qualifying:
+            for c in sorted(s):
+                first.setdefault(c, s)
+        return first
 
     @property
     def ok(self) -> bool:
@@ -373,23 +381,21 @@ def _gain_table(cols: list[Vec], k: int, r: int) -> list:
     return table.tolist()
 
 
-def _locality_search(
-    gen: Mat4, r: int, delta: int, budget: float = inf
-) -> tuple[dict[int, frozenset[int]], list[frozenset[int]]]:
+def _locality_search(gen: Mat4, r: int, delta: int, budget: float = inf) -> list[frozenset[int]]:
     """Find every support R, |R| <= r+delta-1, with d(C|_R) >= delta.
 
-    Returns each coordinate's first qualifying support and every
-    qualifying support, both in (size, lex) order.  One depth-first pass
-    over column subsets covers every size.  A node keeps the columns
-    after its last pick reduced modulo the span of its picks, so a child
-    raises the rank exactly when its column's residual (its low k bits)
-    is nonzero.  Above the residual, entry k + j of a column, its tag j,
-    is the multiple of the j-th pivot's column that its residual has
-    absorbed: a pivot is reduced into the later columns with its own
-    entry k + j set to 1, so residual = column + sum of tag[j] * pivot
-    j.  A pick with a zero residual is then the sum of tag[j] * pivot j,
-    and its tag is its column of the punctured code's systematic
-    generator, which is what :func:`_punctured_distance_at_least` reads.
+    Returns the qualifying supports in (size, lex) order.  One
+    depth-first pass over column subsets covers every size.  A node
+    keeps the columns after its last pick reduced modulo the span of its
+    picks, so a child raises the rank exactly when its column's residual
+    (its low k bits) is nonzero.  Above the residual, entry k + j of a
+    column, its tag j, is the multiple of the j-th pivot's column that
+    its residual has absorbed: a pivot is reduced into the later columns
+    with its own entry k + j set to 1, so residual = column + sum of
+    tag[j] * pivot j.  A pick with a zero residual is then the sum of
+    tag[j] * pivot j, and its tag is its column of the punctured code's
+    systematic generator, which is what
+    :func:`_punctured_distance_at_least` reads.
 
     A support must carry delta - 1 independent parity words, so its
     columns are rank-deficient by delta - 1.  The rank never falls, so a
@@ -498,14 +504,7 @@ def _locality_search(
 
     rec([(i, hi, lo) for i, (hi, lo) in enumerate(cols)], 0, gains=table)
     hits.sort(key=lambda s: (len(s), s))
-    assigned: dict[int, frozenset[int]] = {}
-    found: list[frozenset[int]] = []
-    for t in hits:
-        s = frozenset(c + 1 for c in t)
-        for c in t:
-            assigned.setdefault(c + 1, s)
-        found.append(s)
-    return assigned, found
+    return [frozenset(c + 1 for c in t) for t in hits]
 
 
 def verify_locality(c: LinearCode, r: int, delta: int, budget: int | None = None) -> LocalitySearch:
@@ -524,9 +523,8 @@ def verify_locality(c: LinearCode, r: int, delta: int, budget: int | None = None
         budget = inf
     elif budget is None:
         budget = LOCALITY_SEARCH_MAX_WORK
-    assigned, found = _locality_search(c.gen, r, delta, budget)
-    return LocalitySearch(n=c.n, r=r, delta=delta, coordinate_supports=assigned,
-                          qualifying=tuple(found))
+    return LocalitySearch(n=c.n, r=r, delta=delta,
+                          qualifying=tuple(_locality_search(c.gen, r, delta, budget)))
 
 
 def _minimal_cover(masks: list[int], full: int) -> list[int]:
@@ -692,9 +690,9 @@ def _splice_table(basis: list[Vec], mask: int, n: int, g: int) -> tuple[np.ndarr
     two planes above its n coordinates.  A syndrome of g entries is
     packed as its w-plane above its 1-plane, so adding syndromes is XOR
     of their packed ints.  Up to :data:`_SPAN_MAX_K` basis words the
-    span is listed in Python; a larger one is walked in numpy blocks of
-    4^:data:`_SPLICE_BLOCK_K` words, so no list of all 4^k_b words is
-    built.
+    span is listed in Python.  A larger basis is unpacked once onto the
+    support and syndrome columns and walked by :func:`code.span_chunks`,
+    one numpy table at a time, so no list of all 4^k_b words is built.
     """
     coords = (1 << n) - 1
     if len(basis) <= _SPAN_MAX_K:
@@ -707,16 +705,15 @@ def _splice_table(basis: list[Vec], mask: int, n: int, g: int) -> tuple[np.ndarr
         return (np.fromiter(best, dtype=np.intp, count=len(best)),
                 np.fromiter(best.values(), dtype=np.int32, count=len(best)))
     cols = [c - 1 for c in coordinates(mask)]
-    block = span(basis[:_SPLICE_BLOCK_K])
-    words = unpack(block, n + g)[:, cols]
-    syns = np.array([(h >> n) << g | l >> n for h, l in block], dtype=np.intp)
+    words = Mat4._wrap(unpack(basis, n + g)[:, cols + list(range(n, n + g))])
+    place = 1 << np.arange(g)
     least = np.full(1 << (2 * g), _INF, dtype=np.int32)
-    # each block is the first words' span shifted by one word of the rest's
-    for i, (th, tl) in enumerate(span(basis[_SPLICE_BLOCK_K:])):
-        wt = np.count_nonzero(words ^ unpack([(th, tl)], n + g)[0, cols], axis=1).astype(np.int32)
+    for i, table in enumerate(span_chunks(words)):
+        wt = np.count_nonzero(table[:, :len(cols)], axis=1).astype(np.int32)
         if not i:
             wt[0] = _INF  # the zero word
-        np.minimum.at(least, syns ^ ((th >> n) << g | tl >> n), wt)
+        tail = table[:, len(cols):]
+        np.minimum.at(least, (tail >> 1) @ place << g | (tail & 1) @ place, wt)
     syn = np.flatnonzero(least < _INF)
     return syn, least[syn]
 

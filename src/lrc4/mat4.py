@@ -14,6 +14,7 @@ which lets block constructions degenerate at their minimal parameters.
 
 from __future__ import annotations
 
+import reprlib
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -31,15 +32,15 @@ class Mat4:
 
     __slots__ = ("_a",)
 
-    def __init__(self, entries: Sequence[Sequence[int]] | np.ndarray, cols: int | None = None):
+    def __init__(self, entries: Sequence[Sequence[int]] | np.ndarray):
         # an int array is range-checked whole, other entries by the element rule
         ints = isinstance(entries, np.ndarray) and entries.dtype.kind in "iu"
         a = np.array(entries, dtype=None if ints else object)
-        if a.ndim == 1:
-            # Allow an empty row list only when the column count is given.
-            a = a.reshape(0, cols if cols is not None else 0)
+        if a.shape == (0,):  # no rows: 0 x 0
+            a = a.reshape(0, 0)
         if a.ndim != 2:
-            raise ShapeError(f"matrix data must be 2-dimensional, got shape {a.shape}")
+            raise ShapeError(f"matrix data must be rows of equal length, "
+                             f"got {reprlib.repr(entries)}")
         if not ints:
             entries = gf4._elements(a.ravel().tolist(), "matrix entries")
             a = np.array(entries, dtype=np.uint8).reshape(a.shape)
@@ -205,7 +206,7 @@ class Mat4:
         return Mat4(gf4.MUL_NP[left, right])
 
     def take_columns(self, cols: Sequence[int]) -> "Mat4":
-        return Mat4(self._a[:, list(cols)].copy(), cols=len(cols))
+        return Mat4(self._a[:, list(cols)].copy())
 
     def delete_columns(self, cols: Iterable[int]) -> "Mat4":
         drop = set(cols)
@@ -213,8 +214,7 @@ class Mat4:
         return self.take_columns(keep)
 
     def take_rows(self, rows: Sequence[int]) -> "Mat4":
-        sel = self._a[list(rows), :].copy()
-        return Mat4(sel.reshape(len(rows), self.cols), cols=self.cols)
+        return Mat4(self._a[list(rows), :].copy())
 
     def delete_rows(self, rows: Iterable[int]) -> "Mat4":
         drop = set(rows)
@@ -245,9 +245,7 @@ def hstack(blocks: Sequence[Mat4]) -> Mat4:
     heights = {b.rows for b in blocks}
     if len(heights) != 1:
         raise ShapeError(f"hstack: differing row counts {sorted(heights)}")
-    rows = blocks[0].rows
-    cols = sum(b.cols for b in blocks)
-    return Mat4(np.hstack([b.array for b in blocks]).reshape(rows, cols), cols=cols)
+    return Mat4(np.hstack([b.array for b in blocks]))
 
 
 def vstack(blocks: Sequence[Mat4]) -> Mat4:
@@ -257,6 +255,4 @@ def vstack(blocks: Sequence[Mat4]) -> Mat4:
     widths = {b.cols for b in blocks}
     if len(widths) != 1:
         raise ShapeError(f"vstack: differing column counts {sorted(widths)}")
-    cols = blocks[0].cols
-    rows = sum(b.rows for b in blocks)
-    return Mat4(np.vstack([b.array.reshape(b.rows, cols) for b in blocks]), cols=cols)
+    return Mat4(np.vstack([b.array for b in blocks]))

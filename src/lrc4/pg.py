@@ -30,6 +30,7 @@ class PgPoint:
     coords: tuple[int, ...]
 
     def __post_init__(self):
+        object.__setattr__(self, "coords", tuple(gf4._elements(self.coords, "point coordinates")))
         if not any(self.coords):
             raise ValueError("the zero vector is not a projective point")
         lead = next(x for x in self.coords if x)

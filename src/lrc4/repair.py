@@ -15,13 +15,13 @@ once, when it is made, onto its own fields: each group's support as a
 bit mask (``masks``) and its local rows packed as in ``_gf4vec``
 (``local_rows``), the groups holding each coordinate (``groups_of``),
 and every row of the matrix packed (``words``).  A repair packs the
-received word the same way, 0 at the erasures, with a mask of the
-erasures: a group's unknowns are a mask AND, and its equations are its
-rows at the unknowns with the syndrome of the surviving symbols
-(``_gf4vec.dots``), which ``echelon`` solves.  The final check that the
-repaired word is a codeword takes the syndrome on every row of the
-matrix, augmented stack rows included; no numpy call and no copy of a
-full row is made per repair.
+received word the same way (``_gf4vec.pack_word``), 0 at the erasures,
+with a mask of the erasures: a group's unknowns are a mask AND, and its
+equations are its rows at the unknowns with the syndrome of the
+surviving symbols (``_gf4vec.dots``), which ``echelon`` solves.  The
+final check that the repaired word is a codeword takes the syndrome on
+every row of the matrix, augmented stack rows included; no numpy call
+and no copy of a full row is made per repair.
 """
 
 from __future__ import annotations
@@ -30,19 +30,11 @@ import random
 from dataclasses import dataclass, field
 from typing import Sequence
 
-from ._gf4vec import Vec, coordinates, dots, echelon
+from ._gf4vec import Vec, coordinates, dots, echelon, pack_word
 from .code import _check_coordinate_set
 from .constructions import BuiltCode
 from .gf4 import _elements, _integers
 from .mat4 import Mat4
-
-
-# an erasure's byte in a packed received word, and each byte -> ASCII
-# digit of its high bit, low bit and erasure flag, for int(..., 2)
-_ERASURE = 4
-_HI_DIGIT = bytes.maketrans(bytes(range(5)), b"00110")
-_LO_DIGIT = bytes.maketrans(bytes(range(5)), b"01010")
-_ERASED_DIGIT = bytes.maketrans(bytes(range(5)), b"00001")
 
 
 @dataclass(frozen=True)
@@ -91,14 +83,6 @@ def random_message(bc: BuiltCode, rng: random.Random) -> list[int]:
     return [rng.randrange(4) for _ in range(bc.code.k)]
 
 
-def _pack_received(word: list) -> tuple[int, int, int]:
-    """A received word as packed planes (0 at its erasures) and the mask
-    of its erasures."""
-    raw = bytes([_ERASURE if x is None else x for x in reversed(word)])
-    return (int(raw.translate(_HI_DIGIT), 2), int(raw.translate(_LO_DIGIT), 2),
-            int(raw.translate(_ERASED_DIGIT), 2))
-
-
 def _solve_group(rows: Sequence[Vec], word: Vec, unknown: int) -> dict[int, int] | str:
     """Solve a group's parity equations for its erased coordinates.
 
@@ -140,7 +124,7 @@ def local_repair(bc: BuiltCode, received: Sequence[int | None]) -> RepairOutcome
     word = _elements(received, "received symbols", erasures=True)
     profile = bc.profile
     budget = bc.delta - 1
-    hi, lo, erased = _pack_received(word)
+    hi, lo, erased = pack_word(word)
     trace: list[RepairStep] = []
 
     unsolved: dict[int, dict[str, list[int]]] = {}  # coordinate -> why -> groups

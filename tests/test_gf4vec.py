@@ -1,7 +1,7 @@
 import numpy as np
 from hypothesis import given, strategies as st
 
-from lrc4._gf4vec import Eliminator, coordinates, mask, pack, span
+from lrc4._gf4vec import Eliminator, coordinates, mask, pack, pack_word, span
 from lrc4.mat4 import Mat4
 
 
@@ -14,6 +14,13 @@ def test_span_lists_span_words_packed(k, m, seed):
     words = span(pack(rows))
     assert len(words) == 4**k
     assert words == pack(Mat4(rows).span_words())
+
+
+@given(st.lists(st.sampled_from((0, 1, 2, 3, None)), min_size=1, max_size=130))
+def test_pack_word_is_pack_with_the_erasures_at_zero(word):
+    hi, lo, erased = pack_word(word)
+    assert [(hi, lo)] == pack(np.array([[x or 0 for x in word]], dtype=np.uint8))
+    assert erased == mask(i + 1 for i, x in enumerate(word) if x is None)
 
 
 @given(st.integers(1, 130).flatmap(

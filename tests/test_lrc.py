@@ -1077,32 +1077,34 @@ def test_splice_tables_match_the_numpy_oracle(case):
 
 @given(disjoint_block_codes())
 def test_splice_tables_in_numpy_blocks_match_the_numpy_oracle(case):
-    # every nonzero kernel goes through the block walk, one basis word per block
+    # every nonzero kernel goes through the span_chunks walk, 4 words per table
     _, profile = case
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(lrc, "_SPAN_MAX_K", 0)
-        mp.setattr(lrc, "_SPLICE_BLOCK_K", 1)
+        mp.setattr("lrc4.code._ENUM_CHUNK_K", 1)
         _assert_tables_match_oracle(profile)
 
 
 def test_large_local_kernel_is_walked_in_bounded_blocks(monkeypatch):
     # one 11-coordinate group with one local row and one global row: a
-    # 10-dimensional kernel, 4^10 words in 16 blocks of 4^8
+    # 10-dimensional kernel, 4^10 words in 16 tables of 4^8
     rng = np.random.default_rng(7)
     n = 11
     h = Mat4(np.vstack([np.ones(n, dtype=np.uint8), rng.integers(0, 4, n, dtype=np.uint8)]))
     profile = LocalityProfile(r=n - 1, delta=2, group_rows=((1,),), matrix=h)
     assert profile.global_rows == (2,) and profile.groups[0].support == set(range(1, n + 1))
-    spanned = []
-    span = lrc.span
+    monkeypatch.setattr("lrc4.code._ENUM_CHUNK_K", 8)
+    rows = []
+    walk = lrc.span_chunks
 
     def record(basis):
-        spanned.append(len(basis))
-        return span(basis)
+        for table in walk(basis):
+            rows.append(len(table))
+            yield table
 
-    monkeypatch.setattr(lrc, "span", record)
+    monkeypatch.setattr(lrc, "span_chunks", record)
     _assert_tables_match_oracle(profile)
-    assert spanned and max(spanned) == lrc._SPLICE_BLOCK_K < n - 1
+    assert rows == [4**8] * 16
     assert blockwise_min_distance(profile) == LinearCode(pchk=h).min_distance()
 
 

@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 from itertools import product
 
@@ -267,6 +268,14 @@ def test_entry_validation():
         Mat4.from_string("1 0 / 1")
 
 
+def test_matrix_data_must_be_rows_of_equal_length():
+    # a flat list and ragged rows name what was given; no rows is 0 x 0
+    for bad in ([1, 2, 3], [[1, 2], [3]]):
+        with pytest.raises(ShapeError, match=re.escape(repr(bad))):
+            Mat4(bad)
+    assert Mat4([]).shape == (0, 0)
+
+
 @given(st.data())
 def test_reduce_by_leaves_zero_exactly_on_dependent_vectors(data):
     length = data.draw(st.integers(1, 8), label="length")
@@ -341,7 +350,7 @@ def echelon_cases(draw):
     for c in draw(st.lists(st.integers(0, max(cols - 1, 0)), max_size=6)):
         if cols:
             a[:, c] = 0
-    return Mat4(a, cols=cols)
+    return Mat4(a)
 
 
 @given(echelon_cases())
@@ -361,16 +370,16 @@ def test_packed_echelon_matches_reference_rref(m):
     assert np.array_equal(unpack(rows, m.cols), ref)
 
     r, piv = m.rref()
-    assert piv == pivots and r == Mat4(ref, cols=m.cols)
+    assert piv == pivots and r == Mat4(ref)
     assert m.rank() == rank
-    assert m.row_basis() == Mat4(ref[:rank], cols=m.cols)
+    assert m.row_basis() == Mat4(ref[:rank])
     free = [c for c in range(m.cols) if c not in pivots]
     kernel = np.zeros((len(free), m.cols), dtype=np.uint8)
     for i, f in enumerate(free):
         kernel[i, f] = 1
         kernel[i, list(pivots)] = ref[:rank, f]
     k = m.right_kernel()
-    assert k == Mat4(kernel, cols=m.cols)
+    assert k == Mat4(kernel)
     assert (m @ k.transpose()).is_zero()
     for out in (r, m.row_basis(), k):
         assert out.array.dtype == np.uint8 and not out.array.flags.writeable

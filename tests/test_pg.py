@@ -58,6 +58,16 @@ def test_normalize():
         PgPoint((gf4.W, 0, 0))  # not normalized
 
 
+def test_point_coordinates_are_field_elements():
+    # 7 made a point whose str() raised IndexError, and True passed for 1
+    for bad in ((1, 7), (1, True), (1, -1)):
+        with pytest.raises(ValueError, match="not GF\\(4\\) elements"):
+            PgPoint(bad)
+    p = PgPoint((1, 2.0))
+    assert p == PgPoint((1, gf4.W)) and all(type(x) is int for x in p.coords)
+    assert str(p) == "(1 w)"
+
+
 def lines_of_the_plane() -> list[frozenset[PgPoint]]:
     """The lines of PG(2,F4): point sets of the 2-dim subspaces of GF(4)^3."""
     return [frozenset(subspace_points(b)) for b in enumerate_subspaces(3, 2)]

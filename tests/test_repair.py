@@ -6,12 +6,11 @@ import numpy as np
 import pytest
 
 from lrc4 import gf4
-from lrc4._gf4vec import coordinates, dots, pack, unpack
+from lrc4._gf4vec import coordinates, dots, pack, pack_word, unpack
 from lrc4.constructions import acceptance_sweep, build
 from lrc4.mat4 import Mat4
 from lrc4.repair import (
     ErasurePattern,
-    _pack_received,
     _solve_group,
     encode,
     erasure_tolerance_ok,
@@ -270,7 +269,7 @@ def test_solve_group_inconsistent_exactly_without_a_completion():
                     full[c - 1] = x
                 if not any(group_syndrome(h, r, support, full) for r in grp.rows):
                     fits.append(dict(zip(unknowns, values)))
-            hi, lo, unknown = _pack_received(word)
+            hi, lo, unknown = pack_word(word)
             solved = _solve_group(bc.profile.local_rows[gi], (hi, lo), unknown)
             verdicts.add(solved if isinstance(solved, str) else "solved")
             if not fits:
