@@ -743,8 +743,8 @@ def build(
 
 
 def blockwise_min_distance(bc: BuiltCode) -> int:
-    """Exact d of a built disjoint-group code: :func:`lrc.blockwise_min_distance`
-    on its profile.  Raises ValueError on overlapping groups and
+    """Exact d of a built code: :func:`lrc.blockwise_min_distance` on its
+    profile.  Raises ValueError when its groups form one block and
     ResourceError past :data:`lrc.BLOCKWISE_MAX_WORK`."""
     return lrc.blockwise_min_distance(bc.profile)
 

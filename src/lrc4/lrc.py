@@ -33,19 +33,20 @@ structure checks read it.  A profile checks its layout when it is made
 and compiles it then into packed ints on its own fields, which the
 repair simulator, the structure checks and the blockwise distance read,
 and it holds the code of its parity check, reduced once, as ``code``.
-When the groups are disjoint, :func:`blockwise_min_distance` settles
-the minimum distance by dynamic programming over the global syndromes
-of the groups' local-kernel words; ``LocalityProfile.min_distance``
-takes that route for verification and ``lrc4 distance``.  Each
-group's (syndrome, least weight) table is built on packed ints: one
-echelon form of its local rows and its masked global rows, each with a
-1 in its own syndrome column above the n coordinates, gives a kernel
-basis whose words carry their global syndrome's two bit planes, and
-``_gf4vec.span`` lists the 4^k_b words (at most 64 on every
-constructed build with n <= 128; a kernel above 4^:data:`_SPAN_MAX_K`
-words is walked by ``code.span_chunks``, as codeword enumeration is).
-The two MDS checks of the structure theorem
-build no code object per sub-code: an H' is its kept packed rows masked
+When the groups whose supports meet, joined, form two blocks or more,
+:func:`blockwise_min_distance` settles the minimum distance by dynamic
+programming over the global syndromes of the blocks' local-kernel
+words; ``LocalityProfile.min_distance`` takes that route for
+verification and ``lrc4 distance``.  Each block's (syndrome, least
+weight) table is built on packed ints: one echelon form of its local
+rows and its masked global rows, each with a 1 in its own syndrome
+column above the n coordinates, gives a kernel basis whose words
+carry their global syndrome's two bit planes, and ``_gf4vec.span``
+lists the 4^k_B words; a kernel above 4^:data:`_SPAN_MAX_K` words (a
+joined block of a shared-column variant, k_B <= 5 on every constructed
+build with n <= 256) is walked by ``code.span_chunks``, as codeword
+enumeration is.  The two MDS checks of the structure theorem build no
+code object per sub-code: an H' is its kept packed rows masked
 to its kept columns, with its kernel read off their echelon form, and a
 restriction C|_S is the packed generator rows masked to S, so each
 sub-code's distance is the least weight of its 4^k' words (k' <= 3 on
@@ -247,8 +248,8 @@ class LocalityProfile:
 
     def min_distance(self, budget: int | None = None) -> int:
         """Exact d of ``code``: :func:`blockwise_min_distance` when the
-        group supports are pairwise disjoint and the DP takes the profile
-        within its work bound, else :meth:`LinearCode.min_distance` with
+        groups form at least two blocks and the DP takes them within its
+        work bound, else :meth:`LinearCode.min_distance` with
         the scan ``budget``.  The DP measures the kernel of the stacked
         rows, which is the code whether or not some rows are redundant."""
         try:
@@ -681,18 +682,18 @@ def restructure(c: LinearCode, found: LocalitySearch) -> LocalityProfile:
 
 
 def _splice_table(basis: list[Vec], mask: int, n: int, g: int) -> tuple[np.ndarray, np.ndarray]:
-    """One group's splice table: every global syndrome of a nonzero word
+    """One block's splice table: every global syndrome of a nonzero word
     of its local kernel, and the least weight of such a word.
 
-    ``basis`` spans the right kernel of [[L_b, 0], [G_b, I]] on the
-    group's support ``mask`` and g syndrome columns above bit n, so each
+    ``basis`` spans the right kernel of [[L_B, 0], [G_B, I]] on the
+    block's support ``mask`` and g syndrome columns above bit n, so each
     word of its span is a local-kernel word with its global syndrome's
     two planes above its n coordinates.  A syndrome of g entries is
     packed as its w-plane above its 1-plane, so adding syndromes is XOR
     of their packed ints.  Up to :data:`_SPAN_MAX_K` basis words the
     span is listed in Python.  A larger basis is unpacked once onto the
     support and syndrome columns and walked by :func:`code.span_chunks`,
-    one numpy table at a time, so no list of all 4^k_b words is built.
+    one numpy table at a time, so no list of all 4^k_B words is built.
     """
     coords = (1 << n) - 1
     if len(basis) <= _SPAN_MAX_K:
@@ -719,8 +720,8 @@ def _splice_table(basis: list[Vec], mask: int, n: int, g: int) -> tuple[np.ndarr
 
 
 def _blockwise_dp(g: int, tables: list[tuple[np.ndarray, np.ndarray]]) -> int:
-    """Least positive splice weight over the groups' :func:`_splice_table`
-    tables (g global rows)."""
+    """Least positive splice weight over the blocks' :func:`_splice_table`
+    tables (g global rows), by one min-plus step per table entry."""
     size = 1 << (2 * g)
     indices = np.arange(size)
     # min splice weight per global syndrome: any splice, and one with a nonzero block
@@ -730,17 +731,12 @@ def _blockwise_dp(g: int, tables: list[tuple[np.ndarray, np.ndarray]]) -> int:
     shifted = np.empty(size, dtype=np.int32)
     step = max(1, _DP_BLOCK // size)  # syndromes shifted per numpy call
     for syn, wt in tables:
-        # a word with a nonzero syndrome is nonzero, so the splices it
-        # extends are the same candidates for both tables
-        moved = syn != 0
+        # each entry is a nonzero word, so it extends the same splices for
+        # both tables; one of syndrome 0 leaves dp_any as it was
         shifted.fill(_INF)
-        syn_m, wt_m = syn[moved, None], wt[moved, None]
-        for at in range(0, len(syn_m), step):
-            s = syn_m[at:at + step]
-            np.minimum(shifted, (dp_any[indices ^ s] + wt_m[at:at + step]).min(axis=0),
-                       out=shifted)
-        for w0 in wt[~moved]:  # the least nonzero word of syndrome 0, if any
-            np.minimum(dp_pos, dp_any + w0, out=dp_pos)
+        for at in range(0, len(syn), step):
+            s, w = syn[at:at + step, None], wt[at:at + step, None]
+            np.minimum(shifted, (dp_any[indices ^ s] + w).min(axis=0), out=shifted)
         np.minimum(dp_pos, shifted, out=dp_pos)
         np.minimum(dp_any, shifted, out=dp_any)
     d = int(dp_pos[0])
@@ -750,51 +746,55 @@ def _blockwise_dp(g: int, tables: list[tuple[np.ndarray, np.ndarray]]) -> int:
 
 
 def _blockwise_tables(profile: LocalityProfile) -> list[tuple[np.ndarray, np.ndarray]]:
-    """The groups' :func:`_splice_table` tables, for a profile whose code
-    the DP measures exactly within :data:`BLOCKWISE_MAX_WORK` table
-    operations: its group supports are pairwise disjoint.  Raises
-    ValueError on any other profile and ResourceError past the bound,
-    before any kernel word is listed."""
+    """The :func:`_splice_table` tables of the profile's blocks, each the
+    groups whose supports meet, joined, with all their local rows in group
+    order (a disjoint layout's blocks are its groups).  Raises ValueError
+    when the groups form one block, whose table would list the whole
+    code, and ResourceError past :data:`BLOCKWISE_MAX_WORK` table
+    operations, before any kernel word is listed."""
     n = profile.matrix.cols
-    # the supports cover every coordinate, so they are disjoint exactly when their sizes sum to n
-    if sum(m.bit_count() for m in profile.masks) != n:
-        raise ValueError("blockwise distance: group supports must be pairwise disjoint")
+    blocks: list[tuple[int, list[Vec]]] = []  # (support, local rows)
+    for local, m in zip(profile.local_rows, profile.masks):
+        meet = [b for b in blocks if b[0] & m]
+        blocks = [b for b in blocks if not b[0] & m] + [
+            (reduce(or_, (b[0] for b in meet), m), [w for b in meet for w in b[1]] + list(local))]
+    if len(blocks) < 2:
+        raise ValueError("blockwise distance: the groups form one block")
     g = len(profile.global_rows)
     glob = [profile.words[i - 1] for i in profile.global_rows]
     syn_cols = ((1 << g) - 1) << n
-    # the right kernel of [[L_b, 0], [G_b, I]]: global row j, masked to the
-    # group's support, gets a 1 in syndrome column n + j
-    bases = [kernel(list(local) + [(a & mask, b & mask | 1 << n + j)
-                                   for j, (a, b) in enumerate(glob)], mask | syn_cols)
-             for local, mask in zip(profile.local_rows, profile.masks)]
-    # each group's 4^k_b kernel words, then one pass over the 4^g global
+    # the right kernel of [[L_B, 0], [G_B, I]]: global row j, masked to the
+    # block's support, gets a 1 in syndrome column n + j
+    bases = [kernel(local + [(a & mask, b & mask | 1 << n + j) for j, (a, b) in enumerate(glob)],
+                    mask | syn_cols) for mask, local in blocks]
+    # each block's 4^k_B kernel words, then one pass over the 4^g global
     # syndromes per distinct syndrome of its words
     size = 4**g
     work = sum(4**len(b) + min(4**len(b), size) * size for b in bases)
     if work > BLOCKWISE_MAX_WORK:
         raise ResourceError(f"blockwise distance needs an estimated {work} table operations, "
                             f"over the bound of {BLOCKWISE_MAX_WORK}")
-    return [_splice_table(b, mask, n, g) for b, mask in zip(bases, profile.masks)]
+    return [_splice_table(b, mask, n, g) for b, (mask, _) in zip(bases, blocks)]
 
 
 def blockwise_min_distance(profile: LocalityProfile) -> int:
     """Exact minimum distance of the code of the profile's matrix via its
     group structure.
 
-    When the group supports are pairwise disjoint, a codeword is a
-    splice of local-kernel words, one per group, whose global-row
-    syndromes cancel.  Per group, one table lists each packed
-    global syndrome of a nonzero kernel word with its least weight; it
-    is built from the profile's packed masks and rows, with no matrix
-    object, by :func:`_splice_table`.  Dynamic programming
-    over the 4^g syndromes (g global rows) then adds one XOR-shifted
-    table per distinct syndrome to an int32 table and finds the least
-    positive splice weight exactly, far beyond the generic enumeration
-    and column-scan guards: the full 17-group code ([102,46]) takes
-    about a million table operations.  Raises ValueError when the
-    supports overlap, and ResourceError when the estimated table work,
-    read off the kernel dimensions before any word is listed, exceeds
-    :data:`BLOCKWISE_MAX_WORK`.
+    The groups whose supports meet are joined into blocks, which
+    partition the coordinates, so a codeword is a splice of local-kernel
+    words, one per block, whose global-row syndromes cancel.  Per
+    block, one table lists each packed global syndrome of a nonzero
+    kernel word with its least weight; it is built from the profile's
+    packed masks and rows, with no matrix object, by
+    :func:`_splice_table`.  Dynamic programming over the 4^g syndromes
+    (g global rows) then adds one XOR-shifted table per distinct
+    syndrome to an int32 table and finds the least positive splice
+    weight exactly, far beyond the generic enumeration and column-scan
+    guards: the full 17-group code ([102,46]) takes about a million
+    table operations.  Raises ValueError when the groups form one block,
+    and ResourceError when the estimated table work, read off the block
+    kernels before any word is listed, exceeds :data:`BLOCKWISE_MAX_WORK`.
     """
     return _blockwise_dp(len(profile.global_rows), _blockwise_tables(profile))
 

@@ -180,12 +180,13 @@ def test_verify_full_lifts_every_search_guard(tmp_path, capsys, monkeypatch):
                                    r"checks, over its work budget of 100", err)
     code, out, _ = run(capsys, "verify", "--generator", str(tmp_path / "generator.txt"), "--full")
     assert code == 0 and "r_optimal=True" in out
-    # variant b's groups overlap, so its router settles d; with d unsettled
-    # (a scan budget below C(39,3), k > 14) the bound cannot fire and
-    # r-optimality needs the (r-1, delta) search, here over its budget
+    # with the blockwise DP over its work bound the router settles d; with
+    # d unsettled (a scan budget below C(39,3), k > 14) the bound cannot
+    # fire and r-optimality needs the (r-1, delta) search, here over its budget
     path = tmp_path / "parity_b.txt"
     run(capsys, "build", "--family", "C1", "--l", "8", "--variant", "b", "--as", "parity",
         "--out", str(path))
+    monkeypatch.setattr("lrc4.lrc.BLOCKWISE_MAX_WORK", 0)
     monkeypatch.setattr("lrc4.code.DEFAULT_SCAN_BUDGET", 1000)
     code, out, _ = run(capsys, "verify", "--parity", str(path))
     assert code == 0

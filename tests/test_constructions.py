@@ -665,12 +665,17 @@ def test_blockwise_distance_certifies_large_codes_exactly():
     assert blockwise_min_distance(build("C13", k=6, delta=5)) == 10
 
 
-def test_blockwise_distance_rejects_overlapping_groups():
+def test_blockwise_distance_joins_meeting_groups_and_rejects_one_block():
     from lrc4.constructions import blockwise_min_distance
 
-    bc = build("C1", l=2, variant="b")  # supports overlap at coordinate 5
-    with pytest.raises(ValueError):
+    bc = build("C1", l=2, variant="b")  # supports meet at coordinate 5: one block
+    with pytest.raises(ValueError, match="the groups form one block"):
         blockwise_min_distance(bc)
+    # groups 1 and 2 are joined into one block, and groups 3.. stay blocks of their own
+    for l in (3, 4):
+        bc = build("C1", l=l, variant="b")
+        assert bc.profile.groups[0].support & bc.profile.groups[1].support
+        assert blockwise_min_distance(bc) == bc.code.min_distance() == bc.expected.d == 3
 
 
 def test_desk_scale_distance_settled_by_blockwise_route():
@@ -687,12 +692,14 @@ def test_desk_scale_distance_settled_by_blockwise_route():
 
 
 def test_desk_scale_guard_degrades_gracefully(monkeypatch):
-    # C5 l = 8 variant b is [47,23,4] with overlapping groups, so the
-    # router settles d; past its budget (k > 14) the report marks d
-    # indeterminate with a note while the structural checks still run,
-    # and r-optimality takes the (r-1, delta) search
+    # C5 l = 8 variant b is [47,23,4]; with the blockwise DP over its work
+    # bound the router settles d, and past its budget (k > 14) the report
+    # marks d indeterminate with a note while the structural checks still
+    # run, and r-optimality takes the (r-1, delta) search
     bc = build("C5", l=8, variant="b")
     assert (bc.code.n, bc.code.k) == (47, 23)
+    assert check_structure(bc.profile, scan_budget=10 ** 4).d == 4  # by the DP
+    monkeypatch.setattr(lrc, "BLOCKWISE_MAX_WORK", 0)
     # a tight scan budget stands in for the default 10^8 so the test is quick
     report = check_structure(bc.profile, scan_budget=10 ** 4)
     assert report.d is None and report.d_optimal is None

@@ -10,7 +10,7 @@ from unittest import mock
 import pytest
 
 import numpy as np
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from lrc4 import gf4
 from lrc4.code import LinearCode, hexacode, span_chunks
@@ -951,12 +951,12 @@ def test_partitioned_profiles_everywhere_else():
 
 @st.composite
 def disjoint_block_codes(draw):
-    """A parity check [blockdiag(local rows) ; global rows] over randomly
-    permuted columns, with its profile at r = the largest group and
-    delta = 2.  A group's first row is nonzero on each of its columns, so
-    the groups cover every coordinate; its other rows and the global rows
-    may be zero or dependent."""
-    sizes = draw(st.lists(st.integers(1, 4), min_size=1, max_size=3))
+    """A parity check [blockdiag(local rows) ; global rows] of two or three
+    groups over randomly permuted columns, with its profile at r = the
+    largest group and delta = 2.  A group's first row is nonzero on each
+    of its columns, so the groups cover every coordinate; its other rows
+    and the global rows may be zero or dependent."""
+    sizes = draw(st.lists(st.integers(1, 4), min_size=2, max_size=3))
     n = sum(sizes)
     perm = draw(st.permutations(range(n)))
     entries = st.integers(0, 3)
@@ -989,25 +989,36 @@ def test_blockwise_distance_matches_enumeration(case):
     assert blockwise_min_distance(profile) == int(np.count_nonzero(words, axis=1).min())
 
 
-# A numpy reference for the packed splice tables and their DP: per
-# group, the right kernel of [[L_b, 0], [G_b, I]] is the words w on the
-# group's columns that its local rows L_b annihilate, each followed by
-# its global syndrome G_b w (G_b: the global rows on the group's
-# columns); every combination of them is listed, and each syndrome,
-# packed 2 bits per entry, gets its least weight.
+# A numpy reference for the packed splice tables and their DP.  The
+# blocks are the groups whose supports meet, joined: two blocks merge
+# while their column sets share a column.  Per block, the right kernel of
+# [[L_B, 0], [G_B, I]] is the words w on the block's columns that its
+# local rows L_B annihilate, each followed by its global syndrome G_B w
+# (G_B: the global rows on the block's columns); every combination of
+# them is listed, and each syndrome, packed 2 bits per entry, gets its
+# least weight.
 _ORACLE_INF = 10**9
+
+
+def _oracle_blocks(profile):
+    """(0-based rows, 0-based columns) of each block, merged pairwise."""
+    blocks = [({i - 1 for i in g.rows}, {c - 1 for c in g.support}) for g in profile.groups]
+    while pair := next(((a, b) for a, b in combinations(blocks, 2) if a[1] & b[1]), None):
+        blocks = [x for x in blocks if x not in pair] + [(pair[0][0] | pair[1][0],
+                                                          pair[0][1] | pair[1][1])]
+    return blocks
 
 
 def _oracle_splice_bases(profile):
     h = profile.matrix
     glob0 = [i - 1 for i in profile.global_rows]
     out = []
-    for g in profile.groups:
-        rows0 = [i - 1 for i in g.rows]
+    for rows, cols in _oracle_blocks(profile):
+        rows0 = sorted(rows)
         ident = np.zeros((len(rows0) + len(glob0), len(glob0)), dtype=np.uint8)
         ident[len(rows0):] = np.eye(len(glob0), dtype=np.uint8)
-        cols0 = sorted(c - 1 for c in g.support)
-        out.append(Mat4(np.hstack([h.array[np.ix_(rows0 + glob0, cols0)], ident])).right_kernel())
+        out.append(Mat4(np.hstack([h.array[np.ix_(rows0 + glob0, sorted(cols))], ident]))
+                   .right_kernel())
     return out
 
 
@@ -1051,16 +1062,20 @@ def _interleaved(syn, g):
 
 
 def _assert_tables_match_oracle(profile):
+    """The profile's tables equal the oracle's, one per block: the
+    oracle's blocks come in its own order, so the two are compared as
+    sorted lists."""
     g = len(profile.global_rows)
     tables = lrc._blockwise_tables(profile)
     bases = _oracle_splice_bases(profile)
-    assert len(tables) == len(bases)
-    for (syn, wt), basis in zip(tables, bases):
+    got, want = [], []
+    for (syn, wt), basis in zip(tables, bases, strict=True):
         assert syn.dtype == np.intp and wt.dtype == np.int32
+        got.append(sorted((_interleaved(int(s), g), int(w)) for s, w in zip(syn, wt)))
+        assert len({s for s, _ in got[-1]}) == len(syn)
         _, t_pos = _oracle_syndrome_tables(basis, g)
-        want = {s: int(w) for s, w in enumerate(t_pos) if w < _ORACLE_INF}
-        got = {_interleaved(int(s), g): int(w) for s, w in zip(syn, wt)}
-        assert len(got) == len(syn) and got == want
+        want.append([(s, int(w)) for s, w in enumerate(t_pos) if w < _ORACLE_INF])
+    assert sorted(got) == sorted(want)
     want_d = _oracle_distance(g, bases)
     if want_d is None:
         with pytest.raises(UndefinedDistanceError):
@@ -1086,13 +1101,16 @@ def test_splice_tables_in_numpy_blocks_match_the_numpy_oracle(case):
 
 
 def test_large_local_kernel_is_walked_in_bounded_blocks(monkeypatch):
-    # one 11-coordinate group with one local row and one global row: a
-    # 10-dimensional kernel, 4^10 words in 16 tables of 4^8
+    # an 11-coordinate group with one local row and one global row: a
+    # 10-dimensional kernel, 4^10 words in 16 tables of 4^8; a second
+    # group, coordinate 12 alone, is a block of its own with no nonzero word
     rng = np.random.default_rng(7)
     n = 11
-    h = Mat4(np.vstack([np.ones(n, dtype=np.uint8), rng.integers(0, 4, n, dtype=np.uint8)]))
-    profile = LocalityProfile(r=n - 1, delta=2, group_rows=((1,),), matrix=h)
-    assert profile.global_rows == (2,) and profile.groups[0].support == set(range(1, n + 1))
+    h = Mat4(np.vstack([np.append(np.ones(n, dtype=np.uint8), 0),
+                        np.eye(1, n + 1, n, dtype=np.uint8),
+                        rng.integers(0, 4, n + 1, dtype=np.uint8)]))
+    profile = LocalityProfile(r=n - 1, delta=2, group_rows=((1,), (2,)), matrix=h)
+    assert profile.global_rows == (3,) and profile.groups[0].support == set(range(1, n + 1))
     monkeypatch.setattr("lrc4.code._ENUM_CHUNK_K", 8)
     rows = []
     walk = lrc.span_chunks
@@ -1108,18 +1126,20 @@ def test_large_local_kernel_is_walked_in_bounded_blocks(monkeypatch):
     assert blockwise_min_distance(profile) == LinearCode(pchk=h).min_distance()
 
 
-def test_splice_tables_match_the_numpy_oracle_on_every_disjoint_build():
-    checked = 0
+def test_splice_tables_match_the_numpy_oracle_on_every_build_that_splits():
+    checked = joined = 0
     for cid, kw, d in constructed_instances(64):
         profile = build(cid, **kw).profile
-        try:
-            lrc._blockwise_tables(profile)
-        except ValueError:
-            continue  # overlapping groups: the router's case
+        blocks = len(_oracle_blocks(profile))
+        if blocks == 1:  # the router's case
+            with pytest.raises(ValueError, match="the groups form one block"):
+                lrc._blockwise_tables(profile)
+            continue
         _assert_tables_match_oracle(profile)
         assert blockwise_min_distance(profile) == d, (cid, kw)
         checked += 1
-    assert checked > 100
+        joined += blocks < profile.l
+    assert checked > 300 and joined > 50
 
 
 def test_blockwise_dp_without_zero_syndrome_words_stays_exact():
@@ -1147,6 +1167,116 @@ def test_blockwise_dp_without_zero_syndrome_words_stays_exact():
     assert blockwise_min_distance(profile) == 4
     assert blockwise_min_distance(profile) == LinearCode(pchk=h.row_basis()).min_distance()
     _assert_tables_match_oracle(profile)
+
+
+@st.composite
+def overlapping_block_codes(draw):
+    """A parity check whose local groups share coordinates, with up to
+    three global rows, and its profile at r = the largest group and
+    delta = 2.  The groups come in one to three clusters.  In a cluster,
+    each group after the first shares one or two columns with the group
+    before it (a chain) or with the first (a star), and the first column
+    of every group is its own, so no group is redundant.  The groups are
+    listed in a random order, so a group may join two blocks listed
+    before it.  A group's first row is nonzero on each of its columns;
+    its second row, if any, and the global rows may be zero or dependent."""
+    n, groups = 0, []  # each group's columns, its own ones first
+    for _ in range(draw(st.integers(1, 3))):
+        cluster = [list(range(n, n + draw(st.integers(2, 3))))]
+        n += len(cluster[0])
+        star = draw(st.booleans())
+        for _ in range(draw(st.integers(0, 2))):
+            base = cluster[0] if star else cluster[-1]
+            own = list(range(n, n + draw(st.integers(1, 2))))
+            n += len(own)
+            cluster.append(own + draw(st.lists(st.sampled_from(base[1:]), min_size=1, max_size=2,
+                                               unique=True)))
+        groups += cluster
+    perm = draw(st.permutations(range(n)))
+    rows, group_rows = [], []
+    for cols in draw(st.permutations(groups)):
+        first = len(rows) + 1
+        for j in range(draw(st.integers(1, 2))):
+            row = [0] * n
+            for c in cols:
+                row[perm[c]] = draw(st.integers(1, 3) if j == 0 else st.integers(0, 3))
+            rows.append(row)
+        group_rows.append(tuple(range(first, len(rows) + 1)))
+    rows += draw(st.lists(st.lists(st.integers(0, 3), min_size=n, max_size=n), max_size=3))
+    h = Mat4(rows)
+    r = max(map(len, groups))
+    return h, LocalityProfile(r=r, delta=2, group_rows=tuple(group_rows), matrix=h)
+
+
+def _bridged_groups():
+    """A = {1, 2, 3}, C = {5, 6, 7} and B = {3, 4, 5}, listed A, C, B, and
+    D = {8, 9}: B meets both blocks listed before it, so the blocks are
+    A + B + C and D."""
+    h = Mat4([[1, 1, 1, 0, 0, 0, 0, 0, 0], [0, 0, 0, 0, 1, 1, 1, 0, 0],
+              [0, 0, 1, 1, 1, 0, 0, 0, 0], [0, 0, 0, 0, 0, 0, 0, 1, 1],
+              [1, 2, 3, 1, 2, 3, 1, 2, 3]])
+    return h, LocalityProfile(r=2, delta=2, group_rows=((1,), (2,), (3,), (4,)), matrix=h)
+
+
+@given(overlapping_block_codes())
+@example(_bridged_groups())
+def test_blockwise_distance_joins_overlapping_groups_into_blocks(case):
+    _, profile = case
+    if len(_oracle_blocks(profile)) == 1:
+        with pytest.raises(ValueError, match="the groups form one block"):
+            blockwise_min_distance(profile)
+        return
+    code = LinearCode(pchk=profile.parity_check().row_basis())
+    if code.k == 0:
+        with pytest.raises(UndefinedDistanceError):
+            blockwise_min_distance(profile)
+        return
+    assert blockwise_min_distance(profile) == code.min_distance()
+    _assert_tables_match_oracle(profile)
+
+
+def test_router_and_blockwise_dp_agree_on_every_shared_column_build_up_to_64():
+    split = one_block = 0
+    for cid, kw, d in constructed_instances(64):
+        if "variant" not in kw:
+            continue
+        bc = build(cid, **kw)
+        assert bc.code.min_distance() == d, (cid, kw)  # the router
+        if len(_oracle_blocks(bc.profile)) == 1:
+            with pytest.raises(ValueError, match="the groups form one block"):
+                blockwise_min_distance(bc.profile)
+            one_block += 1
+        else:
+            assert blockwise_min_distance(bc.profile) == d, (cid, kw)
+            split += 1
+    assert (split, one_block) == (157, 7)
+
+
+def test_profile_distance_of_every_parity_build_that_splits_takes_no_router(monkeypatch):
+    # every parity-check build with n <= 128, and the 25 shared-column
+    # builds past n = 224 whose d the router's 10^8 scan budget leaves
+    # unsettled (C5 l = 38..42, C8 and C9 l = 45..51, C10 l = 38..43, all b)
+    def refuse(self, budget=None):
+        raise AssertionError("LinearCode.min_distance was called")
+
+    monkeypatch.setattr(LinearCode, "min_distance", refuse)
+    unsettled = ([("C5", l) for l in range(38, 43)] + [("C8", l) for l in range(45, 52)]
+                 + [("C9", l) for l in range(45, 52)] + [("C10", l) for l in range(38, 44)])
+    large = [(cid, kw, d) for cid, kw, d in constructed_instances(256)
+             if kw.get("variant") == "b" and (cid, kw["l"]) in unsettled]
+    assert len(large) == 25
+    one_block = []
+    for cid, kw, d in constructed_instances(128) + large:
+        bc = build(cid, **kw)
+        if bc.family.generator:
+            continue
+        if len(_oracle_blocks(bc.profile)) == 1:
+            one_block.append((cid, kw))
+        else:
+            assert bc.profile.min_distance() == d, (cid, kw)
+    # the one-block layouts: groups 1 and 2 of variant b meet, and l = 2
+    assert one_block == [(cid, {"l": 2, "variant": "b"})
+                         for cid in ("C1", "C2", "C3", "C5", "C8", "C9", "C10")]
 
 
 def test_blockwise_work_bound_is_checked_before_any_word_is_listed(monkeypatch):
@@ -1283,7 +1413,7 @@ def test_derived_layout_matches_what_the_producers_passed():
     assert restructured == len(RESTRUCTURED_DIGESTS)
 
 
-def test_blockwise_route_needs_disjoint_groups_and_the_work_budget(monkeypatch):
+def test_blockwise_route_needs_two_blocks_and_the_work_budget(monkeypatch):
     bc = build("C6", l=3)
     h = bc.profile.matrix
     routed = []  # (code, budget) of each LinearCode.min_distance call
@@ -1303,10 +1433,12 @@ def test_blockwise_route_needs_disjoint_groups_and_the_work_budget(monkeypatch):
     assert unpartitioned.min_distance(7) == 4 and routed == []
     assert unpartitioned.code.min_distance(7) == 4  # the router's d
     routed.clear()
-    overlapping = build("C1", l=2, variant="b")  # groups 1 and 2 share coordinate 5
-    assert overlapping.profile.min_distance() == overlapping.expected.d
-    assert routed == [(overlapping.code, None)]
+    one_block = build("C1", l=2, variant="b")  # groups 1 and 2 share coordinate 5
+    assert one_block.profile.min_distance() == one_block.expected.d
+    assert routed == [(one_block.code, None)]
     routed.clear()
+    joined = build("C1", l=3, variant="b")  # one block of groups 1 and 2, and group 3
+    assert joined.profile.min_distance() == joined.expected.d and routed == []
     monkeypatch.setattr(lrc, "BLOCKWISE_MAX_WORK", 0)
     assert bc.profile.min_distance() == 4
     assert routed == [(bc.code, None)]
