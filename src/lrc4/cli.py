@@ -9,8 +9,8 @@ Matrix text format (bit-exact round trip):
 
 with a trailing newline.  ``build`` writes structured comments (family,
 parameters, locality pair and group row ranges) that ``verify`` and
-``distance`` read back: a parity-check file's ``group-rows`` are its
-layout, and any other file's is searched for and restructured.
+``distance`` read back; ``lrc.layout_of`` takes a parity-check file's
+``group-rows`` as its layout and searches for any other file's.
 
 Coordinates, group rows and supports are 1-based everywhere, matching
 the classification's [n] = {1..n} convention.
@@ -18,7 +18,7 @@ the classification's [n] = {1..n} convention.
 Exit codes: 0 success, 1 verification/repair failure, 2 usage or format
 errors.  The minimum-distance column scan is budgeted at 10^8 subset
 checks; a scan over budget falls back to codeword enumeration when
-k <= 14.  Past n = 30 the locality search is budgeted at
+k <= 14.  The locality search is budgeted at
 ``lrc.LOCALITY_SEARCH_MAX_WORK`` units of work.  ``verify --full`` lifts
 both budgets.  ``pg --points`` lists PG(m-1, 4) only for m <= 10.
 """
@@ -36,12 +36,7 @@ from .code import LinearCode
 from .constructions import build
 from .classify import all_claim_reports, enumerate_optimal_params
 from .errors import Lrc4Error, ResourceError
-from .lrc import (
-    check_structure,
-    extract_profile,
-    restructure,
-    verify_locality,
-)
+from .lrc import check_structure, layout_of
 from .mat4 import Mat4
 from .pg import count_subspaces, count_subspaces_containing, enumerate_points
 from .repair import (
@@ -192,7 +187,8 @@ def _cmd_build(args) -> int:
     return 0
 
 
-def _load_code(args) -> tuple[LinearCode, dict, str]:
+def _load_code(args) -> tuple[LinearCode, dict, list | None]:
+    """A code file's code, metadata and ``group-rows`` (None in a generator file)."""
     path, kind = (args.parity, "parity") if args.parity else (args.generator, "generator")
     with open(path, encoding="utf-8") as fh:
         m, meta = read_matrix(fh)
@@ -201,18 +197,19 @@ def _load_code(args) -> tuple[LinearCode, dict, str]:
         raise FormatError(
             f"{path} declares a {meta['kind']} matrix; pass it via --{declared}"
         )
-    code = LinearCode(pchk=m) if kind == "parity" else LinearCode(gen=m)
-    return code, meta, kind
+    if kind == "parity":
+        return LinearCode(pchk=m), meta, meta.get("group_rows")
+    return LinearCode(gen=m), meta, None
 
 
 def _cmd_verify(args) -> int:
-    code, meta, kind = _load_code(args)
+    code, meta, ranges = _load_code(args)
     r = args.r if args.r is not None else meta.get("r")
     delta = args.delta if args.delta is not None else meta.get("delta")
     if r is None or delta is None:
         raise Lrc4Error("verify: need --r and --delta (not found in file metadata)")
     budget = 10**18 if args.full else None
-    profile, found = _file_profile(code, meta, kind, r, delta, budget)
+    profile, found = layout_of(code, r, delta, ranges, budget)
     if profile is None:
         bad = list(found.bad_coordinates)
         if args.json:
@@ -244,24 +241,11 @@ def _cmd_verify(args) -> int:
     return 0 if report.all_passed else 1
 
 
-def _file_profile(code: LinearCode, meta: dict, kind: str, r: int, delta: int, budget=None):
-    """A code file's layout and the search behind it: a parity file's
-    ``group-rows`` as they stand (``punctured_mds`` on them certifies the
-    locality), else the search within ``budget``, restructured, or None
-    when it fails."""
-    if kind == "parity" and meta.get("group_rows"):
-        profile = extract_profile(code.parity_check(), meta["group_rows"], r=r, delta=delta)
-        profile.code = code
-        return profile, None
-    found = verify_locality(code, r, delta, budget)
-    return (restructure(code, found) if found.ok else None), found
-
-
 def _cmd_distance(args) -> int:
-    code, meta, kind = _load_code(args)
+    code, meta, ranges = _load_code(args)
     profile = None
     if {"r", "delta"} <= meta.keys():
-        profile = _file_profile(code, meta, kind, meta["r"], meta["delta"])[0]
+        profile = layout_of(code, meta["r"], meta["delta"], ranges)[0]
     print(code.min_distance() if profile is None else profile.min_distance())
     return 0
 

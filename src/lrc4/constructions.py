@@ -38,9 +38,7 @@ from .lrc import (
     LocalitySearch,
     OptimalityReport,
     check_structure,
-    extract_profile,
-    restructure,
-    verify_locality,
+    layout_of,
 )
 from .mat4 import Mat4, hstack, vstack
 from .pg import normalize
@@ -665,10 +663,11 @@ def build(
     entry with no matrix, raises CatalogError.
 
     Every family is finished here from its catalogue entry: [n, k, d], r
-    and delta come from the entry; a parity check's first
-    ceil(n / (r + delta - 1)) blocks of delta - 1 rows are its local
-    groups and the remaining rows global; a generator's groups come
-    from the locality search.
+    and delta come from the entry, and :func:`lrc.layout_of` gives the
+    layout.  A parity check's first ceil(n / (r + delta - 1)) blocks of
+    delta - 1 rows are its local groups and the remaining rows global; a
+    generator's groups come from the locality search, and a search that
+    leaves some coordinate without a support raises StructureError.
     """
     fam = _FAMILY_BY_CONSTRUCTION.get(construction.upper()) or _FAMILY_BY_ID.get(construction)
     if fam is None or fam.matrix is None:
@@ -714,17 +713,13 @@ def build(
     else:
         m = fam.matrix(**params)
     n, dim, dist, r, delta = fam.shape(**params)
-    search = None
-    if fam.generator:
-        # restructure raises StructureError when some coordinate has no
-        # qualifying support, so this also certifies the locality
-        code = LinearCode(gen=m)
-        search = verify_locality(code, r, delta)
-        profile = restructure(code, search)
-    else:
-        rows = delta - 1
-        layout = [(1 + i * rows, (i + 1) * rows) for i in range(ceil(n / (r + rows)))]
-        profile = extract_profile(m, layout, r=r, delta=delta)
+    rows = delta - 1
+    ranges = None if fam.generator else [(1 + i * rows, (i + 1) * rows)
+                                         for i in range(ceil(n / (r + rows)))]
+    code = LinearCode(gen=m) if fam.generator else LinearCode(pchk=m)
+    profile, search = layout_of(code, r, delta, ranges)
+    if profile is None:
+        raise search.failure()
     code = profile.code  # shared, so verify() reduces no matrix a second time
     if (code.n, code.k) != (n, dim):
         raise StructureError(f"{cid}: built [{code.n},{code.k}], expected [{n},{dim}]")

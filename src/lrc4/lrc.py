@@ -20,8 +20,8 @@ up to n = 30, a rank-(r-1) branch that one numpy table of point keys
 per search shows cannot reach it.  The supports found are sorted in
 increasing size and lexicographic order, so results are deterministic
 and the (r-1, delta) result is a strict prefix of the (r, delta) one.
-The search counts its work and, past n = 30, stops with ResourceError
-once it passes a budget, :data:`LOCALITY_SEARCH_MAX_WORK` by default.
+The search counts its work and stops with ResourceError once it passes
+a budget, :data:`LOCALITY_SEARCH_MAX_WORK` by default, at every n.
 One :class:`LocalitySearch` feeds a whole verification: its qualifying
 supports rebuild the block layout, and r-optimality is read from it
 (some coordinate's smallest qualifying support has size r+delta-1).
@@ -90,11 +90,13 @@ from .errors import (
 from .gf4 import _integers
 from .mat4 import Mat4
 
-#: the largest n the locality search takes with no work bound
+#: the largest n at which the locality search builds its gain table
+#: (:func:`_gain_table`), whose keys must fit a uint64 and which holds
+#: n^2 x n entries; perfbench's guard preflight reads it
 LOCALITY_SEARCH_MAX_N = 30
-#: the work bound past it, in column reductions, a distance check counting
-#: _CHECK_WORK (about as long): the worst constructed build with n <= 256,
-#: C10 l = 43 a from its generator, needs 3.3e6, 4 s on a 2-core Xeon
+#: the locality search's default work bound, in column reductions, a distance
+#: check counting _CHECK_WORK (about as long): the constructed builds need 2,738
+#: up to n = 30 and 3.3e6 up to n = 256 (C10 l = 43 a, 4 s on a 2-core Xeon)
 LOCALITY_SEARCH_MAX_WORK = 10**7
 _CHECK_WORK = 6
 #: the least n, by r, at which the locality search builds its gain table
@@ -164,13 +166,14 @@ class LocalityProfile:
     (redundant-row) constraint stack.
 
     The layout is checked when the profile is made, ``dataclasses.replace``
-    included.  Its group rows are taken as ints (ValueError on one that
-    int() would truncate, such as 1.5); then each group names a row, the
-    groups name distinct rows of 1..m, no group's rows are all zero or
-    touch more than r+delta-1 columns, and the supports cover every
-    coordinate, none of them redundantly; StructureError otherwise.  The
-    fields below take no part in comparison: coordinate c is bit c - 1
-    of a mask (``_gf4vec.mask``) or a packed vector.
+    included.  Its r >= 1, delta >= 2 and group rows are taken as ints
+    (ValueError on a bool or a value int() would truncate, such as 1.5);
+    then each group names a row, the groups name distinct rows of 1..m,
+    no group's rows are all zero or touch more than r+delta-1 columns,
+    and the supports cover every coordinate, none of them redundantly;
+    StructureError otherwise.  The fields below take no part in
+    comparison: coordinate c is bit c - 1 of a mask (``_gf4vec.mask``)
+    or a packed vector.
     """
 
     r: int
@@ -192,6 +195,7 @@ class LocalityProfile:
     groups_of: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
+        self.r, self.delta = _locality_params(self.r, self.delta)
         self.group_rows = tuple(tuple(_integers(rows, "group rows")) for rows in self.group_rows)
         m, n = self.matrix.rows, self.matrix.cols
         named = [i for rows in self.group_rows for i in rows]
@@ -288,6 +292,11 @@ class LocalitySearch:
     @property
     def bad_coordinates(self) -> tuple[int, ...]:
         return tuple(i for i in range(1, self.n + 1) if i not in self.coordinate_supports)
+
+    def failure(self) -> StructureError:
+        """The StructureError a layout built from this failed search raises."""
+        return StructureError(f"coordinates {list(self.bad_coordinates)} have no "
+                              f"({self.r},{self.delta}) repair support")
 
     @property
     def r_optimal(self) -> bool:
@@ -513,16 +522,14 @@ def verify_locality(c: LinearCode, r: int, delta: int, budget: int | None = None
 
     The result is ``ok`` when every coordinate has one; otherwise its
     ``bad_coordinates`` lists those without.  :func:`restructure` turns a
-    successful search into a block layout.  Past n = 30 the search
-    raises ResourceError, naming its work, once that passes ``budget``
+    successful search into a block layout.  The search raises
+    ResourceError, naming its work, once that passes ``budget``
     (:data:`LOCALITY_SEARCH_MAX_WORK` when None).
     """
     r, delta = _locality_params(r, delta)
     if c.k == 0:
         raise ValueError("locality of the zero code is undefined")
-    if c.n <= LOCALITY_SEARCH_MAX_N:
-        budget = inf
-    elif budget is None:
+    if budget is None:
         budget = LOCALITY_SEARCH_MAX_WORK
     return LocalitySearch(n=c.n, r=r, delta=delta,
                           qualifying=tuple(_locality_search(c.gen, r, delta, budget)))
@@ -668,13 +675,28 @@ def restructure(c: LinearCode, found: LocalitySearch) -> LocalityProfile:
     ``code`` pairs ``c``'s generator with the stacked rows, which span c's
     dual at full rank or raise.  Raises StructureError when the search failed."""
     if not found.ok:
-        raise StructureError(f"coordinates {list(found.bad_coordinates)} have no "
-                             f"({found.r},{found.delta}) repair support")
+        raise found.failure()
     h, group_rows, partitioned = structured_parity_check(c, found.qualifying)
     profile = LocalityProfile(r=found.r, delta=found.delta, group_rows=group_rows, matrix=h,
                               partitioned=partitioned)
     profile.code = LinearCode._proved(c.gen, profile.parity_check())
     return profile
+
+
+def layout_of(code: LinearCode, r: int, delta: int, ranges: Sequence[tuple[int, int]] | None = None,
+              budget: int | None = None) -> tuple[LocalityProfile | None, LocalitySearch | None]:
+    """A code's layout and the search behind it, the one route of ``build()``
+    and ``lrc4 verify``/``distance``: :func:`extract_profile` of its parity
+    check on group-row ``ranges`` as they stand, holding ``code`` as its
+    ``code``, and no search (``punctured_mds`` certifies the locality);
+    else the :func:`verify_locality` search within ``budget``, restructured
+    by :func:`restructure`, or None when some coordinate has no support."""
+    if ranges:
+        profile = extract_profile(code.pchk, ranges, r=r, delta=delta)
+        profile.code = code
+        return profile, None
+    found = verify_locality(code, r, delta, budget)
+    return (restructure(code, found) if found.ok else None), found
 
 
 # ---------------------------------------------------------------------------

@@ -30,7 +30,7 @@ import random
 from dataclasses import dataclass, field
 from typing import Sequence
 
-from ._gf4vec import Vec, coordinates, dots, echelon, pack_word
+from ._gf4vec import Vec, coordinates, dots, echelon, mask, pack_word
 from .code import _check_coordinate_set
 from .constructions import BuiltCode
 from .gf4 import _elements, _integers
@@ -171,12 +171,8 @@ def local_repair(bc: BuiltCode, received: Sequence[int | None]) -> RepairOutcome
 
 def erasure_tolerance_ok(bc: BuiltCode, pattern: ErasurePattern) -> bool:
     """Does every group see at most delta - 1 erasures?"""
-    groups_of = bc.profile.groups_of
-    counts = [0] * bc.profile.l
-    for c in _check_coordinate_set(pattern.erased, bc.code.n):
-        for gi in groups_of[c - 1]:
-            counts[gi] += 1
-    return all(k <= bc.delta - 1 for k in counts)
+    erased = mask(_check_coordinate_set(pattern.erased, bc.code.n))
+    return all((erased & m).bit_count() < bc.delta for m in bc.profile.masks)
 
 
 def random_tolerable_pattern(bc: BuiltCode, rng: random.Random) -> ErasurePattern:

@@ -209,6 +209,16 @@ def test_verify_locality_failure_exits_1(tmp_path, capsys):
     assert payload["bad_coordinates"] == [1, 2, 3, 4, 5, 6]
 
 
+def test_verify_refuses_a_delta_below_2_by_the_locality_rule(tmp_path, capsys):
+    # the r/delta rule comes before the layout's support-size check
+    for kind, cid, opts in (("parity", "C6", ("--l", "3")), ("generator", "C16", ("--d", "5"))):
+        path = tmp_path / f"{kind}.txt"
+        run(capsys, "build", "--family", cid, *opts, "--as", kind, "--out", str(path))
+        code, out, err = run(capsys, "verify", f"--{kind}", str(path), "--r", "3", "--delta", "1")
+        assert (code, out) == (2, ""), kind
+        assert err == "lrc4: need r >= 1 and delta >= 2, got r=3, delta=1\n", kind
+
+
 def test_distance_subcommand(tmp_path, capsys):
     path = tmp_path / "hex.txt"
     with open(path, "w") as fh:

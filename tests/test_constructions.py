@@ -23,9 +23,9 @@ from lrc4.constructions import (
     family,
     verify_c17g_properties,
 )
-from lrc4.errors import CatalogError, RangeError
+from lrc4.errors import CatalogError, RangeError, StructureError
 from lrc4 import lrc
-from lrc4.lrc import check_structure, restructure, verify_locality
+from lrc4.lrc import LocalitySearch, check_structure, restructure, verify_locality
 from lrc4.mat4 import Mat4, vstack
 from lrc4.pg import enumerate_points, normalize
 from lrc4.repair import ErasurePattern
@@ -756,3 +756,20 @@ def test_acceptance_sweep_order_is_pinned():
     # moves benchmark numbers even when the membership is unchanged
     digest = hashlib.sha256(json.dumps(acceptance_sweep()).encode()).hexdigest()
     assert digest == "6f727aa543c4511facebcb159ea52c778de74d75983555244b63cf05167a5c63"
+
+
+def test_build_refuses_a_generator_whose_search_fails(monkeypatch):
+    # a generator family's layout comes from the search, so a search that
+    # leaves coordinates bare raises the message restructure() gives
+    bc = build("C16", d=12)
+    n, r, delta = bc.code.n, bc.r, bc.delta
+
+    def fail(code, r, delta, budget=None):
+        return LocalitySearch(n=code.n, r=r, delta=delta, qualifying=())
+
+    monkeypatch.setattr(lrc, "verify_locality", fail)
+    with pytest.raises(StructureError) as err:
+        build("C16", d=12)
+    assert str(err.value) == f"coordinates {list(range(1, n + 1))} have no ({r},{delta}) repair support"
+    # a parity family's layout is its printed rows, with no search
+    assert build("C6", l=3).search is None

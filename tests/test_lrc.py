@@ -93,8 +93,8 @@ def test_verify_locality_failure_lists_coordinates():
 
 
 def test_verify_locality_guard(monkeypatch):
-    # past n = 30 the search stops once its work passes the budget, and
-    # the error names the work it did; up to n = 30 it always finishes
+    # the search stops once its work passes the budget, and the error
+    # names the work it did; the budget binds at every n
     bc = build("C17G", l=6)  # n = 36
     assert verify_locality(bc.code, 3, 4).ok
     work = r"stopped after (\d+) column reductions and (\d+) distance checks"
@@ -108,7 +108,8 @@ def test_verify_locality_guard(monkeypatch):
     with pytest.raises(ResourceError, match="budget of 50"):
         is_r_optimal(bc.code, 3, 4)
     assert verify_locality(bc.code, 3, 4, budget=10**18).ok
-    assert verify_locality(build("C17G", l=5).code, 3, 4).ok  # n = 30
+    with pytest.raises(ResourceError, match="budget of 50"):
+        verify_locality(build("C17G", l=5).code, 3, 4)  # n = 30
     # a low-dimensional random code makes a long search: [40,6] at r = 5
     # takes about 10^7 units; its distance checks count toward the stop
     rng = np.random.default_rng(2)
@@ -133,6 +134,74 @@ def test_search_refinds_every_parity_layout_past_n_30_from_the_generator():
         assert lrc.restructure(code, found).min_distance() == d, (cid, kw)
         checked += 1
     assert checked == 330
+
+
+def test_the_default_budget_binds_no_search_up_to_n_30():
+    # a second route to "the budget changes no output at n <= 30": every
+    # search of test_search_output_is_pinned finishes within 2,738 units,
+    # and one needs all of them, far under LOCALITY_SEARCH_MAX_WORK
+    searches, over = 0, []
+    for cid, kw, _ in constructed_instances(30):
+        bc = build(cid, **kw)
+        for r in range(max(bc.r - 1, 1), bc.r + 1):
+            verify_locality(bc.code, r, bc.delta, budget=2738)
+            try:
+                verify_locality(bc.code, r, bc.delta, budget=2737)
+            except ResourceError:
+                over.append((cid, kw, r))
+            searches += 1
+    assert searches == SEARCHES
+    assert over == [("C3", {"l": 6, "variant": "a"}, 3)]
+    assert 2738 < lrc.LOCALITY_SEARCH_MAX_WORK
+
+
+def test_a_layout_from_group_rows_holds_the_callers_code(monkeypatch):
+    # the rows are taken as they stand: no search, and no second kernel
+    bc = build("C6", l=3)
+    code = LinearCode(pchk=bc.code.parity_check())
+    ranges = [(g.rows[0], g.rows[-1]) for g in bc.profile.groups]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a layout from group rows computed something twice")
+
+    monkeypatch.setattr(Mat4, "right_kernel", refuse)
+    monkeypatch.setattr(lrc, "verify_locality", refuse)
+    profile, found = lrc.layout_of(code, bc.r, bc.delta, ranges)
+    assert found is None and profile.code is code
+    assert profile == bc.profile
+    assert check_structure(profile).all_passed
+
+
+def test_a_searched_layout_is_restructured_or_none():
+    code = hexacode()
+    profile, found = lrc.layout_of(code, 3, 4)
+    assert found == verify_locality(code, 3, 4) and found.ok
+    assert profile == lrc.restructure(code, found) and profile.code.gen is code.gen
+    # a failing search gives no layout, and the search names its bad coordinates
+    profile, found = lrc.layout_of(code, 2, 4)
+    assert profile is None and found.bad_coordinates == tuple(range(1, 7))
+    with pytest.raises(StructureError) as err:
+        lrc.restructure(code, found)
+    assert str(err.value) == str(found.failure()) == (
+        "coordinates [1, 2, 3, 4, 5, 6] have no (2,4) repair support")
+    # the budget reaches the search
+    with pytest.raises(ResourceError, match="budget of 50"):
+        lrc.layout_of(build("C17G", l=5).code, 3, 4, budget=50)
+
+
+def test_a_profile_takes_r_and_delta_by_the_locality_rule():
+    # r and delta are checked before the layout, whose checks read them
+    bc = build("C6", l=3)
+    layout = {"group_rows": bc.profile.group_rows, "matrix": bc.profile.matrix}
+    cases = [(0, 9, "need r >= 1 and delta >= 2, got r=0, delta=9"), (3, 2.5, "integer"),
+             (True, 3, "integer"), (3, 1, "need r >= 1 and delta >= 2, got r=3, delta=1")]
+    for r, delta, why in cases:
+        with pytest.raises(ValueError, match=re.escape(why)):
+            LocalityProfile(r=r, delta=delta, **layout)
+        with pytest.raises(ValueError, match=re.escape(why)):
+            dataclasses.replace(bc.profile, r=r, delta=delta)
+    same = LocalityProfile(r=np.int64(3), delta=3.0, **layout)
+    assert same == bc.profile and (type(same.r), type(same.delta)) == (int, int)
 
 
 SEARCHES = 367

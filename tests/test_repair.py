@@ -385,3 +385,28 @@ def test_group_view_matches_its_profile(cid, kw):
         assert [not any(dots(profile.words, v)) for v in packed] == zero.all(axis=1).tolist()
     assert zero.all() and codewords.any()
 
+
+
+def test_tolerance_count_by_masks_matches_the_per_coordinate_count():
+    # in the b variants groups 1 and 2 share a coordinate, whose erasure
+    # counts in both; the mask count must agree with counting coordinate
+    # by coordinate through groups_of
+    rng = random.Random(7)
+    seen, shared = set(), 0
+    for cid, kw in acceptance_sweep():
+        if kw.get("variant") != "b":
+            continue
+        bc = build(cid, **kw)
+        profile = bc.profile
+        for _ in range(40):
+            p = rng.random() * 0.6
+            erased = frozenset(c for c in range(1, bc.code.n + 1) if rng.random() < p)
+            counts = [0] * profile.l
+            for c in erased:
+                for gi in profile.groups_of[c - 1]:
+                    counts[gi] += 1
+            want = all(k <= bc.delta - 1 for k in counts)
+            assert erasure_tolerance_ok(bc, ErasurePattern(erased)) == want, (cid, kw, erased)
+            seen.add(want)
+            shared += any(len(profile.groups_of[c - 1]) > 1 for c in erased)
+    assert seen == {True, False} and shared > 50
