@@ -55,6 +55,16 @@ _PUSH_S = 1e-6
 _ENUM_SYMBOL_S = 1.6e-9
 
 
+def _budget(budget: int | None) -> int | None:
+    """A work budget by :func:`lrc4.gf4._integers`'s rule, None kept (the
+    caller's default); ValueError when it is negative."""
+    if budget is not None:
+        (budget,) = _integers([budget], "budgets")
+        if budget < 0:
+            raise ValueError(f"a budget must be >= 0, got {budget}")
+    return budget
+
+
 def span_chunks(basis: Mat4) -> Iterator[np.ndarray]:
     """Every combination of the rows of ``basis`` in :meth:`Mat4.span_words`
     order (row 0 the most significant base-4 digit), in tables of at
@@ -142,10 +152,11 @@ class LinearCode:
 
         Scans column subsets of size t = 1, 2, ... while the next level's
         C(n, t) subset checks are estimated cheaper than enumerating the
-        4^k codewords, then enumerates.  A level over ``budget`` also
-        switches to enumeration when k <= 14 and raises
-        :class:`ScanBudgetExceeded` otherwise.
+        4^k codewords, then enumerates.  A level over ``budget`` (taken by
+        :func:`_budget`) also switches to enumeration when k <= 14 and
+        raises :class:`ScanBudgetExceeded` otherwise.
         """
+        budget = _budget(budget)
         if self.k == 0:
             raise UndefinedDistanceError("the zero code has no minimum distance")
         if self.k == self.n:
@@ -223,8 +234,12 @@ def has_dependent_columns(m: Mat4, t: int, _packed: list | None = None) -> bool:
     Depth-first over index-increasing subsets with an incremental echelon
     basis, so shared prefixes are eliminated once.  Used both by the
     column-scan route of :meth:`LinearCode.min_distance` and as the
-    independent cross-check of enumerated distances.
+    independent cross-check of enumerated distances.  t is taken by
+    :func:`lrc4.gf4._integers`; ValueError when t < 1.
     """
+    (t,) = _integers([t], "t")
+    if t < 1:
+        raise ValueError(f"need t >= 1, got t={t}")
     cols = pack_columns(m) if _packed is None else _packed
     n = len(cols)
     if t > n:

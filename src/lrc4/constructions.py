@@ -341,12 +341,17 @@ def verify_c17g_properties(l: int, triples=None) -> bool:
     (1) every triple spans a 3-dimensional subspace; (2) for i != j, all
     fifteen flagged combinations of triple i avoid the subspace of
     triple j.  Each plane is one :class:`Eliminator`; a combination lies
-    in it exactly when pushing it does not raise the rank.
+    in it exactly when pushing it does not raise the rank.  Given
+    ``triples``, the first l are checked; RangeError when there are fewer.
     """
     if triples is None:
         triples = c17g_triples(l)
     else:
-        triples = list(triples)[:l]
+        triples = list(triples)
+        if len(triples) < l:
+            raise RangeError(f"verify_c17g_properties(l={l}) needs {l} triples, "
+                             f"got {len(triples)}")
+        triples = triples[:l]
     planes, flagged = [], []
     for u, v, z in triples:
         m = Mat4([u, v, z])

@@ -45,12 +45,12 @@ carry their global syndrome's two bit planes, and ``_gf4vec.span``
 lists the 4^k_B words; a kernel above 4^:data:`_SPAN_MAX_K` words (a
 joined block of a shared-column variant, k_B <= 5 on every constructed
 build with n <= 256) is walked by ``code.span_chunks``, as codeword
-enumeration is.  The two MDS checks of the structure theorem build no
-code object per sub-code: an H' is its kept packed rows masked
-to its kept columns, with its kernel read off their echelon form, and a
-restriction C|_S is the packed generator rows masked to S, so each
-sub-code's distance is the least weight of its 4^k' words (k' <= 3 on
-every constructed build with n <= 128), or else that of the code it spans.
+enumeration is.  The structure theorem's two MDS checks build no code
+object per sub-code.  An H', the kept packed rows masked to the kept
+columns, is C shortened on the deleted supports: one rank decides it
+against the exact d, None while d is unsettled.  C|_S is the packed
+generator rows masked to S; its distance is the least weight of its
+4^k' words (k' <= 3 on the builds with n <= 128), or its code's.
 """
 
 from __future__ import annotations
@@ -80,7 +80,7 @@ from ._gf4vec import (
     span,
     unpack,
 )
-from .code import LinearCode, span_chunks
+from .code import LinearCode, _budget, span_chunks
 from .errors import (
     ResourceError,
     ScanBudgetExceeded,
@@ -110,8 +110,8 @@ _GAIN_TABLE_MIN_N = {2: 24, 3: 13}
 BLOCKWISE_MAX_WORK = 10**8
 _INF = 10**9  # an unreachable weight in the blockwise DP's tables
 _DP_BLOCK = 1 << 14  # table entries the DP gathers per numpy call
-#: the largest sub-code dimension whose 4^k' words the two MDS checks list
-#: themselves, a larger one going to LinearCode.min_distance, and the
+#: the largest restriction C|_S whose 4^k' words the punctured_mds check
+#: lists itself, a larger one going to LinearCode.min_distance, and the
 #: largest local kernel whose words the blockwise distance lists in Python,
 #: a larger one going to code.span_chunks: listing loses to that walk from
 #: k_b = 4 on, on a 2-core Xeon (the constructed builds with n <= 128 need
@@ -254,8 +254,10 @@ class LocalityProfile:
         """Exact d of ``code``: :func:`blockwise_min_distance` when the
         groups form at least two blocks and the DP takes them within its
         work bound, else :meth:`LinearCode.min_distance` with
-        the scan ``budget``.  The DP measures the kernel of the stacked
-        rows, which is the code whether or not some rows are redundant."""
+        the scan ``budget`` (taken by :func:`lrc4.code._budget`).  The DP
+        measures the kernel of the stacked rows, which is the code whether
+        or not some rows are redundant."""
+        budget = _budget(budget)
         try:
             return blockwise_min_distance(self)
         except (ValueError, ResourceError):
@@ -524,9 +526,11 @@ def verify_locality(c: LinearCode, r: int, delta: int, budget: int | None = None
     ``bad_coordinates`` lists those without.  :func:`restructure` turns a
     successful search into a block layout.  The search raises
     ResourceError, naming its work, once that passes ``budget``
-    (:data:`LOCALITY_SEARCH_MAX_WORK` when None).
+    (:data:`LOCALITY_SEARCH_MAX_WORK` when None, else taken by
+    :func:`lrc4.code._budget`).
     """
     r, delta = _locality_params(r, delta)
+    budget = _budget(budget)
     if c.k == 0:
         raise ValueError("locality of the zero code is undefined")
     if budget is None:
@@ -553,6 +557,7 @@ def is_r_optimal(c: LinearCode, r: int, delta: int, budget: int | None = None) -
     """True when locality (r-1, delta) is impossible (vacuously true at r = 1),
     by a :func:`verify_locality` search within ``budget``."""
     r, delta = _locality_params(r, delta)
+    budget = _budget(budget)
     return r == 1 or not verify_locality(c, r - 1, delta, budget).ok
 
 
@@ -898,17 +903,21 @@ def check_structure(
     bound proves it, since no code of these [n, k, d] has (r-1,
     delta)-locality; failing that, :func:`is_r_optimal` searches within
     ``search_budget``.  When the router's scan exceeds its budget with
-    k > 14, or that search its budget, the affected verdicts are
-    reported as None with an explanatory note rather than failing.
+    k > 14, or that search its budget, the affected verdicts (d_optimal,
+    h_prime_mds and distance_cap, or r_optimal) are reported as None with
+    an explanatory note rather than failing.  Both budgets are taken by
+    :func:`lrc4.code._budget`'s rule.
 
     The two MDS checks run on packed vectors, from the profile's
-    packed rows and masks and one packed generator: an H' is its kept rows
-    masked to its kept columns, C|_S the generator rows masked to S, and
-    a sub-code's exact distance is the least weight of its words, or
-    :meth:`LinearCode.min_distance` of the sub-code above
-    :data:`_SPAN_MAX_K` dimensions.  An H' left with no columns fails
-    its check.
+    packed rows and masks and one packed generator.  An H' is its kept
+    rows masked to its kept columns, and its rank alone decides it
+    against the exact d (:func:`_check_h_prime`), so with d unsettled
+    ``h_prime_mds`` is None; an H' left with no columns fails.  C|_S is
+    the generator rows masked to S, and its exact distance the least
+    weight of its words, or :meth:`LinearCode.min_distance` of C|_S above
+    :data:`_SPAN_MAX_K` dimensions.
     """
+    scan_budget, search_budget = _budget(scan_budget), _budget(search_budget)
     c = profile.code
     n, k = c.n, c.k
     r, delta = profile.r, profile.delta
@@ -947,10 +956,10 @@ def check_structure(
             notes.append(f"r-optimality skipped: {e}")
 
     checks = {
-        "h_prime_mds": _check_h_prime(c, profile, d if d is not None else bound),
+        "h_prime_mds": _check_h_prime(profile, d),
         "rows_per_group": _check_rows_per_group(profile),
-        "punctured_mds": _check_punctured_mds(c, profile),
-        "disjointness": _check_disjointness(c, profile),
+        "punctured_mds": _check_punctured_mds(profile),
+        "disjointness": _check_disjointness(profile),
         "distance_cap": _check_distance_cap(k, r, delta, d),
     }
     return OptimalityReport(
@@ -970,50 +979,56 @@ def check_structure(
 
 def _least_weight(basis: list[Vec], mask: int) -> int | None:
     """Least weight of a nonzero word in the span of the independent
-    packed vectors ``basis``, which vanish off the bit mask ``mask``
-    (None for the zero span), read off its 4^k' words up to k' =
-    :data:`_SPAN_MAX_K`; a larger span is measured as the code it
-    generates on the mask's columns, by :meth:`LinearCode.min_distance`."""
+    packed vectors ``basis`` vanishing off the bit mask ``mask`` (None for
+    the zero span), by which punctured_mds measures each C|_S: its 4^k'
+    words up to k' = :data:`_SPAN_MAX_K`, else the code it generates on
+    the mask's columns, by :meth:`LinearCode.min_distance`."""
     if len(basis) > _SPAN_MAX_K:
         cols = [c - 1 for c in coordinates(mask)]
         return LinearCode(gen=Mat4._wrap(unpack(basis, mask.bit_length())[:, cols])).min_distance()
     return min(((a | b).bit_count() for a, b in span(basis)[1:]), default=None)
 
 
-def _check_h_prime(c: LinearCode, profile: LocalityProfile, d_target: int) -> CheckResult:
+def _check_h_prime(profile: LocalityProfile, d: int | None) -> CheckResult:
     """Deleting any ceil(k/r)-1 groups (rows and covered columns) must leave
-    a full-rank parity check of an MDS code with the same distance.
+    a full-rank parity check H' of an MDS code with the same distance d.
 
     Each H' is the kept rows of the packed matrix masked to the kept
-    columns; its kernel is read off their echelon form."""
+    columns, and one rank decides it, exactly when the profile is
+    partitioned and d is C's exact distance.  Let D be the deleted groups'
+    supports and K the kept columns.  Every deleted row lies inside D, so x
+    on K is in ker H' exactly when x, extended by zeros on D, is in C: the
+    code of H' is C shortened on D, {c|_K : c in C, c|_D = 0}.  Its nonzero
+    words weigh at least d, so with the Singleton bound d <= d' <= n'-k'+1,
+    and H' is MDS with d' = d exactly when n'-k'+1 = d.  With d unsettled
+    the verdict is None."""
     if not profile.partitioned:
         return CheckResult(
             None, "no full-rank local/global row partition exists at these parameters"
         )
-    s = ceil(c.k / profile.r) - 1
+    if d is None:
+        return CheckResult(None, "distance unknown")
+    s = ceil(profile.code.k / profile.r) - 1
     if s > profile.l:
         return CheckResult(False, f"ceil(k/r)-1 = {s} exceeds l = {profile.l}")
     for choice in combinations(range(profile.l), s):
         tag = "+".join(str(g + 1) for g in choice) or "none"
         drop_rows = {i - 1 for gi in choice for i in profile.groups[gi].rows}
-        keep = (1 << c.n) - 1
+        keep = (1 << profile.code.n) - 1
         for gi in choice:
             keep &= ~profile.masks[gi]
         n_sub = keep.bit_count()
         if not n_sub:
             return CheckResult(False, f"H' has no columns after removing groups {tag}")
         rows = [(h & keep, l & keep) for i, (h, l) in enumerate(profile.words) if i not in drop_rows]
-        basis = kernel(rows, keep)
-        k_sub = len(basis)
-        if n_sub - k_sub < len(rows):
+        rank = len(echelon(rows))
+        if rank < len(rows):
             return CheckResult(False, f"H' not full rank after removing groups {tag}")
-        if not k_sub:
+        if rank == n_sub:
             return CheckResult(False, f"H' leaves the zero code (groups {tag})")
-        dp = _least_weight(basis, keep)
-        if dp != n_sub - k_sub + 1 or dp != d_target:
-            return CheckResult(
-                False, f"groups {tag}: [{n_sub},{k_sub}] with d'={dp}, want MDS d'={d_target}"
-            )
+        if rank + 1 != d:
+            return CheckResult(False, f"groups {tag}: [{n_sub},{n_sub - rank}] has "
+                                      f"n'-k'+1 = {rank + 1}, want MDS d'={d}")
     return CheckResult(True)
 
 
@@ -1025,12 +1040,12 @@ def _check_rows_per_group(profile: LocalityProfile) -> CheckResult:
     return CheckResult(True)
 
 
-def _check_punctured_mds(c: LinearCode, profile: LocalityProfile) -> CheckResult:
+def _check_punctured_mds(profile: LocalityProfile) -> CheckResult:
     """Each restriction C|_{S_i} must be [s_i, s_i - delta + 1, delta] MDS.
 
     C|_S is spanned by the packed generator rows masked to S."""
     delta = profile.delta
-    gen = pack_rows(c.generator())
+    gen = pack_rows(profile.code.generator())
     masks = profile.masks
     for i, g in enumerate(profile.groups):
         rows = [(h & masks[i], l & masks[i]) for h, l in gen]
@@ -1046,11 +1061,11 @@ def _check_punctured_mds(c: LinearCode, profile: LocalityProfile) -> CheckResult
     return CheckResult(True)
 
 
-def _check_disjointness(c: LinearCode, profile: LocalityProfile) -> CheckResult:
+def _check_disjointness(profile: LocalityProfile) -> CheckResult:
     """When r | k and r < k: disjoint supports of size r+delta-1, which
     tile the n coordinates, as every profile's supports cover them."""
-    r, delta = profile.r, profile.delta
-    if c.k % r != 0 or r >= c.k:
+    r, delta, k = profile.r, profile.delta, profile.code.k
+    if k % r != 0 or r >= k:
         return CheckResult(True, "not applicable (r does not properly divide k)")
     full = r + delta - 1
     seen: set[int] = set()

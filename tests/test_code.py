@@ -189,6 +189,29 @@ def test_has_dependent_columns():
     assert not has_dependent_columns(Mat4.identity(3), 3)
 
 
+def test_has_dependent_columns_takes_t_by_the_integer_rule():
+    h = build("C6", l=3).code.pchk
+    for t in (0, -1):
+        with pytest.raises(ValueError, match=f"need t >= 1, got t={t}"):
+            has_dependent_columns(h, t)
+    for t in (1.5, True, "2"):
+        with pytest.raises(ValueError, match="t must be integers"):
+            has_dependent_columns(h, t)
+    assert has_dependent_columns(h, 4.0) and not has_dependent_columns(h, 3)
+    assert not has_dependent_columns(h, h.cols + 1)
+
+
+def test_min_distance_takes_its_budget_by_the_integer_rule():
+    c = build("C1", l=2).code
+    for bad in (True, 1.5, "5"):
+        with pytest.raises(ValueError, match="budgets must be integers"):
+            c.min_distance(budget=bad)
+    with pytest.raises(ValueError, match="a budget must be >= 0, got -1"):
+        c.min_distance(budget=-1)
+    assert c.min_distance(budget=0) == c.min_distance(budget=5.0) == c.min_distance() == 3
+    assert c.min_distance(budget=10**18) == 3
+
+
 def test_has_dependent_columns_matches_brute_force():
     from itertools import combinations
 

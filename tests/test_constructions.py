@@ -467,6 +467,18 @@ def test_c17g_properties_reject_degenerate_triple():
     assert not verify_c17g_properties(17, triples=broken)
 
 
+def test_c17g_properties_need_l_triples():
+    triples = c17g_triples(17)
+    with pytest.raises(RangeError, match=r"needs 5 triples, got 1"):
+        verify_c17g_properties(5, triples=triples[:1])
+    with pytest.raises(RangeError, match=r"needs 17 triples, got 16"):
+        verify_c17g_properties(17, triples=triples[:16])
+    # a longer list is cut to its first l, so a broken triple past them is not read
+    broken = triples[:5] + [(triples[0][0],) * 3]
+    assert verify_c17g_properties(5, triples=broken)
+    assert not verify_c17g_properties(6, triples=broken)
+
+
 def c17g_properties_by_mat4(l, triples):
     """The Mat4 formulation of verify_c17g_properties: each triple's rank,
     then each flagged combination stacked under every other triple's rref
@@ -694,8 +706,8 @@ def test_desk_scale_distance_settled_by_blockwise_route():
 def test_desk_scale_guard_degrades_gracefully(monkeypatch):
     # C5 l = 8 variant b is [47,23,4]; with the blockwise DP over its work
     # bound the router settles d, and past its budget (k > 14) the report
-    # marks d indeterminate with a note while the structural checks still
-    # run, and r-optimality takes the (r-1, delta) search
+    # marks d indeterminate with a note while the structural checks that
+    # do not need d still run, and r-optimality takes the (r-1, delta) search
     bc = build("C5", l=8, variant="b")
     assert (bc.code.n, bc.code.k) == (47, 23)
     assert check_structure(bc.profile, scan_budget=10 ** 4).d == 4  # by the DP
@@ -704,7 +716,7 @@ def test_desk_scale_guard_degrades_gracefully(monkeypatch):
     report = check_structure(bc.profile, scan_budget=10 ** 4)
     assert report.d is None and report.d_optimal is None
     assert report.r_optimal is True
-    assert report.checks["h_prime_mds"].passed is True
+    assert report.checks["h_prime_mds"].passed is None  # needs d
     assert report.checks["rows_per_group"].passed is True
     assert report.checks["punctured_mds"].passed is True
     assert report.checks["disjointness"].passed is True

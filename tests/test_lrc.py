@@ -5,6 +5,7 @@ import random
 import re
 from collections import Counter
 from itertools import combinations, product
+from math import comb
 from unittest import mock
 
 import pytest
@@ -116,6 +117,28 @@ def test_verify_locality_guard(monkeypatch):
     code = LinearCode(gen=Mat4(rng.integers(0, 4, size=(6, 40), dtype=np.uint8)))
     with pytest.raises(ResourceError, match=r"and [1-9]\d* distance checks"):
         verify_locality(code, 5, 3, budget=10**5)
+
+
+def test_every_budget_takes_the_integer_rule():
+    bc = build("C6", l=2)
+    entries = {
+        "verify_locality": lambda b: verify_locality(bc.code, 2, 3, b),
+        "is_r_optimal": lambda b: is_r_optimal(bc.code, 3, 3, b),
+        "is_r_optimal at r = 1": lambda b: is_r_optimal(bc.code, 1, 3, b),
+        "layout_of": lambda b: lrc.layout_of(bc.code, 3, 3, budget=b),
+        "LocalityProfile.min_distance": lambda b: bc.profile.min_distance(b),
+        "scan_budget": lambda b: check_structure(bc.profile, scan_budget=b),
+        "search_budget": lambda b: check_structure(bc.profile, search_budget=b),
+    }
+    for name, call in entries.items():
+        for bad in ("x", 2.5, True):
+            with pytest.raises(ValueError, match="budgets must be integers"):
+                call(bad)
+        with pytest.raises(ValueError, match="a budget must be >= 0, got -1"):
+            call(-1)
+        for good in (None, 10**18, np.int64(10**6)):
+            call(good)
+    assert verify_locality(bc.code, 3, 3, 10**6.0) == verify_locality(bc.code, 3, 3)
 
 
 def test_search_refinds_every_parity_layout_past_n_30_from_the_generator():
@@ -371,12 +394,36 @@ def test_h_prime_with_no_columns_left_is_a_failed_check():
     assert check == h_prime_by_linear_codes(LinearCode(pchk=profile.matrix), profile, report.d)
 
 
+def test_h_prime_is_none_when_d_is_unsettled():
+    # with d unknown the rank cannot be judged: the verdict waits for d,
+    # as distance_cap does, whatever the layout
+    profile = build("C6", l=2).profile
+    assert lrc._check_h_prime(profile, 4).passed is True
+    assert lrc._check_h_prime(profile, None) == lrc.CheckResult(None, "distance unknown")
+    assert lrc._check_h_prime(profile, 5).witness == "groups 1: [5,2] has n'-k'+1 = 4, want MDS d'=5"
+
+
 # ---------------------------------------------------------------------------
 # the two MDS checks against an independent route: every H' and every
 # C|_S built as a LinearCode and measured by LinearCode.min_distance
 
 
-def h_prime_by_linear_codes(c, profile, d_target):
+def h_prime_code(profile, choice):
+    """The code of H', the matrix without the rows and the columns of the
+    0-based groups in ``choice``; EmptyCodeError or RankError as LinearCode
+    raises them."""
+    drop_rows, drop_cols = set(), set()
+    for gi in choice:
+        g = profile.groups[gi]
+        drop_rows.update(i - 1 for i in g.rows)
+        drop_cols.update(i - 1 for i in g.support)
+    return LinearCode(pchk=profile.matrix.delete_rows(drop_rows).delete_columns(drop_cols))
+
+
+def h_prime_by_linear_codes(c, profile, d_target, d_code=None):
+    """The h_prime_mds verdict with every d' measured, each H' asserted to
+    reach C's exact distance ``d_code`` (``d_target`` when None), as C
+    shortened on the deleted supports must."""
     if not profile.partitioned:
         return lrc.CheckResult(
             None, "no full-rank local/global row partition exists at these parameters"
@@ -385,15 +432,9 @@ def h_prime_by_linear_codes(c, profile, d_target):
     if s > profile.l:
         return lrc.CheckResult(False, f"ceil(k/r)-1 = {s} exceeds l = {profile.l}")
     for choice in combinations(range(profile.l), s):
-        drop_rows, drop_cols = set(), set()
-        for gi in choice:
-            g = profile.groups[gi]
-            drop_rows.update(i - 1 for i in g.rows)
-            drop_cols.update(i - 1 for i in g.support)
-        hp = profile.matrix.delete_rows(drop_rows).delete_columns(drop_cols)
         tag = "+".join(str(g + 1) for g in choice) or "none"
         try:
-            sub = LinearCode(pchk=hp)
+            sub = h_prime_code(profile, choice)
         except EmptyCodeError:
             return lrc.CheckResult(False, f"H' has no columns after removing groups {tag}")
         except RankError:
@@ -401,10 +442,10 @@ def h_prime_by_linear_codes(c, profile, d_target):
         if sub.k == 0:
             return lrc.CheckResult(False, f"H' leaves the zero code (groups {tag})")
         dp = sub.min_distance()
+        assert dp >= (d_target if d_code is None else d_code), (tag, dp)
         if dp != sub.n - sub.k + 1 or dp != d_target:
-            return lrc.CheckResult(
-                False, f"groups {tag}: [{sub.n},{sub.k}] with d'={dp}, want MDS d'={d_target}"
-            )
+            return lrc.CheckResult(False, f"groups {tag}: [{sub.n},{sub.k}] has "
+                                          f"n'-k'+1 = {sub.n - sub.k + 1}, want MDS d'={d_target}")
     return lrc.CheckResult(True)
 
 
@@ -426,8 +467,10 @@ def punctured_by_linear_codes(c, profile):
 def assert_mds_checks_match(report):
     profile = report.profile
     c = LinearCode(pchk=profile.parity_check())
-    d = report.d if report.d is not None else report.bound_d
-    assert report.checks["h_prime_mds"] == h_prime_by_linear_codes(c, profile, d)
+    if report.d is None:
+        assert report.checks["h_prime_mds"].passed is None
+    else:
+        assert report.checks["h_prime_mds"] == h_prime_by_linear_codes(c, profile, report.d)
     assert report.checks["punctured_mds"] == punctured_by_linear_codes(c, profile)
 
 
@@ -467,10 +510,12 @@ def mds_failure_kinds(report):
     kinds = set()
     h = report.checks["h_prime_mds"]
     if h.passed is False:
-        m = re.fullmatch(r"groups \S+: \[(\d+),(\d+)\] with d'=(\d+), want MDS d'=\d+", h.witness)
-        if m:
-            n_sub, k_sub, dp = map(int, m.groups())
-            kinds.add("H' not MDS" if dp != n_sub - k_sub + 1 else "H' d' != d")
+        m = re.fullmatch(r"groups (\S+): \[\d+,\d+\] has n'-k'\+1 = (\d+), want MDS d'=\d+",
+                         h.witness)
+        if m:  # the failing H' measured: below n'-k'+1, or MDS with d' > d
+            choice = () if m[1] == "none" else tuple(int(g) - 1 for g in m[1].split("+"))
+            dp = h_prime_code(report.profile, choice).min_distance()
+            kinds.add("H' not MDS" if dp != int(m[2]) else "H' d' != d")
         kinds |= {kind for kind in ("H' not full rank", "H' leaves the zero code",
                                     "H' has no columns") if h.witness.startswith(kind)}
     p = report.checks["punctured_mds"]
@@ -528,7 +573,6 @@ def test_mds_checks_hand_a_large_sub_code_to_min_distance(monkeypatch):
     profile = extract_profile(Mat4.from_string("1 1 1 1 1 1"), [(1, 1)], r=5, delta=2)
     c = LinearCode(pchk=profile.matrix)
     small = build("C6", l=2)
-    small_c = LinearCode(pchk=small.profile.matrix)
     measured = []
     real = LinearCode.min_distance
 
@@ -537,18 +581,43 @@ def test_mds_checks_hand_a_large_sub_code_to_min_distance(monkeypatch):
         return real(self, *args, **kwargs)
 
     monkeypatch.setattr(LinearCode, "min_distance", spy)
-    assert lrc._check_h_prime(small_c, small.profile, 4).passed is True
-    assert lrc._check_punctured_mds(small_c, small.profile).passed is True
+    assert lrc._check_h_prime(small.profile, 4).passed is True
+    assert lrc._check_punctured_mds(small.profile).passed is True
     assert measured == []  # below the cap every word is listed
-    checks = [lrc._check_h_prime(c, profile, 2), lrc._check_h_prime(c, profile, 3),
-              lrc._check_punctured_mds(c, profile)]
-    assert measured == [(6, 5)] * 3
+    # H' is decided by its rank, so only C|_S is measured
+    checks = [lrc._check_h_prime(profile, 2), lrc._check_h_prime(profile, 3),
+              lrc._check_punctured_mds(profile)]
+    assert measured == [(6, 5)]
     monkeypatch.undo()
     assert checks == [h_prime_by_linear_codes(c, profile, 2),
-                      h_prime_by_linear_codes(c, profile, 3),
+                      h_prime_by_linear_codes(c, profile, 3, d_code=2),
                       punctured_by_linear_codes(c, profile)]
     assert checks[0].passed is True and checks[2].passed is True
-    assert checks[1].witness == "groups none: [6,5] with d'=2, want MDS d'=3"
+    assert checks[1].witness == "groups none: [6,5] has n'-k'+1 = 2, want MDS d'=3"
+
+
+def test_h_prime_takes_one_rank_per_choice_and_measures_nothing(monkeypatch):
+    # the code of H' is C shortened on the deleted supports, so the check
+    # lists no kernel basis, no word and no sub-code distance
+    def refuse(*args, **kwargs):
+        raise AssertionError("H' was measured")
+
+    profiles = [build(cid, **kw).profile
+                for cid, kw in [("C6", {"l": 3}), ("C17G", {"l": 5}), ("C13", {"k": 42, "delta": 3})]]
+    monkeypatch.setattr(lrc, "kernel", refuse)
+    monkeypatch.setattr(lrc, "_least_weight", refuse)
+    monkeypatch.setattr(LinearCode, "min_distance", refuse)
+    ranks = []
+    monkeypatch.setattr(lrc, "echelon", lambda rows: ranks.append(len(rows)) or echelon(rows))
+    for profile in profiles:
+        s = -(-profile.code.k // profile.r) - 1
+        ranks.clear()
+        assert lrc._check_h_prime(profile, profile.matrix.cols).passed is False
+        assert len(ranks) == 1  # the first choice already fails at this d
+        ranks.clear()
+        d = profile.matrix.rows - sum(len(g.rows) for g in profile.groups[:s]) + 1
+        assert lrc._check_h_prime(profile, d).passed is True
+        assert len(ranks) == comb(profile.l, s)
 
 
 def test_delta2_agrees_with_dual_word_locality():
