@@ -22,6 +22,7 @@ import numpy as np
 from ._gf4vec import Eliminator, Vec, pack, span
 from .code import mds_weight_distribution
 from .constructions import catalog
+from .gf4 import _integers
 from .lrc import group_count_range, singleton_like_bound
 from .mat4 import span_stack
 from .pg import count_subspaces, enumerate_points, subspace_blocks
@@ -58,6 +59,7 @@ def enumerate_optimal_params(n_max: int) -> list[ParamRecord]:
     Constructed and open families are evaluated over their ranges;
     every returned tuple meets the Singleton-like bound with equality.
     """
+    (n_max,) = _integers([n_max], "n_max")
     if n_max > MAX_ENUMERATION_N:
         raise ValueError(f"enumeration capped at n <= {MAX_ENUMERATION_N}")
     if n_max < 1:

@@ -267,6 +267,7 @@ def mds_feasible_q4(n: int, k: int) -> bool:
     Trivial families [n,1], [n,n-1] (n >= 2), [n,n], plus the four
     genuinely quaternary parameter pairs.
     """
+    n, k = _integers((n, k), "n and k")
     if n < 1 or not 0 < k <= n:
         raise ValueError(f"need n >= 1 and 0 < k <= n, got ({n}, {k})")
     if k == n or k == 1 or (k == n - 1 and n >= 2):
@@ -281,6 +282,7 @@ def mds_weight_distribution(n: int, k: int) -> list[int]:
     w >= d = n-k+1.  Serves as the independent oracle against brute-force
     enumeration.
     """
+    n, k = _integers((n, k), "n and k")
     d = n - k + 1
     dist = [0] * (n + 1)
     dist[0] = 1

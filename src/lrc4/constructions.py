@@ -320,6 +320,7 @@ def _parse_vecs(texts) -> tuple[tuple[int, ...], ...]:
 
 def c17g_triples(l: int) -> list[tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]]:
     """The first l (u, v, z) triples of the degree-17 table."""
+    (l,) = gf4._integers([l], "l")
     if not 4 <= l <= 17:
         raise RangeError(f"the triple table covers 4 <= l <= 17, got l={l}")
     return [_parse_vecs(row) for row in C17G_TRIPLES[:l]]
@@ -341,13 +342,17 @@ def verify_c17g_properties(l: int, triples=None) -> bool:
     (1) every triple spans a 3-dimensional subspace; (2) for i != j, all
     fifteen flagged combinations of triple i avoid the subspace of
     triple j.  Each plane is one :class:`Eliminator`; a combination lies
-    in it exactly when pushing it does not raise the rank.  Given
-    ``triples``, the first l are checked; RangeError when there are fewer.
+    in it exactly when pushing it does not raise the rank.  l is taken by
+    :func:`lrc4.gf4._integers`'s rule.  Given ``triples``, the first l are
+    checked; RangeError when l < 1 or there are fewer.
     """
+    (l,) = gf4._integers([l], "l")
     if triples is None:
         triples = c17g_triples(l)
     else:
         triples = list(triples)
+        if l < 1:
+            raise RangeError(f"verify_c17g_properties needs l >= 1, got l={l}")
         if len(triples) < l:
             raise RangeError(f"verify_c17g_properties(l={l}) needs {l} triples, "
                              f"got {len(triples)}")

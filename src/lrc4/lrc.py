@@ -46,11 +46,13 @@ lists the 4^k_B words; a kernel above 4^:data:`_SPAN_MAX_K` words (a
 joined block of a shared-column variant, k_B <= 5 on every constructed
 build with n <= 256) is walked by ``code.span_chunks``, as codeword
 enumeration is.  The structure theorem's two MDS checks build no code
-object per sub-code.  An H', the kept packed rows masked to the kept
-columns, is C shortened on the deleted supports: one rank decides it
-against the exact d, None while d is unsettled.  C|_S is the packed
-generator rows masked to S; its distance is the least weight of its
-4^k' words (k' <= 3 on the builds with n <= 128), or its code's.
+object per sub-code and measure none.  An H', the kept packed rows
+masked to the kept columns, is C shortened on the deleted supports: one
+rank decides it against the exact d, None while d is unsettled.  C|_S
+is the packed generator rows masked to S: one echelon form gives its
+rank and its systematic generator, on which the locality search's own
+bounded test decides whether it has a nonzero word of weight below
+delta.
 """
 
 from __future__ import annotations
@@ -110,12 +112,9 @@ _GAIN_TABLE_MIN_N = {2: 24, 3: 13}
 BLOCKWISE_MAX_WORK = 10**8
 _INF = 10**9  # an unreachable weight in the blockwise DP's tables
 _DP_BLOCK = 1 << 14  # table entries the DP gathers per numpy call
-#: the largest restriction C|_S whose 4^k' words the punctured_mds check
-#: lists itself, a larger one going to LinearCode.min_distance, and the
-#: largest local kernel whose words the blockwise distance lists in Python,
-#: a larger one going to code.span_chunks: listing loses to that walk from
-#: k_b = 4 on, on a 2-core Xeon (the constructed builds with n <= 128 need
-#: k' <= 3)
+#: the largest local kernel whose words the blockwise distance lists in
+#: Python, a larger one going to code.span_chunks: listing loses to that
+#: walk from k_B = 4 on, on a 2-core Xeon
 _SPAN_MAX_K = 3
 
 
@@ -315,9 +314,8 @@ def _punctured_distance_at_least(tags: Sequence[Vec], rank: int, delta: int) -> 
     C|_R has the systematic generator [I_rank | A]: its information
     coordinates are the rank picks of R that raised the rank, and
     ``tags`` holds the columns of A, one per other pick, packed over the
-    pivot index.  A word (y, yA) of weight below delta needs wt(y) <
-    delta, so only those y are tried, each scaled to lead with 1.  The
-    zero code (rank 0) has no distance and fails.
+    pivot index; :func:`_distance_at_least` decides it on the rows of A.
+    The zero code (rank 0) has no distance and fails.
     """
     if not rank:
         return False
@@ -331,6 +329,18 @@ def _punctured_distance_at_least(tags: Sequence[Vec], rank: int, delta: int) -> 
             if tl & bit:
                 l |= 1 << t
         rows.append((h, l))
+    return _distance_at_least(rows, delta)
+
+
+def _distance_at_least(rows: list[Vec], delta: int) -> bool:
+    """Has the code with systematic generator [I | A] no nonzero word of
+    weight below delta?  ``rows`` are the packed rows of A.
+
+    A word y[I | A] weighs wt(y) + wt(yA), so a word of weight below
+    delta has wt(y) < delta: only those y are tried, each scaled to lead
+    with 1, and the test stops at the first light word.
+    """
+    rank = len(rows)
     # grow y one nonzero entry at a time, in increasing position
     stack = [(j, 1, h, l) for j, (h, l) in enumerate(rows)]
     while stack:
@@ -913,9 +923,9 @@ def check_structure(
     rows masked to its kept columns, and its rank alone decides it
     against the exact d (:func:`_check_h_prime`), so with d unsettled
     ``h_prime_mds`` is None; an H' left with no columns fails.  C|_S is
-    the generator rows masked to S, and its exact distance the least
-    weight of its words, or :meth:`LinearCode.min_distance` of C|_S above
-    :data:`_SPAN_MAX_K` dimensions.
+    the generator rows masked to S, and its rank and the search's bounded
+    test on its systematic generator decide it
+    (:func:`_check_punctured_mds`).
     """
     scan_budget, search_budget = _budget(scan_budget), _budget(search_budget)
     c = profile.code
@@ -977,18 +987,6 @@ def check_structure(
     )
 
 
-def _least_weight(basis: list[Vec], mask: int) -> int | None:
-    """Least weight of a nonzero word in the span of the independent
-    packed vectors ``basis`` vanishing off the bit mask ``mask`` (None for
-    the zero span), by which punctured_mds measures each C|_S: its 4^k'
-    words up to k' = :data:`_SPAN_MAX_K`, else the code it generates on
-    the mask's columns, by :meth:`LinearCode.min_distance`."""
-    if len(basis) > _SPAN_MAX_K:
-        cols = [c - 1 for c in coordinates(mask)]
-        return LinearCode(gen=Mat4._wrap(unpack(basis, mask.bit_length())[:, cols])).min_distance()
-    return min(((a | b).bit_count() for a, b in span(basis)[1:]), default=None)
-
-
 def _check_h_prime(profile: LocalityProfile, d: int | None) -> CheckResult:
     """Deleting any ceil(k/r)-1 groups (rows and covered columns) must leave
     a full-rank parity check H' of an MDS code with the same distance d.
@@ -1043,21 +1041,26 @@ def _check_rows_per_group(profile: LocalityProfile) -> CheckResult:
 def _check_punctured_mds(profile: LocalityProfile) -> CheckResult:
     """Each restriction C|_{S_i} must be [s_i, s_i - delta + 1, delta] MDS.
 
-    C|_S is spanned by the packed generator rows masked to S."""
+    C|_S is spanned by the packed generator rows masked to S, and one
+    echelon form gives its rank k' and its systematic generator [I | A],
+    A being the pivot rows masked to the other columns of S.  By the
+    Singleton bound d(C|_S) <= s - k' + 1, so C|_S is [s, s - delta + 1,
+    delta] exactly when it is nonzero, k' = s - delta + 1, and it has no
+    nonzero word of weight below delta, which :func:`_distance_at_least`,
+    the locality search's own test, decides on the rows of A."""
     delta = profile.delta
     gen = pack_rows(profile.code.generator())
-    masks = profile.masks
     for i, g in enumerate(profile.groups):
-        rows = [(h & masks[i], l & masks[i]) for h, l in gen]
-        local = rows[:len(echelon(rows))]
-        si = len(g.support)
-        di = _least_weight(local, masks[i])
-        if len(local) != si - delta + 1 or di != delta:
-            return CheckResult(
-                False,
-                f"group {i + 1}: C|_S is [{si},{len(local)},{di}], "
-                f"want [{si},{si - delta + 1},{delta}]",
-            )
+        m = profile.masks[i]
+        rows = [(h & m, l & m) for h, l in gen]
+        pivots = echelon(rows)
+        si, ki = len(g.support), len(pivots)
+        want = f"want [{si},{si - delta + 1},{delta}]"
+        if not ki or ki != si - delta + 1:
+            return CheckResult(False, f"group {i + 1}: C|_S is [{si},{ki}], {want}")
+        free = m & ~sum(1 << p for p in pivots)
+        if not _distance_at_least([(h & free, l & free) for h, l in rows[:ki]], delta):
+            return CheckResult(False, f"group {i + 1}: C|_S is [{si},{ki},<{delta}], {want}")
     return CheckResult(True)
 
 

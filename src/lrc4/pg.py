@@ -53,6 +53,7 @@ def normalize(vec: Iterable[int]) -> PgPoint:
 
 def enumerate_points(m: int) -> list[PgPoint]:
     """All (4^m - 1)/3 canonical points of PG(m-1, GF(4)), lexicographic."""
+    (m,) = gf4._integers([m], "m")
     if m < 1:
         raise ValueError("need m >= 1")
     pts = []
@@ -65,6 +66,7 @@ def enumerate_points(m: int) -> list[PgPoint]:
 
 def count_subspaces(m: int, i: int) -> int:
     """Gaussian binomial [m choose i]_4: i-dimensional subspaces of GF(4)^m."""
+    m, i = gf4._integers((m, i), "m and i")
     if not 0 <= i <= m:
         raise ValueError(f"need 0 <= i <= m, got i={i}, m={m}")
     num = den = 1
@@ -80,6 +82,7 @@ def count_subspaces_containing(m: int, i: int, j: int) -> int:
 
     Equals the number of (i-j)-dimensional subspaces of GF(4)^(m-j).
     """
+    m, i, j = gf4._integers((m, i, j), "m, i and j")
     if not 0 <= j <= i <= m:
         raise ValueError(f"need 0 <= j <= i <= m, got m={m}, i={i}, j={j}")
     return count_subspaces(m - j, i - j)
@@ -97,6 +100,7 @@ def subspace_blocks(m: int, i: int) -> Iterator[np.ndarray]:
     ``span_chunks`` rule: the trailing free cells vary within a block,
     the leading ones from block to block.
     """
+    m, i = gf4._integers((m, i), "m and i")
     if not 0 <= i <= m:
         raise ValueError(f"need 0 <= i <= m, got i={i}, m={m}")
     digits = np.array(gf4.ELEMENTS, dtype=np.uint8)

@@ -477,6 +477,17 @@ def test_c17g_properties_need_l_triples():
     broken = triples[:5] + [(triples[0][0],) * 3]
     assert verify_c17g_properties(5, triples=broken)
     assert not verify_c17g_properties(6, triples=broken)
+    # l by the integer rule, and at least 1, so no call checks nothing
+    for l in (0, -1):
+        with pytest.raises(RangeError, match=f"needs l >= 1, got l={l}"):
+            verify_c17g_properties(l, triples=triples)
+    for l in (2.5, True, "5"):
+        with pytest.raises(ValueError, match="l must be integers"):
+            verify_c17g_properties(l, triples=triples)
+        with pytest.raises(ValueError, match="l must be integers"):
+            c17g_triples(l)
+    assert verify_c17g_properties(5.0, triples=broken) and not verify_c17g_properties(6.0, triples=broken)
+    assert c17g_triples(4.0) == triples[:4]
 
 
 def c17g_properties_by_mat4(l, triples):

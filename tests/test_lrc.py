@@ -450,17 +450,21 @@ def h_prime_by_linear_codes(c, profile, d_target, d_code=None):
 
 
 def punctured_by_linear_codes(c, profile):
+    """The punctured_mds verdict with every C|_S built by puncturing C and
+    measured, each one of the right dimension asserted to fall short of
+    delta whenever it misses it, as the Singleton bound d' <= s-k'+1 has
+    it: so the check's bounded test sees every failure."""
     delta = profile.delta
     for i, g in enumerate(profile.groups):
         local = c.puncture(set(range(1, c.n + 1)) - g.support)
         si = len(g.support)
-        di = local.min_distance() if local.k else None
-        if local.k != si - delta + 1 or di != delta:
-            return lrc.CheckResult(
-                False,
-                f"group {i + 1}: C|_S is [{local.n},{local.k},{di}], "
-                f"want [{si},{si - delta + 1},{delta}]",
-            )
+        want = f"want [{si},{si - delta + 1},{delta}]"
+        if not local.k or local.k != si - delta + 1:
+            return lrc.CheckResult(False, f"group {i + 1}: C|_S is [{si},{local.k}], {want}")
+        di = local.min_distance()
+        if di != delta:
+            assert di < delta, (i, di)
+            return lrc.CheckResult(False, f"group {i + 1}: C|_S is [{si},{local.k},<{delta}], {want}")
     return lrc.CheckResult(True)
 
 
@@ -520,9 +524,10 @@ def mds_failure_kinds(report):
                                     "H' has no columns") if h.witness.startswith(kind)}
     p = report.checks["punctured_mds"]
     if p.passed is False:
-        m = re.fullmatch(r"group \d+: C\|_S is \[\d+,(\d+),\w+\], want \[\d+,(-?\d+),\d+\]",
-                         p.witness)
-        kinds.add("C|_S dim" if m[1] != m[2] else "d(C|_S) < delta")
+        dim = re.fullmatch(r"group \d+: C\|_S is \[\d+,\d+\], want \[\d+,-?\d+,\d+\]", p.witness)
+        assert dim or re.fullmatch(r"group \d+: C\|_S is \[\d+,\d+,<\d+\], want \[\d+,\d+,\d+\]",
+                                   p.witness), p.witness
+        kinds.add("C|_S dim" if dim else "d(C|_S) < delta")
     return kinds
 
 
@@ -541,24 +546,48 @@ def test_mds_checks_match_linear_codes_on_random_profiles():
                     "H' has no columns", "C|_S dim", "d(C|_S) < delta"}
 
 
-def test_least_weight_matches_min_distance():
-    # independent rows, not reduced, so every scalar multiple of every
-    # row takes part in some least-weight word; spread over a wider word
-    # with zero columns between, the mask naming the columns they fill,
-    # and above _SPAN_MAX_K rows measured as the code they generate
+def test_distance_at_least_matches_min_distance():
+    # random [I | A] codes with k' from 1 to 8; A's columns spread over a
+    # wider word with zero columns between, as the masked rows of C|_S come
     rng = random.Random(7)
-    for _ in range(500):
-        n = rng.randrange(1, 9)
-        basis = Mat4([[rng.randrange(4) for _ in range(n)] for _ in range(rng.randrange(1, 7))])
-        if basis.rank() != basis.rows:
-            continue
-        cols = sorted(rng.sample(range(n + 4), n))
-        wide = np.zeros((basis.rows, n + 4), dtype=np.uint8)
-        wide[:, cols] = basis.array
-        code = LinearCode(gen=basis)
-        mask = sum(1 << c for c in cols)
-        assert lrc._least_weight(pack_rows(Mat4(wide)), mask) == code.min_distance()
-    assert lrc._least_weight([], 0) is None
+    passed = failed = 0
+    for _ in range(400):
+        k, m = rng.randrange(1, 9), rng.randrange(0, 7)
+        a = np.array([[rng.choice([0, 0, 1, 2, 3]) for _ in range(m)] for _ in range(k)],
+                     dtype=np.uint8).reshape(k, m)
+        d = LinearCode(gen=Mat4(np.hstack([np.eye(k, dtype=np.uint8), a]))).min_distance()
+        wide = np.zeros((k, m + 4), dtype=np.uint8)
+        wide[:, sorted(rng.sample(range(m + 4), m))] = a
+        rows = pack_rows(Mat4(wide))
+        for delta in range(2, 6):
+            assert lrc._distance_at_least(rows, delta) == (d >= delta), (k, m, delta)
+            passed += d >= delta
+            failed += d < delta
+    assert passed > 100 and failed > 100
+
+
+def test_distance_at_least_visits_each_light_message_once():
+    # on a code that passes, every y of weight below delta, led by 1, is
+    # one node: sum_{w < delta} C(k', w) 3^(w-1), and no heavier y
+    class Lookups(list):
+        count = 0
+
+        def __getitem__(self, j):
+            Lookups.count += 1  # one per extension, which pushes 3 children
+            return super().__getitem__(j)
+
+    def systematic_a(gen):
+        sub, pivots = gen.rref()
+        return pack_rows(sub.take_columns([c for c in range(gen.cols) if c not in pivots]))
+
+    # the [30,29,2] parity code's A is a column of ones
+    cases = [(pack_rows(Mat4(np.ones((29, 1), dtype=np.uint8))), 2)]
+    cases += [(systematic_a(hexacode().gen), delta) for delta in (2, 3, 4)]
+    for rows, delta in cases:
+        k = len(rows)
+        Lookups.count = 0
+        assert lrc._distance_at_least(Lookups(rows), delta)
+        assert k + 3 * Lookups.count == sum(comb(k, w) * 3 ** (w - 1) for w in range(1, delta))
 
 
 def test_mds_checks_match_linear_codes_on_catalogue_builds():
@@ -566,10 +595,9 @@ def test_mds_checks_match_linear_codes_on_catalogue_builds():
         assert_mds_checks_match(build(cid, **kw).verify())
 
 
-def test_mds_checks_hand_a_large_sub_code_to_min_distance(monkeypatch):
+def test_mds_checks_measure_no_large_sub_code(monkeypatch):
     # the [6,5,2] parity code as one group: k <= r, so H' is the whole
     # matrix, and C|_S is the whole code, both of dimension 5
-    assert lrc._SPAN_MAX_K < 5
     profile = extract_profile(Mat4.from_string("1 1 1 1 1 1"), [(1, 1)], r=5, delta=2)
     c = LinearCode(pchk=profile.matrix)
     small = build("C6", l=2)
@@ -583,11 +611,11 @@ def test_mds_checks_hand_a_large_sub_code_to_min_distance(monkeypatch):
     monkeypatch.setattr(LinearCode, "min_distance", spy)
     assert lrc._check_h_prime(small.profile, 4).passed is True
     assert lrc._check_punctured_mds(small.profile).passed is True
-    assert measured == []  # below the cap every word is listed
-    # H' is decided by its rank, so only C|_S is measured
+    assert measured == []
+    # H' is decided by its rank, and C|_S by the search's bounded test
     checks = [lrc._check_h_prime(profile, 2), lrc._check_h_prime(profile, 3),
               lrc._check_punctured_mds(profile)]
-    assert measured == [(6, 5)]
+    assert measured == []
     monkeypatch.undo()
     assert checks == [h_prime_by_linear_codes(c, profile, 2),
                       h_prime_by_linear_codes(c, profile, 3, d_code=2),
@@ -605,7 +633,6 @@ def test_h_prime_takes_one_rank_per_choice_and_measures_nothing(monkeypatch):
     profiles = [build(cid, **kw).profile
                 for cid, kw in [("C6", {"l": 3}), ("C17G", {"l": 5}), ("C13", {"k": 42, "delta": 3})]]
     monkeypatch.setattr(lrc, "kernel", refuse)
-    monkeypatch.setattr(lrc, "_least_weight", refuse)
     monkeypatch.setattr(LinearCode, "min_distance", refuse)
     ranks = []
     monkeypatch.setattr(lrc, "echelon", lambda rows: ranks.append(len(rows)) or echelon(rows))
@@ -618,6 +645,35 @@ def test_h_prime_takes_one_rank_per_choice_and_measures_nothing(monkeypatch):
         d = profile.matrix.rows - sum(len(g.rows) for g in profile.groups[:s]) + 1
         assert lrc._check_h_prime(profile, d).passed is True
         assert len(ranks) == comb(profile.l, s)
+
+
+def test_punctured_mds_takes_one_echelon_per_group_and_measures_nothing(monkeypatch):
+    # C|_S's rank and the search's bounded test on its systematic
+    # generator decide it: no word list, no Mat4 and no sub-code distance
+    def refuse(*args, **kwargs):
+        raise AssertionError("C|_S was measured")
+
+    parity = extract_profile(Mat4.from_string("1 1 1 1 1 1"), [(1, 1)], r=5, delta=2)
+    short = extract_profile(Mat4.from_string("1 1 0 0\n0 0 1 1"), [(1, 2)], r=2, delta=3)
+    profiles = [parity, short] + [build(cid, **kw).profile for cid, kw in
+                                  [("C6", {"l": 3}), ("C13", {"k": 42, "delta": 3})]]
+    codes = [LinearCode(pchk=p.matrix) for p in profiles]
+    for p in profiles:
+        p.code.generator()
+    monkeypatch.setattr(lrc, "span", refuse)
+    monkeypatch.setattr(lrc, "Mat4", refuse)
+    monkeypatch.setattr(LinearCode, "min_distance", refuse)
+    ranks = []
+    monkeypatch.setattr(lrc, "echelon", lambda rows: ranks.append(len(rows)) or echelon(rows))
+    checks = []
+    for p in profiles:
+        ranks.clear()
+        checks.append(lrc._check_punctured_mds(p))
+        assert len(ranks) == (p.l if checks[-1].passed else 1)
+    monkeypatch.undo()
+    assert checks == [punctured_by_linear_codes(c, p) for c, p in zip(codes, profiles)]
+    assert [c.passed for c in checks] == [True, False, True, True]
+    assert checks[1].witness == "group 1: C|_S is [4,2,<3], want [4,2,3]"
 
 
 def test_delta2_agrees_with_dual_word_locality():

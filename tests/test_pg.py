@@ -6,6 +6,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from lrc4 import gf4
+from lrc4.classify import enumerate_optimal_params
+from lrc4.code import mds_feasible_q4, mds_weight_distribution
 from lrc4.mat4 import Mat4, span_stack
 from lrc4.pg import (
     PgPoint,
@@ -107,6 +109,31 @@ def test_count_subspaces():
     assert count_subspaces(3, 2) == 21  # lines of PG(2,F4) by duality
     with pytest.raises(ValueError):
         count_subspaces(2, 3)
+
+
+def test_counting_parameters_take_the_integer_rule():
+    # an integral value of any numeric type is the int it names, and 2.5,
+    # a bool or a string raises ValueError at entry, never a raw TypeError,
+    # a float count or a silent answer
+    table = [
+        (count_subspaces, (5, 2)),
+        (count_subspaces_containing, (5, 2, 1)),
+        (enumerate_points, (2,)),
+        (lambda m, i: sum(map(len, subspace_blocks(m, i))), (5, 2)),
+        (enumerate_optimal_params, (30,)),
+        (mds_feasible_q4, (5, 2)),
+        (mds_weight_distribution, (5, 2)),
+    ]
+    for f, args in table:
+        want = f(*args)
+        for pos, value in enumerate(args):
+            for same in (float(value), np.int64(value)):
+                got = f(*args[:pos], same, *args[pos + 1:])
+                assert got == want and type(got) is type(want), (f, args, pos)
+            for bad in (value + 0.5, True, str(value)):
+                with pytest.raises(ValueError, match="must be integers"):
+                    f(*args[:pos], bad, *args[pos + 1:])
+    assert count_subspaces(5.0, 2) == 5797 and type(count_subspaces(5.0, 2)) is int
 
 
 def subspaces_one_by_one(m, i):
