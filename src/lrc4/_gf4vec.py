@@ -8,13 +8,16 @@ words; scalar multiplication permutes the two bit planes:
     w2 * (hi, lo) = (lo, hi ^ lo)
 
 Column-subset rank scans spend nearly all their time in
-``Eliminator.push``.  It keeps each basis vector with its lead bit and
-its three nonzero multiples, so one elimination step is a bit test and
-two XORs on machine ints regardless of L (up to word growth), which is
-what makes exhaustive d-1 column scans feasible in pure Python.  The
-locality search instead keeps a node's later columns reduced modulo the
-columns it picked: ``reduce_by`` adds one pivot to such a list with the
-same bit test and two XORs per vector, so a column's rank test is a
+``Eliminator``.  It keeps each basis vector with its lead bit and its
+three nonzero multiples, so one elimination step is a bit test and two
+XORs on machine ints regardless of L (up to word growth).  The column
+scan keeps a node's later columns reduced modulo the columns it picked:
+after a pick raises the rank, ``Eliminator.reduce`` takes that one step
+per later column, so each push meets a reduced column and, by the OR of
+the leads it keeps, skips its loop over the basis.  That is what makes
+exhaustive d-1 column scans feasible in pure Python.  The locality
+search keeps such lists too: ``reduce_by`` adds one pivot to one with
+the same bit test and two XORs per vector, so a column's rank test is a
 zero test.  The search packs a tag above each column's k residual
 bits, and the pivot's own tag bit with it, so the same XORs carry the
 pivot combination each residual absorbed.  ``points`` and
@@ -227,14 +230,19 @@ class Eliminator:
     scaled to 1, and its entry is ``(bit, h1, l1, h2, l2, h3, l3)``: the
     one-hot mask of the lead and the multiples 1, w, w2 of the vector,
     so the coefficient read at ``bit`` picks the multiple that cancels
-    it.  ``push`` returns True when the vector extended the rank, which
-    is exactly the dependency signal the subset scans need.  The
-    constructor pushes ``vectors`` in order.
+    it.  ``_leads`` is the OR of the entries' lead bits: a vector zero
+    at all of them is already reduced, and ``push`` skips the loop over
+    the basis.  ``push`` returns True when the vector extended the rank,
+    which is exactly the dependency signal the subset scans need.
+    ``reduce`` clears the newest lead from a list of vectors, so vectors
+    reduced once per push reach their own ``push`` with nothing left to
+    reduce.  The constructor pushes ``vectors`` in order.
     """
 
     def __init__(self, vectors: Iterable[Vec] = ()) -> None:
         self._basis: list[tuple[int, int, int, int, int, int, int]] = []
         self._trail: list[bool] = []
+        self._leads = 0
         for v in vectors:
             self.push(v)
 
@@ -244,17 +252,18 @@ class Eliminator:
 
     def push(self, v: Vec) -> bool:
         hi, lo = v
-        for bit, h1, l1, h2, l2, h3, l3 in self._basis:
-            if hi & bit:
-                if lo & bit:
-                    hi ^= h3
-                    lo ^= l3
-                else:
-                    hi ^= h2
-                    lo ^= l2
-            elif lo & bit:
-                hi ^= h1
-                lo ^= l1
+        if (hi | lo) & self._leads:
+            for bit, h1, l1, h2, l2, h3, l3 in self._basis:
+                if hi & bit:
+                    if lo & bit:
+                        hi ^= h3
+                        lo ^= l3
+                    else:
+                        hi ^= h2
+                        lo ^= l2
+                elif lo & bit:
+                    hi ^= h1
+                    lo ^= l1
         x = hi | lo
         if not x:
             self._trail.append(False)
@@ -264,12 +273,30 @@ class Eliminator:
             hi, lo = (hi ^ lo, hi) if lo & bit else (lo, hi ^ lo)
         m = hi ^ lo
         self._basis.append((bit, hi, lo, m, hi, lo, m))
+        self._leads |= bit
         self._trail.append(True)
         return True
 
     def pop(self) -> None:
         if self._trail.pop():
-            self._basis.pop()
+            self._leads ^= self._basis.pop()[0]
+
+    def reduce(self, vectors: list[Vec]) -> list[Vec]:
+        """The vectors less the multiples of the newest basis vector that
+        clear its lead, one bit test and two XORs each.  Vectors reduced
+        by every earlier basis vector come out reduced by the whole
+        basis, so pushing one skips the loop."""
+        bit, h1, l1, h2, l2, h3, l3 = self._basis[-1]
+        out = []
+        for v in vectors:
+            hi, lo = v
+            if hi & bit:
+                out.append((hi ^ h3, lo ^ l3) if lo & bit else (hi ^ h2, lo ^ l2))
+            elif lo & bit:
+                out.append((hi ^ h1, lo ^ l1))
+            else:
+                out.append(v)
+        return out
 
 
 def point(hi: int, lo: int) -> Vec:

@@ -50,7 +50,12 @@ _ENUM_CHUNK_K = 10  # codeword tables are built 4^10 rows at a time
 _MAX_ENUM_K = 14
 # Cost model of the distance router, measured on a 2-core Xeon with
 # Python 3.11: one Eliminator.push of the column scan, and one symbol of
-# one enumerated codeword (about 47 ns per word at n = 30).
+# one enumerated codeword (about 47 ns per word at n = 30).  Since the
+# scan reduces each node's later columns once per pick, a push costs
+# 0.5-1.0 us by scan size (0.9-1.3 us before).  1e-6 is kept so that no
+# route choice moves: a lower value would hand some levels to the scan
+# (20 of the 1,269 constructed builds with n <= 128 at 0.8e-6), a change
+# for its own end-to-end measurement.
 _PUSH_S = 1e-6
 _ENUM_SYMBOL_S = 1.6e-9
 
@@ -232,9 +237,16 @@ def has_dependent_columns(m: Mat4, t: int, _packed: list | None = None) -> bool:
     """Is some t-subset of columns of ``m`` linearly dependent?
 
     Depth-first over index-increasing subsets with an incremental echelon
-    basis, so shared prefixes are eliminated once.  Used both by the
-    column-scan route of :meth:`LinearCode.min_distance` and as the
-    independent cross-check of enumerated distances.  t is taken by
+    basis, so shared prefixes are eliminated once: each visited prefix is
+    one :meth:`Eliminator.push`, and the scan stops at the first that
+    does not raise the rank.  A node keeps the columns after its last
+    pick reduced modulo its picks: a pick that raises the rank reduces
+    the rest of the list once by the new basis vector
+    (:meth:`Eliminator.reduce`), so every push meets a reduced column and
+    skips the loop over the basis.  The frames live on an explicit
+    stack, so no t reaches the interpreter's recursion limit.  Used both
+    by the column-scan route of :meth:`LinearCode.min_distance` and as
+    the independent cross-check of enumerated distances.  t is taken by
     :func:`lrc4.gf4._integers`; ValueError when t < 1.
     """
     (t,) = _integers([t], "t")
@@ -245,20 +257,43 @@ def has_dependent_columns(m: Mat4, t: int, _packed: list | None = None) -> bool:
     if t > n:
         return False
     elim = Eliminator()
-
-    def rec(start: int, depth: int) -> bool:
-        remaining = t - depth
-        for i in range(start, n - remaining + 1):
-            if not elim.push(cols[i]):
-                elim.pop()
+    push, pop, reduce = elim.push, elim.pop, elim.reduce
+    if t == 1:  # the only pick is the last: a zero column
+        for v in cols:
+            if not push(v):
                 return True
-            if remaining > 1 and rec(i + 1, depth + 1):
-                elim.pop()
-                return True
-            elim.pop()
+            pop()
         return False
-
-    return rec(0, 0)
+    # frame d: the columns after the d-th pick, reduced modulo the d
+    # picks, and the position of its next pick; it may pick up to the
+    # one that leaves t - d - 1 columns after it
+    later, pos = [cols], [0]
+    d = 0
+    while True:
+        rest = later[d]
+        j = pos[d]
+        if j > len(rest) - t + d:
+            if not d:
+                return False
+            later.pop()
+            pos.pop()
+            d -= 1
+            pop()
+            continue
+        pos[d] = j + 1
+        if not push(rest[j]):
+            return True
+        rest = reduce(rest[j + 1 :])
+        if d + 2 < t:
+            later.append(rest)
+            pos.append(0)
+            d += 1
+            continue
+        for v in rest:  # the last pick: a column dependent on the picks is zero here
+            if not push(v):
+                return True
+            pop()
+        pop()
 
 
 def mds_feasible_q4(n: int, k: int) -> bool:

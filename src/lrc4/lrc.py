@@ -52,7 +52,7 @@ rank decides it against the exact d, None while d is unsettled.  C|_S
 is the packed generator rows masked to S: one echelon form gives its
 rank and its systematic generator, on which the locality search's own
 bounded test decides whether it has a nonzero word of weight below
-delta.
+delta, unless the messages it may visit exceed the scan budget.
 """
 
 from __future__ import annotations
@@ -60,7 +60,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property, reduce
 from itertools import combinations
-from math import ceil, floor, inf
+from math import ceil, comb, floor, inf
 from operator import or_
 from typing import Sequence
 
@@ -82,7 +82,7 @@ from ._gf4vec import (
     span,
     unpack,
 )
-from .code import LinearCode, _budget, span_chunks
+from .code import DEFAULT_SCAN_BUDGET, LinearCode, _budget, span_chunks
 from .errors import (
     ResourceError,
     ScanBudgetExceeded,
@@ -925,7 +925,9 @@ def check_structure(
     ``h_prime_mds`` is None; an H' left with no columns fails.  C|_S is
     the generator rows masked to S, and its rank and the search's bounded
     test on its systematic generator decide it
-    (:func:`_check_punctured_mds`).
+    (:func:`_check_punctured_mds`), within ``scan_budget`` messages
+    (:data:`lrc4.code.DEFAULT_SCAN_BUDGET` unless given) per group, else
+    ``punctured_mds`` is None.
     """
     scan_budget, search_budget = _budget(scan_budget), _budget(search_budget)
     c = profile.code
@@ -968,7 +970,8 @@ def check_structure(
     checks = {
         "h_prime_mds": _check_h_prime(profile, d),
         "rows_per_group": _check_rows_per_group(profile),
-        "punctured_mds": _check_punctured_mds(profile),
+        "punctured_mds": _check_punctured_mds(
+            profile, DEFAULT_SCAN_BUDGET if scan_budget is None else scan_budget),
         "disjointness": _check_disjointness(profile),
         "distance_cap": _check_distance_cap(k, r, delta, d),
     }
@@ -1038,7 +1041,7 @@ def _check_rows_per_group(profile: LocalityProfile) -> CheckResult:
     return CheckResult(True)
 
 
-def _check_punctured_mds(profile: LocalityProfile) -> CheckResult:
+def _check_punctured_mds(profile: LocalityProfile, budget: int = DEFAULT_SCAN_BUDGET) -> CheckResult:
     """Each restriction C|_{S_i} must be [s_i, s_i - delta + 1, delta] MDS.
 
     C|_S is spanned by the packed generator rows masked to S, and one
@@ -1047,9 +1050,13 @@ def _check_punctured_mds(profile: LocalityProfile) -> CheckResult:
     Singleton bound d(C|_S) <= s - k' + 1, so C|_S is [s, s - delta + 1,
     delta] exactly when it is nonzero, k' = s - delta + 1, and it has no
     nonzero word of weight below delta, which :func:`_distance_at_least`,
-    the locality search's own test, decides on the rows of A."""
+    the locality search's own test, decides on the rows of A.  That test
+    may visit sum_{w < delta} C(k', w) 3^(w-1) messages; a group over
+    ``budget`` is left undecided, and the verdict is None unless another
+    group fails."""
     delta = profile.delta
     gen = pack_rows(profile.code.generator())
+    undecided = None
     for i, g in enumerate(profile.groups):
         m = profile.masks[i]
         rows = [(h & m, l & m) for h, l in gen]
@@ -1058,10 +1065,16 @@ def _check_punctured_mds(profile: LocalityProfile) -> CheckResult:
         want = f"want [{si},{si - delta + 1},{delta}]"
         if not ki or ki != si - delta + 1:
             return CheckResult(False, f"group {i + 1}: C|_S is [{si},{ki}], {want}")
+        work = sum(comb(ki, w) * 3 ** (w - 1) for w in range(1, delta))
+        if work > budget:
+            undecided = undecided or CheckResult(
+                None, f"group {i + 1}: d(C|_S) >= {delta} needs up to {work} messages, "
+                      f"over the budget {budget}")
+            continue
         free = m & ~sum(1 << p for p in pivots)
         if not _distance_at_least([(h & free, l & free) for h, l in rows[:ki]], delta):
             return CheckResult(False, f"group {i + 1}: C|_S is [{si},{ki},<{delta}], {want}")
-    return CheckResult(True)
+    return undecided or CheckResult(True)
 
 
 def _check_disjointness(profile: LocalityProfile) -> CheckResult:

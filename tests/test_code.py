@@ -2,11 +2,12 @@ import random
 from itertools import product
 from math import comb
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, strategies as st
 
 from lrc4 import gf4
-from lrc4._gf4vec import Eliminator
+from lrc4._gf4vec import Eliminator, pack_columns
 from lrc4.code import (
     CodeParams,
     HEXACODE_GEN,
@@ -226,6 +227,77 @@ def test_has_dependent_columns_matches_brute_force():
                 for cols in combinations(range(m.cols), t)
             )
             assert has_dependent_columns(m, t) == brute
+
+
+def recursive_scan(m, t):
+    """The column scan as it was before nodes kept their later columns
+    reduced: one recursion level per pick, each push reducing its column
+    by the whole basis.  t >= 1."""
+    cols = pack_columns(m)
+    n = len(cols)
+    if t > n:
+        return False
+    elim = Eliminator()
+
+    def rec(start, depth):
+        remaining = t - depth
+        for i in range(start, n - remaining + 1):
+            if not elim.push(cols[i]):
+                elim.pop()
+                return True
+            if remaining > 1 and rec(i + 1, depth + 1):
+                elim.pop()
+                return True
+            elim.pop()
+        return False
+
+    return rec(0, 0)
+
+
+def test_scan_matches_the_recursive_scan(monkeypatch):
+    # the same verdicts and as many pushes as the recursive scan, and
+    # every push of the scan meets a column already reduced modulo the
+    # basis, so it never runs the loop over the basis
+    rng = random.Random(39)
+    pushed, unreduced = [], []
+    real = Eliminator.push
+
+    def spy(self, v):
+        leads = 0
+        for entry in self._basis:
+            leads |= entry[0]
+        pushed.append(v)
+        unreduced.append((v[0] | v[1]) & leads != 0)
+        return real(self, v)
+
+    monkeypatch.setattr(Eliminator, "push", spy)
+    verdicts = set()
+    for case in range(240):
+        rows, cols = rng.randrange(1, 7), rng.randrange(1, 13)
+        zero = 0.2 if case % 2 else 0.7  # dense, then sparse
+        m = Mat4([[0 if rng.random() < zero else rng.randrange(1, 4) for _ in range(cols)]
+                  for _ in range(rows)])
+        for t in range(1, cols + 2):
+            pushed.clear()
+            want = recursive_scan(m, t)
+            oracle = list(pushed)
+            pushed.clear()
+            unreduced.clear()
+            assert has_dependent_columns(m, t) == want, (m, t)
+            assert len(pushed) == len(oracle), (m, t)
+            assert not any(unreduced), (m, t)
+            verdicts.add(want)
+    assert verdicts == {False, True}
+
+
+def test_scan_depth_is_not_bounded_by_the_recursion_limit():
+    # one frame per pick on an explicit stack: t = 1100 picks deep
+    eye = np.eye(1100, dtype=np.uint8)
+    assert not has_dependent_columns(Mat4(eye), 1100)
+    dup = eye.copy()
+    dup[:, 700] = dup[:, 3]
+    assert has_dependent_columns(Mat4(dup), 1100)
+    assert has_dependent_columns(Mat4(np.hstack([eye, eye[:, :1]])), 1100)
 
 
 def test_exhaustive_scan_pushes_every_subset_prefix_once(monkeypatch):

@@ -55,3 +55,50 @@ def test_seeded_eliminator_is_the_pushes_one_by_one(vectors):
     assert seeded_calls == len(calls) == len(vectors)
     assert seeded.rank == pushed.rank == sum(grew)
     assert seeded._basis == pushed._basis and seeded._trail == pushed._trail
+
+
+class Unmasked(Eliminator):
+    """``Eliminator`` with no lead mask: every push of a nonzero vector
+    runs the loop over the basis."""
+
+    _leads = property(lambda self: -1, lambda self, value: None)
+
+
+vectors = st.tuples(st.integers(0, 63), st.integers(0, 63)) | st.tuples(
+    st.integers(0, 2**70), st.integers(0, 2**70))
+
+
+@given(st.lists(vectors | st.none(), max_size=40))
+def test_lead_mask_is_the_or_of_the_basis_leads(ops):
+    # None pops; the masked push must build what the unmasked one builds
+    fast, slow = Eliminator(), Unmasked()
+    for v in ops:
+        if v is None:
+            if not fast._trail:
+                continue
+            fast.pop()
+            slow.pop()
+        else:
+            assert fast.push(v) == slow.push(v)
+        leads = 0
+        for entry in fast._basis:
+            leads |= entry[0]
+        assert fast._leads == leads
+        assert fast._basis == slow._basis and fast._trail == slow._trail
+
+
+@given(st.lists(vectors, min_size=1, max_size=8), st.lists(vectors, max_size=8))
+def test_reduce_after_each_push_reduces_by_the_whole_basis(basis, others):
+    # reducing by each new basis vector in turn leaves a vector zero at
+    # every lead, and it pushes as the unreduced vector does unmasked
+    elim = Eliminator()
+    reduced = others
+    for v in basis:
+        if elim.push(v):
+            reduced = elim.reduce(reduced)
+    for v, w in zip(others, reduced):
+        assert (w[0] | w[1]) & elim._leads == 0
+        slow = Unmasked(basis)
+        assert elim.push(w) == slow.push(v)
+        assert elim._basis == slow._basis
+        elim.pop()

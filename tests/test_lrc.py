@@ -676,6 +676,39 @@ def test_punctured_mds_takes_one_echelon_per_group_and_measures_nothing(monkeypa
     assert checks[1].witness == "group 1: C|_S is [4,2,<3], want [4,2,3]"
 
 
+def test_punctured_mds_leaves_a_group_over_the_scan_budget_undecided(monkeypatch):
+    # the bounded test may visit sum_{w < delta} C(k', w) 3^(w-1)
+    # messages: 5 on the [6,5,2] parity code as one group (k' = 5), and
+    # 2 + 3 on a [4,2,2] group at delta = 3 (k' = 2)
+    parity = extract_profile(Mat4.from_string("1 1 1 1 1 1"), [(1, 1)], r=5, delta=2)
+    short = extract_profile(Mat4.from_string("1 1 0 0\n0 0 1 1"), [(1, 2)], r=2, delta=3)
+    # group 1 is [3,2,2]; group 2's C|_S is {(0, a, a)}, of rank 1
+    wrong = extract_profile(Mat4.from_string("1 1 1 0 0 0\n0 0 0 1 1 1\n0 0 0 1 0 0"),
+                            [(1, 1), (2, 2)], r=2, delta=2)
+    tested = []
+    real = lrc._distance_at_least
+    monkeypatch.setattr(lrc, "_distance_at_least",
+                        lambda rows, delta: tested.append(len(rows)) or real(rows, delta))
+    def over(profile, work, budget):
+        return lrc.CheckResult(None, f"group 1: d(C|_S) >= {profile.delta} needs up to "
+                                     f"{work} messages, over the budget {budget}")
+
+    for profile, work, verdict in ((parity, 5, True), (short, 5, False)):
+        tested.clear()
+        assert lrc._check_punctured_mds(profile, work - 1) == over(profile, work, work - 1)
+        assert tested == []
+        assert lrc._check_punctured_mds(profile, work).passed is verdict
+        assert tested == [len(profile.groups[0].support) - profile.delta + 1]
+    # an undecided group does not hide another group's failure
+    tested.clear()
+    assert lrc._check_punctured_mds(wrong, 1) == lrc._check_punctured_mds(wrong) == lrc.CheckResult(
+        False, "group 2: C|_S is [3,1], want [3,2,2]")
+    assert tested == [2]
+    # check_structure passes its scan budget on, the default 10^8 unless given
+    assert check_structure(parity, scan_budget=4).checks["punctured_mds"] == over(parity, 5, 4)
+    assert check_structure(parity).checks["punctured_mds"].passed is True
+
+
 def test_delta2_agrees_with_dual_word_locality():
     rng = random.Random(11)
     checked = 0
