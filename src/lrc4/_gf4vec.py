@@ -16,14 +16,13 @@ after a pick raises the rank, ``Eliminator.reduce`` takes that one step
 per later column, so each push meets a reduced column and, by the OR of
 the leads it keeps, skips its loop over the basis.  That is what makes
 exhaustive d-1 column scans feasible in pure Python.  The locality
-search keeps such lists too: ``reduce_by`` adds one pivot to one with
-the same bit test and two XORs per vector, so a column's rank test is a
-zero test.  The search packs a tag above each column's k residual
-bits, and the pivot's own tag bit with it, so the same XORs carry the
-pivot combination each residual absorbed.  ``points`` and
-``reduce_planes`` are ``point`` and ``reduce_by`` over numpy arrays of
-packed vectors, for the search's table of the point keys of every
-column modulo every pivot pair.  The third user of that step
+search keeps such lists on one ``Eliminator`` too, so a column's rank
+test is a zero test.  It packs a tag above each column's k residual
+bits, and pushes each pivot with its own tag bit set, so the same XORs
+carry the pivot combination each residual absorbed.  ``points`` and
+``reduce_planes`` are ``point`` and that reduction step over numpy
+arrays of packed vectors, for the search's table of the point keys of
+every column modulo every pivot pair.  The third user of that step
 is ``echelon``, the exact reduced row-echelon kernel behind
 ``Mat4.rref``, ``rank``, ``row_basis`` and ``right_kernel``, the
 local repair solve and the restructuring's local dual bases; ``kernel``
@@ -324,10 +323,10 @@ def points(hi: np.ndarray, lo: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def reduce_planes(
     ph: np.ndarray, pl: np.ndarray, hi: np.ndarray, lo: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """``reduce_by`` over arrays of unsigned ints: each vector (hi, lo)
-    less the multiple of its pivot (ph, pl), broadcast against it, that
-    clears the pivot's lead coordinate.  A zero pivot leaves its vectors
-    as they are."""
+    """``Eliminator.reduce`` over arrays of unsigned ints: each vector
+    (hi, lo) less the multiple of its pivot (ph, pl), broadcast against
+    it, that clears the pivot's lead coordinate, the pivot scaled by
+    ``points`` first.  A zero pivot leaves its vectors as they are."""
     ph, pl = points(ph, pl)
     x = ph | pl
     bit = x & -x
@@ -336,34 +335,3 @@ def reduce_planes(
     mix = ph ^ pl  # w * (ph, pl) = (mix, ph)
     return hi ^ ch * mix ^ cl * ph, lo ^ ch * ph ^ cl * pl
 
-
-def reduce_by(v: Vec, tagged: list[tuple[int, int, int]]) -> list[tuple[int, int, int]]:
-    """Clear the lead coordinate of the nonzero vector v from tagged vectors.
-
-    Each item is ``(tag, hi, lo)``; the result keeps tags and order.  v
-    is scaled so its lead (lowest nonzero coordinate) is 1, and each
-    vector gets the multiple of v that cancels its coefficient there, as
-    in ``Eliminator.push``.  When v was itself reduced by earlier pivots
-    and the vectors were reduced by the same pivots, a vector reduces to
-    zero exactly when it lies in the span of the pivots and v.  Bits
-    above every lead, such as the locality search's pivot tags, are
-    carried along by the same XORs.
-    """
-    hi, lo = point(*v)
-    x = hi | lo
-    bit = x & -x
-    m = hi ^ lo
-    out = []
-    for t, h, l in tagged:
-        if h & bit:
-            if l & bit:  # coefficient w2
-                h ^= lo
-                l ^= m
-            else:  # coefficient w
-                h ^= m
-                l ^= hi
-        elif l & bit:
-            h ^= hi
-            l ^= lo
-        out.append((t, h, l))
-    return out

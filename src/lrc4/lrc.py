@@ -4,12 +4,14 @@
 has locality (r, delta) when some support set R_i containing i, of size
 at most r + delta - 1, induces a punctured code of minimum distance at
 least delta.  The search is one depth-first pass over column subsets
-of every size up to r + delta - 1.  Each node keeps the generator
-columns after its last pick reduced modulo the span of its picks, so
-whether a child raises the rank is a zero test, and tagged with the
-pivot combination each residual absorbed, so a candidate's punctured
-code comes with its systematic generator and its distance is decided
-on packed ints.  A qualifying support must carry delta - 1 independent
+of every size up to r + delta - 1, its nodes generators on an explicit
+stack, so the depth is not bounded by the recursion limit.  Each node
+keeps the generator columns after its last pick reduced modulo the
+span of its picks by one :class:`Eliminator` per search, so whether a
+child raises the rank is a zero test, and tagged with the pivot
+combination each residual absorbed, so a candidate's punctured code
+comes with its systematic generator and its distance is decided on
+packed ints.  A qualifying support must carry delta - 1 independent
 parity words, i.e. its generator columns must be rank-deficient by
 delta - 1, so a node of rank above r is pruned: at rank r - 1 the later
 columns are sorted by projective point once, and a child that reaches
@@ -62,7 +64,7 @@ from functools import cached_property, reduce
 from itertools import combinations
 from math import ceil, comb, floor, inf
 from operator import or_
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -77,7 +79,6 @@ from ._gf4vec import (
     pack_rows,
     point,
     points,
-    reduce_by,
     reduce_planes,
     span,
     unpack,
@@ -408,15 +409,18 @@ def _locality_search(gen: Mat4, r: int, delta: int, budget: float = inf) -> list
 
     Returns the qualifying supports in (size, lex) order.  One
     depth-first pass over column subsets covers every size.  A node
-    keeps the columns after its last pick reduced modulo the span of its
-    picks, so a child raises the rank exactly when its column's residual
-    (its low k bits) is nonzero.  Above the residual, entry k + j of a
-    column, its tag j, is the multiple of the j-th pivot's column that
-    its residual has absorbed: a pivot is reduced into the later columns
-    with its own entry k + j set to 1, so residual = column + sum of
-    tag[j] * pivot j.  A pick with a zero residual is then the sum of
-    tag[j] * pivot j, and its tag is its column of the punctured code's
-    systematic generator, which is what
+    keeps the columns after its last pick, packed, with a parallel list
+    of their indices, reduced modulo the span of its picks, so a child
+    raises the rank exactly when its column's residual (its low k bits)
+    is nonzero.  Above the residual, entry k + j of a column, its tag j,
+    is the multiple of the j-th pivot's column that its residual has
+    absorbed.  The pivots are one :class:`Eliminator`: a growing pick
+    pushes its residual with its own entry k + j set to 1, which is
+    already reduced, and :meth:`Eliminator.reduce` clears its lead from
+    the later columns, so residual = column + sum of tag[j] * pivot j;
+    the pick pops it when the search backtracks.  A pick with a zero
+    residual is then the sum of tag[j] * pivot j, and its tag is its
+    column of the punctured code's systematic generator, which is what
     :func:`_punctured_distance_at_least` reads.
 
     A support must carry delta - 1 independent parity words, so its
@@ -444,9 +448,12 @@ def _locality_search(gen: Mat4, r: int, delta: int, budget: float = inf) -> list
     the crossover the table costs more than it saves, and past n = 30 a
     key would not fit a uint64, so those searches run without it.
 
-    A node entered with more than ``budget`` work done, a unit per column
-    reduced and :data:`_CHECK_WORK` per distance check, raises
-    ResourceError naming both counts.
+    Each node is a generator that yields its children, generators too,
+    and resumes once a child's subtree is done; they live on an explicit
+    stack, so r + delta - 1 is not bounded by the interpreter's
+    recursion limit.  A node entered with more than ``budget`` work
+    done, a unit per column reduced and :data:`_CHECK_WORK` per distance
+    check, raises ResourceError naming both counts.
     """
     k, n = gen.rows, gen.cols
     res_mask = (1 << k) - 1
@@ -458,10 +465,11 @@ def _locality_search(gen: Mat4, r: int, delta: int, budget: float = inf) -> list
     cols = pack_columns(gen)
     table = (_gain_table(cols, k, r)
              if _GAIN_TABLE_MIN_N.get(r, n + 1) <= n <= LOCALITY_SEARCH_MAX_N else None)
+    pivots = Eliminator()
     columns = checks = 0  # the work done: columns reduced, distance checks made
 
-    def rec(later: list[tuple[int, int, int]], rank: int, keys: list | None = None,
-            gains: list | None = None) -> None:
+    def node(later: list[Vec], index: list[int], rank: int, keys: list | None = None,
+             gains: list | None = None) -> Iterator:
         nonlocal columns, checks
         if columns + _CHECK_WORK * checks > budget:
             raise ResourceError(f"locality search stopped after {columns} column reductions and "
@@ -477,7 +485,7 @@ def _locality_search(gen: Mat4, r: int, delta: int, budget: float = inf) -> list
         if bucketed:
             if keys is None:
                 keys = [point(hi & res_mask, lo & res_mask) if (hi | lo) & res_mask else 0
-                        for _, hi, lo in later]
+                        for hi, lo in later]
             slots, by_point = [], {}
             for p, key in enumerate(keys):
                 same = by_point.setdefault(key, [])
@@ -485,7 +493,8 @@ def _locality_search(gen: Mat4, r: int, delta: int, budget: float = inf) -> list
                 same.append(p)
             zeros = by_point.get(0, [])
             zeros_left = len(zeros)  # the zero residuals after the current child
-        for p, (i, hi, lo) in enumerate(later):
+        for p, (hi, lo) in enumerate(later):
+            i = index[p]
             grows = bool((hi | lo) & res_mask)
             deficiency = depth - rank - grows
             if grows and branch_gain is not None and deficiency + branch_gain[i] < need_def:
@@ -499,7 +508,7 @@ def _locality_search(gen: Mat4, r: int, delta: int, budget: float = inf) -> list
                     # each later column adds at most one to the deficiency
                     if deficiency + len(ahead) + zeros_left < need_def:
                         continue
-                    follow = [later[q] for q in sorted(ahead + zeros[len(zeros) - zeros_left:])]
+                    follow = sorted(ahead + zeros[len(zeros) - zeros_left:])
             chosen.append(i)
             if not grows:
                 tags.append((hi >> k, lo >> k))
@@ -508,23 +517,34 @@ def _locality_search(gen: Mat4, r: int, delta: int, budget: float = inf) -> list
                 if _punctured_distance_at_least(tags, rank + grows, delta):
                     hits.append(tuple(chosen))
             if depth < max_size:
-                if not grows:
-                    rest = later[p + 1:]
+                if bucketed and grows:
+                    rest, rest_index = [later[q] for q in follow], [index[q] for q in follow]
                 else:
-                    reduced = follow if bucketed else later[p + 1:]
-                    columns += len(reduced)
-                    rest = reduce_by((hi, lo | 1 << (k + rank)), reduced)
+                    rest, rest_index = later[p + 1:], index[p + 1:]
+                if grows:
+                    columns += len(rest)
+                    pivots.push((hi, lo | 1 << (k + rank)))
+                    rest = pivots.reduce(rest)
                 if deficiency + len(rest) >= need_def:
                     if not grows:
                         sub = gains
                     else:  # a growing pick at rank r - 3 selects its row
                         sub = gains[i] if gains is not None and rank + 3 == r else None
-                    rec(rest, rank + grows, keys[p + 1:] if bucketed and not grows else None, sub)
+                    yield node(rest, rest_index, rank + grows,
+                               keys[p + 1:] if bucketed and not grows else None, sub)
+                if grows:
+                    pivots.pop()
             if not grows:
                 tags.pop()
             chosen.pop()
 
-    rec([(i, hi, lo) for i, (hi, lo) in enumerate(cols)], 0, gains=table)
+    stack = [node(cols, list(range(n)), 0, gains=table)]
+    while stack:
+        child = next(stack[-1], None)
+        if child is None:
+            stack.pop()
+        else:
+            stack.append(child)
     hits.sort(key=lambda s: (len(s), s))
     return [frozenset(c + 1 for c in t) for t in hits]
 

@@ -1,9 +1,10 @@
 """Every lrc4 name the benchmark harness reads still exists.
 
-``perfbench/spans.py`` wraps functions by (owner, attribute) and
+``perfbench/spans.py`` wraps functions by (owner, attribute),
 ``perfbench/workloads.py`` calls ``module.attr`` on lrc4 modules looked
-up at call time, so a renamed or deleted name would only show when the
-benchmark runs.  Both files are read here, never changed.
+up at call time, and ``perfbench/run.py`` refuses to run unless each of
+its ``GUARDS`` holds, so a renamed or deleted name would only show when
+the benchmark runs.  These files are read here, never changed.
 """
 
 import ast
@@ -48,3 +49,21 @@ def test_workload_names_exist():
     missing = [(m, a) for m, a in sorted(reads)
                if not hasattr(importlib.import_module(f"lrc4.{m}"), a)]
     assert missing == []
+
+
+def benchmark_guards():
+    """``GUARDS`` of run.py, (module, attribute, value) triples, evaluated
+    from its source without running the file."""
+    tree = ast.parse((PERFBENCH / "run.py").read_text())
+    (value,) = [node.value for node in tree.body if isinstance(node, ast.Assign)
+                and [getattr(t, "id", None) for t in node.targets] == ["GUARDS"]]
+    return eval(compile(ast.Expression(value), "run.py", "eval"), {})
+
+
+def test_benchmark_guards_hold():
+    guards = benchmark_guards()
+    assert guards  # the scan still finds the assignment
+    missing = object()
+    wrong = [(m, a, want) for m, a, want in guards
+             if getattr(importlib.import_module(f"lrc4.{m}"), a, missing) != want]
+    assert wrong == []

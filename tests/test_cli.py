@@ -209,6 +209,20 @@ def test_verify_locality_failure_exits_1(tmp_path, capsys):
     assert payload["bad_coordinates"] == [1, 2, 3, 4, 5, 6]
 
 
+def test_verify_of_a_search_past_the_recursion_limit_exits_2(tmp_path, capsys, monkeypatch):
+    # with no group rows the file's [1100,1099,2] code is searched at
+    # r = 1099: 1100 nested picks, stopped by the work budget
+    path = tmp_path / "wide.txt"
+    with open(path, "w") as fh:
+        fh.write("# locality r=1099 delta=2\n")
+        write_matrix(fh, Mat4([[1] * 1100]))
+    monkeypatch.setattr("lrc4.lrc.LOCALITY_SEARCH_MAX_WORK", 10**6)
+    code, out, err = run(capsys, "verify", "--parity", str(path))
+    assert (code, out) == (2, "")
+    assert re.fullmatch(r"lrc4: locality search stopped after \d+ column reductions and 1 "
+                        r"distance checks, over its work budget of 1000000\n", err)
+
+
 def test_verify_refuses_a_delta_below_2_by_the_locality_rule(tmp_path, capsys):
     # the r/delta rule comes before the layout's support-size check
     for kind, cid, opts in (("parity", "C6", ("--l", "3")), ("generator", "C16", ("--d", "5"))):

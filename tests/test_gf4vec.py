@@ -87,10 +87,32 @@ def test_lead_mask_is_the_or_of_the_basis_leads(ops):
         assert fast._basis == slow._basis and fast._trail == slow._trail
 
 
-@given(st.lists(vectors, min_size=1, max_size=8), st.lists(vectors, max_size=8))
-def test_reduce_after_each_push_reduces_by_the_whole_basis(basis, others):
+def combination(basis, coeffs):
+    """sum_i coeffs[i] * basis[i], each coefficient 0..3 read as 0, 1, w, w2."""
+    hi = lo = 0
+    for v, c in zip(basis, coeffs):
+        h, l = span([v])[c]  # the words of span([v]) are 0, v, w v, w2 v
+        hi ^= h
+        lo ^= l
+    return hi, lo
+
+
+@st.composite
+def bases_and_others(draw):
+    # others are random vectors or combinations of the basis vectors, so
+    # they depend on it in every way: zero, repeated, scaled and summed
+    basis = draw(st.lists(vectors, min_size=1, max_size=8))
+    coeffs = st.lists(st.integers(0, 3), min_size=len(basis), max_size=len(basis))
+    combos = coeffs.map(lambda c: combination(basis, c))
+    return basis, draw(st.lists(vectors | combos, max_size=8))
+
+
+@given(bases_and_others())
+def test_reduce_after_each_push_reduces_by_the_whole_basis(case):
     # reducing by each new basis vector in turn leaves a vector zero at
-    # every lead, and it pushes as the unreduced vector does unmasked
+    # every lead, so zero exactly when it is dependent, and it pushes as
+    # the unreduced vector does unmasked
+    basis, others = case
     elim = Eliminator()
     reduced = others
     for v in basis:

@@ -17,7 +17,7 @@ from lrc4 import gf4
 from lrc4.code import LinearCode, hexacode, span_chunks
 from lrc4.constructions import build
 from lrc4 import constructions, lrc
-from lrc4._gf4vec import echelon, kernel, pack_rows, unpack
+from lrc4._gf4vec import Eliminator, echelon, kernel, pack_rows, unpack
 from lrc4.errors import (
     EmptyCodeError,
     Lrc4Error,
@@ -117,6 +117,19 @@ def test_verify_locality_guard(monkeypatch):
     code = LinearCode(gen=Mat4(rng.integers(0, 4, size=(6, 40), dtype=np.uint8)))
     with pytest.raises(ResourceError, match=r"and [1-9]\d* distance checks"):
         verify_locality(code, 5, 3, budget=10**5)
+
+
+def test_search_depth_is_not_bounded_by_the_recursion_limit():
+    # the [1100,1099,2] code at (1099, 2): the only qualifying support is
+    # all 1100 coordinates, 1100 nested picks.  Its one distance check
+    # shows the search reached it, past the recursion limit, and the
+    # budget stops it there with ResourceError
+    code = LinearCode(pchk=Mat4([[1] * 1100]))
+    work = r"stopped after (\d+) column reductions and (\d+) distance checks"
+    with pytest.raises(ResourceError, match=work + ", over its work budget of 1000000") as err:
+        verify_locality(code, 1099, 2, budget=10**6)
+    columns, checks = map(int, re.search(work, str(err.value)).groups())
+    assert checks == 1 and columns >= comb(1100, 2)  # the first path reduces 1099 + ... + 1
 
 
 def test_every_budget_takes_the_integer_rule():
@@ -1046,31 +1059,31 @@ def test_oracle_cases_with_the_gain_table_forced_on(monkeypatch):
 
 def assert_gains_match_the_search(gen, r, delta):
     """Check every gain of the table against the residuals that the
-    search without the table passes through ``reduce_by``: zero
+    search without the table passes through ``Eliminator.reduce``: zero
     residuals plus the largest point class, minus one.  Returns the
     number of branches checked."""
     n, k = gen.cols, gen.rows
     mask = (1 << k) - 1
     table = lrc._gain_table(lrc.pack_columns(gen), k, r)
     pivots, checked = [], 0
-    real = lrc.reduce_by
+    real = Eliminator.reduce
 
-    def spy(v, tagged):
+    def spy(self, vectors):
         nonlocal checked
-        out = real(v, tagged)
-        rank = (v[1] >> k).bit_length() - 1  # the pivot's own tag bit
+        out = real(self, vectors)
+        rank = len(self._basis) - 1  # the newest pivot's rank
         if rank <= r - 2:  # below rank r - 1 a node keeps every later column
             del pivots[rank:]
-            pivots.append(n - 1 - len(tagged))
+            pivots.append(n - 1 - len(vectors))
         if rank == r - 2:
-            keys = [lrc.point(h & mask, l & mask) if (h | l) & mask else 0 for _, h, l in out]
+            keys = [lrc.point(h & mask, l & mask) if (h | l) & mask else 0 for h, l in out]
             classes = Counter(key for key in keys if key)
             gain = keys.count(0) + max(classes.values(), default=1) - 1
             assert (table[pivots[0]][pivots[1]] if r == 3 else table[pivots[0]]) == gain, pivots
             checked += 1
         return out
 
-    with mock.patch.object(lrc, "reduce_by", spy), \
+    with mock.patch.object(Eliminator, "reduce", spy), \
             mock.patch.object(lrc, "_GAIN_TABLE_MIN_N", TABLE_OFF):
         lrc._locality_search(gen, r, delta)
     return checked
@@ -1078,14 +1091,14 @@ def assert_gains_match_the_search(gen, r, delta):
 
 def search_and_count_reductions(gen, r, delta, table):
     calls = 0
-    real = lrc.reduce_by
+    real = Eliminator.reduce
 
-    def counted(v, tagged):
+    def counted(self, vectors):
         nonlocal calls
         calls += 1
-        return real(v, tagged)
+        return real(self, vectors)
 
-    with mock.patch.object(lrc, "reduce_by", counted), \
+    with mock.patch.object(Eliminator, "reduce", counted), \
             mock.patch.object(lrc, "_GAIN_TABLE_MIN_N", table):
         return lrc._locality_search(gen, r, delta), calls
 

@@ -14,7 +14,6 @@ from lrc4._gf4vec import (
     echelon,
     pack_columns,
     pack_rows,
-    reduce_by,
     unpack,
 )
 from lrc4.code import HEXACODE_GEN
@@ -274,32 +273,6 @@ def test_matrix_data_must_be_rows_of_equal_length():
         with pytest.raises(ShapeError, match=re.escape(repr(bad))):
             Mat4(bad)
     assert Mat4([]).shape == (0, 0)
-
-
-@given(st.data())
-def test_reduce_by_leaves_zero_exactly_on_dependent_vectors(data):
-    length = data.draw(st.integers(1, 8), label="length")
-    row = st.lists(st.integers(0, 3), min_size=length, max_size=length)
-    base = data.draw(st.lists(row, min_size=1, max_size=4), label="base")
-    # each vector is a combination of a few base vectors, so the list has
-    # dependencies of every kind: zero, repeated, scaled and summed
-    coeffs = st.lists(st.integers(0, 3), min_size=len(base), max_size=len(base))
-    combos = data.draw(st.lists(coeffs, min_size=1, max_size=10), label="coeffs")
-    packed = pack_rows(Mat4(combos) @ Mat4(base))
-    # pick each vector in turn as the next pivot, as the locality search does
-    later = [(t, hi, lo) for t, (hi, lo) in enumerate(packed)]
-    e = Eliminator()
-    while later:
-        for t, hi, lo in later:
-            assert e.push(packed[t]) == bool(hi | lo)
-            e.pop()
-        t, hi, lo = later[0]
-        rest = later[1:]
-        if e.push(packed[t]):
-            reduced = reduce_by((hi, lo), rest)
-            assert [x[0] for x in reduced] == [x[0] for x in rest]
-            rest = reduced
-        later = rest
 
 
 def rref_reference(a):
