@@ -275,6 +275,32 @@ def test_matrix_data_must_be_rows_of_equal_length():
     assert Mat4([]).shape == (0, 0)
 
 
+@given(st.data())
+def test_reduce_by_leaves_zero_exactly_on_dependent_vectors(data):
+    length = data.draw(st.integers(1, 8), label="length")
+    row = st.lists(st.integers(0, 3), min_size=length, max_size=length)
+    base = data.draw(st.lists(row, min_size=1, max_size=4), label="base")
+    # each vector is a combination of a few base vectors, so the list has
+    # dependencies of every kind: zero, repeated, scaled and summed
+    coeffs = st.lists(st.integers(0, 3), min_size=len(base), max_size=len(base))
+    combos = data.draw(st.lists(coeffs, min_size=1, max_size=10), label="coeffs")
+    packed = pack_rows(Mat4(combos) @ Mat4(base))
+    # pick each vector in turn as the next pivot, as the locality search
+    # does: a growing pick pushes its reduced vector and reduces the rest
+    tags = list(range(len(packed)))
+    later = list(packed)
+    e = Eliminator()
+    while later:
+        for t, (hi, lo) in zip(tags, later):
+            assert e.push(packed[t]) == bool(hi | lo)
+            e.pop()
+        if e.push(later[0]):
+            later = e.reduce(later[1:])
+        else:
+            later = later[1:]
+        tags = tags[1:]
+
+
 def rref_reference(a):
     """Definition-direct RREF: for each column left to right, the first
     nonzero row at or below the next pivot row is swapped up, scaled to 1
