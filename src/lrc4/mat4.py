@@ -112,7 +112,7 @@ class Mat4:
         return self._a[idx]
 
     def row(self, i: int) -> tuple[int, ...]:
-        return tuple(int(x) for x in self._a[i])
+        return tuple(self._a[i].tolist())
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Mat4) and self._a.shape == other._a.shape and bool(
@@ -145,7 +145,8 @@ class Mat4:
         if self.rows == 0 or other.cols == 0 or self.cols == 0:
             return Mat4.zeros(self.rows, other.cols)
         prod = gf4.MUL_NP[self._a[:, :, None], other._a[None, :, :]]
-        return Mat4(np.bitwise_xor.reduce(prod, axis=1))
+        # XOR sums of table products are entries 0..3 already
+        return Mat4._wrap(np.bitwise_xor.reduce(prod, axis=1))
 
     def transpose(self) -> "Mat4":
         return Mat4(self._a.T.copy())

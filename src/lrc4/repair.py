@@ -22,6 +22,10 @@ surviving symbols (``_gf4vec.dots``), which ``echelon`` solves.  The
 final check that the repaired word is a codeword takes the syndrome on
 every row of the matrix, augmented stack rows included; no numpy call
 and no copy of a full row is made per repair.
+
+A trial's codeword is made by ``encode`` in one ``MUL_NP`` lookup, which
+scales each generator row by its message symbol, and one XOR reduce over
+the rows; the symbols are checked by the package's element rule first.
 """
 
 from __future__ import annotations
@@ -30,11 +34,12 @@ import random
 from dataclasses import dataclass, field
 from typing import Sequence
 
+import numpy as np
+
 from ._gf4vec import Vec, coordinates, dots, echelon, mask, pack_word
 from .code import _check_coordinate_set
 from .constructions import BuiltCode
-from .gf4 import _elements, _integers
-from .mat4 import Mat4
+from .gf4 import MUL_NP, _elements, _integers
 
 
 @dataclass(frozen=True)
@@ -48,9 +53,11 @@ class ErasurePattern:
         return cls(frozenset(_integers(coords, "coordinates")))
 
     def apply(self, codeword: Sequence[int]) -> list[int | None]:
-        _check_coordinate_set(self.erased, len(codeword))
+        erased = _check_coordinate_set(self.erased, len(codeword))
         word = _elements(codeword, "codeword entries")
-        return [None if (i + 1) in self.erased else x for i, x in enumerate(word)]
+        for c in erased:
+            word[c - 1] = None
+        return word
 
 
 @dataclass(frozen=True)
@@ -76,7 +83,9 @@ def encode(bc: BuiltCode, message: Sequence[int]) -> list[int]:
     msg = list(message)
     if len(msg) != code.k:
         raise ValueError(f"message length {len(msg)} != k = {code.k}")
-    return list((Mat4([msg]) @ code.generator()).row(0))
+    # checked before the cast, which would wrap -1 and 256
+    msg = np.array(_elements(msg, "matrix entries"), dtype=np.uint8)
+    return np.bitwise_xor.reduce(MUL_NP[msg[:, None], code.gen.array], axis=0).tolist()
 
 
 def random_message(bc: BuiltCode, rng: random.Random) -> list[int]:
@@ -183,10 +192,17 @@ def random_tolerable_pattern(bc: BuiltCode, rng: random.Random) -> ErasurePatter
     erased: set[int] = set()
     coords = list(range(1, bc.code.n + 1))
     rng.shuffle(coords)
+    draw = rng.random
+    # one draw per coordinate whose groups all have room, and no other:
+    # seeded patterns depend on the stream
     for c in coords:
         held = groups_of[c - 1]
-        if all(counts[gi] < budget for gi in held) and rng.random() < 0.6:
-            erased.add(c)
-            for gi in held:
-                counts[gi] += 1
+        for gi in held:
+            if counts[gi] >= budget:
+                break
+        else:
+            if draw() < 0.6:
+                erased.add(c)
+                for gi in held:
+                    counts[gi] += 1
     return ErasurePattern(frozenset(erased))

@@ -61,6 +61,65 @@ def test_encode_rejects_non_field_symbols():
     assert encode(bc, [1.0] + [0] * (bc.code.k - 1)) == encode(bc, [1] + [0] * (bc.code.k - 1))
 
 
+def encode_codes():
+    """The acceptance-sweep codes, C17G l = 8 and 17, and the unpartitioned C19 d = 9."""
+    codes = [build(cid, **kw) for cid, kw in acceptance_sweep()]
+    return codes + [build("C17G", l=8), build("C17G", l=17), build("C19", d=9)]
+
+
+def test_encode_matches_the_mat4_product():
+    # the second route is the product of the message as a 1 x k Mat4 with
+    # the generator; every unit message times 1, w and w^2 is one scaled row
+    rng = random.Random(41)
+    for bc in encode_codes():
+        k, g = bc.code.k, bc.code.generator()
+        msgs = [[0] * k]
+        msgs += [[x if j == i else 0 for j in range(k)] for i in range(k) for x in gf4.NONZERO]
+        msgs += [random_message(bc, rng) for _ in range(8)]
+        for m in msgs:
+            word = encode(bc, m)
+            assert word == list((Mat4([m]) @ g).row(0)), (bc.construction, bc.params, m)
+            assert all(type(x) is int for x in word)
+            assert not any(dots(bc.profile.words, pack(np.array([word], dtype=np.uint8))[0]))
+
+
+def test_encode_checks_length_then_symbols():
+    bc = build("C4", l=2, r=3)
+    k = bc.code.k
+    with pytest.raises(ValueError, match=f"message length {k + 1} != k = {k}"):
+        encode(bc, [7, -1] + [0] * (k - 1))
+    # checked before the uint8 cast, which would wrap -1 to 255 and 256 to 0
+    for bad in (-1, 256):
+        with pytest.raises(ValueError, match=r"matrix entries must be integers 0\.\.3"):
+            encode(bc, [0] * (k - 1) + [bad])
+    want = encode(bc, [2] + [0] * (k - 1))
+    assert want == gf4.MUL_NP[2, bc.code.generator().array[0]].tolist()
+    for two in (np.int64(2), 2.0):
+        assert encode(bc, [two] + [0] * (k - 1)) == want
+
+
+def test_random_tolerable_pattern_draws_as_the_per_group_check():
+    # the second route checks each coordinate's groups with all(), drawing
+    # one random() per coordinate whose groups all have room, in shuffled order
+    def oracle(bc, rng):
+        counts, erased = [0] * bc.profile.l, set()
+        coords = list(range(1, bc.code.n + 1))
+        rng.shuffle(coords)
+        for c in coords:
+            held = bc.profile.groups_of[c - 1]
+            if all(counts[gi] < bc.delta - 1 for gi in held) and rng.random() < 0.6:
+                erased.add(c)
+                for gi in held:
+                    counts[gi] += 1
+        return ErasurePattern(frozenset(erased))
+
+    for seed, bc in enumerate(encode_codes()):
+        mine, theirs = random.Random(seed), random.Random(seed)
+        for _ in range(5):
+            assert random_tolerable_pattern(bc, mine) == oracle(bc, theirs)
+        assert mine.random() == theirs.random()  # the same number of draws
+
+
 def test_zero_erasures_is_identity():
     bc = build("C4", l=2, r=3)
     word = encode(bc, [1, 2, 3, 0, 1, 2])
