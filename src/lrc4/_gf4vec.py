@@ -8,13 +8,15 @@ words; scalar multiplication permutes the two bit planes:
     w2 * (hi, lo) = (lo, hi ^ lo)
 
 Column-subset rank scans spend nearly all their time in
-``Eliminator``.  It keeps each basis vector with its lead bit and its
-three nonzero multiples, so one elimination step is a bit test and two
-XORs on machine ints regardless of L (up to word growth).  The column
-scan keeps a node's later columns reduced modulo the columns it picked:
-after a pick raises the rank, ``Eliminator.reduce`` takes that one step
-per later column, so each push meets a reduced column and, by the OR of
-the leads it keeps, skips its loop over the basis.  That is what makes
+``Eliminator``.  It keeps each basis vector as its lead bit, its two
+planes and their XOR, from which its three nonzero multiples are read,
+so one elimination step is a bit test and two XORs on machine ints
+regardless of L (up to word growth).  The column scan, ``scan``, sits
+beside it and keeps a node's later columns reduced modulo the columns
+it picked: after a pick raises the rank, ``Eliminator.reduce`` takes
+that one step per later column, so each push meets a reduced column
+and, by the OR of the leads it keeps, skips its loop over the basis;
+the last two picks take that step inline.  That is what makes
 exhaustive d-1 column scans feasible in pure Python.  The locality
 search keeps such lists on one ``Eliminator`` too, so a column's rank
 test is a zero test.  It packs a tag above each column's k residual
@@ -22,14 +24,17 @@ bits, and pushes each pivot with its own tag bit set, so the same XORs
 carry the pivot combination each residual absorbed.  ``points`` and
 ``reduce_planes`` are ``point`` and that reduction step over numpy
 arrays of packed vectors, for the search's table of the point keys of
-every column modulo every pivot pair.  The third user of that step
-is ``echelon``, the exact reduced row-echelon kernel behind
-``Mat4.rref``, ``rank``, ``row_basis`` and ``right_kernel``, the
-local repair solve and the restructuring's local dual bases; ``kernel``
-reads a right-kernel basis off its output, for ``Mat4.right_kernel``,
-the structure checks' H' on packed rows and, for the blockwise
-distance's splice tables, each group's local kernel with its words'
-global syndromes (the kernel of [[L_b, 0], [G_b, I]]).  ``pack`` and ``unpack``
+every column modulo every pivot pair.  ``echelon`` is the exact reduced
+row-echelon kernel behind ``Mat4.rref``, ``rank``, ``row_basis`` and
+``right_kernel``, the local repair solve and the restructuring's local
+dual bases.  It keeps its pivot rows by lead bit and reduces each row
+only at the leads it touches, so a sparse matrix costs what it holds,
+not the square of its rows; it never pushes to an ``Eliminator``.
+``kernel`` reads a right-kernel basis off the pivot rows' set bits, for
+``Mat4.right_kernel``, the structure checks' H' on packed rows and, for
+the blockwise distance's splice tables, each group's local kernel with
+its words' global syndromes (the kernel of [[L_b, 0], [G_b, I]]).
+``pack`` and ``unpack``
 move whole arrays in and out of the packed form with C-level byte
 translation, never a loop over entries.
 ``pack_word`` packs a received word with erasures for local repair.
@@ -116,39 +121,57 @@ def echelon(rows: list[Vec]) -> list[int]:
 
     Returns the pivot columns, strictly increasing; rows ``0..rank-1``
     then hold the pivot rows, each 1 at its pivot and 0 at the others,
-    and the rest are zero.  The pivot rule is the dense one: the
-    leftmost column that is nonzero in a row not yet used, and the first
-    such row.  Each row op is the bit test and two XORs of
-    ``Eliminator.push``.
+    and the rest are zero.  The pivot rows are kept keyed by their lead
+    bit, each 1 at its lead and 0 at every other lead.  An incoming row
+    is reduced only at the leads it touches, one bit test and two XORs
+    each, which leaves it zero at every lead; if anything is left, it is
+    scaled to 1 at its lowest nonzero column, its new lead, and that
+    lead is cleared from the earlier pivot rows that touch it.  The
+    pivot rows are sorted by lead at the end.  The reduced row-echelon
+    form of a matrix is unique, so the rows come out as any elimination
+    order would leave them; the cost is the leads each row touches, not
+    the number of rows.
     """
-    pivots = []
-    m = len(rows)
-    for p in range(m):
-        x = 0
-        for h, l in rows[p:]:
-            x |= h | l
+    piv: dict[int, tuple[int, int, int]] = {}  # lead bit -> the pivot row and hi ^ lo
+    leads = cover = 0  # cover: every column a pivot row has touched
+    for hi, lo in rows:
+        x = (hi | lo) & leads
+        while x:  # each pivot row is 0 at the other leads: one pass clears them all
+            bit = x & -x
+            x ^= bit
+            h, l, m = piv[bit]
+            if hi & bit:
+                if lo & bit:  # w2
+                    hi ^= l
+                    lo ^= m
+                else:  # w
+                    hi ^= m
+                    lo ^= h
+            else:
+                hi ^= h
+                lo ^= l
+        x = hi | lo
         if not x:
-            break
+            continue
         bit = x & -x
-        i = p
-        while not (rows[i][0] | rows[i][1]) & bit:
-            i += 1
-        hi, lo = rows[i]
-        rows[i] = rows[p]
         if hi & bit:  # lead w or w2: scale by its inverse
             hi, lo = (hi ^ lo, hi) if lo & bit else (lo, hi ^ lo)
-        rows[p] = (hi, lo)
         mix = hi ^ lo
-        for j in range(m):
-            h, l = rows[j]
-            if j == p or not (h | l) & bit:
-                continue
-            if h & bit:
-                rows[j] = (h ^ lo, l ^ mix) if l & bit else (h ^ mix, l ^ hi)
-            else:
-                rows[j] = (h ^ hi, l ^ lo)
-        pivots.append(bit.bit_length() - 1)
-    return pivots
+        if bit & cover:
+            for b, (h, l, m) in piv.items():
+                if h & bit:
+                    h, l = (h ^ lo, l ^ mix) if l & bit else (h ^ mix, l ^ hi)
+                elif l & bit:
+                    h, l = h ^ hi, l ^ lo
+                else:
+                    continue
+                piv[b] = (h, l, h ^ l)
+        piv[bit] = (hi, lo, mix)
+        leads |= bit
+        cover |= x
+    order = sorted(piv)
+    rows[:] = [piv[b][:2] for b in order] + [(0, 0)] * (len(rows) - len(order))
+    return [b.bit_length() - 1 for b in order]
 
 
 def span(basis: list[Vec]) -> list[Vec]:
@@ -199,24 +222,31 @@ def kernel(rows: list[Vec], cols: int) -> list[Vec]:
     The rows are reduced in place by ``echelon``, so the rank is
     ``cols.bit_count()`` minus the basis size.  The vector for free
     column f (a column of ``cols`` that is no pivot) is 1 at f and, at
-    each pivot, that pivot row's entry at f (char 2: no negation).
+    each pivot, that pivot row's entry at f (char 2: no negation).  The
+    entries are read off each pivot row's set bits other than its lead,
+    all of them free columns.
     """
     pivots = echelon(rows)
     free = cols
     for p in pivots:
         free ^= 1 << p
-    basis = []
+    words = {}  # free column bit -> its vector's planes, in increasing column order
     while free:
         bit = free & -free
         free ^= bit
-        hi, lo = 0, bit
-        for p, (h, l) in zip(pivots, rows):
+        words[bit] = [0, bit]
+    for p, (h, l) in zip(pivots, rows):
+        at = 1 << p
+        x = (h | l) ^ at
+        while x:
+            bit = x & -x
+            x ^= bit
+            word = words[bit]
             if h & bit:
-                hi |= 1 << p
+                word[0] |= at
             if l & bit:
-                lo |= 1 << p
-        basis.append((hi, lo))
-    return basis
+                word[1] |= at
+    return [(hi, lo) for hi, lo in words.values()]
 
 
 class Eliminator:
@@ -226,76 +256,161 @@ class Eliminator:
     earlier ones before it was appended, so it is zero at their leading
     positions, and reducing a vector in push order clears every leading
     position in turn.  A vector's lead is its lowest nonzero coordinate,
-    scaled to 1, and its entry is ``(bit, h1, l1, h2, l2, h3, l3)``: the
-    one-hot mask of the lead and the multiples 1, w, w2 of the vector,
-    so the coefficient read at ``bit`` picks the multiple that cancels
-    it.  ``_leads`` is the OR of the entries' lead bits: a vector zero
-    at all of them is already reduced, and ``push`` skips the loop over
-    the basis.  ``push`` returns True when the vector extended the rank,
+    scaled to 1, and its entry is ``(bit, h, l, h ^ l)``: the one-hot
+    mask of the lead and the vector's planes with their XOR, from which
+    its multiples 1, w, w2 are (h, l), (h ^ l, h) and (l, h ^ l), so the
+    coefficient read at ``bit`` picks the multiple that cancels it.  A
+    push that does not extend the rank appends the zero entry, whose
+    lead bit matches nothing: ``_basis`` is then also the undo record,
+    and ``pop`` is one list pop and an XOR, legal after any push.
+    ``_leads`` is the OR of the entries' lead bits: a vector zero at all
+    of them is already reduced, and ``push`` skips the loop over the
+    basis.  ``push`` returns True when the vector extended the rank,
     which is exactly the dependency signal the subset scans need.
     ``reduce`` clears the newest lead from a list of vectors, so vectors
     reduced once per push reach their own ``push`` with nothing left to
     reduce.  The constructor pushes ``vectors`` in order.
     """
 
+    __slots__ = ("_basis", "_leads")
+
     def __init__(self, vectors: Iterable[Vec] = ()) -> None:
-        self._basis: list[tuple[int, int, int, int, int, int, int]] = []
-        self._trail: list[bool] = []
+        self._basis: list[tuple[int, int, int, int]] = []
         self._leads = 0
         for v in vectors:
             self.push(v)
 
     @property
     def rank(self) -> int:
-        return len(self._basis)
+        return self._leads.bit_count()
 
     def push(self, v: Vec) -> bool:
         hi, lo = v
         if (hi | lo) & self._leads:
-            for bit, h1, l1, h2, l2, h3, l3 in self._basis:
+            for bit, h, l, m in self._basis:
                 if hi & bit:
-                    if lo & bit:
-                        hi ^= h3
-                        lo ^= l3
-                    else:
-                        hi ^= h2
-                        lo ^= l2
+                    if lo & bit:  # w2
+                        hi ^= l
+                        lo ^= m
+                    else:  # w
+                        hi ^= m
+                        lo ^= h
                 elif lo & bit:
-                    hi ^= h1
-                    lo ^= l1
+                    hi ^= h
+                    lo ^= l
         x = hi | lo
         if not x:
-            self._trail.append(False)
+            self._basis.append(_DEPENDENT)
             return False
         bit = x & -x
         if hi & bit:  # lead coefficient w or w2: multiply by its inverse
             hi, lo = (hi ^ lo, hi) if lo & bit else (lo, hi ^ lo)
-        m = hi ^ lo
-        self._basis.append((bit, hi, lo, m, hi, lo, m))
+        self._basis.append((bit, hi, lo, hi ^ lo))
         self._leads |= bit
-        self._trail.append(True)
         return True
 
     def pop(self) -> None:
-        if self._trail.pop():
-            self._leads ^= self._basis.pop()[0]
+        self._leads ^= self._basis.pop()[0]
 
     def reduce(self, vectors: list[Vec]) -> list[Vec]:
         """The vectors less the multiples of the newest basis vector that
         clear its lead, one bit test and two XORs each.  Vectors reduced
         by every earlier basis vector come out reduced by the whole
-        basis, so pushing one skips the loop."""
-        bit, h1, l1, h2, l2, h3, l3 = self._basis[-1]
+        basis, so pushing one skips the loop.  The newest push must have
+        extended the rank."""
+        bit, h, l, m = self._basis[-1]
         out = []
         for v in vectors:
             hi, lo = v
             if hi & bit:
-                out.append((hi ^ h3, lo ^ l3) if lo & bit else (hi ^ h2, lo ^ l2))
+                out.append((hi ^ l, lo ^ m) if lo & bit else (hi ^ m, lo ^ h))
             elif lo & bit:
-                out.append((hi ^ h1, lo ^ l1))
+                out.append((hi ^ h, lo ^ l))
             else:
                 out.append(v)
         return out
+
+
+# the entry of a push that did not extend the rank
+_DEPENDENT = (0, 0, 0, 0)
+
+
+def scan(cols: list[Vec], t: int) -> bool:
+    """Are some t >= 1 of the packed vectors ``cols`` linearly dependent?
+
+    Depth-first over index-increasing subsets with one ``Eliminator``,
+    so shared prefixes are eliminated once: each visited prefix is one
+    push, and the scan stops at the first that does not raise the rank.
+    A node keeps the vectors after its last pick reduced modulo its
+    picks: a pick that raises the rank reduces the rest of the list once
+    by the new basis vector (``Eliminator.reduce``), so every push meets
+    a reduced vector and skips the loop over the basis.  The frames live
+    on an explicit stack, so no t reaches the interpreter's recursion
+    limit.  The last two picks are one loop: each last-pick vector is
+    reduced inline by the newest entry just before its push, with no
+    list built for it, and a pick that raised the rank is undone by
+    dropping its entry and restoring the lead mask, not by a ``pop``.
+    """
+    n = len(cols)
+    if t > n:
+        return False
+    elim = Eliminator()
+    push, pop, reduce = elim.push, elim.pop, elim.reduce
+    basis = elim._basis
+    if t == 1:  # the only pick is the last: a zero vector
+        for v in cols:
+            if not push(v):
+                return True
+            pop()
+        return False
+    # frame d < t - 2: the vectors after the d-th pick, reduced modulo the
+    # d picks, and the position of its next pick; it may pick up to the
+    # one that leaves t - d - 1 vectors after it
+    later, pos = [cols], [0]
+    rest = cols
+    d = 0
+    while True:
+        if d + 2 == t:  # rest: the vectors left for the last two picks
+            leads = elim._leads
+            for j in range(len(rest) - 1):
+                if not push(rest[j]):
+                    return True
+                bit, h, l, m = basis[-1]
+                grown = elim._leads
+                for v in rest[j + 1 :]:  # a vector dependent on the picks is zero here
+                    hi, lo = v
+                    if hi & bit:
+                        v = (hi ^ l, lo ^ m) if lo & bit else (hi ^ m, lo ^ h)
+                    elif lo & bit:
+                        v = (hi ^ h, lo ^ l)
+                    if not push(v):
+                        return True
+                    del basis[-1]
+                    elim._leads = grown
+                del basis[-1]
+                elim._leads = leads
+            if not d:
+                return False
+            d -= 1
+            pop()
+        rest = later[d]
+        j = pos[d]
+        if j > len(rest) - t + d:
+            if not d:
+                return False
+            later.pop()
+            pos.pop()
+            d -= 1
+            pop()
+            continue
+        pos[d] = j + 1
+        if not push(rest[j]):
+            return True
+        rest = reduce(rest[j + 1 :])
+        d += 1
+        if d + 2 < t:
+            later.append(rest)
+            pos.append(0)
 
 
 def point(hi: int, lo: int) -> Vec:

@@ -34,7 +34,7 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from ._gf4vec import Eliminator, pack_columns
+from ._gf4vec import pack_columns, scan
 from .errors import (
     EmptyCodeError,
     RankError,
@@ -50,12 +50,14 @@ _ENUM_CHUNK_K = 10  # codeword tables are built 4^10 rows at a time
 _MAX_ENUM_K = 14
 # Cost model of the distance router, measured on a 2-core Xeon with
 # Python 3.11: one Eliminator.push of the column scan, and one symbol of
-# one enumerated codeword (about 47 ns per word at n = 30).  Since the
-# scan reduces each node's later columns once per pick, a push costs
-# 0.5-1.0 us by scan size (0.9-1.3 us before).  1e-6 is kept so that no
-# route choice moves: a lower value would hand some levels to the scan
-# (20 of the 1,269 constructed builds with n <= 128 at 0.8e-6), a change
-# for its own end-to-end measurement.
+# one enumerated codeword (about 47 ns per word at n = 30).  With the
+# scan's last two picks fused, a push, its undo and its share of the
+# reductions cost 0.18-0.32 us (2-core AMD EPYC, Python 3.11.7: C17G
+# l = 4 at t = 9 and 11, C17G l = 5 at t = 7, C6 l = 8 at t = 3 and a
+# random 8 x 30 matrix at t = 3 and 4).  1e-6 is kept so that no route
+# choice moves: a lower value would hand some levels to the scan (20 of
+# the 1,269 constructed builds with n <= 128 at 0.8e-6), a change for its
+# own end-to-end measurement.
 _PUSH_S = 1e-6
 _ENUM_SYMBOL_S = 1.6e-9
 
@@ -226,74 +228,33 @@ class LinearCode:
 
 
 def _check_coordinate_set(coords: Iterable[int], n: int) -> frozenset[int]:
-    s = frozenset(_integers(coords, "coordinates"))
-    bad = [i for i in s if not 1 <= i <= n]
+    return _in_range(frozenset(_integers(coords, "coordinates")), n)
+
+
+def _in_range(coords: frozenset[int], n: int) -> frozenset[int]:
+    """Int coordinates, checked to lie in 1..n; ValueError otherwise."""
+    bad = [i for i in coords if not 1 <= i <= n]
     if bad:
         raise ValueError(f"coordinates out of range 1..{n}: {sorted(bad)}")
-    return s
+    return coords
 
 
 def has_dependent_columns(m: Mat4, t: int, _packed: list | None = None) -> bool:
     """Is some t-subset of columns of ``m`` linearly dependent?
 
-    Depth-first over index-increasing subsets with an incremental echelon
-    basis, so shared prefixes are eliminated once: each visited prefix is
-    one :meth:`Eliminator.push`, and the scan stops at the first that
-    does not raise the rank.  A node keeps the columns after its last
-    pick reduced modulo its picks: a pick that raises the rank reduces
-    the rest of the list once by the new basis vector
-    (:meth:`Eliminator.reduce`), so every push meets a reduced column and
-    skips the loop over the basis.  The frames live on an explicit
-    stack, so no t reaches the interpreter's recursion limit.  Used both
-    by the column-scan route of :meth:`LinearCode.min_distance` and as
-    the independent cross-check of enumerated distances.  t is taken by
+    The columns are packed and handed to :func:`lrc4._gf4vec.scan`, the
+    depth-first subset scan that sits beside its
+    :class:`~lrc4._gf4vec.Eliminator`: each visited prefix is one
+    :meth:`~lrc4._gf4vec.Eliminator.push`, and the scan
+    stops at the first that does not raise the rank.  Used both by the
+    column-scan route of :meth:`LinearCode.min_distance` and as the
+    independent cross-check of enumerated distances.  t is taken by
     :func:`lrc4.gf4._integers`; ValueError when t < 1.
     """
     (t,) = _integers([t], "t")
     if t < 1:
         raise ValueError(f"need t >= 1, got t={t}")
-    cols = pack_columns(m) if _packed is None else _packed
-    n = len(cols)
-    if t > n:
-        return False
-    elim = Eliminator()
-    push, pop, reduce = elim.push, elim.pop, elim.reduce
-    if t == 1:  # the only pick is the last: a zero column
-        for v in cols:
-            if not push(v):
-                return True
-            pop()
-        return False
-    # frame d: the columns after the d-th pick, reduced modulo the d
-    # picks, and the position of its next pick; it may pick up to the
-    # one that leaves t - d - 1 columns after it
-    later, pos = [cols], [0]
-    d = 0
-    while True:
-        rest = later[d]
-        j = pos[d]
-        if j > len(rest) - t + d:
-            if not d:
-                return False
-            later.pop()
-            pos.pop()
-            d -= 1
-            pop()
-            continue
-        pos[d] = j + 1
-        if not push(rest[j]):
-            return True
-        rest = reduce(rest[j + 1 :])
-        if d + 2 < t:
-            later.append(rest)
-            pos.append(0)
-            d += 1
-            continue
-        for v in rest:  # the last pick: a column dependent on the picks is zero here
-            if not push(v):
-                return True
-            pop()
-        pop()
+    return scan(pack_columns(m) if _packed is None else _packed, t)
 
 
 def mds_feasible_q4(n: int, k: int) -> bool:

@@ -37,23 +37,28 @@ from typing import Sequence
 import numpy as np
 
 from ._gf4vec import Vec, coordinates, dots, echelon, mask, pack_word
-from .code import _check_coordinate_set
+from .code import _in_range
 from .constructions import BuiltCode
 from .gf4 import MUL_NP, _elements, _integers
 
 
 @dataclass(frozen=True)
 class ErasurePattern:
-    """1-based coordinates marked as erased."""
+    """1-based coordinates marked as erased, taken as ints once, when the
+    pattern is made (``ValueError`` on 1.5 or a bool); ``apply`` and
+    :func:`erasure_tolerance_ok` check only their range."""
 
     erased: frozenset[int]
 
+    def __post_init__(self):
+        object.__setattr__(self, "erased", frozenset(_integers(self.erased, "coordinates")))
+
     @classmethod
     def of(cls, coords) -> "ErasurePattern":
-        return cls(frozenset(_integers(coords, "coordinates")))
+        return cls(coords)
 
     def apply(self, codeword: Sequence[int]) -> list[int | None]:
-        erased = _check_coordinate_set(self.erased, len(codeword))
+        erased = _in_range(self.erased, len(codeword))
         word = _elements(codeword, "codeword entries")
         for c in erased:
             word[c - 1] = None
@@ -180,7 +185,7 @@ def local_repair(bc: BuiltCode, received: Sequence[int | None]) -> RepairOutcome
 
 def erasure_tolerance_ok(bc: BuiltCode, pattern: ErasurePattern) -> bool:
     """Does every group see at most delta - 1 erasures?"""
-    erased = mask(_check_coordinate_set(pattern.erased, bc.code.n))
+    erased = mask(_in_range(pattern.erased, bc.code.n))
     return all((erased & m).bit_count() < bc.delta for m in bc.profile.masks)
 
 

@@ -1,7 +1,8 @@
 import numpy as np
 from hypothesis import given, strategies as st
 
-from lrc4._gf4vec import Eliminator, coordinates, mask, pack, pack_word, span
+from lrc4._gf4vec import Eliminator, coordinates, echelon, mask, pack, pack_word, span
+from lrc4 import gf4
 from lrc4.mat4 import Mat4
 
 
@@ -54,7 +55,11 @@ def test_seeded_eliminator_is_the_pushes_one_by_one(vectors):
         Eliminator.push = real
     assert seeded_calls == len(calls) == len(vectors)
     assert seeded.rank == pushed.rank == sum(grew)
-    assert seeded._basis == pushed._basis and seeded._trail == pushed._trail
+    # the basis is the whole state beside the lead mask: one entry per
+    # push, the zero entry for a push that did not extend the rank
+    assert seeded._basis == pushed._basis and seeded._leads == pushed._leads
+    assert len(seeded._basis) == len(vectors)
+    assert [entry != (0, 0, 0, 0) for entry in seeded._basis] == grew
 
 
 class Unmasked(Eliminator):
@@ -74,7 +79,7 @@ def test_lead_mask_is_the_or_of_the_basis_leads(ops):
     fast, slow = Eliminator(), Unmasked()
     for v in ops:
         if v is None:
-            if not fast._trail:
+            if not fast._basis:
                 continue
             fast.pop()
             slow.pop()
@@ -83,8 +88,10 @@ def test_lead_mask_is_the_or_of_the_basis_leads(ops):
         leads = 0
         for entry in fast._basis:
             leads |= entry[0]
-        assert fast._leads == leads
-        assert fast._basis == slow._basis and fast._trail == slow._trail
+        assert fast._leads == leads and fast.rank == sum(entry[0] != 0 for entry in fast._basis)
+        # the basis, zero entries for dependent pushes included, is the
+        # whole undo record
+        assert fast._basis == slow._basis
 
 
 def combination(basis, coeffs):
@@ -124,3 +131,88 @@ def test_reduce_after_each_push_reduces_by_the_whole_basis(case):
         assert elim.push(w) == slow.push(v)
         assert elim._basis == slow._basis
         elim.pop()
+
+
+def dense_echelon(rows):
+    """The dense elimination loop that the lead-indexed ``echelon``
+    replaced, kept as its oracle: for each pivot, the lowest column that
+    is nonzero in a row not yet used, and the first such row, swapped up,
+    scaled to 1 and cleared from every other row."""
+    pivots = []
+    m = len(rows)
+    for p in range(m):
+        x = 0
+        for h, l in rows[p:]:
+            x |= h | l
+        if not x:
+            break
+        bit = x & -x
+        i = p
+        while not (rows[i][0] | rows[i][1]) & bit:
+            i += 1
+        hi, lo = rows[i]
+        rows[i] = rows[p]
+        if hi & bit:
+            hi, lo = (hi ^ lo, hi) if lo & bit else (lo, hi ^ lo)
+        rows[p] = (hi, lo)
+        mix = hi ^ lo
+        for j in range(m):
+            h, l = rows[j]
+            if j == p or not (h | l) & bit:
+                continue
+            if h & bit:
+                rows[j] = (h ^ lo, l ^ mix) if l & bit else (h ^ mix, l ^ hi)
+            else:
+                rows[j] = (h ^ hi, l ^ lo)
+        pivots.append(bit.bit_length() - 1)
+    return pivots
+
+
+@st.composite
+def echelon_inputs(draw):
+    """Packed matrices of every shape the elimination meets: dense,
+    2-sparse rows, block-diagonal with the rows shuffled, rank-deficient,
+    zero, repeated and scaled rows, and more rows than columns."""
+    kind = draw(st.sampled_from(
+        ("dense", "2-sparse", "blocks", "deficient", "zero", "repeated", "tall")), label="kind")
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1), label="seed"))
+    n = int(rng.integers(1, 131))  # rows cross the 64-bit word
+    m = int(rng.integers(0, 13))
+    if kind == "tall":
+        n = int(rng.integers(1, 12))
+        m = int(rng.integers(n + 1, 3 * n + 2))
+    a = np.zeros((m, n), dtype=np.uint8)
+    if kind in ("dense", "tall"):
+        a = rng.integers(0, 4, (m, n), dtype=np.uint8)
+    elif kind == "2-sparse":
+        for row in a:
+            row[rng.integers(0, n, 2)] = rng.integers(0, 4, 2)
+    elif kind == "blocks":
+        i = j = 0
+        while i < m and j < n:
+            b, c = int(rng.integers(1, 4)), int(rng.integers(1, 6))
+            block = a[i : i + b, j : j + c]
+            block[:] = rng.integers(0, 4, block.shape)
+            i, j = i + b, j + c
+        rng.shuffle(a)
+    elif kind == "deficient":  # every row a combination of a few base rows
+        base = rng.integers(0, 4, (int(rng.integers(1, 4)), n), dtype=np.uint8)
+        for row in a:
+            lam = rng.integers(0, 4, len(base), dtype=np.uint8)
+            row[:] = np.bitwise_xor.reduce(gf4.MUL_NP[lam[:, None], base], axis=0)
+    elif kind == "repeated" and m:  # copies of a few rows, each scaled by 1, w or w2
+        base = rng.integers(0, 4, (int(rng.integers(1, m + 1)), n), dtype=np.uint8)
+        for row in a:
+            row[:] = gf4.MUL_NP[int(rng.integers(1, 4)), base[rng.integers(0, len(base))]]
+    return pack(a)
+
+
+@given(echelon_inputs())
+def test_echelon_matches_the_dense_loop(rows):
+    # the reduced row-echelon form is unique: any elimination order that
+    # ends in it, rows sorted by pivot, returns the dense loop's rows
+    want = list(rows)
+    pivots = dense_echelon(want)
+    got = list(rows)
+    assert echelon(got) == pivots
+    assert got == want

@@ -1,5 +1,6 @@
 import hashlib
 import random
+import re
 from itertools import combinations, product
 
 import numpy as np
@@ -212,22 +213,21 @@ def test_repair_is_deterministic():
 def test_erased_coordinates_range_checked():
     bc = build("C4", l=2, r=1)
     word = encode(bc, [1] * bc.code.k)
-    for coords in ([0], [bc.code.n + 1], [1, -2]):
-        with pytest.raises(ValueError, match="out of range"):
+    n = bc.code.n
+    for coords, bad in (([0], [0]), ([n + 1], [n + 1]), ([1, -2], [-2]), ([n + 2, 0, 1], [0, n + 2])):
+        message = re.escape(f"coordinates out of range 1..{n}: {bad}")
+        with pytest.raises(ValueError, match=f"^{message}$"):
             ErasurePattern.of(coords).apply(word)
-        with pytest.raises(ValueError, match="out of range"):
+        with pytest.raises(ValueError, match=f"^{message}$"):
             erasure_tolerance_ok(bc, ErasurePattern.of(coords))
-    # a non-integral coordinate is refused, not truncated to coordinate 1
-    for coords in ([1.5], [2, 1.5]):
-        with pytest.raises(ValueError, match="must be integers"):
+    # a non-integral coordinate is refused, not truncated to coordinate 1,
+    # and so is a bool, not read as coordinate 1
+    for coords in ([1.5], [2, 1.5], [True], [2, np.bool_(False)]):
+        message = re.escape(f"coordinates must be integers, got {coords}")
+        with pytest.raises(ValueError, match=f"^{message}$"):
             ErasurePattern.of(coords)
-        with pytest.raises(ValueError, match="must be integers"):
-            erasure_tolerance_ok(bc, ErasurePattern(frozenset(coords)))
-    # so is a bool, not read as coordinate 1
-    for coords in ([True], [2, np.bool_(False)]):
-        with pytest.raises(ValueError, match="must be integers"):
-            ErasurePattern.of(coords)
-        with pytest.raises(ValueError, match="must be integers"):
+        message = re.escape(f"coordinates must be integers, got {list(frozenset(coords))}")
+        with pytest.raises(ValueError, match=f"^{message}$"):
             erasure_tolerance_ok(bc, ErasurePattern(frozenset(coords)))
     assert ErasurePattern.of([2.0, 1]) == ErasurePattern.of([1, 2])
     # and so is a non-integral codeword entry, which read as [None, 1, 2]
