@@ -27,7 +27,7 @@ arrays of packed vectors, for the search's table of the point keys of
 every column modulo every pivot pair.  ``echelon`` is the exact reduced
 row-echelon kernel behind ``Mat4.rref``, ``rank``, ``row_basis`` and
 ``right_kernel``, the local repair solve and the restructuring's local
-dual bases.  It keeps its pivot rows by lead bit and reduces each row
+dual bases.  It keeps its pivot rows in lead order and reduces each row
 only at the leads it touches, so a sparse matrix costs what it holds,
 not the square of its rows; it never pushes to an ``Eliminator``.
 ``kernel`` reads a right-kernel basis off the pivot rows' set bits, for
@@ -121,31 +121,33 @@ def echelon(rows: list[Vec]) -> list[int]:
 
     Returns the pivot columns, strictly increasing; rows ``0..rank-1``
     then hold the pivot rows, each 1 at its pivot and 0 at the others,
-    and the rest are zero.  The pivot rows are kept keyed by their lead
-    bit, each 1 at its lead and 0 at every other lead.  An incoming row
-    is reduced only at the leads it touches, one bit test and two XORs
+    and the rest are zero.  The pivot rows are kept in lead order, so
+    the one whose lead is bit b sits at the number of leads below b, and
+    each is 1 at its lead and 0 at every other lead.  An incoming row is
+    reduced only at the leads it touches, one bit test and two XORs
     each, which leaves it zero at every lead; if anything is left, it is
-    scaled to 1 at its lowest nonzero column, its new lead, and that
-    lead is cleared from the earlier pivot rows that touch it.  The
-    pivot rows are sorted by lead at the end.  The reduced row-echelon
-    form of a matrix is unique, so the rows come out as any elimination
-    order would leave them; the cost is the leads each row touches, not
-    the number of rows.
+    scaled to 1 at its lowest nonzero column, its new lead, that lead is
+    cleared from the earlier pivot rows that touch it, and the row is
+    inserted at its lead's place.  The reduced row-echelon form of a
+    matrix is unique, so the rows come out as any elimination order
+    would leave them; the cost is the leads each row touches, not the
+    number of rows.
     """
-    piv: dict[int, tuple[int, int, int]] = {}  # lead bit -> the pivot row and hi ^ lo
+    piv: list[Vec] = []  # the pivot rows in lead order
+    pivots: list[int] = []  # their leads' columns
     leads = cover = 0  # cover: every column a pivot row has touched
     for hi, lo in rows:
         x = (hi | lo) & leads
         while x:  # each pivot row is 0 at the other leads: one pass clears them all
             bit = x & -x
             x ^= bit
-            h, l, m = piv[bit]
+            h, l = piv[(leads & bit - 1).bit_count()]
             if hi & bit:
                 if lo & bit:  # w2
                     hi ^= l
-                    lo ^= m
+                    lo ^= h ^ l
                 else:  # w
-                    hi ^= m
+                    hi ^= h ^ l
                     lo ^= h
             else:
                 hi ^= h
@@ -156,22 +158,24 @@ def echelon(rows: list[Vec]) -> list[int]:
         bit = x & -x
         if hi & bit:  # lead w or w2: scale by its inverse
             hi, lo = (hi ^ lo, hi) if lo & bit else (lo, hi ^ lo)
-        mix = hi ^ lo
         if bit & cover:
-            for b, (h, l, m) in piv.items():
+            mix = hi ^ lo
+            for j, (h, l) in enumerate(piv):
                 if h & bit:
-                    h, l = (h ^ lo, l ^ mix) if l & bit else (h ^ mix, l ^ hi)
+                    piv[j] = (h ^ lo, l ^ mix) if l & bit else (h ^ mix, l ^ hi)
                 elif l & bit:
-                    h, l = h ^ hi, l ^ lo
-                else:
-                    continue
-                piv[b] = (h, l, h ^ l)
-        piv[bit] = (hi, lo, mix)
+                    piv[j] = (h ^ hi, l ^ lo)
+        if bit > leads:  # the highest lead yet
+            piv.append((hi, lo))
+            pivots.append(bit.bit_length() - 1)
+        else:
+            j = (leads & bit - 1).bit_count()
+            piv.insert(j, (hi, lo))
+            pivots.insert(j, bit.bit_length() - 1)
         leads |= bit
         cover |= x
-    order = sorted(piv)
-    rows[:] = [piv[b][:2] for b in order] + [(0, 0)] * (len(rows) - len(order))
-    return [b.bit_length() - 1 for b in order]
+    rows[:] = piv + [(0, 0)] * (len(rows) - len(piv))
+    return pivots
 
 
 def span(basis: list[Vec]) -> list[Vec]:
