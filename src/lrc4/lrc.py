@@ -615,18 +615,34 @@ def extract_profile(
                            group_rows=tuple(tuple(range(a, b + 1)) for a, b in ranges))
 
 
-def _select_cover(full: int, candidates: list[tuple[int, list[Vec]]]) -> list[int] | None:
+def _select_cover(full: int, candidates: list[tuple[int, list[Vec]]],
+                  rank: int | None = None) -> list[int] | None:
     """First (in candidate order) subfamily whose masks cover ``full`` and
     whose packed local row blocks are mutually independent.  Depth-first
-    with backtracking."""
+    with backtracking.
+
+    With ``rank``, the dimension of the space every block lies in, a
+    branch is cut once the rows pushed plus the fewest rows still needed
+    exceed it: covering the u coordinates left takes at least
+    ceil(u / g) more blocks, g the most any later candidate adds, each of
+    at least the fewest rows of a later block.  Such a branch holds no
+    cover, as independent rows number at most ``rank``, so the first
+    cover found is the same."""
     elim = Eliminator()
     chosen: list[int] = []
 
     def rec(start: int, covered: int) -> bool:
         if covered == full:
             return True
-        if reduce(or_, (s for s, _ in candidates[start:]), covered) != full:
+        later = candidates[start:]
+        if reduce(or_, (s for s, _ in later), covered) != full:
             return False
+        if rank is not None:
+            left = full & ~covered
+            gain = max((s & left).bit_count() for s, _ in later)
+            fewest = min(len(b) for _, b in later)
+            if elim.rank + ceil(left.bit_count() / gain) * fewest > rank:
+                return False
         for i in range(start, len(candidates)):
             s, block = candidates[i]
             if not s & ~covered:
@@ -679,7 +695,7 @@ def structured_parity_check(
         if block:
             echelon(block)
             candidates.append((support, block))
-    chosen = _select_cover(full, candidates)
+    chosen = _select_cover(full, candidates, n - c.k)
     partitioned = chosen is not None
     if chosen is None:
         # with empty row blocks nothing is pushed, so only coverage decides

@@ -10,6 +10,11 @@ into bit planes and run the one elimination kernel,
 
 Empty matrices (0 x n or m x 0) are legal and concatenate away cleanly,
 which lets block constructions degenerate at their minimal parameters.
+
+The constructor checks every entry.  The operations on matrices already
+built (arithmetic, reductions, stacking, Kronecker products, selections)
+keep entries in 0..3, so they wrap their result unchecked; of their
+arguments they check only the sizes and indices.
 """
 
 from __future__ import annotations
@@ -64,11 +69,11 @@ class Mat4:
 
     @classmethod
     def zeros(cls, rows: int, cols: int) -> "Mat4":
-        return cls(np.zeros((rows, cols), dtype=np.uint8))
+        return cls._wrap(np.zeros(_sizes(rows, cols), dtype=np.uint8))
 
     @classmethod
     def identity(cls, n: int) -> "Mat4":
-        return cls(np.eye(n, dtype=np.uint8))
+        return cls._wrap(np.eye(*_sizes(n), dtype=np.uint8))
 
     @classmethod
     def from_string(cls, text: str) -> "Mat4":
@@ -137,7 +142,7 @@ class Mat4:
     def __add__(self, other: "Mat4") -> "Mat4":
         if self.shape != other.shape:
             raise ShapeError(f"add: {self.shape} vs {other.shape}")
-        return Mat4(self._a ^ other._a)
+        return Mat4._wrap(self._a ^ other._a)
 
     def __matmul__(self, other: "Mat4") -> "Mat4":
         if self.cols != other.rows:
@@ -149,7 +154,7 @@ class Mat4:
         return Mat4._wrap(np.bitwise_xor.reduce(prod, axis=1))
 
     def transpose(self) -> "Mat4":
-        return Mat4(self._a.T.copy())
+        return Mat4._wrap(self._a.T.copy())
 
     def span_words(self) -> np.ndarray:
         """Every GF(4)-combination of the rows, as a (4^rows, cols) uint8 array.
@@ -204,23 +209,38 @@ class Mat4:
             return Mat4.zeros(ar * br, ac * bc)
         left = self._a.repeat(br, axis=0).repeat(bc, axis=1)
         right = np.tile(other._a, (ar, ac))
-        return Mat4(gf4.MUL_NP[left, right])
+        return Mat4._wrap(gf4.MUL_NP[left, right])
 
-    def take_columns(self, cols: Sequence[int]) -> "Mat4":
-        return Mat4(self._a[:, list(cols)].copy())
+    def take_columns(self, cols: Iterable[int]) -> "Mat4":
+        return Mat4._wrap(self._a.take(_indices(cols, self.cols, "column"), axis=1))
 
     def delete_columns(self, cols: Iterable[int]) -> "Mat4":
-        drop = set(cols)
-        keep = [c for c in range(self.cols) if c not in drop]
-        return self.take_columns(keep)
+        drop = set(_indices(cols, self.cols, "column"))
+        return Mat4._wrap(self._a.take([c for c in range(self.cols) if c not in drop], axis=1))
 
-    def take_rows(self, rows: Sequence[int]) -> "Mat4":
-        return Mat4(self._a[list(rows), :].copy())
+    def take_rows(self, rows: Iterable[int]) -> "Mat4":
+        return Mat4._wrap(self._a.take(_indices(rows, self.rows, "row"), axis=0))
 
     def delete_rows(self, rows: Iterable[int]) -> "Mat4":
-        drop = set(rows)
-        keep = [r for r in range(self.rows) if r not in drop]
-        return self.take_rows(keep)
+        drop = set(_indices(rows, self.rows, "row"))
+        return Mat4._wrap(self._a.take([r for r in range(self.rows) if r not in drop], axis=0))
+
+
+def _sizes(*sizes: int) -> list[int]:
+    """The sizes as ints by :func:`gf4._integers`; ShapeError when one is negative."""
+    sizes = gf4._integers(sizes, "matrix sizes")
+    if min(sizes) < 0:
+        raise ShapeError(f"matrix sizes must be non-negative, got {sizes}")
+    return sizes
+
+
+def _indices(values: Iterable[int], bound: int, what: str) -> list[int]:
+    """The values as ints by :func:`gf4._integers`; ShapeError unless each is
+    in 0..bound-1 (a negative index does not count from the end)."""
+    ints = gf4._integers(values, f"{what} indices")
+    if ints and (min(ints) < 0 or max(ints) >= bound):
+        raise ShapeError(f"{what} indices must satisfy 0 <= i < {bound}, got {ints}")
+    return ints
 
 
 def span_stack(bases: np.ndarray) -> np.ndarray:
@@ -246,7 +266,7 @@ def hstack(blocks: Sequence[Mat4]) -> Mat4:
     heights = {b.rows for b in blocks}
     if len(heights) != 1:
         raise ShapeError(f"hstack: differing row counts {sorted(heights)}")
-    return Mat4(np.hstack([b.array for b in blocks]))
+    return Mat4._wrap(np.hstack([b.array for b in blocks]))
 
 
 def vstack(blocks: Sequence[Mat4]) -> Mat4:
@@ -256,4 +276,4 @@ def vstack(blocks: Sequence[Mat4]) -> Mat4:
     widths = {b.cols for b in blocks}
     if len(widths) != 1:
         raise ShapeError(f"vstack: differing column counts {sorted(widths)}")
-    return Mat4(np.vstack([b.array for b in blocks]))
+    return Mat4._wrap(np.vstack([b.array for b in blocks]))

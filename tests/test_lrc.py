@@ -1,6 +1,8 @@
 import dataclasses
+import functools
 import hashlib
 import json
+import operator
 import random
 import re
 from collections import Counter
@@ -1187,6 +1189,79 @@ def test_partitioned_profiles_everywhere_else():
     for cid, d in [("C17", 10), ("C17", 12), ("C17", 13), ("C17", 16),
                    ("C19", 8), ("C19", 10), ("C19", 12)]:
         assert build(cid, d=d).profile.partitioned, (cid, d)
+
+
+def _unbounded_select_cover(full, candidates):
+    """The cover search with no rank bound: the first (in candidate order)
+    subfamily of masks that covers ``full`` with mutually independent row
+    blocks, by plain depth-first backtracking."""
+    elim = Eliminator()
+    chosen = []
+
+    def rec(start, covered):
+        if covered == full:
+            return True
+        if functools.reduce(operator.or_, (s for s, _ in candidates[start:]), covered) != full:
+            return False
+        for i in range(start, len(candidates)):
+            s, block = candidates[i]
+            if not s & ~covered:
+                continue
+            pushed = 0
+            for v in block:
+                pushed += 1
+                if not elim.push(v):
+                    break
+            else:
+                chosen.append(i)
+                if rec(i + 1, covered | s):
+                    return True
+                chosen.pop()
+            for _ in range(pushed):
+                elim.pop()
+        return False
+
+    return chosen if rec(0, 0) else None
+
+
+def test_bounded_cover_search_matches_the_unbounded_one_on_every_generator_build():
+    # the bound is the dual's dimension, and cutting by it changes no cover:
+    # neither the partitioned builds' first cover nor the six unpartitionable
+    # builds' failure, which the bound reaches with far fewer pushes
+    calls = []
+
+    def recorded(full, candidates, rank=None):
+        calls.append((full, candidates, rank))
+        return select(full, candidates, rank)
+
+    select = lrc._select_cover
+    unpartitioned = 0
+    for cid, lo, hi in (("C16", 5, 12), ("C17", 7, 16), ("C18", 5, 12), ("C19", 6, 12)):
+        for d in range(lo, hi + 1):
+            calls.clear()
+            with mock.patch.object(lrc, "_select_cover", recorded):
+                bc = build(cid, d=d)
+            full, candidates, rank = calls[0]
+            assert rank == bc.code.n - bc.code.k
+            got = select(full, candidates, rank)
+            assert got == _unbounded_select_cover(full, candidates), (cid, d)
+            unpartitioned += got is None
+    assert unpartitioned == 6
+
+
+@given(st.data())
+def test_bounded_cover_search_matches_the_unbounded_one_on_random_families(data):
+    n = data.draw(st.integers(1, 10), label="n")
+    full = (1 << n) - 1
+    mask = st.integers(1, full)
+    candidates = []
+    for s in data.draw(st.lists(mask, min_size=1, max_size=8), label="supports"):
+        rows = data.draw(st.lists(st.tuples(mask, mask), min_size=1, max_size=3))
+        candidates.append((s, [(h & s, l & s) for h, l in rows]))
+    # every block lies in the span of all of them, so its rank bounds any cover
+    rank = Eliminator([v for _, b in candidates for v in b]).rank
+    rank += data.draw(st.integers(0, 2), label="slack")
+    assert lrc._select_cover(full, candidates, rank) == _unbounded_select_cover(full, candidates)
 
 
 @st.composite

@@ -382,3 +382,68 @@ def test_packed_echelon_matches_reference_rref(m):
     assert (m @ k.transpose()).is_zero()
     for out in (r, m.row_basis(), k):
         assert out.array.dtype == np.uint8 and not out.array.flags.writeable
+
+
+def _checked(m):
+    """A wrapped result is what the checked constructor makes of its array."""
+    assert m.array.dtype == np.uint8 and not m.array.flags.writeable
+    assert m == Mat4(m.array)
+    return m
+
+
+@st.composite
+def shaped(draw, rows=None, cols=None):
+    """A matrix of up to 4 x 4, empty ones included, as an int64 array and its Mat4."""
+    rows = draw(st.integers(0, 4)) if rows is None else rows
+    cols = draw(st.integers(0, 4)) if cols is None else cols
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    a = rng.integers(0, 4, (rows, cols))
+    return a, Mat4(a)
+
+
+@given(st.data())
+def test_wrapped_operations_equal_the_checked_constructor(data):
+    a, m = data.draw(shaped(), label="m")
+    rows, cols = a.shape
+    b, other = data.draw(shaped(rows, cols), label="other")
+    c, wide = data.draw(shaped(rows=rows), label="wide")
+    t, tall = data.draw(shaped(cols=cols), label="tall")
+    d, k = data.draw(shaped(), label="k")
+    assert np.array_equal(_checked(Mat4.zeros(rows, cols)).array, np.zeros((rows, cols)))
+    assert np.array_equal(_checked(Mat4.identity(rows)).array, np.eye(rows))
+    assert np.array_equal(_checked(m.transpose()).array, a.T)
+    assert np.array_equal(_checked(m + other).array, a ^ b)
+    assert np.array_equal(_checked(hstack([m, wide])).array, np.hstack([a, c]))
+    assert np.array_equal(_checked(vstack([m, tall])).array, np.vstack([a, t]))
+    # entry (i, p), (j, q) of the Kronecker product is a[i, j] * d[p, q]
+    blocks = gf4.MUL_NP[a[:, None, :, None], d[None, :, None, :]]
+    assert np.array_equal(_checked(m.kron(k)).array, blocks.reshape(rows * k.rows, cols * k.cols))
+    # numpy's fancy indexing as the second route; an int array keeps empty picks 2-d
+    picks = data.draw(st.lists(st.integers(0, max(cols - 1, 0)), max_size=5 if cols else 0))
+    keep = [j for j in range(cols) if j not in picks]
+    assert np.array_equal(_checked(m.take_columns(picks)).array, a[:, np.array(picks, int)])
+    assert np.array_equal(_checked(m.delete_columns(picks)).array, a[:, np.array(keep, int)])
+    picks = data.draw(st.lists(st.integers(0, max(rows - 1, 0)), max_size=5 if rows else 0))
+    keep = [i for i in range(rows) if i not in picks]
+    assert np.array_equal(_checked(m.take_rows(picks)).array, a[np.array(picks, int)])
+    assert np.array_equal(_checked(m.delete_rows(picks)).array, a[np.array(keep, int)])
+
+
+def test_indices_and_sizes_are_checked():
+    m = Mat4([[1, 2, 3], [0, 1, 2]])
+    # a negative index does not count from the end, and none is ignored
+    for bad in (lambda: m.take_columns([-1]), lambda: m.delete_columns([7]),
+                lambda: m.take_columns([5]), lambda: m.take_rows([2]),
+                lambda: m.delete_rows([-1]), lambda: Mat4.zeros(-1, 2)):
+        with pytest.raises(ShapeError):
+            bad()
+    for bad in (lambda: Mat4.identity(2.5), lambda: Mat4.zeros(2, "3"),
+                lambda: m.take_columns([1.5]), lambda: m.delete_rows([True])):
+        with pytest.raises(ValueError, match="must be integers"):
+            bad()
+    with pytest.raises(ShapeError, match=re.escape("0 <= i < 3, got [7]")):
+        m.delete_columns([7])
+    # integral values of any numeric type are the indices they name
+    assert m.take_columns([np.int64(2), 0.0]) == Mat4([[3, 1], [2, 0]])
+    assert m.delete_rows(range(1)) == Mat4([[0, 1, 2]])
+    assert Mat4.identity(np.int64(2)) == Mat4([[1, 0], [0, 1]])
