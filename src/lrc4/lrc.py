@@ -616,14 +616,14 @@ def extract_profile(
 
 
 def _select_cover(full: int, candidates: list[tuple[int, list[Vec]]],
-                  rank: int | None = None) -> list[int] | None:
+                  rank: int) -> list[int] | None:
     """First (in candidate order) subfamily whose masks cover ``full`` and
     whose packed local row blocks are mutually independent.  Depth-first
     with backtracking.
 
-    With ``rank``, the dimension of the space every block lies in, a
-    branch is cut once the rows pushed plus the fewest rows still needed
-    exceed it: covering the u coordinates left takes at least
+    ``rank`` is the dimension of the space every block lies in; a branch
+    is cut once the rows pushed plus the fewest rows still needed exceed
+    it: covering the u coordinates left takes at least
     ceil(u / g) more blocks, g the most any later candidate adds, each of
     at least the fewest rows of a later block.  Such a branch holds no
     cover, as independent rows number at most ``rank``, so the first
@@ -637,12 +637,11 @@ def _select_cover(full: int, candidates: list[tuple[int, list[Vec]]],
         later = candidates[start:]
         if reduce(or_, (s for s, _ in later), covered) != full:
             return False
-        if rank is not None:
-            left = full & ~covered
-            gain = max((s & left).bit_count() for s, _ in later)
-            fewest = min(len(b) for _, b in later)
-            if elim.rank + ceil(left.bit_count() / gain) * fewest > rank:
-                return False
+        left = full & ~covered
+        gain = max((s & left).bit_count() for s, _ in later)
+        fewest = min(len(b) for _, b in later)
+        if elim.rank + ceil(left.bit_count() / gain) * fewest > rank:
+            return False
         for i in range(start, len(candidates)):
             s, block = candidates[i]
             if not s & ~covered:
@@ -698,8 +697,9 @@ def structured_parity_check(
     chosen = _select_cover(full, candidates, n - c.k)
     partitioned = chosen is not None
     if chosen is None:
-        # with empty row blocks nothing is pushed, so only coverage decides
-        chosen = _select_cover(full, [(s, []) for s, _ in candidates])
+        # with empty row blocks nothing is pushed and the bound never cuts,
+        # so only coverage decides
+        chosen = _select_cover(full, [(s, []) for s, _ in candidates], n - c.k)
     if chosen is None:
         raise StructureError("no family of local groups covers all coordinates")
     # the search never picks a support twice, so masks identify blocks

@@ -1230,7 +1230,7 @@ def test_bounded_cover_search_matches_the_unbounded_one_on_every_generator_build
     # builds' failure, which the bound reaches with far fewer pushes
     calls = []
 
-    def recorded(full, candidates, rank=None):
+    def recorded(full, candidates, rank):
         calls.append((full, candidates, rank))
         return select(full, candidates, rank)
 
